@@ -26,7 +26,7 @@ from .dual import (DualCandidate, dual_bound_mmm, dual_bound_perturbed,
                    minimize_dual, perturbation_exponential,
                    subreplication_estimate)
 from .primal import (BucketStrategy, ConstantFamily, ConstantStrategy,
-                     HedgeMixFamily, StateLinearFamily, StateLinearStrategy,
+                     HedgeMixFamily, StateLinearStrategy,
                      enforce_admissibility, lsmc_hedge, optimize_primal,
                      primal_bound, wealth_process)
 from .kw import kw_convergence_diag, kw_decompose, nondegeneracy_check

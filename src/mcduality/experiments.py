@@ -93,6 +93,20 @@ def merge_config(user: dict) -> dict:
 # validation
 # ---------------------------------------------------------------------------
 
+def _number(val) -> float:
+    """``float(val)``, or NaN (which fails every comparison) if malformed."""
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _floats(val) -> list[float] | None:
+    """A nonempty list of numbers as floats; ``None`` for anything else."""
+    out = [_number(v) for v in val] if isinstance(val, (list, tuple)) else []
+    return None if not out or any(math.isnan(v) for v in out) else out
+
+
 def validate_config(cfg: dict) -> list[dict]:
     """Return a list of violation records ``{"field":..., "reason":...}``."""
     errs: list[dict] = []
@@ -114,46 +128,47 @@ def validate_config(cfg: dict) -> list[dict]:
             bad(name, "must be a positive integer")
     try:
         build_market(cfg)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         bad("market", exc)
     try:
         build_utility(cfg)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         bad("utility", exc)
     try:
         build_claim(cfg)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, OSError) as exc:
         bad("claim", exc)
 
-    if kind == "sweep":
-        sw = cfg.get("sweep", {})
-        if not sw.get("rho_values"):
-            bad("sweep.rho_values", "must be a nonempty list")
-        elif any(not -1.0 < float(r) < 1.0 for r in sw["rho_values"]):
+    sec = cfg.get(kind, {}) if kind in KINDS else {}
+    if not isinstance(sec, dict):
+        bad(kind, "must be an object")
+    elif kind == "sweep":
+        rhos = _floats(sec.get("rho_values"))
+        if rhos is None:
+            bad("sweep.rho_values", "must be a nonempty list of numbers")
+        elif any(not -1.0 < r < 1.0 for r in rhos):
             bad("sweep.rho_values", "every rho must satisfy |rho| < 1")
-        if not sw.get("y_grid") or any(float(y) <= 0 for y in sw.get("y_grid", [])):
+        ys = _floats(sec.get("y_grid"))
+        if ys is None or any(not y > 0 for y in ys):
             bad("sweep.y_grid", "must be a nonempty list of positive values")
-        if not float(sw.get("x", 0.0)) > 0:
-            bad("sweep.x", "initial capital must be positive")
+        if not _number(sec.get("x", 0.0)) > 0:
+            bad("sweep.x", "initial capital must be a positive number")
     elif kind == "degenerate":
-        dg = cfg.get("degenerate", {})
-        if float(dg.get("alpha", 1.0)) <= 0:
-            bad("degenerate.alpha", "alpha must be positive")
-        if not dg.get("n_values"):
-            bad("degenerate.n_values", "must be a nonempty list")
+        if not _number(sec.get("alpha", 1.0)) > 0:
+            bad("degenerate.alpha", "alpha must be a positive number")
+        if _floats(sec.get("n_values")) is None:
+            bad("degenerate.n_values", "must be a nonempty list of numbers")
     elif kind == "kw":
-        kwc = cfg.get("kw", {})
-        if kwc.get("mode") not in ("nondegenerate", "degenerate"):
+        if sec.get("mode") not in ("nondegenerate", "degenerate"):
             bad("kw.mode", "must be 'nondegenerate' or 'degenerate'")
-        if not kwc.get("n_values"):
-            bad("kw.n_values", "must be a nonempty list")
+        if _floats(sec.get("n_values")) is None:
+            bad("kw.n_values", "must be a nonempty list of numbers")
     elif kind == "subreplication":
-        sub = cfg.get("subreplication", {})
-        rho = float(sub.get("rho", 0.0))
+        rho = _number(sec.get("rho", 0.0))
         if rho == 0.0 or not -1.0 < rho < 1.0:
             bad("subreplication.rho", "requires 0 < |rho| < 1")
-        if not sub.get("shifts"):
-            bad("subreplication.shifts", "must be a nonempty list")
+        if _floats(sec.get("shifts")) is None:
+            bad("subreplication.shifts", "must be a nonempty list of numbers")
     return errs
 
 

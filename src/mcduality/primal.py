@@ -19,6 +19,10 @@ value of the corresponding problem, reported with a standard error.  For
 half-line utilities any path ending outside the domain makes the estimate
 ``-inf``; the number of such paths is reported as the violation count.
 
+A strategy family's holdings are ``clip(sum_k theta_k C_k)`` over component
+holdings ``C_k`` that ``optimize_primal`` evaluates once per search; each
+evaluation then runs one first-crossing kernel and reads terminal values only.
+
 The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
 giving both a replication-price intercept and a residual report.
@@ -27,6 +31,7 @@ giving both a replication-price intercept and a residual report.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +51,6 @@ __all__ = [
     "HedgeResult",
     "PrimalOpt",
     "ConstantFamily",
-    "StateLinearFamily",
     "HedgeMixFamily",
     "wealth_process",
     "enforce_admissibility",
@@ -79,7 +83,8 @@ _FEATURES = ("1", "b", "v", "b2", "bv", "v2", "delta", "deltav")
 _DELTA_GRID_N = 2001
 
 # smoothed-delta paths are strategy-independent, so they are computed once
-# per (bundle, claim) and reused across every optimizer evaluation
+# per (bundle, claim); a hit must be the same live objects, since a collected
+# bundle's id is reused, and a weak reference keeps no bundle alive
 _DELTA_CACHE: dict = {}
 
 
@@ -96,8 +101,8 @@ def _smoothed_delta(claim: ClaimSpec, bundle) -> np.ndarray:
     """
     key = (id(bundle), id(claim))
     hit = _DELTA_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if hit is not None and hit[0]() is bundle and hit[1] is claim:
+        return hit[2]
     times = bundle.times
     b = driver_levels(bundle)
     steps = times.size - 1
@@ -119,7 +124,7 @@ def _smoothed_delta(claim: ClaimSpec, bundle) -> np.ndarray:
         out[:, j] = np.interp(b[:, j], xs, table)
     if len(_DELTA_CACHE) >= 3:
         _DELTA_CACHE.pop(next(iter(_DELTA_CACHE)))
-    _DELTA_CACHE[key] = out
+    _DELTA_CACHE[key] = (weakref.ref(bundle), claim, out)
     return out
 
 
@@ -228,9 +233,6 @@ class StateLinearStrategy(_StrategyBase):
             if v is None:
                 raise ValueError("state-linear strategy with cv needs variance")
             h = h + self.cv * v[:, sl]
-        else:
-            h = np.broadcast_to(h, (bundle.paths, bundle.times.size - 1)).copy() \
-                if np.ndim(h) != 2 else h
         return h
 
 
@@ -273,12 +275,6 @@ class BucketStrategy(_StrategyBase):
             out[:, sl] = acc
         return out
 
-    def scaled(self, factor: float) -> "BucketStrategy":
-        return BucketStrategy(floor=self.floor, slack=self.slack,
-                              max_holding=self.max_holding,
-                              coeffs=factor * self.coeffs,
-                              features=self.features, claim=self.claim)
-
 
 @dataclass(frozen=True)
 class ScaledSumStrategy(_StrategyBase):
@@ -314,6 +310,32 @@ def wealth_process(strategy: _StrategyBase, bundle) -> np.ndarray:
     return x
 
 
+def _threshold(rule, x: float, constrained: bool, phi_min: float) -> float:
+    """Effective floor on ``X`` of a strategy's or family's floor rule."""
+    thr = -rule.floor - rule.slack
+    if constrained:
+        thr = max(thr, -x - phi_min)
+    if thr >= 0.0:
+        raise ValueError(
+            f"effective wealth floor {thr:.6g} is not below the starting "
+            "wealth 0; need x + phi_min > 0 in constrained mode")
+    return thr
+
+
+def _first_crossing(gains: np.ndarray, thr: float):
+    """The stopping kernel on gains paths laid out ``(nodes, paths)``.
+
+    Returns each path's stop node (the first whose gain lies below ``thr``,
+    else the last), its stopped terminal gain and the crossed mask.
+    """
+    below = gains < thr
+    first = np.argmax(below, axis=0)
+    cols = np.arange(gains.shape[1])
+    crossed = below[first, cols]
+    stop = np.where(crossed, first, gains.shape[0] - 1)
+    return stop, gains[stop, cols], crossed
+
+
 @dataclass(frozen=True)
 class EnforcedWealth:
     """Stopped wealth paths with stopping diagnostics."""
@@ -337,23 +359,13 @@ def enforce_admissibility(strategy: _StrategyBase, bundle, x: float = 0.0,
     the floor exactly (first-crossing definition); the overshoot is a loss
     the strategy genuinely suffered and is never repaired.
     """
-    thr = -strategy.floor - strategy.slack
-    if constrained:
-        thr = max(thr, -x - phi_min)
-    if thr >= 0.0:
-        raise ValueError(
-            f"effective wealth floor {thr:.6g} is not below the starting "
-            "wealth 0; need x + phi_min > 0 in constrained mode")
+    thr = _threshold(strategy, x, constrained, phi_min)
     raw = wealth_process(strategy, bundle)
-    below = raw < thr
-    has = below.any(axis=1)
-    first = np.argmax(below, axis=1)
-    steps = raw.shape[1] - 1
-    stop_at = np.where(has, first, steps)
-    idx = np.minimum(np.arange(steps + 1)[None, :], stop_at[:, None])
+    stop_at, _, crossed = _first_crossing(raw.T, thr)
+    idx = np.minimum(np.arange(raw.shape[1])[None, :], stop_at[:, None])
     stopped = np.take_along_axis(raw, idx, axis=1)
     return EnforcedWealth(wealth=stopped,
-                          stopped_fraction=float(has.mean()),
+                          stopped_fraction=float(crossed.mean()),
                           threshold=thr)
 
 
@@ -364,6 +376,25 @@ class PrimalResult:
     estimate: Estimate
     violations: int
     stopped_fraction: float
+
+
+def _score(pair: ConjugatePair, x: float, xt: np.ndarray,
+           crossed: np.ndarray, f: np.ndarray | None) -> PrimalResult:
+    """Expected utility of ``x (+ f)`` plus the stopped terminal gains."""
+    w = x + xt if f is None else (x + f) + xt
+    samples = np.asarray(pair.utility.u(w), dtype=float)
+    violations = int(np.sum(np.isneginf(samples)))
+    return PrimalResult(estimate=mc_estimate(samples), violations=violations,
+                        stopped_fraction=float(crossed.mean()))
+
+
+def _claim_terms(rule, x: float, claim: ClaimSpec | None, bundle,
+                 constrained: bool):
+    """Stopping threshold and terminal claim values (``None`` without one)."""
+    if claim is None:
+        return _threshold(rule, x, constrained, 0.0), None
+    f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
+    return _threshold(rule, x, constrained, claim.phi_min), f
 
 
 def primal_bound(pair: ConjugatePair, x: float, strategy: _StrategyBase,
@@ -379,19 +410,9 @@ def primal_bound(pair: ConjugatePair, x: float, strategy: _StrategyBase,
     overshooting path.  Such estimates come back ``-inf`` and the optimizer
     treats the strategy as infeasible rather than silently repairing it.
     """
-    phi_min = claim.phi_min if claim is not None else 0.0
-    enforced = enforce_admissibility(strategy, bundle, x=x,
-                                     constrained=constrained, phi_min=phi_min)
-    xt = enforced.wealth[:, -1]
-    if claim is not None:
-        f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
-        w = (x + f) + xt
-    else:
-        w = x + xt
-    samples = np.asarray(pair.utility.u(w), dtype=float)
-    violations = int(np.sum(np.isneginf(samples)))
-    return PrimalResult(estimate=mc_estimate(samples), violations=violations,
-                        stopped_fraction=enforced.stopped_fraction)
+    thr, f = _claim_terms(strategy, x, claim, bundle, constrained)
+    _, xt, crossed = _first_crossing(wealth_process(strategy, bundle).T, thr)
+    return _score(pair, x, xt, crossed, f)
 
 
 # ---------------------------------------------------------------------------
@@ -493,25 +514,9 @@ class ConstantFamily:
         return ConstantStrategy(c=float(theta[0]), floor=self.floor,
                                 slack=self.slack, max_holding=self.max_holding)
 
-
-@dataclass(frozen=True)
-class StateLinearFamily:
-    """Three-parameter family ``H = c0 + cv V + cb B`` in a coefficient box."""
-
-    box: tuple = ((-5.0, 5.0), (-5.0, 5.0), (-5.0, 5.0))
-    floor: float = 10.0
-    slack: float = 1e-9
-    max_holding: float = 100.0
-
-    @property
-    def bounds(self):
-        return [tuple(map(float, b)) for b in self.box]
-
-    def make(self, theta) -> StateLinearStrategy:
-        return StateLinearStrategy(c0=float(theta[0]), cv=float(theta[1]),
-                                   cb=float(theta[2]), floor=self.floor,
-                                   slack=self.slack,
-                                   max_holding=self.max_holding)
+    def components(self, bundle) -> list:
+        """Per-step component holdings: the constant 1."""
+        return [1.0]
 
 
 @dataclass(frozen=True)
@@ -541,18 +546,22 @@ class HedgeMixFamily:
         return out
 
     def make(self, theta) -> ScaledSumStrategy:
-        const = ConstantStrategy(c=1.0, floor=self.floor, slack=self.slack,
-                                 max_holding=self.max_holding)
-        parts = [self.hedge, const]
+        # only the sum truncates, so the parts keep their default floor and cap
+        parts = [self.hedge, ConstantStrategy(c=1.0)]
         weights = [float(theta[0]), float(theta[1])]
         if self.lin_bounds is not None:
-            parts.append(StateLinearStrategy(cb=1.0, floor=self.floor,
-                                             slack=self.slack,
-                                             max_holding=self.max_holding))
+            parts.append(StateLinearStrategy(cb=1.0))
             weights.append(float(theta[2]))
         return ScaledSumStrategy(parts=tuple(parts), weights=tuple(weights),
                                  floor=self.floor, slack=self.slack,
                                  max_holding=self.max_holding)
+
+    def components(self, bundle) -> list:
+        """Raw holdings of ``make``'s parts: hedge, scalar 1, driver."""
+        comps = [self.hedge._raw_holdings(bundle), 1.0]
+        if self.lin_bounds is not None:
+            comps.append(driver_levels(bundle)[:, :-1])
+        return comps
 
 
 @dataclass(frozen=True)
@@ -568,13 +577,40 @@ class PrimalOpt:
 _BAD = 1e30
 
 
+def _component_gains(family, bundle):
+    """``theta ->`` gains ``X_1 .. X_steps`` of ``family.make(theta)``.
+
+    The component holdings are computed once and kept time-major, so the
+    running sum is one vector add per step: ``np.cumsum``'s adds in its
+    order, without its path-by-path loop.  Zero weights are skipped, as in
+    ``ScaledSumStrategy``.
+    """
+    comps = [np.transpose(c).copy() for c in family.components(bundle)]
+    ds = np.diff(bundle.s, axis=1).T.copy()
+    cap = family.max_holding
+
+    def gains(theta) -> np.ndarray:
+        g = np.zeros(ds.shape)
+        for w, c in zip(theta, comps):
+            if w != 0.0:
+                g += w * c
+        np.clip(g, -cap, cap, out=g)
+        g *= ds
+        for j in range(1, g.shape[0]):
+            np.add(g[j - 1], g[j], out=g[j])
+        return g
+
+    return gains
+
+
 def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
                     claim: ClaimSpec | None = None, constrained: bool = False,
                     budget: int = 120) -> PrimalOpt:
     """Search the family for the best primal bound with Nelder-Mead.
 
     All evaluations reuse the bundle's paths (common random numbers), so the
-    search is deterministic given seed, family and budget.  Three fixed
+    search is deterministic given seed, family and budget; each evaluation
+    gives the bits of ``primal_bound`` of ``family.make(theta)``.  Three fixed
     starting points share the budget; ties between restarts are broken
     lexicographically by coefficient vector.
     """
@@ -583,13 +619,17 @@ def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
     hi = np.array([b[1] for b in bounds])
     dim = lo.size
     evals = 0
+    thr, f = _claim_terms(family, x, claim, bundle, constrained)
+    gains = _component_gains(family, bundle)
+
+    def evaluate(theta) -> PrimalResult:
+        _, xt, crossed = _first_crossing(gains(theta), thr)
+        return _score(pair, x, xt, crossed, f)
 
     def objective(theta):
         nonlocal evals
         evals += 1
-        res = primal_bound(pair, x, family.make(theta), bundle,
-                           claim=claim, constrained=constrained)
-        m = res.estimate.mean
+        m = evaluate(theta).estimate.mean
         return _BAD if m == -math.inf else -m
 
     starts = [0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi]
@@ -604,8 +644,6 @@ def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
         outcomes.append((float(sol.fun), tuple(np.round(theta, 12)), theta))
     outcomes.sort(key=lambda t: (t[0], t[1]))
     best_theta = outcomes[0][2]
-    strategy = family.make(best_theta)
-    result = primal_bound(pair, x, strategy, bundle, claim=claim,
-                          constrained=constrained)
-    return PrimalOpt(theta=np.asarray(best_theta), strategy=strategy,
-                     result=result, evaluations=evals)
+    return PrimalOpt(theta=np.asarray(best_theta),
+                     strategy=family.make(best_theta),
+                     result=evaluate(best_theta), evaluations=evals)

@@ -32,6 +32,20 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert any(v["field"] == "sweep.rho_values" for v in err["violations"])
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ({"kind": "sweep", "sweep": {"rho_values": ["a"]}}, "sweep.rho_values"),
+    ({"kind": "sweep", "sweep": {"x": "z"}}, "sweep.x"),
+    ({"kind": "sweep", "sweep": [0.4, 0.1]}, "sweep"),
+    ({"kind": "degenerate", "degenerate": {"alpha": None}},
+     "degenerate.alpha"),
+], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null"])
+def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
+    path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
+    assert main(["validate", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert [v["field"] for v in err["violations"]] == [field]
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.json", TINY_KW)
     out = tmp_path / "out"

@@ -1,10 +1,12 @@
 """Strategy admissibility, regression hedging and the primal search."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from mcduality import primal
 from mcduality.market import TimeGrid, simulate_general_market
 from mcduality.pricing import degenerate_coeffs
 from mcduality.primal import (BucketStrategy, ConstantFamily, ConstantStrategy,
@@ -163,6 +165,22 @@ def test_smoothed_delta_near_expiry_is_payoff_slope(flat_market):
     assert np.allclose(d[:, -1], slope, atol=5e-3)
 
 
+def test_smoothed_delta_never_served_across_bundles(monkeypatch):
+    # a collected bundle's id is soon reused by a later one; the cached delta
+    # of a dead bundle must never be handed to the new one
+    claim = digital_claim(level=1.0, at=0.0)
+    coeffs = degenerate_coeffs()
+    for seed in range(40):
+        bundle = simulate_general_market(coeffs, 1.0, TimeGrid(1.0, 8), 300,
+                                         RandomStream(seed))
+        got = _smoothed_delta(claim, bundle)
+        with monkeypatch.context() as m:
+            m.setattr(primal, "_DELTA_CACHE", {})
+            assert np.array_equal(got, _smoothed_delta(claim, bundle))
+        del bundle, got
+        gc.collect()
+
+
 def test_digital_hedge_reaches_discretization_floor(flat_market):
     claim = digital_claim(level=1.0, at=0.0)
     with_delta = lsmc_hedge(claim, flat_market, buckets=8)
@@ -235,3 +253,61 @@ def test_hedge_mix_family_bounds(flat_market):
     strat = fam3.make((1.0, 0.5, -0.25))
     assert isinstance(strat, ScaledSumStrategy)
     assert strat.weights == (1.0, 0.5, -0.25)
+
+
+def _reference_terminal(strategy, bundle, thr):
+    """Stopped terminal gains by the full-matrix first crossing: the
+    unstopped paths of ``wealth_process`` read at their first node below
+    ``thr`` (or at the last node)."""
+    raw = wealth_process(strategy, bundle)
+    below = raw < thr
+    crossed = below.any(axis=1)
+    stop = np.where(crossed, below.argmax(axis=1), raw.shape[1] - 1)
+    return raw[np.arange(raw.shape[0]), stop], crossed
+
+
+@pytest.mark.parametrize("kind", ["constant", "hedge", "hedge_lin"])
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("with_claim", [False, True])
+def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
+                                                     constrained, with_claim):
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    if kind == "constant":
+        fam = ConstantFamily(lo=-5.0, hi=5.0, floor=4.0, max_holding=2.5)
+    else:
+        hedge = lsmc_hedge(claim, flat_market, buckets=4)
+        fam = HedgeMixFamily(hedge=hedge.strategy, floor=4.0, max_holding=2.5,
+                             lin_bounds=(-1.0, 1.0) if kind == "hedge_lin"
+                             else None)
+    pair = ConjugatePair(UtilitySpec.power(0.5))
+    x = 0.6
+    f = np.asarray(claim(flat_market.b[:, -1, 0])) if with_claim else None
+    phi_min = claim.phi_min if with_claim else 0.0
+    thr = primal._threshold(fam, x, constrained, phi_min)
+    gains = primal._component_gains(fam, flat_market)
+    lo, hi = np.array(fam.bounds).T
+    rng = np.random.default_rng(7)
+    stopped_any = violated_any = False
+    for theta in rng.uniform(lo, hi, size=(6, lo.size)):
+        _, xt, crossed = primal._first_crossing(gains(theta), thr)
+        strategy = fam.make(theta)
+        enforced = enforce_admissibility(strategy, flat_market, x=x,
+                                         constrained=constrained,
+                                         phi_min=phi_min)
+        ref_xt, ref_crossed = _reference_terminal(strategy, flat_market, thr)
+        assert np.array_equal(xt, enforced.wealth[:, -1])
+        assert np.array_equal(xt, ref_xt)
+        assert np.array_equal(crossed, ref_crossed)
+        assert float(crossed.mean()) == enforced.stopped_fraction
+        res = primal._score(pair, x, xt, crossed, f)
+        w_ref = x + ref_xt if f is None else (x + f) + ref_xt
+        assert res.violations == int(np.sum(w_ref < 0.0))
+        bound = primal_bound(pair, x, strategy, flat_market,
+                             claim=claim if with_claim else None,
+                             constrained=constrained)
+        assert res == bound
+        stopped_any |= bool(crossed.any())
+        violated_any |= res.violations > 0
+    # the draws exercise the stop and, unconstrained, the domain edge
+    assert stopped_any
+    assert violated_any or constrained
