@@ -10,10 +10,19 @@ driver,
 
     W_perp = sqrt(1 - rho**2) W - rho B,
 
-with a piecewise-constant-in-time integrand built from the basis
-``(1, V, B)``.  The exponential is truncated by stopping: the integrand is
-switched off from the first step whose increment would carry the exponential
-above the cap, which keeps the path in ``(0, cap]`` at every node.
+with a piecewise-constant-in-time integrand ``nu`` built from the basis
+``(1, V, B)``.  The exponential is truncated by stopping: its log, the
+running sum of ``nu dW_perp - nu**2 dt / 2``, is frozen at the node before
+its first crossing above ``log(cap)``, which keeps the path in ``(0, cap]``
+at every node.  That is the first crossing of the negated sum below
+``-log(cap)``, found by the kernel that also stops primal wealth.
+
+What a candidate does not choose -- ``dW_perp`` laid out time-major, the
+left-endpoint ``V`` and ``B`` (transposed views of the bundle), ``Z_T``, the
+claim values and two scratch buffers -- is built once per bundle, and
+``minimize_dual`` builds it once per search.  An evaluation forms ``nu`` and
+the log increments in place, runs the sum one vector add per step and takes
+``exp`` of the terminal values only.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from scipy.optimize import minimize
 
 from .estimates import Estimate, mc_estimate
 from .market import PathBundle
+from .stopping import first_crossing
 from .utility import ClaimSpec, ConjugatePair, constrained_conjugate
 
 __all__ = [
@@ -35,10 +45,8 @@ __all__ = [
     "perturbation_exponential",
     "dual_bound_mmm",
     "dual_bound_perturbed",
-    "evaluate_candidates",
     "minimize_dual",
     "subreplication_estimate",
-    "candidate_grid",
 ]
 
 
@@ -64,17 +72,50 @@ class DualCandidate:
             raise ValueError("cap must be >= 1 (the exponential starts at 1)")
         object.__setattr__(self, "coeffs", c)
 
-    def integrand(self, bundle: PathBundle) -> np.ndarray:
-        """Per-step integrand values, shape ``(paths, steps)``."""
-        steps = bundle.steps
+    def integrand(self, v: np.ndarray, b: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+        """Per-step integrand from left-endpoint ``V`` and ``B``, written
+        into ``out``; all three are laid out time-major ``(steps, paths)``."""
         buckets = self.coeffs.shape[0]
-        out = np.empty((bundle.paths, steps))
-        edges = np.linspace(0, steps, buckets + 1).astype(int)
-        for j in range(buckets):
+        edges = np.linspace(0, v.shape[0], buckets + 1).astype(int)
+        for j, (c0, cv, cb) in enumerate(self.coeffs):
             sl = slice(edges[j], edges[j + 1])
-            c0, cv, cb = self.coeffs[j]
-            out[:, sl] = c0 + cv * bundle.v[:, sl] + cb * bundle.b[:, sl]
+            np.multiply(v[sl], cv, out=out[sl])
+            out[sl] += c0
+            out[sl] += cb * b[sl]
         return out
+
+
+def _perturbed_logs(bundle: PathBundle):
+    """``candidate ->`` (negated log of its capped exponential, read nodes).
+
+    The negated log is the running sum laid out ``(steps + 1, paths)`` from a
+    zero first row, in a scratch buffer that the next call overwrites; each
+    path is read at the node before its first crossing, else at the last.
+    """
+    rho = bundle.params.rho
+    mix = math.sqrt(1.0 - rho**2)
+    dwp = np.ascontiguousarray(
+        (mix * bundle.increments("w") - rho * bundle.increments("b")).T)
+    v, b = bundle.v[:, :-1].T, bundle.b[:, :-1].T
+    dt = bundle.dt
+    nu = np.empty(dwp.shape)
+    logs = np.zeros((dwp.shape[0] + 1, dwp.shape[1]))
+
+    def negated_logs(candidate: DualCandidate):
+        candidate.integrand(v, b, out=nu)
+        inc = logs[1:]
+        np.multiply(nu, nu, out=inc)
+        inc *= 0.5
+        inc *= dt
+        np.multiply(nu, dwp, out=nu)
+        inc -= nu           # exactly -(nu dW_perp - 0.5 nu**2 dt)
+        for j in range(1, logs.shape[0]):
+            np.add(logs[j - 1], logs[j], out=logs[j])
+        stop, _, crossed = first_crossing(logs, -math.log(candidate.cap))
+        return logs, stop - crossed
+
+    return negated_logs
 
 
 def perturbation_exponential(candidate: DualCandidate,
@@ -86,35 +127,24 @@ def perturbation_exponential(candidate: DualCandidate,
     exceed the cap is frozen from that step on (the offending increment is
     suppressed, so the stopped value is the last compliant one).
     """
-    rho = bundle.params.rho
-    mix = math.sqrt(1.0 - rho**2)
-    dwp = mix * bundle.increments("w") - rho * bundle.increments("b")
-    nu = candidate.integrand(bundle)
-    loginc = nu * dwp - 0.5 * nu**2 * bundle.dt
+    logs, node = _perturbed_logs(bundle)(candidate)
+    idx = np.minimum(np.arange(logs.shape[0])[:, None], node)
+    return np.exp(-np.take_along_axis(logs, idx, axis=0)).T
 
-    paths, steps = loginc.shape
-    logcap = math.log(candidate.cap)
-    out = np.empty((paths, steps + 1))
-    out[:, 0] = 1.0
-    loge = np.zeros(paths)
-    active = np.ones(paths, dtype=bool)
-    for k in range(steps):
-        cand = loge + loginc[:, k]
-        breach = active & (cand > logcap)
-        active &= ~breach
-        loge = np.where(active, cand, loge)
-        out[:, k + 1] = np.exp(loge)
-    return out
+
+def _claim_values(claim: ClaimSpec | None, bundle: PathBundle):
+    return None if claim is None else np.asarray(claim(bundle.b[:, -1]),
+                                                 dtype=float)
 
 
 def _conjugate_samples(pair: ConjugatePair, y: float, density_t: np.ndarray,
-                       claim: ClaimSpec | None, b_t: np.ndarray) -> np.ndarray:
+                       claim: ClaimSpec | None,
+                       f: np.ndarray | None) -> np.ndarray:
     if y <= 0:
         raise ValueError("dual bounds require y > 0")
     yz = y * density_t
     if claim is None:
         return np.asarray(pair.v(yz), dtype=float)
-    f = np.asarray(claim(b_t), dtype=float)
     if pair.utility.is_halfline:
         return np.asarray(
             constrained_conjugate(pair, yz, f, claim.phi_min), dtype=float)
@@ -132,53 +162,41 @@ def dual_bound_mmm(pair: ConjugatePair, y: float, bundle: PathBundle,
     ``rho`` markets simulated from a shared seed.
     """
     samples = _conjugate_samples(pair, y, bundle.z[:, -1], claim,
-                                 bundle.b[:, -1])
+                                 _claim_values(claim, bundle))
     return mc_estimate(samples)
+
+
+def _perturbed_bound(pair: ConjugatePair, y: float, bundle: PathBundle,
+                     claim: ClaimSpec | None):
+    """``candidate -> dual_bound_perturbed(pair, y, bundle, candidate,
+    claim)`` with the bundle's inputs built once."""
+    negated_logs = _perturbed_logs(bundle)
+    z_t = bundle.z[:, -1]
+    f = _claim_values(claim, bundle)
+
+    def bound(candidate: DualCandidate) -> Estimate:
+        logs, node = negated_logs(candidate)
+        elt = np.exp(-logs[node, np.arange(node.size)])
+        return mc_estimate(_conjugate_samples(pair, y, z_t * elt, claim, f))
+
+    return bound
 
 
 def dual_bound_perturbed(pair: ConjugatePair, y: float, bundle: PathBundle,
                          candidate: DualCandidate,
                          claim: ClaimSpec | None = None) -> Estimate:
     """Dual bound from the perturbed density ``Z * StochExp(nu . W_perp)``."""
-    elt = perturbation_exponential(candidate, bundle)[:, -1]
-    samples = _conjugate_samples(pair, y, bundle.z[:, -1] * elt, claim,
-                                 bundle.b[:, -1])
-    return mc_estimate(samples)
+    return _perturbed_bound(pair, y, bundle, claim)(candidate)
 
 
 @dataclass(frozen=True)
 class DualOpt:
-    """Outcome of a dual minimization over a finite candidate family."""
+    """Outcome of a dual minimization over a coefficient box."""
 
     best: DualCandidate
     estimate: Estimate
     table: list = field(repr=False)
     evaluations: int = 0
-
-
-def evaluate_candidates(pair: ConjugatePair, y: float, bundle: PathBundle,
-                        candidates, claim: ClaimSpec | None = None) -> DualOpt:
-    """Evaluate an explicit candidate list (common samples), keep the smallest.
-
-    Ties are broken in favour of the earliest candidate, so the result is
-    deterministic for a fixed family order and seed.  The baseline
-    (unperturbed) bound is always evaluated first under the label ``"mmm"``.
-    """
-    table: list[tuple[str, Estimate]] = []
-    base = dual_bound_mmm(pair, y, bundle, claim)
-    table.append(("mmm", base))
-    best_est = base
-    best_cand = DualCandidate(np.zeros((1, 3)), label="mmm")
-    used = 1
-    for cand in candidates:
-        est = dual_bound_perturbed(pair, y, bundle, cand, claim)
-        label = cand.label or f"candidate{used}"
-        table.append((label, est))
-        used += 1
-        if est.mean < best_est.mean:
-            best_est, best_cand = est, cand
-    return DualOpt(best=best_cand, estimate=best_est, table=table,
-                   evaluations=used)
 
 
 def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
@@ -194,7 +212,8 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     so the result is never worse than the unperturbed density.  Common
     random numbers (one shared bundle) make the search deterministic for a
     fixed seed and budget; restart ties break lexicographically on the
-    rounded coefficient vector.
+    rounded coefficient vector.  Each evaluation gives the bits of
+    ``dual_bound_perturbed`` on the search's inputs, built once.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -213,12 +232,12 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     def objective(theta):
         nonlocal evals
         evals += 1
-        est = dual_bound_perturbed(pair, y, bundle, make(theta), claim)
-        m = est.mean
+        m = bound(make(theta)).mean
         return 1e30 if not math.isfinite(m) else m
 
     base = dual_bound_mmm(pair, y, bundle, claim)
     table: list[tuple[str, Estimate]] = [("mmm", base)]
+    bound = _perturbed_bound(pair, y, bundle, claim)
     starts = [np.zeros(dim), 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi]
     per_start = max(budget // len(starts), dim + 2)
     outcomes = []
@@ -229,6 +248,7 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
                                 "fatol": 1e-10, "adaptive": False})
         theta = np.clip(sol.x, lo, hi)
         outcomes.append((float(sol.fun), tuple(np.round(theta, 12)), theta))
+    del bound   # free the search's buffers before the reported evaluation
     outcomes.sort(key=lambda t: (t[0], t[1]))
     best_theta = outcomes[0][2]
     best_cand = make(best_theta, "nm")
@@ -240,25 +260,6 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
         best_est = base
     return DualOpt(best=best_cand, estimate=best_est, table=table,
                    evaluations=evals + 1)
-
-
-def candidate_grid(values, buckets: int = 1, cap: float = 8.0) -> list[DualCandidate]:
-    """Constant-coefficient candidate family over a small coefficient grid.
-
-    ``values`` is iterated per basis slot ``(1, V, B)``; the all-zero
-    combination is skipped (it equals the baseline).
-    """
-    vals = [float(v) for v in values]
-    out = []
-    for c0 in vals:
-        for cv in vals:
-            for cb in vals:
-                if c0 == cv == cb == 0.0:
-                    continue
-                coeffs = np.tile([c0, cv, cb], (buckets, 1))
-                out.append(DualCandidate(coeffs, cap=cap,
-                                         label=f"({c0:g},{cv:g},{cb:g})"))
-    return out
 
 
 # ---------------------------------------------------------------------------

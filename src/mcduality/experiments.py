@@ -114,6 +114,16 @@ def validate_config(cfg: dict) -> list[dict]:
     def bad(fieldname, reason):
         errs.append({"field": fieldname, "reason": str(reason)})
 
+    def counts(sec, kind, *keys):
+        # JSON true is an int to Python, and no count
+        for key in keys:
+            val = sec.get(key, 1)
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+                bad(f"{kind}.{key}", "must be a positive integer")
+            elif (key in ("hedge_buckets", "buckets") and
+                  isinstance(cfg.get("steps"), int) and val > cfg["steps"]):
+                bad(f"{kind}.{key}", "must not exceed steps")
+
     if cfg.get("version") != CONFIG_VERSION:
         bad("version", f"must be {CONFIG_VERSION}")
     kind = cfg.get("kind")
@@ -139,9 +149,10 @@ def validate_config(cfg: dict) -> list[dict]:
     except (ValueError, TypeError, KeyError, AttributeError, OSError) as exc:
         bad("claim", exc)
 
-    sec = cfg.get(kind, {}) if kind in KINDS else {}
+    section = "oracle" if kind == "oracle-check" else kind
+    sec = cfg.get(section, {}) if kind in KINDS else {}
     if not isinstance(sec, dict):
-        bad(kind, "must be an object")
+        bad(section, "must be an object")
     elif kind == "sweep":
         rhos = _floats(sec.get("rho_values"))
         if rhos is None:
@@ -153,11 +164,20 @@ def validate_config(cfg: dict) -> list[dict]:
             bad("sweep.y_grid", "must be a nonempty list of positive values")
         if not _number(sec.get("x", 0.0)) > 0:
             bad("sweep.x", "initial capital must be a positive number")
+        if not _number(sec.get("price_tol", 1e-3)) > 0:
+            bad("sweep.price_tol", "must be a positive number")
+        counts(sec, "sweep", "hedge_buckets", "budget", "w_budget")
     elif kind == "degenerate":
         if not _number(sec.get("alpha", 1.0)) > 0:
             bad("degenerate.alpha", "alpha must be a positive number")
+        if not math.isfinite(_number(sec.get("x", 0.0))):
+            bad("degenerate.x", "initial capital must be a finite number")
         if _floats(sec.get("n_values")) is None:
             bad("degenerate.n_values", "must be a nonempty list of numbers")
+        counts(sec, "degenerate", "buckets", "budget")
+        degree = sec.get("degree", 2)
+        if isinstance(degree, bool) or degree not in (1, 2):
+            bad("degenerate.degree", "must be 1 or 2")
     elif kind == "kw":
         if sec.get("mode") not in ("nondegenerate", "degenerate"):
             bad("kw.mode", "must be 'nondegenerate' or 'degenerate'")
@@ -169,6 +189,10 @@ def validate_config(cfg: dict) -> list[dict]:
             bad("subreplication.rho", "requires 0 < |rho| < 1")
         if _floats(sec.get("shifts")) is None:
             bad("subreplication.shifts", "must be a nonempty list of numbers")
+    elif kind == "oracle-check":
+        for key in ("a_values", "b_values", "q_values"):
+            if _floats(sec.get(key)) is None:
+                bad(f"oracle.{key}", "must be a nonempty list of numbers")
     return errs
 
 

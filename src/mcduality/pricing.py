@@ -34,8 +34,9 @@ from .dual import dual_bound_mmm
 from .estimates import Estimate, combined_se, mc_estimate
 from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
                      simulate_general_market, simulate_heston_market)
-from .primal import (HedgeMixFamily, PrimalOpt, PrimalResult, driver_levels,
-                     lsmc_hedge, optimize_primal, primal_bound)
+from .primal import (HedgeMixFamily, PrimalOpt, PrimalResult,
+                     _component_gains, _search, driver_levels, lsmc_hedge,
+                     optimize_primal)
 from .rng import RandomStream
 from .utility import ClaimSpec, ConjugatePair, UtilitySpec, digital_claim
 
@@ -130,10 +131,12 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
         slack = family.slack
         w_family = _family_with_floor(w_family, x + claim.phi_min - slack)
 
+    # the claim-free searches differ only in capital: one hedge evaluation
+    gains = _component_gains(w_family, bundle)
+
     def w_value(capital: float) -> Estimate:
-        opt = optimize_primal(pair, capital, w_family, bundle, claim=None,
-                              constrained=False, budget=w_budget)
-        return opt.result.estimate
+        return _search(pair, capital, w_family, bundle, None, False,
+                       w_budget, gains).result.estimate
 
     lo, hi = claim.phi_min, claim.phi_max
     atol = 1e-12 * max(1.0, abs(u_est.mean))

@@ -39,6 +39,7 @@ from scipy.optimize import minimize
 
 from .estimates import Estimate, mc_estimate
 from .market import GeneralPaths, PathBundle
+from .stopping import first_crossing
 from .utility import ClaimSpec, ConjugatePair
 
 __all__ = [
@@ -322,20 +323,6 @@ def _threshold(rule, x: float, constrained: bool, phi_min: float) -> float:
     return thr
 
 
-def _first_crossing(gains: np.ndarray, thr: float):
-    """The stopping kernel on gains paths laid out ``(nodes, paths)``.
-
-    Returns each path's stop node (the first whose gain lies below ``thr``,
-    else the last), its stopped terminal gain and the crossed mask.
-    """
-    below = gains < thr
-    first = np.argmax(below, axis=0)
-    cols = np.arange(gains.shape[1])
-    crossed = below[first, cols]
-    stop = np.where(crossed, first, gains.shape[0] - 1)
-    return stop, gains[stop, cols], crossed
-
-
 @dataclass(frozen=True)
 class EnforcedWealth:
     """Stopped wealth paths with stopping diagnostics."""
@@ -361,7 +348,7 @@ def enforce_admissibility(strategy: _StrategyBase, bundle, x: float = 0.0,
     """
     thr = _threshold(strategy, x, constrained, phi_min)
     raw = wealth_process(strategy, bundle)
-    stop_at, _, crossed = _first_crossing(raw.T, thr)
+    stop_at, _, crossed = first_crossing(raw.T, thr)
     idx = np.minimum(np.arange(raw.shape[1])[None, :], stop_at[:, None])
     stopped = np.take_along_axis(raw, idx, axis=1)
     return EnforcedWealth(wealth=stopped,
@@ -411,7 +398,7 @@ def primal_bound(pair: ConjugatePair, x: float, strategy: _StrategyBase,
     treats the strategy as infeasible rather than silently repairing it.
     """
     thr, f = _claim_terms(strategy, x, claim, bundle, constrained)
-    _, xt, crossed = _first_crossing(wealth_process(strategy, bundle).T, thr)
+    _, xt, crossed = first_crossing(wealth_process(strategy, bundle).T, thr)
     return _score(pair, x, xt, crossed, f)
 
 
@@ -603,27 +590,20 @@ def _component_gains(family, bundle):
     return gains
 
 
-def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
-                    claim: ClaimSpec | None = None, constrained: bool = False,
-                    budget: int = 120) -> PrimalOpt:
-    """Search the family for the best primal bound with Nelder-Mead.
-
-    All evaluations reuse the bundle's paths (common random numbers), so the
-    search is deterministic given seed, family and budget; each evaluation
-    gives the bits of ``primal_bound`` of ``family.make(theta)``.  Three fixed
-    starting points share the budget; ties between restarts are broken
-    lexicographically by coefficient vector.
-    """
+def _search(pair: ConjugatePair, x: float, family, bundle,
+            claim: ClaimSpec | None, constrained: bool, budget: int,
+            gains) -> PrimalOpt:
+    """``optimize_primal`` on the family's ``_component_gains``, which a
+    caller running several searches on one bundle builds once."""
     bounds = family.bounds
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     dim = lo.size
     evals = 0
     thr, f = _claim_terms(family, x, claim, bundle, constrained)
-    gains = _component_gains(family, bundle)
 
     def evaluate(theta) -> PrimalResult:
-        _, xt, crossed = _first_crossing(gains(theta), thr)
+        _, xt, crossed = first_crossing(gains(theta), thr)
         return _score(pair, x, xt, crossed, f)
 
     def objective(theta):
@@ -647,3 +627,18 @@ def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
     return PrimalOpt(theta=np.asarray(best_theta),
                      strategy=family.make(best_theta),
                      result=evaluate(best_theta), evaluations=evals)
+
+
+def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
+                    claim: ClaimSpec | None = None, constrained: bool = False,
+                    budget: int = 120) -> PrimalOpt:
+    """Search the family for the best primal bound with Nelder-Mead.
+
+    All evaluations reuse the bundle's paths (common random numbers), so the
+    search is deterministic given seed, family and budget; each evaluation
+    gives the bits of ``primal_bound`` of ``family.make(theta)``.  Three fixed
+    starting points share the budget; ties between restarts are broken
+    lexicographically by coefficient vector.
+    """
+    return _search(pair, x, family, bundle, claim, constrained, budget,
+                   _component_gains(family, bundle))

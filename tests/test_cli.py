@@ -38,12 +38,35 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"kind": "sweep", "sweep": [0.4, 0.1]}, "sweep"),
     ({"kind": "degenerate", "degenerate": {"alpha": None}},
      "degenerate.alpha"),
-], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null"])
+    ({"kind": "sweep", "sweep": {"hedge_buckets": "x"}},
+     "sweep.hedge_buckets"),
+    ({"kind": "degenerate", "degenerate": {"buckets": True}},
+     "degenerate.buckets"),
+    ({"kind": "degenerate", "steps": 8}, "degenerate.buckets"),
+    ({"kind": "sweep", "sweep": {"price_tol": "fine"}}, "sweep.price_tol"),
+    ({"kind": "degenerate", "degenerate": {"x": "zero"}}, "degenerate.x"),
+    ({"kind": "oracle-check", "oracle": [0.4]}, "oracle"),
+    ({"kind": "oracle-check", "oracle": {"a_values": ["a"]}},
+     "oracle.a_values"),
+], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
+        "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
+        "price_tol_text",
+        "degenerate_x_text", "oracle_not_object", "oracle_values_text"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert [v["field"] for v in err["violations"]] == [field]
+
+
+def test_run_malformed_integer_exit_2(tmp_path, capsys):
+    # the run stops at validation, not inside int() during the sweep
+    cfg = write_cfg(tmp_path / "c.json",
+                    {"version": 1, "kind": "sweep",
+                     "sweep": {"hedge_buckets": "x"}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert [v["field"] for v in err["violations"]] == ["sweep.hedge_buckets"]
 
 
 def test_run_writes_outputs(tmp_path, capsys):

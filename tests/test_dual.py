@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mcduality.affine import density_moment
-from mcduality.dual import (DualCandidate, candidate_grid, dual_bound_mmm,
-                            dual_bound_perturbed, evaluate_candidates,
-                            minimize_dual, perturbation_exponential,
-                            subreplication_estimate)
+from mcduality import dual
+from mcduality.dual import (DualCandidate, dual_bound_mmm,
+                            dual_bound_perturbed, minimize_dual,
+                            perturbation_exponential, subreplication_estimate)
 from mcduality.market import (HestonParams, TimeGrid, simulate_heston_market)
 from mcduality.rng import RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
@@ -38,6 +38,76 @@ def test_perturbation_cap_exact(bundle_rho03):
     assert np.all(elt > 0.0)
     assert elt.max() <= 1.5
     assert np.all(elt[:, 0] == 1.0)
+
+
+def _reference_exponential(candidate, bundle):
+    """The capped exponential by a loop over time steps, on the integrand
+    built path-major: the definition the evaluation kernel must match."""
+    steps = bundle.steps
+    buckets = candidate.coeffs.shape[0]
+    nu = np.empty((bundle.paths, steps))
+    edges = np.linspace(0, steps, buckets + 1).astype(int)
+    for j in range(buckets):
+        sl = slice(edges[j], edges[j + 1])
+        c0, cv, cb = candidate.coeffs[j]
+        nu[:, sl] = c0 + cv * bundle.v[:, sl] + cb * bundle.b[:, sl]
+    rho = bundle.params.rho
+    mix = math.sqrt(1.0 - rho**2)
+    dwp = mix * bundle.increments("w") - rho * bundle.increments("b")
+    loginc = nu * dwp - 0.5 * nu**2 * bundle.dt
+    logcap = math.log(candidate.cap)
+    out = np.empty((bundle.paths, steps + 1))
+    out[:, 0] = 1.0
+    loge = np.zeros(bundle.paths)
+    active = np.ones(bundle.paths, dtype=bool)
+    for k in range(steps):
+        cand = loge + loginc[:, k]
+        breach = active & (cand > logcap)
+        active &= ~breach
+        loge = np.where(active, cand, loge)
+        out[:, k + 1] = np.exp(loge)
+    return out
+
+
+@pytest.fixture(scope="module")
+def ten_step_bundles():
+    grid = TimeGrid(1.0, 10)
+    return {rho: simulate_heston_market(BASE_PARAMS.with_rho(rho), grid, 600,
+                                        RandomStream(17))
+            for rho in (0.0, 0.3)}
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+@pytest.mark.parametrize("cap", [1.5, 1e6])
+@pytest.mark.parametrize("buckets", [1, 2, 3])
+def test_kernel_is_bitwise_step_loop(ten_step_bundles, rho, cap, buckets):
+    bundle = ten_step_bundles[rho]
+    rng = np.random.default_rng(buckets)
+    negated_logs = dual._perturbed_logs(bundle)
+    stopped = []
+    for coeffs in rng.uniform(-1.0, 1.0, size=(4, buckets, 3)):
+        cand = DualCandidate(coeffs, cap=cap)
+        ref = _reference_exponential(cand, bundle)
+        logs, node = negated_logs(cand)
+        terminal = np.exp(-logs[node, np.arange(bundle.paths)])
+        assert np.array_equal(terminal, ref[:, -1])
+        assert np.array_equal(perturbation_exponential(cand, bundle), ref)
+        stopped.append(float(np.mean(node < bundle.steps)))
+    # the draws exercise the cap: about a third of the paths stop at 1.5,
+    # none at 1e6
+    assert max(stopped) > 0.3 if cap == 1.5 else max(stopped) == 0.0
+
+
+@pytest.mark.parametrize("pair", [POWER, EXP], ids=["power", "exponential"])
+@pytest.mark.parametrize("with_claim", [False, True])
+def test_search_objective_is_perturbed_bound(bundle_rho03, pair, with_claim):
+    claim = logistic_claim(rate=-2.0, scale=2.0) if with_claim else None
+    bound = dual._perturbed_bound(pair, 0.8, bundle_rho03, claim)
+    rng = np.random.default_rng(5)
+    for coeffs in rng.uniform(-0.6, 0.6, size=(5, 2, 3)):
+        cand = DualCandidate(coeffs)
+        assert bound(cand) == dual_bound_perturbed(pair, 0.8, bundle_rho03,
+                                                   cand, claim)
 
 
 def test_perturbation_zero_integrand_is_one(bundle_rho0):
@@ -106,24 +176,32 @@ def test_perturbed_zero_candidate_matches_mmm(bundle_rho03):
     assert a.mean == b.mean
 
 
+def _constant_grid(values):
+    """Constant-coefficient candidates over ``values`` per basis slot
+    ``(1, V, B)``, without the all-zero one (the baseline)."""
+    grid = [DualCandidate([c0, cv, cb]) for c0 in values for cv in values
+            for cb in values if not c0 == cv == cb == 0.0]
+    assert len(grid) == 26
+    return grid
+
+
 def test_replicable_case_mmm_near_optimal(bundle_rho0):
     # claim a function of B only in the rho=0 market: no candidate should
     # beat the baseline by a statistically visible margin
     claim = logistic_claim(rate=1.0, scale=1.0)
-    opt = evaluate_candidates(POWER, 1.0, bundle_rho0,
-                              candidate_grid([-0.4, 0.0, 0.4]), claim)
-    mmm = opt.table[0][1]
-    for _, est in opt.table[1:]:
+    mmm = dual_bound_mmm(POWER, 1.0, bundle_rho0, claim)
+    for cand in _constant_grid([-0.4, 0.0, 0.4]):
+        est = dual_bound_perturbed(POWER, 1.0, bundle_rho0, cand, claim)
         assert est.mean >= mmm.mean - 3.0 * math.hypot(est.stderr, mmm.stderr)
 
 
 def test_nonreplicable_case_strict_improvement(bundle_rho03):
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    opt = evaluate_candidates(POWER, 1.0, bundle_rho03,
-                              candidate_grid([-0.3, 0.0, 0.3]), claim)
-    mmm = opt.table[0][1]
-    assert opt.estimate.mean < mmm.mean
-    assert opt.best.label != "mmm"
+    mmm = dual_bound_mmm(POWER, 1.0, bundle_rho03, claim)
+    best = min(dual_bound_perturbed(POWER, 1.0, bundle_rho03, cand,
+                                    claim).mean
+               for cand in _constant_grid([-0.3, 0.0, 0.3]))
+    assert best < mmm.mean
 
 
 def test_minimize_dual_never_worse_than_mmm(bundle_rho03):

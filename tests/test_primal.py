@@ -16,6 +16,7 @@ from mcduality.primal import (BucketStrategy, ConstantFamily, ConstantStrategy,
                               features_for, lsmc_hedge, optimize_primal,
                               primal_bound, wealth_process, _smoothed_delta)
 from mcduality.rng import RandomStream
+from mcduality.stopping import first_crossing
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                                constant_claim, digital_claim, logistic_claim)
 
@@ -289,7 +290,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     rng = np.random.default_rng(7)
     stopped_any = violated_any = False
     for theta in rng.uniform(lo, hi, size=(6, lo.size)):
-        _, xt, crossed = primal._first_crossing(gains(theta), thr)
+        _, xt, crossed = first_crossing(gains(theta), thr)
         strategy = fam.make(theta)
         enforced = enforce_admissibility(strategy, flat_market, x=x,
                                          constrained=constrained,
