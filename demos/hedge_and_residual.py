@@ -23,7 +23,7 @@ stream = RandomStream(SEED)
 home = simulate_heston_market(params, grid, M, stream)
 away = simulate_heston_market(params.with_rho(0.3), grid, M, stream)
 
-h = lsmc_hedge(claim, home, buckets=8, floor=6.0, max_holding=25.0)
+h = lsmc_hedge(claim, home, buckets=8)
 print(f"hedge price        = {h.price:.4f} +- {h.price_stderr:.4f}")
 print(f"residual sd (home) = {h.residual_sd:.4f}")
 
@@ -33,5 +33,5 @@ print(f"residual sd (rho = 0.3, same holdings) = {carried:.4f}"
 
 # a hedge refit in the away market does better, but cannot close the gap:
 # the orthogonal Brownian component is not traded
-h_away = lsmc_hedge(claim, away, buckets=8, floor=6.0, max_holding=25.0)
+h_away = lsmc_hedge(claim, away, buckets=8)
 print(f"residual sd (rho = 0.3, refit hedge)   = {h_away.residual_sd:.4f}")

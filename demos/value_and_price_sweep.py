@@ -19,7 +19,7 @@ params = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
 t0 = time.time()
 res = rho_sweep(pair, x, claim, params, TimeGrid(1.0, 64), 6000, 20240,
                 rho_values=[0.4, 0.2, 0.1], y_grid=[0.5, 0.8, 1.0, 1.25, 1.6],
-                hedge_buckets=6, budget=60, w_budget=24, price_tol=5e-3)
+                hedge_buckets=6, budget=60, w_budget=24)
 
 print(f"dual cap = {res.cap_value:.4f} +- {res.cap_stderr:.4f} "
       f"(attained at y = {res.y_star})")

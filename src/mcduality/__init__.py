@@ -16,17 +16,15 @@ from .utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                       constrained_conjugate, digital_claim, exp_identity_check,
                       load_claim_table, logistic_claim, save_claim_table)
 from .market import (GeneralMarketCoeffs, HestonParams, PathBundle, TimeGrid,
-                     load_bundle, minimal_martingale_density, save_bundle,
-                     semimartingale_distance, simulate_cir,
-                     simulate_general_market, simulate_heston_market,
-                     stochastic_exponential)
+                     minimal_martingale_density, semimartingale_distance,
+                     simulate_cir, simulate_general_market,
+                     simulate_heston_market, stochastic_exponential)
 from .affine import (AffineMomentQuery, MomentExplosionError,
                      affine_exponential_moment, cir_bond_price, density_moment)
 from .dual import (DualCandidate, dual_bound_mmm, dual_bound_perturbed,
                    minimize_dual, perturbation_exponential,
                    subreplication_estimate)
-from .primal import (BucketStrategy, ConstantFamily, ConstantStrategy,
-                     HedgeMixFamily, StateLinearStrategy,
+from .primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
                      enforce_admissibility, lsmc_hedge, optimize_primal,
                      primal_bound, wealth_process)
 from .kw import kw_convergence_diag, kw_decompose, nondegeneracy_check

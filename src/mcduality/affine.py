@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import solve_ivp
 
 from .market import HestonParams
@@ -122,15 +121,3 @@ def density_moment(params: HestonParams, q: float, horizon: float,
     pref = math.exp(q * mu * (params.v0 + kappa * theta * horizon) / sigma)
     return pref * affine_exponential_moment(
         params, AffineMomentQuery(a=a, b=b, horizon=horizon), rtol=rtol)
-
-
-def moment_grid(params: HestonParams, a_values, b_values,
-                horizon: float) -> list[tuple[float, float, float]]:
-    """Evaluate the oracle over an ``(a, b)`` grid; explosive cells raise."""
-    rows = []
-    for a in np.asarray(a_values, dtype=float).ravel():
-        for b in np.asarray(b_values, dtype=float).ravel():
-            val = affine_exponential_moment(
-                params, AffineMomentQuery(float(a), float(b), horizon))
-            rows.append((float(a), float(b), val))
-    return rows

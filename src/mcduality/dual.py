@@ -31,10 +31,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .estimates import Estimate, mc_estimate
 from .market import PathBundle
+from .primal import _accumulate, _nelder_mead
 from .stopping import first_crossing
 from .utility import ClaimSpec, ConjugatePair, constrained_conjugate
 
@@ -110,9 +110,8 @@ def _perturbed_logs(bundle: PathBundle):
         inc *= dt
         np.multiply(nu, dwp, out=nu)
         inc -= nu           # exactly -(nu dW_perp - 0.5 nu**2 dt)
-        for j in range(1, logs.shape[0]):
-            np.add(logs[j - 1], logs[j], out=logs[j])
-        stop, _, crossed = first_crossing(logs, -math.log(candidate.cap))
+        stop, _, crossed = first_crossing(_accumulate(logs),
+                                          -math.log(candidate.cap))
         return logs, stop - crossed
 
     return negated_logs
@@ -211,9 +210,10 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     evaluated first and retained whenever the search cannot improve on it,
     so the result is never worse than the unperturbed density.  Common
     random numbers (one shared bundle) make the search deterministic for a
-    fixed seed and budget; restart ties break lexicographically on the
-    rounded coefficient vector.  Each evaluation gives the bits of
-    ``dual_bound_perturbed`` on the search's inputs, built once.
+    fixed seed and budget; the restarts follow the primal search's policy,
+    ties breaking lexicographically on the rounded coefficient vector.
+    Each evaluation gives the bits of ``dual_bound_perturbed`` on the
+    search's inputs, built once.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -222,7 +222,6 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
         raise ValueError("bounds must give one (lo, hi) pair per basis slot")
     lo = np.tile([b[0] for b in box], buckets)
     hi = np.tile([b[1] for b in box], buckets)
-    dim = lo.size
     evals = 0
 
     def make(theta, label=""):
@@ -238,19 +237,9 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     base = dual_bound_mmm(pair, y, bundle, claim)
     table: list[tuple[str, Estimate]] = [("mmm", base)]
     bound = _perturbed_bound(pair, y, bundle, claim)
-    starts = [np.zeros(dim), 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi]
-    per_start = max(budget // len(starts), dim + 2)
-    outcomes = []
-    for s in starts:
-        sol = minimize(objective, s, method="Nelder-Mead",
-                       bounds=list(zip(lo, hi)),
-                       options={"maxfev": per_start, "xatol": 1e-4,
-                                "fatol": 1e-10, "adaptive": False})
-        theta = np.clip(sol.x, lo, hi)
-        outcomes.append((float(sol.fun), tuple(np.round(theta, 12)), theta))
+    starts = [np.zeros(lo.size), 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi]
+    best_theta = _nelder_mead(objective, starts, lo, hi, budget)
     del bound   # free the search's buffers before the reported evaluation
-    outcomes.sort(key=lambda t: (t[0], t[1]))
-    best_theta = outcomes[0][2]
     best_cand = make(best_theta, "nm")
     best_est = dual_bound_perturbed(pair, y, bundle, best_cand, claim)
     table.append(("nm", best_est))

@@ -61,8 +61,7 @@ _DEFAULTS: dict = {
     "claim": {"kind": "logistic", "rate": -2.0, "scale": 2.0},
     "sweep": {"x": 0.75, "rho_values": [0.4, 0.2, 0.1, 0.05],
               "y_grid": [0.3, 0.4, 0.5, 0.65, 0.8, 1.0, 1.25, 1.6, 2.0],
-              "hedge_buckets": 8, "budget": 120, "w_budget": 40,
-              "price_tol": 1e-3},
+              "hedge_buckets": 8, "budget": 120, "w_budget": 40},
     "degenerate": {"alpha": 1.0, "x": 0.0, "n_values": [1, 2, 4, 8],
                    "buckets": 12, "degree": 2, "budget": 60},
     "kw": {"mode": "nondegenerate", "n_values": [1, 3, 10, 30, 100]},
@@ -164,8 +163,6 @@ def validate_config(cfg: dict) -> list[dict]:
             bad("sweep.y_grid", "must be a nonempty list of positive values")
         if not _number(sec.get("x", 0.0)) > 0:
             bad("sweep.x", "initial capital must be a positive number")
-        if not _number(sec.get("price_tol", 1e-3)) > 0:
-            bad("sweep.price_tol", "must be a positive number")
         counts(sec, "sweep", "hedge_buckets", "budget", "w_budget")
     elif kind == "degenerate":
         if not _number(sec.get("alpha", 1.0)) > 0:
@@ -324,8 +321,7 @@ def _run_sweep(cfg, out: Path, workers):
                             sw["rho_values"], sw["y_grid"],
                             hedge_buckets=int(sw["hedge_buckets"]),
                             budget=int(sw["budget"]),
-                            w_budget=int(sw["w_budget"]),
-                            price_tol=float(sw["price_tol"]), workers=workers)
+                            w_budget=int(sw["w_budget"]), workers=workers)
     rows = []
     dat_rows = []
     for r in res.rows:

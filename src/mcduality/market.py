@@ -23,9 +23,7 @@ against a small fixed family of predictable +/-1 adversaries.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +44,6 @@ __all__ = [
     "minimal_martingale_density",
     "simulate_general_market",
     "semimartingale_distance",
-    "save_bundle",
-    "load_bundle",
-    "export_terminals_csv",
 ]
 
 
@@ -383,72 +378,3 @@ def semimartingale_distance(x_paths: np.ndarray,
 
     best = max(rules, key=lambda r: rules[r].mean)
     return DistanceReport(distance=rules[best], best_rule=best, by_rule=rules)
-
-
-# ---------------------------------------------------------------------------
-# bundle cache and CSV export
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"MCDB"
-_CACHE_VERSION = 1
-_FIELDS = ("times", "b", "w", "v", "s", "z")
-
-
-def save_bundle(bundle: PathBundle, path) -> None:
-    """Write a bundle to the columnar binary cache format.
-
-    Layout: 4-byte magic ``MCDB``; ``<II`` version and header length; a
-    UTF-8 JSON header recording version, steps, path count, seed, market
-    parameters and the ordered field list with shapes; then each field as
-    raw little-endian float64 in C order, in the listed order.
-    """
-    header = {
-        "version": _CACHE_VERSION,
-        "steps": bundle.steps,
-        "paths": bundle.paths,
-        "seed": bundle.seed,
-        "params": {k: getattr(bundle.params, k)
-                   for k in ("mu", "kappa", "theta", "sigma", "v0", "rho", "horizon")},
-        "fields": [{"name": f, "shape": list(np.shape(getattr(bundle, f)))}
-                   for f in _FIELDS],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _CACHE_VERSION, len(blob)))
-        fh.write(blob)
-        for f in _FIELDS:
-            fh.write(np.ascontiguousarray(getattr(bundle, f), dtype="<f8").tobytes())
-
-
-def load_bundle(path) -> PathBundle:
-    """Read a bundle written by :func:`save_bundle` (bit-exact roundtrip)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a bundle cache file")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != _CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        arrays = {}
-        for f in header["fields"]:
-            shape = tuple(f["shape"])
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated field {f['name']!r}")
-            arrays[f["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    params = HestonParams(**header["params"])
-    return PathBundle(seed=header["seed"], params=params, **arrays)
-
-
-def export_terminals_csv(bundle: PathBundle, path) -> None:
-    """Write per-path terminal values as CSV (comma, 17 significant digits)."""
-    cols = {"B_T": bundle.b[:, -1], "W_T": bundle.w[:, -1],
-            "V_T": bundle.v[:, -1], "S_T": bundle.s[:, -1],
-            "Z_T": bundle.z[:, -1]}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path," + ",".join(cols) + "\n")
-        for i in range(bundle.paths):
-            row = ",".join(f"{cols[c][i]:.17g}" for c in cols)
-            fh.write(f"{i},{row}\n")

@@ -100,8 +100,7 @@ def _secant_slope(evals, p: float) -> float:
 def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                        claim: ClaimSpec, budget: int = 120,
                        w_family=None, w_budget: int = 40,
-                       constrained_u: bool = False, tol: float = 1e-3,
-                       max_iter: int = 48,
+                       constrained_u: bool = False, max_iter: int = 48,
                        u_opt: PrimalOpt | None = None) -> PriceResult:
     """Solve ``w(x + p) = u(x)`` for ``p`` by noise-aware bisection.
 
@@ -188,7 +187,7 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                        converged=converged,
                        diagnosis="" if converged else
                        f"noise floor not reached in {max_iter} bisections "
-                       f"(bracket width {hi - lo:.3g}, tol {tol:.3g})")
+                       f"(bracket width {hi - lo:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
               lin_bounds=(-1.0, 2.5),
               floor: float = 6.0, max_holding: float = 25.0,
               budget: int = 120, w_budget: int = 40,
-              price_tol: float = 1e-3, workers: int | None = None) -> SweepResult:
+              workers: int | None = None) -> SweepResult:
     """Bounds, cap and prices across correlation values on a shared seed.
 
     Every rho reuses the same driver draws, so ``B``, ``W``, ``V`` and the
@@ -287,8 +286,7 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
     rows = []
     for rho in rho_values:
         bundle = bundles[rho]
-        hedge = lsmc_hedge(claim, bundle, buckets=hedge_buckets,
-                           floor=floor, max_holding=max_holding)
+        hedge = lsmc_hedge(claim, bundle, buckets=hedge_buckets)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=scale_bounds,
                                 const_bounds=const_bounds,
@@ -308,7 +306,7 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
         price = indifference_price(pair, x, family, bundle, claim,
                                    budget=budget, w_budget=w_budget,
                                    constrained_u=constrained_headline,
-                                   tol=price_tol, u_opt=u_opt)
+                                   u_opt=u_opt)
         rows.append(dataclasses.replace(row, price=price))
     return SweepResult(x=x, y_star=y_star, cap_value=cap_value,
                        cap_stderr=cap_est.stderr, cap_table=cap_table,
@@ -402,8 +400,7 @@ def degenerate_example(alpha: float = 1.0, x: float = 0.0,
         if math.isinf(n):
             limit_bound = mc_estimate(pair.utility.u(x + f))
             continue
-        hedge = lsmc_hedge(claim, gp, buckets=buckets, degree=degree,
-                           floor=50.0, max_holding=40.0 * float(n))
+        hedge = lsmc_hedge(claim, gp, buckets=buckets, degree=degree)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=(-1.4, -0.6),
                                 const_bounds=(-0.3, 0.3), floor=50.0,

@@ -1,31 +1,36 @@
 """Primal lower bounds from explicit trading strategies.
 
-A strategy is a predictable holdings rule evaluated at left endpoints of
-the grid.  Its raw gains process is the Euler sum ``X = sum H dS``.  Before
-any utility is averaged the strategy is made admissible: holdings are
-truncated to a declared magnitude bound and wealth is stopped at the first
-node that lands below the declared floor ``-K - slack``.  The stop is a
-genuine stopping rule -- holdings are zeroed from the crossing node onward,
-so the decision at each step uses only information already revealed.  The
-frozen value retains any overshoot below the floor; every node before the
-stop respects the floor by definition of a first crossing.  (Freezing one
-node earlier would peek at the increment being suppressed, and that
-one-step look-ahead acts as free insurance: it demonstrably inflates
-optimized values past valid dual caps.)  In constrained mode the wealth
-floor ``x + X >= -phi_min`` of the claim problem is enforced the same way.
+A strategy is a family and a coefficient vector ``theta``.  The family
+supplies predictable component holdings ``C_k``, evaluated at left endpoints
+of the grid, and its holdings at ``theta`` are ``clip(sum_k theta_k C_k)``:
+truncated to the family's declared magnitude bound after summing.  Every
+family is linear in ``theta``, so the components are computed once per
+bundle and search.  The raw gains process is the Euler sum
+``X = sum H dS``.  Before any utility is averaged, wealth is stopped at the
+first node that lands below the family's declared floor ``-K - slack``.
+The stop is a genuine stopping rule -- holdings are zeroed from the
+crossing node onward, so the decision at each step uses only information
+already revealed.  The frozen value retains any overshoot below the floor;
+every node before the stop respects the floor by definition of a first
+crossing.  (Freezing one node earlier would peek at the increment being
+suppressed, and that one-step look-ahead acts as free insurance: it
+demonstrably inflates optimized values past valid dual caps.)  In
+constrained mode the wealth floor ``x + X >= -phi_min`` of the claim problem
+is enforced the same way.
 
 Expected utility of terminal wealth is then a genuine lower bound for the
 value of the corresponding problem, reported with a standard error.  For
 half-line utilities any path ending outside the domain makes the estimate
 ``-inf``; the number of such paths is reported as the violation count.
-
-A strategy family's holdings are ``clip(sum_k theta_k C_k)`` over component
-holdings ``C_k`` that ``optimize_primal`` evaluates once per search; each
-evaluation then runs one first-crossing kernel and reads terminal values only.
+``primal_bound`` and every evaluation of ``optimize_primal`` are one
+function: one first-crossing kernel on the running gains, reading terminal
+values only.
 
 The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
-giving both a replication-price intercept and a residual report.
+giving both a replication-price intercept and a residual report.  The
+fitted ``BucketStrategy`` is a raw holdings rule that a family uses as one
+component; only a family truncates and stops.
 """
 
 from __future__ import annotations
@@ -38,15 +43,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .estimates import Estimate, mc_estimate
-from .market import GeneralPaths, PathBundle
 from .stopping import first_crossing
 from .utility import ClaimSpec, ConjugatePair
 
 __all__ = [
-    "ConstantStrategy",
-    "StateLinearStrategy",
     "BucketStrategy",
-    "ScaledSumStrategy",
     "EnforcedWealth",
     "PrimalResult",
     "HedgeResult",
@@ -181,64 +182,11 @@ def features_for(degree: int, with_variance: bool,
 
 
 # ---------------------------------------------------------------------------
-# strategies
+# the hedge's holdings rule
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _StrategyBase:
-    floor: float = 10.0        # K: declared wealth floor is -K - slack
-    slack: float = 1e-9        # delta > 0
-    max_holding: float = 100.0
-
-    def __post_init__(self):
-        if self.floor < 0:
-            raise ValueError("floor K must be >= 0")
-        if self.slack <= 0:
-            raise ValueError("slack must be > 0")
-        if self.max_holding <= 0:
-            raise ValueError("max_holding must be > 0")
-
-    def holdings(self, bundle) -> np.ndarray:
-        """Truncated holdings per step, shape ``(paths, steps)``."""
-        h = self._raw_holdings(bundle)
-        return np.clip(h, -self.max_holding, self.max_holding)
-
-    def _raw_holdings(self, bundle) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantStrategy(_StrategyBase):
-    """Hold a constant number of units."""
-
-    c: float = 0.0
-
-    def _raw_holdings(self, bundle):
-        steps = bundle.times.size - 1
-        return np.full((bundle.paths, steps), float(self.c))
-
-
-@dataclass(frozen=True)
-class StateLinearStrategy(_StrategyBase):
-    """Holdings affine in the current state: ``c0 + cv * V + cb * B``."""
-
-    c0: float = 0.0
-    cv: float = 0.0
-    cb: float = 0.0
-
-    def _raw_holdings(self, bundle):
-        sl = slice(0, bundle.times.size - 1)
-        h = self.c0 + self.cb * driver_levels(bundle)[:, sl]
-        if self.cv != 0.0:
-            v = variance_levels(bundle)
-            if v is None:
-                raise ValueError("state-linear strategy with cv needs variance")
-            h = h + self.cv * v[:, sl]
-        return h
-
-
-@dataclass(frozen=True)
-class BucketStrategy(_StrategyBase):
+class BucketStrategy:
     """Piecewise-in-time holdings from basis functions of the state.
 
     ``coeffs`` has shape ``(buckets, len(features))``; on time bucket ``j``
@@ -250,7 +198,6 @@ class BucketStrategy(_StrategyBase):
     claim: ClaimSpec | None = None
 
     def __post_init__(self):
-        super().__post_init__()
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         if c.shape[1] != len(self.features):
             raise ValueError("coeffs width must match the feature list")
@@ -261,7 +208,8 @@ class BucketStrategy(_StrategyBase):
                 raise ValueError(f"feature {f!r} needs a claim table")
         object.__setattr__(self, "coeffs", c)
 
-    def _raw_holdings(self, bundle):
+    def holdings(self, bundle) -> np.ndarray:
+        """Raw holdings per step, shape ``(paths, steps)``."""
         steps = bundle.times.size - 1
         buckets = self.coeffs.shape[0]
         edges = np.linspace(0, steps, buckets + 1).astype(int)
@@ -277,43 +225,125 @@ class BucketStrategy(_StrategyBase):
         return out
 
 
-@dataclass(frozen=True)
-class ScaledSumStrategy(_StrategyBase):
-    """Weighted sum of component strategies (truncated after summing)."""
+# ---------------------------------------------------------------------------
+# strategy families
+# ---------------------------------------------------------------------------
 
-    parts: tuple = ()
-    weights: tuple = ()
+def _check_floor_rule(family) -> None:
+    if family.floor < 0:
+        raise ValueError("floor K must be >= 0")
+    if family.slack <= 0:
+        raise ValueError("slack must be > 0")
+    if family.max_holding <= 0:
+        raise ValueError("max_holding must be > 0")
+
+
+@dataclass(frozen=True)
+class ConstantFamily:
+    """One-parameter family of constant holdings."""
+
+    lo: float = -5.0
+    hi: float = 5.0
+    floor: float = 10.0        # K: declared wealth floor is -K - slack
+    slack: float = 1e-9        # delta > 0
+    max_holding: float = 100.0
 
     def __post_init__(self):
-        super().__post_init__()
-        if len(self.parts) != len(self.weights) or not self.parts:
-            raise ValueError("parts and weights must match and be nonempty")
+        _check_floor_rule(self)
 
-    def _raw_holdings(self, bundle):
-        steps = bundle.times.size - 1
-        out = np.zeros((bundle.paths, steps))
-        for w, part in zip(self.weights, self.parts):
-            if w != 0.0:
-                out += w * part._raw_holdings(bundle)
+    @property
+    def bounds(self):
+        return [(self.lo, self.hi)]
+
+    def components(self, bundle) -> list:
+        """Per-step component holdings: the constant 1."""
+        return [1.0]
+
+
+@dataclass(frozen=True)
+class HedgeMixFamily:
+    """Scaled hedge plus constant (and optionally B-linear) market exposure.
+
+    The optional third coordinate weights a ``H = B`` rule whose gains are
+    convex in the terminal driver; it lets the family reach the curved
+    wealth profiles that a log/power optimum wants without touching the
+    hedge component.
+    """
+
+    hedge: BucketStrategy = None
+    scale_bounds: tuple = (-2.0, 2.0)
+    const_bounds: tuple = (-2.0, 2.0)
+    lin_bounds: tuple | None = None
+    floor: float = 10.0
+    slack: float = 1e-9
+    max_holding: float = 100.0
+
+    def __post_init__(self):
+        _check_floor_rule(self)
+
+    @property
+    def bounds(self):
+        out = [tuple(map(float, self.scale_bounds)),
+               tuple(map(float, self.const_bounds))]
+        if self.lin_bounds is not None:
+            out.append(tuple(map(float, self.lin_bounds)))
         return out
+
+    def components(self, bundle) -> list:
+        """Per-step component holdings: hedge, scalar 1, driver."""
+        comps = [self.hedge.holdings(bundle), 1.0]
+        if self.lin_bounds is not None:
+            comps.append(driver_levels(bundle)[:, :-1])
+        return comps
 
 
 # ---------------------------------------------------------------------------
 # wealth and admissibility
 # ---------------------------------------------------------------------------
 
-def wealth_process(strategy: _StrategyBase, bundle) -> np.ndarray:
-    """Raw gains paths ``(paths, steps+1)`` of the truncated holdings."""
-    h = strategy.holdings(bundle)
-    ds = np.diff(bundle.s, axis=1)
-    x = np.zeros((h.shape[0], h.shape[1] + 1))
-    np.cumsum(h * ds, axis=1, out=x[:, 1:])
+def _accumulate(g: np.ndarray) -> np.ndarray:
+    """Running sum down the rows of ``g`` in place: one vector add per
+    step, ``np.cumsum``'s adds in its order."""
+    for j in range(1, g.shape[0]):
+        np.add(g[j - 1], g[j], out=g[j])
+    return g
+
+
+def _component_gains(family, bundle):
+    """``theta ->`` gains ``X_1 .. X_steps`` of the family at ``theta``,
+    laid out ``(steps, paths)``.
+
+    The component holdings are computed once and kept time-major; an
+    evaluation sums ``theta_k C_k`` (zero weights skipped), truncates the
+    sum, multiplies by ``dS`` and accumulates.
+    """
+    comps = [np.transpose(c).copy() for c in family.components(bundle)]
+    ds = np.diff(bundle.s, axis=1).T.copy()
+    cap = family.max_holding
+
+    def gains(theta) -> np.ndarray:
+        g = np.zeros(ds.shape)
+        for w, c in zip(theta, comps):
+            if w != 0.0:
+                g += w * c
+        np.clip(g, -cap, cap, out=g)
+        g *= ds
+        return _accumulate(g)
+
+    return gains
+
+
+def wealth_process(family, theta, bundle) -> np.ndarray:
+    """Raw gains paths ``(paths, steps+1)`` of the family at ``theta``."""
+    g = _component_gains(family, bundle)(theta)
+    x = np.zeros((g.shape[1], g.shape[0] + 1))
+    x[:, 1:] = g.T
     return x
 
 
-def _threshold(rule, x: float, constrained: bool, phi_min: float) -> float:
-    """Effective floor on ``X`` of a strategy's or family's floor rule."""
-    thr = -rule.floor - rule.slack
+def _threshold(family, x: float, constrained: bool, phi_min: float) -> float:
+    """Effective floor on ``X`` of a family's floor rule."""
+    thr = -family.floor - family.slack
     if constrained:
         thr = max(thr, -x - phi_min)
     if thr >= 0.0:
@@ -332,10 +362,10 @@ class EnforcedWealth:
     threshold: float            # the effective floor on X
 
 
-def enforce_admissibility(strategy: _StrategyBase, bundle, x: float = 0.0,
+def enforce_admissibility(family, theta, bundle, x: float = 0.0,
                           constrained: bool = False,
                           phi_min: float = 0.0) -> EnforcedWealth:
-    """Stop the gains process at its declared floor.
+    """Stop the family's gains process at ``theta`` at its declared floor.
 
     The effective threshold on ``X`` is ``-K - slack``; in constrained mode
     the claim-problem floor ``x + X >= -phi_min`` is enforced as well, so the
@@ -346,8 +376,8 @@ def enforce_admissibility(strategy: _StrategyBase, bundle, x: float = 0.0,
     the floor exactly (first-crossing definition); the overshoot is a loss
     the strategy genuinely suffered and is never repaired.
     """
-    thr = _threshold(strategy, x, constrained, phi_min)
-    raw = wealth_process(strategy, bundle)
+    thr = _threshold(family, x, constrained, phi_min)
+    raw = wealth_process(family, theta, bundle)
     stop_at, _, crossed = first_crossing(raw.T, thr)
     idx = np.minimum(np.arange(raw.shape[1])[None, :], stop_at[:, None])
     stopped = np.take_along_axis(raw, idx, axis=1)
@@ -365,27 +395,29 @@ class PrimalResult:
     stopped_fraction: float
 
 
-def _score(pair: ConjugatePair, x: float, xt: np.ndarray,
-           crossed: np.ndarray, f: np.ndarray | None) -> PrimalResult:
-    """Expected utility of ``x (+ f)`` plus the stopped terminal gains."""
-    w = x + xt if f is None else (x + f) + xt
-    samples = np.asarray(pair.utility.u(w), dtype=float)
-    violations = int(np.sum(np.isneginf(samples)))
-    return PrimalResult(estimate=mc_estimate(samples), violations=violations,
-                        stopped_fraction=float(crossed.mean()))
-
-
-def _claim_terms(rule, x: float, claim: ClaimSpec | None, bundle,
-                 constrained: bool):
-    """Stopping threshold and terminal claim values (``None`` without one)."""
+def _evaluation(pair: ConjugatePair, x: float, family, bundle,
+                claim: ClaimSpec | None, constrained: bool, gains):
+    """``theta -> primal_bound(pair, x, family, theta, bundle, claim,
+    constrained)`` on the family's ``_component_gains``."""
     if claim is None:
-        return _threshold(rule, x, constrained, 0.0), None
-    f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
-    return _threshold(rule, x, constrained, claim.phi_min), f
+        thr, f = _threshold(family, x, constrained, 0.0), None
+    else:
+        thr = _threshold(family, x, constrained, claim.phi_min)
+        f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
+
+    def evaluate(theta) -> PrimalResult:
+        _, xt, crossed = first_crossing(gains(theta), thr)
+        w = x + xt if f is None else (x + f) + xt
+        samples = np.asarray(pair.utility.u(w), dtype=float)
+        return PrimalResult(estimate=mc_estimate(samples),
+                            violations=int(np.sum(np.isneginf(samples))),
+                            stopped_fraction=float(crossed.mean()))
+
+    return evaluate
 
 
-def primal_bound(pair: ConjugatePair, x: float, strategy: _StrategyBase,
-                 bundle, claim: ClaimSpec | None = None,
+def primal_bound(pair: ConjugatePair, x: float, family, theta, bundle,
+                 claim: ClaimSpec | None = None,
                  constrained: bool = False) -> PrimalResult:
     """Expected utility of enforced terminal wealth ``x + X_T (+ f)``.
 
@@ -397,9 +429,8 @@ def primal_bound(pair: ConjugatePair, x: float, strategy: _StrategyBase,
     overshooting path.  Such estimates come back ``-inf`` and the optimizer
     treats the strategy as infeasible rather than silently repairing it.
     """
-    thr, f = _claim_terms(strategy, x, claim, bundle, constrained)
-    _, xt, crossed = first_crossing(wealth_process(strategy, bundle).T, thr)
-    return _score(pair, x, xt, crossed, f)
+    return _evaluation(pair, x, family, bundle, claim, constrained,
+                       _component_gains(family, bundle))(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +449,6 @@ class HedgeResult:
 
 
 def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
-               floor: float = 10.0, slack: float = 1e-9,
-               max_holding: float = 100.0,
                claim_adapted: bool = True) -> HedgeResult:
     """Least-squares hedge of ``f = phi(B_T)`` by bucketed basis strategies.
 
@@ -456,10 +485,9 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
     dof = max(bundle.paths - ncols, 1)
     gram_inv_00 = float(np.linalg.pinv(design.T @ design)[0, 0])
     price_se = math.sqrt(max(float(resid @ resid) / dof, 0.0) * gram_inv_00)
-    strategy = BucketStrategy(
-        floor=floor, slack=slack, max_holding=max_holding,
-        coeffs=coef[1:].reshape(buckets, len(feats)), features=feats,
-        claim=claim if claim_adapted else None)
+    strategy = BucketStrategy(coeffs=coef[1:].reshape(buckets, len(feats)),
+                              features=feats,
+                              claim=claim if claim_adapted else None)
     return HedgeResult(strategy=strategy, price=float(coef[0]),
                        residual_sd=float(resid.std(ddof=1)),
                        r_squared=1.0 - (float(resid.var(ddof=1)) / var_f
@@ -467,96 +495,29 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
                        price_stderr=price_se)
 
 
-def hedge_residual(strategy, price: float, bundle, claim: ClaimSpec) -> float:
-    """Replication residual sd of a given hedge in a given market.
+def hedge_residual(hedge: BucketStrategy, price: float, bundle,
+                   claim: ClaimSpec) -> float:
+    """Replication residual sd of a hedge's holdings in a given market.
 
-    Computes ``sd(price + X_T - f)`` with the raw (unstopped) gains of the
-    strategy on the bundle's price paths.  Lets a hedge fitted in one market
-    be scored in another sharing the same drivers.
+    Computes ``sd(price + X_T - f)`` with the raw (unstopped, untruncated)
+    gains of the hedge's holdings on the bundle's price paths.  Lets a hedge
+    fitted in one market be scored in another sharing the same drivers.
     """
-    gains = wealth_process(strategy, bundle)[:, -1]
+    g = hedge.holdings(bundle).T * np.diff(bundle.s, axis=1).T
+    gains = _accumulate(g)[-1]
     f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
     return float((price + gains - f).std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
-# families and optimization
+# optimization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantFamily:
-    """One-parameter family of constant holdings."""
-
-    lo: float = -5.0
-    hi: float = 5.0
-    floor: float = 10.0
-    slack: float = 1e-9
-    max_holding: float = 100.0
-
-    @property
-    def bounds(self):
-        return [(self.lo, self.hi)]
-
-    def make(self, theta) -> ConstantStrategy:
-        return ConstantStrategy(c=float(theta[0]), floor=self.floor,
-                                slack=self.slack, max_holding=self.max_holding)
-
-    def components(self, bundle) -> list:
-        """Per-step component holdings: the constant 1."""
-        return [1.0]
-
-
-@dataclass(frozen=True)
-class HedgeMixFamily:
-    """Scaled hedge plus constant (and optionally B-linear) market exposure.
-
-    The optional third coordinate weights a ``H = B`` rule whose gains are
-    convex in the terminal driver; it lets the family reach the curved
-    wealth profiles that a log/power optimum wants without touching the
-    hedge component.
-    """
-
-    hedge: BucketStrategy = None
-    scale_bounds: tuple = (-2.0, 2.0)
-    const_bounds: tuple = (-2.0, 2.0)
-    lin_bounds: tuple | None = None
-    floor: float = 10.0
-    slack: float = 1e-9
-    max_holding: float = 100.0
-
-    @property
-    def bounds(self):
-        out = [tuple(map(float, self.scale_bounds)),
-               tuple(map(float, self.const_bounds))]
-        if self.lin_bounds is not None:
-            out.append(tuple(map(float, self.lin_bounds)))
-        return out
-
-    def make(self, theta) -> ScaledSumStrategy:
-        # only the sum truncates, so the parts keep their default floor and cap
-        parts = [self.hedge, ConstantStrategy(c=1.0)]
-        weights = [float(theta[0]), float(theta[1])]
-        if self.lin_bounds is not None:
-            parts.append(StateLinearStrategy(cb=1.0))
-            weights.append(float(theta[2]))
-        return ScaledSumStrategy(parts=tuple(parts), weights=tuple(weights),
-                                 floor=self.floor, slack=self.slack,
-                                 max_holding=self.max_holding)
-
-    def components(self, bundle) -> list:
-        """Raw holdings of ``make``'s parts: hedge, scalar 1, driver."""
-        comps = [self.hedge._raw_holdings(bundle), 1.0]
-        if self.lin_bounds is not None:
-            comps.append(driver_levels(bundle)[:, :-1])
-        return comps
-
 
 @dataclass(frozen=True)
 class PrimalOpt:
     """Outcome of a primal search over a strategy family."""
 
     theta: np.ndarray
-    strategy: _StrategyBase
     result: PrimalResult
     evaluations: int
 
@@ -564,56 +525,16 @@ class PrimalOpt:
 _BAD = 1e30
 
 
-def _component_gains(family, bundle):
-    """``theta ->`` gains ``X_1 .. X_steps`` of ``family.make(theta)``.
+def _nelder_mead(objective, starts, lo: np.ndarray, hi: np.ndarray,
+                 budget: int) -> np.ndarray:
+    """Best end point of bounded Nelder-Mead runs, one from each start.
 
-    The component holdings are computed once and kept time-major, so the
-    running sum is one vector add per step: ``np.cumsum``'s adds in its
-    order, without its path-by-path loop.  Zero weights are skipped, as in
-    ``ScaledSumStrategy``.
+    The runs share ``budget`` evaluations (at least ``dim + 2`` each); end
+    points are clipped to the box ``[lo, hi]`` and ties in the objective go
+    to the lexicographically smallest end point rounded to 12 decimals.
+    The primal and the dual search both use this restart policy.
     """
-    comps = [np.transpose(c).copy() for c in family.components(bundle)]
-    ds = np.diff(bundle.s, axis=1).T.copy()
-    cap = family.max_holding
-
-    def gains(theta) -> np.ndarray:
-        g = np.zeros(ds.shape)
-        for w, c in zip(theta, comps):
-            if w != 0.0:
-                g += w * c
-        np.clip(g, -cap, cap, out=g)
-        g *= ds
-        for j in range(1, g.shape[0]):
-            np.add(g[j - 1], g[j], out=g[j])
-        return g
-
-    return gains
-
-
-def _search(pair: ConjugatePair, x: float, family, bundle,
-            claim: ClaimSpec | None, constrained: bool, budget: int,
-            gains) -> PrimalOpt:
-    """``optimize_primal`` on the family's ``_component_gains``, which a
-    caller running several searches on one bundle builds once."""
-    bounds = family.bounds
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    dim = lo.size
-    evals = 0
-    thr, f = _claim_terms(family, x, claim, bundle, constrained)
-
-    def evaluate(theta) -> PrimalResult:
-        _, xt, crossed = first_crossing(gains(theta), thr)
-        return _score(pair, x, xt, crossed, f)
-
-    def objective(theta):
-        nonlocal evals
-        evals += 1
-        m = evaluate(theta).estimate.mean
-        return _BAD if m == -math.inf else -m
-
-    starts = [0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi]
-    per_start = max(budget // len(starts), dim + 2)
+    per_start = max(budget // len(starts), lo.size + 2)
     outcomes = []
     for s in starts:
         sol = minimize(objective, s, method="Nelder-Mead",
@@ -623,10 +544,28 @@ def _search(pair: ConjugatePair, x: float, family, bundle,
         theta = np.clip(sol.x, lo, hi)
         outcomes.append((float(sol.fun), tuple(np.round(theta, 12)), theta))
     outcomes.sort(key=lambda t: (t[0], t[1]))
-    best_theta = outcomes[0][2]
-    return PrimalOpt(theta=np.asarray(best_theta),
-                     strategy=family.make(best_theta),
-                     result=evaluate(best_theta), evaluations=evals)
+    return outcomes[0][2]
+
+
+def _search(pair: ConjugatePair, x: float, family, bundle,
+            claim: ClaimSpec | None, constrained: bool, budget: int,
+            gains) -> PrimalOpt:
+    """``optimize_primal`` on the family's ``_component_gains``, which a
+    caller running several searches on one bundle builds once."""
+    lo = np.array([b[0] for b in family.bounds])
+    hi = np.array([b[1] for b in family.bounds])
+    evaluate = _evaluation(pair, x, family, bundle, claim, constrained, gains)
+    evals = 0
+
+    def objective(theta):
+        nonlocal evals
+        evals += 1
+        m = evaluate(theta).estimate.mean
+        return _BAD if m == -math.inf else -m
+
+    starts = [0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi]
+    theta = _nelder_mead(objective, starts, lo, hi, budget)
+    return PrimalOpt(theta=theta, result=evaluate(theta), evaluations=evals)
 
 
 def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
@@ -636,8 +575,8 @@ def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
 
     All evaluations reuse the bundle's paths (common random numbers), so the
     search is deterministic given seed, family and budget; each evaluation
-    gives the bits of ``primal_bound`` of ``family.make(theta)``.  Three fixed
-    starting points share the budget; ties between restarts are broken
+    gives the bits of ``primal_bound`` of the family at ``theta``.  Three
+    fixed starting points share the budget; ties between restarts are broken
     lexicographically by coefficient vector.
     """
     return _search(pair, x, family, bundle, claim, constrained, budget,

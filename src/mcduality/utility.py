@@ -32,8 +32,6 @@ __all__ = [
     "ConjugatePair",
     "ClaimSpec",
     "ElasticityReport",
-    "utility_eval",
-    "conjugate_eval",
     "constrained_conjugate",
     "asymptotic_elasticity",
     "exp_identity_check",
@@ -202,11 +200,6 @@ class UtilitySpec:
         raise NotImplementedError("inverse marginal of a tabulated utility")
 
 
-def utility_eval(spec: UtilitySpec, x):
-    """Vectorized utility evaluation (module-level convenience)."""
-    return spec.u(x)
-
-
 # ---------------------------------------------------------------------------
 # conjugates
 # ---------------------------------------------------------------------------
@@ -255,11 +248,6 @@ class ConjugatePair:
             raise ValueError("conjugate requires y > 0")
         out = -_as_float_array(self.utility.inverse_marginal(ya))
         return _maybe_scalar(out, y)
-
-
-def conjugate_eval(pair: ConjugatePair, y):
-    """Evaluate the conjugate V(y); rejects y <= 0."""
-    return pair.v(y)
 
 
 def constrained_conjugate(pair: ConjugatePair, y, z, phi_min: float):

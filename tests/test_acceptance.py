@@ -189,8 +189,7 @@ def test_weak_duality_grid():
     for rho in (0.0, 0.2, 0.4):
         bundle = simulate_heston_market(BASE.with_rho(rho), grid, 10000,
                                         stream)
-        hedge = lsmc_hedge(claim, bundle, buckets=6, floor=6.0,
-                           max_holding=25.0)
+        hedge = lsmc_hedge(claim, bundle, buckets=6)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=(-1.6, 0.4),
                                 const_bounds=(-1.0, 3.5),

@@ -7,7 +7,7 @@ import pytest
 
 from mcduality.affine import (AffineMomentQuery, MomentExplosionError,
                               affine_exponential_moment, cir_bond_price,
-                              density_moment, moment_grid)
+                              density_moment)
 from mcduality.market import TimeGrid, simulate_heston_market
 from mcduality.rng import RandomStream
 
@@ -84,16 +84,6 @@ def test_explosive_query_raises():
     with pytest.raises(MomentExplosionError):
         affine_exponential_moment(BASE_PARAMS,
                                   AffineMomentQuery(0.0, 5.0, 30.0))
-
-
-def test_moment_grid_matches_pointwise():
-    rows = moment_grid(BASE_PARAMS, [-0.5, 0.0], [-1.0, 0.0], 1.0)
-    assert len(rows) == 4
-    for a, bb, val in rows:
-        single = affine_exponential_moment(BASE_PARAMS,
-                                           AffineMomentQuery(a, bb, 1.0))
-        assert val == single
-    assert rows[0][:2] == (-0.5, -1.0)
 
 
 def test_bond_rejects_negative_u():

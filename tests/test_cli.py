@@ -43,14 +43,12 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"kind": "degenerate", "degenerate": {"buckets": True}},
      "degenerate.buckets"),
     ({"kind": "degenerate", "steps": 8}, "degenerate.buckets"),
-    ({"kind": "sweep", "sweep": {"price_tol": "fine"}}, "sweep.price_tol"),
     ({"kind": "degenerate", "degenerate": {"x": "zero"}}, "degenerate.x"),
     ({"kind": "oracle-check", "oracle": [0.4]}, "oracle"),
     ({"kind": "oracle-check", "oracle": {"a_values": ["a"]}},
      "oracle.a_values"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
-        "price_tol_text",
         "degenerate_x_text", "oracle_not_object", "oracle_values_text"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})

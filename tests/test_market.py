@@ -1,4 +1,4 @@
-"""Simulator invariants, oracles for means, cache format, distance rules."""
+"""Simulator invariants, oracles for means, distance rules."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from mcduality.market import (GeneralMarketCoeffs, HestonParams, PathBundle,
-                              TimeGrid, export_terminals_csv, load_bundle,
-                              minimal_martingale_density, save_bundle,
+                              TimeGrid, minimal_martingale_density,
                               semimartingale_distance, simulate_cir,
                               simulate_general_market, simulate_heston_market,
                               stochastic_exponential)
@@ -282,38 +281,3 @@ def test_distance_decreases_with_rho():
                                    8000, RandomStream(33))
         vals.append(semimartingale_distance(b.s, base.s).distance.mean)
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# cache and CSV export
-# ---------------------------------------------------------------------------
-
-
-def test_bundle_cache_roundtrip(tmp_path, bundle_rho03):
-    path = tmp_path / "bundle.mcdb"
-    save_bundle(bundle_rho03, path)
-    back = load_bundle(path)
-    for f in ("times", "b", "w", "v", "s", "z"):
-        assert np.array_equal(getattr(back, f), getattr(bundle_rho03, f))
-    assert back.seed == bundle_rho03.seed
-    assert back.params == bundle_rho03.params
-
-
-def test_bundle_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.mcdb"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_bundle(path)
-
-
-def test_terminals_csv(tmp_path):
-    p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
-    b = simulate_heston_market(p, TimeGrid(1.0, 8), 5, RandomStream(1))
-    path = tmp_path / "terminals.csv"
-    export_terminals_csv(b, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "path,B_T,W_T,V_T,S_T,Z_T"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == b.b[0, -1]  # 17 significant digits roundtrip

@@ -9,12 +9,12 @@ import pytest
 from mcduality import primal
 from mcduality.market import TimeGrid, simulate_general_market
 from mcduality.pricing import degenerate_coeffs
-from mcduality.primal import (BucketStrategy, ConstantFamily, ConstantStrategy,
-                              hedge_residual,
-                              HedgeMixFamily, ScaledSumStrategy,
-                              StateLinearStrategy, enforce_admissibility,
-                              features_for, lsmc_hedge, optimize_primal,
-                              primal_bound, wealth_process, _smoothed_delta)
+from mcduality.estimates import mc_estimate
+from mcduality.primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
+                              PrimalResult, enforce_admissibility,
+                              features_for, hedge_residual, lsmc_hedge,
+                              optimize_primal, primal_bound, wealth_process,
+                              _smoothed_delta)
 from mcduality.rng import RandomStream
 from mcduality.stopping import first_crossing
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
@@ -42,30 +42,42 @@ def test_features_for_variants():
 
 
 def test_constant_strategy_wealth(flat_market):
-    strat = ConstantStrategy(c=2.0, floor=50.0)
-    x = wealth_process(strat, flat_market)
+    fam = ConstantFamily(floor=50.0)
+    x = wealth_process(fam, [2.0], flat_market)
     b = flat_market.b[:, :, 0]
     assert np.allclose(x, 2.0 * (b - b[:, :1]), atol=1e-12)
 
 
 def test_holding_clip(flat_market):
-    strat = ConstantStrategy(c=7.0, max_holding=3.0, floor=50.0)
-    h = strat.holdings(flat_market)
-    assert np.all(h == 3.0)
+    # holding 7 under a cap of 3 trades exactly like holding 3
+    fam = ConstantFamily(lo=-10.0, hi=10.0, max_holding=3.0, floor=50.0)
+    x = wealth_process(fam, [7.0], flat_market)
+    assert np.array_equal(x, wealth_process(fam, [3.0], flat_market))
+    b = flat_market.b[:, :, 0]
+    assert np.allclose(x, 3.0 * (b - b[:, :1]), atol=1e-12)
 
 
 def test_state_linear_needs_variance(flat_market):
-    strat = StateLinearStrategy(cv=1.0, floor=50.0)
-    with pytest.raises(ValueError):
+    strat = BucketStrategy(coeffs=[[0.0, 1.0]], features=("1", "v"))
+    with pytest.raises(ValueError, match="needs a variance path"):
         strat.holdings(flat_market)
 
 
+@pytest.mark.parametrize("rule", [{"floor": -1.0}, {"slack": 0.0},
+                                  {"max_holding": -1.0}],
+                         ids=["floor", "slack", "max_holding"])
+@pytest.mark.parametrize("family", [ConstantFamily, HedgeMixFamily])
+def test_family_floor_rule_checked_on_construction(family, rule):
+    with pytest.raises(ValueError):
+        family(**rule)
+
+
 def test_enforcement_stops_at_first_crossing(flat_market):
-    strat = ConstantStrategy(c=5.0, floor=1.0)
-    enforced = enforce_admissibility(strat, flat_market)
-    assert enforced.threshold == -1.0 - strat.slack
+    fam = ConstantFamily(floor=1.0)
+    enforced = enforce_admissibility(fam, [5.0], flat_market)
+    assert enforced.threshold == -1.0 - fam.slack
     assert 0.0 < enforced.stopped_fraction < 1.0
-    raw = wealth_process(strat, flat_market)
+    raw = wealth_process(fam, [5.0], flat_market)
     below = raw < enforced.threshold
     # paths never below threshold are untouched
     clean = ~below.any(axis=1)
@@ -88,17 +100,17 @@ def test_enforcement_stops_at_first_crossing(flat_market):
 
 
 def test_enforcement_rejects_nonnegative_threshold(flat_market):
-    strat = ConstantStrategy(c=1.0, floor=1.0)
+    fam = ConstantFamily(floor=1.0)
     with pytest.raises(ValueError):
-        enforce_admissibility(strat, flat_market, x=0.0, constrained=True,
-                              phi_min=0.0)
+        enforce_admissibility(fam, [1.0], flat_market, x=0.0,
+                              constrained=True, phi_min=0.0)
 
 
 def test_constrained_floor_tighter(flat_market):
-    strat = ConstantStrategy(c=5.0, floor=8.0)
-    unc = enforce_admissibility(strat, flat_market)
-    con = enforce_admissibility(strat, flat_market, x=1.5, constrained=True,
-                                phi_min=0.0)
+    fam = ConstantFamily(floor=8.0)
+    unc = enforce_admissibility(fam, [5.0], flat_market)
+    con = enforce_admissibility(fam, [5.0], flat_market, x=1.5,
+                                constrained=True, phi_min=0.0)
     assert con.threshold == -1.5
     assert con.stopped_fraction >= unc.stopped_fraction
     # pre-stop nodes respect the tighter floor; only crossing nodes dip below
@@ -112,18 +124,18 @@ def test_constrained_floor_tighter(flat_market):
 def test_cash_translation_identity(flat_market):
     # adding a constant claim c is bit-identical to starting at x + c
     pair = ConjugatePair(UtilitySpec.exponential(1.0))
-    strat = ConstantStrategy(c=1.0, floor=30.0)
-    with_claim = primal_bound(pair, 0.5, strat, flat_market,
+    fam = ConstantFamily(floor=30.0)
+    with_claim = primal_bound(pair, 0.5, fam, [1.0], flat_market,
                               claim=constant_claim(0.25))
-    shifted = primal_bound(pair, 0.75, strat, flat_market)
+    shifted = primal_bound(pair, 0.75, fam, [1.0], flat_market)
     assert with_claim.estimate.mean == shifted.estimate.mean
     assert with_claim.estimate.stderr == shifted.estimate.stderr
 
 
 def test_primal_bound_domain_violations(flat_market):
     pair = ConjugatePair(UtilitySpec.power(0.5))
-    strat = ConstantStrategy(c=4.0, floor=30.0)   # floor far below domain edge
-    res = primal_bound(pair, 0.25, strat, flat_market)
+    fam = ConstantFamily(floor=30.0)   # floor far below domain edge
+    res = primal_bound(pair, 0.25, fam, [4.0], flat_market)
     assert res.estimate.mean == -math.inf
     assert res.violations > 0
 
@@ -214,13 +226,18 @@ def test_bucket_strategy_validation():
 
 
 def test_scaled_sum_matches_manual(flat_market):
-    a = ConstantStrategy(c=1.0, floor=50.0)
-    b = StateLinearStrategy(cb=1.0, floor=50.0)
-    mix = ScaledSumStrategy(parts=(a, b), weights=(2.0, 0.5), floor=50.0)
-    manual = 2.0 * a._raw_holdings(flat_market) \
-        + 0.5 * b._raw_holdings(flat_market)
-    assert np.allclose(mix.holdings(flat_market),
-                       np.clip(manual, -100.0, 100.0), atol=0)
+    # the family truncates the weighted sum of its components, not the parts
+    hedge = lsmc_hedge(logistic_claim(rate=-2.0, scale=2.0), flat_market,
+                       buckets=4)
+    fam = HedgeMixFamily(hedge=hedge.strategy, lin_bounds=(-1.0, 1.0),
+                         floor=50.0, max_holding=0.5)
+    theta = (2.0, 0.5, -0.25)
+    b = flat_market.b[:, :-1, 0]
+    manual = 2.0 * hedge.strategy.holdings(flat_market) + 0.5 - 0.25 * b
+    assert np.any(np.abs(manual) > 0.5)
+    gains = np.clip(manual, -0.5, 0.5) * np.diff(flat_market.s, axis=1)
+    assert np.allclose(wealth_process(fam, theta, flat_market)[:, 1:],
+                       np.cumsum(gains, axis=1), rtol=1e-12, atol=1e-12)
 
 
 def test_optimize_deterministic(flat_market):
@@ -251,20 +268,44 @@ def test_hedge_mix_family_bounds(flat_market):
     fam3 = HedgeMixFamily(hedge=hedge.strategy, lin_bounds=(-1.0, 1.0),
                           floor=30.0)
     assert len(fam3.bounds) == 3
-    strat = fam3.make((1.0, 0.5, -0.25))
-    assert isinstance(strat, ScaledSumStrategy)
-    assert strat.weights == (1.0, 0.5, -0.25)
+    assert len(fam2.components(flat_market)) == 2
+    comps = fam3.components(flat_market)
+    assert np.array_equal(comps[0], hedge.strategy.holdings(flat_market))
+    assert comps[1] == 1.0
+    assert np.array_equal(comps[2], flat_market.b[:, :-1, 0])
 
 
-def _reference_terminal(strategy, bundle, thr):
-    """Stopped terminal gains by the full-matrix first crossing: the
-    unstopped paths of ``wealth_process`` read at their first node below
-    ``thr`` (or at the last node)."""
-    raw = wealth_process(strategy, bundle)
+def test_restart_ties_go_to_smallest_end_point():
+    # on a flat objective every restart ends on the same value, so the
+    # lexicographically smallest end point wins whatever the start order
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    starts = [np.array([0.5, 0.5]), np.array([-0.5, 0.25]),
+              np.array([-0.5, -0.25])]
+    ends = [primal._nelder_mead(lambda t: 0.0, [s], lo, hi, 12)
+            for s in starts]
+    assert len({tuple(e) for e in ends}) == 3
+    best = primal._nelder_mead(lambda t: 0.0, starts, lo, hi, 36)
+    assert np.array_equal(best, min(ends, key=tuple))
+    assert not np.array_equal(best, ends[0])
+
+
+def _reference(fam, comps, theta, bundle, thr):
+    """Raw and stopped wealth from first principles: explicit
+    ``clip(theta . H)``, ``np.cumsum`` of ``H dS`` and a full-matrix first
+    crossing (the first node below ``thr``, else the last node)."""
+    h = np.zeros((bundle.paths, bundle.times.size - 1))
+    for w, c in zip(theta, comps):
+        h = h + w * c
+    h = np.clip(h, -fam.max_holding, fam.max_holding)
+    raw = np.zeros((bundle.paths, bundle.times.size))
+    raw[:, 1:] = np.cumsum(h * np.diff(bundle.s, axis=1), axis=1)
     below = raw < thr
     crossed = below.any(axis=1)
     stop = np.where(crossed, below.argmax(axis=1), raw.shape[1] - 1)
-    return raw[np.arange(raw.shape[0]), stop], crossed
+    frozen = raw[np.arange(raw.shape[0]), stop]
+    nodes = np.arange(raw.shape[1])[None, :]
+    stopped = np.where(nodes >= stop[:, None], frozen[:, None], raw)
+    return raw, stopped, crossed
 
 
 @pytest.mark.parametrize("kind", ["constant", "hedge", "hedge_lin"])
@@ -273,42 +314,61 @@ def _reference_terminal(strategy, bundle, thr):
 def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
                                                      constrained, with_claim):
     claim = logistic_claim(rate=-2.0, scale=2.0)
+    ones = np.ones((flat_market.paths, flat_market.times.size - 1))
     if kind == "constant":
         fam = ConstantFamily(lo=-5.0, hi=5.0, floor=4.0, max_holding=2.5)
+        comps = [ones]
     else:
         hedge = lsmc_hedge(claim, flat_market, buckets=4)
         fam = HedgeMixFamily(hedge=hedge.strategy, floor=4.0, max_holding=2.5,
                              lin_bounds=(-1.0, 1.0) if kind == "hedge_lin"
                              else None)
+        comps = [hedge.strategy.holdings(flat_market), ones,
+                 flat_market.b[:, :-1, 0]][:len(fam.bounds)]
     pair = ConjugatePair(UtilitySpec.power(0.5))
     x = 0.6
+    c = claim if with_claim else None
     f = np.asarray(claim(flat_market.b[:, -1, 0])) if with_claim else None
     phi_min = claim.phi_min if with_claim else 0.0
-    thr = primal._threshold(fam, x, constrained, phi_min)
+    thr = -fam.floor - fam.slack
+    if constrained:
+        thr = max(thr, -x - phi_min)
     gains = primal._component_gains(fam, flat_market)
+
+    def reference_bound(theta):
+        raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
+                                           thr)
+        w = x + stopped[:, -1] if f is None else (x + f) + stopped[:, -1]
+        samples = np.asarray(pair.utility.u(w), dtype=float)
+        return PrimalResult(estimate=mc_estimate(samples),
+                            violations=int(np.sum(w < 0.0)),
+                            stopped_fraction=float(crossed.mean()))
+
     lo, hi = np.array(fam.bounds).T
     rng = np.random.default_rng(7)
     stopped_any = violated_any = False
     for theta in rng.uniform(lo, hi, size=(6, lo.size)):
-        _, xt, crossed = first_crossing(gains(theta), thr)
-        strategy = fam.make(theta)
-        enforced = enforce_admissibility(strategy, flat_market, x=x,
+        raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
+                                           thr)
+        assert np.array_equal(wealth_process(fam, theta, flat_market), raw)
+        _, xt, kernel_crossed = first_crossing(gains(theta), thr)
+        assert np.array_equal(xt, stopped[:, -1])
+        assert np.array_equal(kernel_crossed, crossed)
+        enforced = enforce_admissibility(fam, theta, flat_market, x=x,
                                          constrained=constrained,
                                          phi_min=phi_min)
-        ref_xt, ref_crossed = _reference_terminal(strategy, flat_market, thr)
-        assert np.array_equal(xt, enforced.wealth[:, -1])
-        assert np.array_equal(xt, ref_xt)
-        assert np.array_equal(crossed, ref_crossed)
-        assert float(crossed.mean()) == enforced.stopped_fraction
-        res = primal._score(pair, x, xt, crossed, f)
-        w_ref = x + ref_xt if f is None else (x + f) + ref_xt
-        assert res.violations == int(np.sum(w_ref < 0.0))
-        bound = primal_bound(pair, x, strategy, flat_market,
-                             claim=claim if with_claim else None,
+        assert enforced.threshold == thr
+        assert np.array_equal(enforced.wealth, stopped)
+        assert enforced.stopped_fraction == float(crossed.mean())
+        bound = primal_bound(pair, x, fam, theta, flat_market, claim=c,
                              constrained=constrained)
-        assert res == bound
+        assert bound == reference_bound(theta)
         stopped_any |= bool(crossed.any())
-        violated_any |= res.violations > 0
+        violated_any |= bound.violations > 0
     # the draws exercise the stop and, unconstrained, the domain edge
     assert stopped_any
     assert violated_any or constrained
+    # the search reports the reference bound at the point it chose
+    opt = optimize_primal(pair, x, fam, flat_market, claim=c,
+                          constrained=constrained, budget=12)
+    assert opt.result == reference_bound(opt.theta)
