@@ -17,12 +17,15 @@ its first crossing above ``log(cap)``, which keeps the path in ``(0, cap]``
 at every node.  That is the first crossing of the negated sum below
 ``-log(cap)``, found by the kernel that also stops primal wealth.
 
-What a candidate does not choose -- ``dW_perp`` laid out time-major, the
-left-endpoint ``V`` and ``B`` (transposed views of the bundle), ``Z_T``, the
-claim values and two scratch buffers -- is built once per bundle, and
-``minimize_dual`` builds it once per search.  An evaluation forms ``nu`` and
-the log increments in place, runs the sum one vector add per step and takes
-``exp`` of the terminal values only.
+What a candidate does not choose -- ``dW_perp`` and the left-endpoint ``V``
+and ``B``, each a contiguous time-major copy, ``Z_T``, the claim values, the
+log buffer and a few rows of scratch -- is built once per bundle, and
+``minimize_dual`` builds it once per search.  An evaluation walks the steps a
+chunk of rows at a time, so that a chunk's inputs stay in cache: it forms
+``nu`` in the scratch rows, writes the log increments into their rows of the
+log buffer and carries the running sum on, one vector add per step.  It
+allocates nothing of size ``paths x steps`` and takes ``exp`` of the terminal
+values only.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ __all__ = [
     "subreplication_estimate",
 ]
 
+#: steps per chunk of an evaluation, so that a chunk's rows of ``V``, ``B``,
+#: ``dW_perp``, ``nu`` and the log increments stay in cache between passes
+_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class DualCandidate:
@@ -72,17 +79,24 @@ class DualCandidate:
             raise ValueError("cap must be >= 1 (the exponential starts at 1)")
         object.__setattr__(self, "coeffs", c)
 
-    def integrand(self, v: np.ndarray, b: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-        """Per-step integrand from left-endpoint ``V`` and ``B``, written
-        into ``out``; all three are laid out time-major ``(steps, paths)``."""
+    def integrand(self, v: np.ndarray, b: np.ndarray, out: np.ndarray,
+                  start: int = 0) -> np.ndarray:
+        """Integrand of the ``len(out)`` steps from ``start`` on, written
+        into ``out``.
+
+        ``v`` and ``b`` hold the left-endpoint ``V`` and ``B`` of every step,
+        so the time buckets split all of them; all three arrays are laid out
+        time-major ``(steps, paths)``.
+        """
         buckets = self.coeffs.shape[0]
         edges = np.linspace(0, v.shape[0], buckets + 1).astype(int)
+        edges = np.clip(edges, start, start + out.shape[0])
         for j, (c0, cv, cb) in enumerate(self.coeffs):
             sl = slice(edges[j], edges[j + 1])
-            np.multiply(v[sl], cv, out=out[sl])
-            out[sl] += c0
-            out[sl] += cb * b[sl]
+            rows = out[edges[j] - start:edges[j + 1] - start]
+            np.multiply(v[sl], cv, out=rows)
+            rows += c0
+            rows += cb * b[sl]
         return out
 
 
@@ -90,28 +104,34 @@ def _perturbed_logs(bundle: PathBundle):
     """``candidate ->`` (negated log of its capped exponential, read nodes).
 
     The negated log is the running sum laid out ``(steps + 1, paths)`` from a
-    zero first row, in a scratch buffer that the next call overwrites; each
-    path is read at the node before its first crossing, else at the last.
+    zero first row, in a buffer that the next call overwrites; each path is
+    read at the node before its first crossing, else at the last.  The
+    increments and the sum are formed ``_CHUNK`` steps at a time, with the
+    operations of a whole-array evaluation in its order, so the bits do not
+    depend on the chunking.
     """
     rho = bundle.params.rho
     mix = math.sqrt(1.0 - rho**2)
     dwp = np.ascontiguousarray(
         (mix * bundle.increments("w") - rho * bundle.increments("b")).T)
-    v, b = bundle.v[:, :-1].T, bundle.b[:, :-1].T
-    dt = bundle.dt
-    nu = np.empty(dwp.shape)
-    logs = np.zeros((dwp.shape[0] + 1, dwp.shape[1]))
+    v = np.ascontiguousarray(bundle.v[:, :-1].T)
+    b = np.ascontiguousarray(bundle.b[:, :-1].T)
+    steps, dt = dwp.shape[0], bundle.dt
+    scratch = np.empty((min(_CHUNK, steps), dwp.shape[1]))
+    logs = np.zeros((steps + 1, dwp.shape[1]))
 
     def negated_logs(candidate: DualCandidate):
-        candidate.integrand(v, b, out=nu)
-        inc = logs[1:]
-        np.multiply(nu, nu, out=inc)
-        inc *= 0.5
-        inc *= dt
-        np.multiply(nu, dwp, out=nu)
-        inc -= nu           # exactly -(nu dW_perp - 0.5 nu**2 dt)
-        stop, _, crossed = first_crossing(_accumulate(logs),
-                                          -math.log(candidate.cap))
+        for k0 in range(0, steps, _CHUNK):
+            k1 = min(k0 + _CHUNK, steps)
+            nu = candidate.integrand(v, b, scratch[:k1 - k0], start=k0)
+            inc = logs[k0 + 1:k1 + 1]
+            np.multiply(nu, nu, out=inc)
+            inc *= 0.5
+            inc *= dt
+            np.multiply(nu, dwp[k0:k1], out=nu)
+            inc -= nu           # exactly -(nu dW_perp - 0.5 nu**2 dt)
+            _accumulate(logs[k0:k1 + 1])
+        stop, _, crossed = first_crossing(logs, -math.log(candidate.cap))
         return logs, stop - crossed
 
     return negated_logs

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Estimate:
     def halfwidth(self) -> float:
         if not math.isfinite(self.mean):
             return math.inf
-        z = norm.ppf(0.5 + self.confidence / 2.0)
+        z = ndtri(0.5 + self.confidence / 2.0)
         return z * self.stderr
 
     def ci(self) -> tuple[float, float]:

@@ -73,6 +73,10 @@ _DEFAULTS: dict = {
 }
 
 
+#: fields a kind section still accepts and ignores
+_RETIRED = {"sweep": ("price_tol",)}
+
+
 def default_config() -> dict:
     return json.loads(json.dumps(_DEFAULTS))
 
@@ -190,6 +194,10 @@ def validate_config(cfg: dict) -> list[dict]:
         for key in ("a_values", "b_values", "q_values"):
             if _floats(sec.get(key)) is None:
                 bad(f"oracle.{key}", "must be a nonempty list of numbers")
+    if kind in KINDS and isinstance(sec, dict):
+        known = set(_DEFAULTS[section]) | set(_RETIRED.get(section, ()))
+        for key in sorted(set(sec) - known):
+            bad(f"{section}.{key}", "unknown field")
     return errs
 
 

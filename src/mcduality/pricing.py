@@ -292,10 +292,10 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
                                 const_bounds=const_bounds,
                                 lin_bounds=lin_bounds, floor=floor,
                                 max_holding=max_holding)
-        u_unc = optimize_primal(pair, x, family, bundle, claim=claim,
-                                constrained=False, budget=budget)
-        u_con = optimize_primal(pair, x, family, bundle, claim=claim,
-                                constrained=True, budget=budget)
+        # both claim searches run on one evaluation of the hedge
+        gains = _component_gains(family, bundle)
+        u_unc = _search(pair, x, family, bundle, claim, False, budget, gains)
+        u_con = _search(pair, x, family, bundle, claim, True, budget, gains)
         # the endogenous floor comes from subreplicating a claim with genuine
         # spread; a constant claim is replicable everywhere, so its problem
         # stays unconstrained at every rho

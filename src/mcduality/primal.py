@@ -280,6 +280,8 @@ class HedgeMixFamily:
 
     def __post_init__(self):
         _check_floor_rule(self)
+        if self.hedge is None:
+            raise ValueError("HedgeMixFamily needs a hedge")
 
     @property
     def bounds(self):

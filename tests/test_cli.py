@@ -47,14 +47,25 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"kind": "oracle-check", "oracle": [0.4]}, "oracle"),
     ({"kind": "oracle-check", "oracle": {"a_values": ["a"]}},
      "oracle.a_values"),
+    ({"kind": "sweep", "sweep": {"w_budgte": 5}}, "sweep.w_budgte"),
+    ({"kind": "oracle-check", "oracle": {"q_value": [1.0]}},
+     "oracle.q_value"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
-        "degenerate_x_text", "oracle_not_object", "oracle_values_text"])
+        "degenerate_x_text", "oracle_not_object", "oracle_values_text",
+        "sweep_unknown_key", "oracle_unknown_key"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert [v["field"] for v in err["violations"]] == [field]
+
+
+def test_validate_accepts_retired_price_tol(tmp_path, capsys):
+    path = write_cfg(tmp_path / "c.json", {"version": 1, "kind": "sweep",
+                                           "sweep": {"price_tol": 0.05}})
+    assert main(["validate", "--config", path]) == 0
+    assert "OK" in capsys.readouterr().out
 
 
 def test_run_malformed_integer_exit_2(tmp_path, capsys):

@@ -77,11 +77,9 @@ def ten_step_bundles():
             for rho in (0.0, 0.3)}
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.3])
-@pytest.mark.parametrize("cap", [1.5, 1e6])
-@pytest.mark.parametrize("buckets", [1, 2, 3])
-def test_kernel_is_bitwise_step_loop(ten_step_bundles, rho, cap, buckets):
-    bundle = ten_step_bundles[rho]
+def _stopped_fractions_bitwise(bundle, cap, buckets):
+    """Check the kernel against the step loop on four random candidates;
+    return the fraction of paths each one stops."""
     rng = np.random.default_rng(buckets)
     negated_logs = dual._perturbed_logs(bundle)
     stopped = []
@@ -93,8 +91,34 @@ def test_kernel_is_bitwise_step_loop(ten_step_bundles, rho, cap, buckets):
         assert np.array_equal(terminal, ref[:, -1])
         assert np.array_equal(perturbation_exponential(cand, bundle), ref)
         stopped.append(float(np.mean(node < bundle.steps)))
+    return stopped
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+@pytest.mark.parametrize("cap", [1.5, 1e6])
+@pytest.mark.parametrize("buckets", [1, 2, 3])
+def test_kernel_is_bitwise_step_loop(ten_step_bundles, rho, cap, buckets):
+    stopped = _stopped_fractions_bitwise(ten_step_bundles[rho], cap, buckets)
     # the draws exercise the cap: about a third of the paths stop at 1.5,
     # none at 1e6
+    assert max(stopped) > 0.3 if cap == 1.5 else max(stopped) == 0.0
+
+
+@pytest.fixture(scope="module")
+def chunked_bundle():
+    return simulate_heston_market(BASE_PARAMS.with_rho(0.3), TimeGrid(1.0, 37),
+                                  300, RandomStream(23))
+
+
+@pytest.mark.parametrize("cap", [1.5, 1e6])
+@pytest.mark.parametrize("buckets", [1, 2, 3, 5])
+def test_kernel_is_bitwise_step_loop_across_chunks(chunked_bundle, cap,
+                                                   buckets):
+    # several chunks of steps, the last one short, with bucket edges
+    # falling inside chunks
+    steps = chunked_bundle.steps
+    assert steps > 2 * dual._CHUNK and steps % dual._CHUNK != 0
+    stopped = _stopped_fractions_bitwise(chunked_bundle, cap, buckets)
     assert max(stopped) > 0.3 if cap == 1.5 else max(stopped) == 0.0
 
 

@@ -1,10 +1,15 @@
 """Estimate container semantics, including the -inf convention."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcduality
 from mcduality.estimates import Estimate, combined_se, mc_estimate
 
 
@@ -23,6 +28,24 @@ def test_confidence_interval_covers_mean():
     assert lo < est.mean < hi
     # 95% halfwidth = 1.959964... * se
     assert est.halfwidth == pytest.approx(1.959963984540054 * est.stderr)
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+def test_halfwidth_is_normal_quantile_times_stderr(confidence):
+    from scipy.stats import norm
+    est = Estimate(1.0, 0.3, 10, confidence)
+    assert est.halfwidth == norm.ppf(0.5 + confidence / 2.0) * 0.3
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half the package's import time and ~19 MiB
+    src = str(Path(mcduality.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, mcduality; "
+            "sys.exit(int('scipy.stats' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_neginf_sample_poisons_estimate():

@@ -68,8 +68,15 @@ def test_state_linear_needs_variance(flat_market):
                          ids=["floor", "slack", "max_holding"])
 @pytest.mark.parametrize("family", [ConstantFamily, HedgeMixFamily])
 def test_family_floor_rule_checked_on_construction(family, rule):
-    with pytest.raises(ValueError):
-        family(**rule)
+    # given a hedge, the family fails on the rule, not on the missing hedge
+    hedge = {"hedge": BucketStrategy()} if family is HedgeMixFamily else {}
+    with pytest.raises(ValueError, match=next(iter(rule))):
+        family(**rule, **hedge)
+
+
+def test_hedge_mix_family_needs_a_hedge():
+    with pytest.raises(ValueError, match="needs a hedge"):
+        HedgeMixFamily()
 
 
 def test_enforcement_stops_at_first_crossing(flat_market):
