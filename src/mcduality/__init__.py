@@ -17,7 +17,7 @@ from .utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                       load_claim_table, logistic_claim, save_claim_table)
 from .market import (GeneralMarketCoeffs, HestonParams, PathBundle, TimeGrid,
                      minimal_martingale_density, semimartingale_distance,
-                     simulate_cir, simulate_general_market,
+                     simulate_cir, simulate_driver, simulate_general_market,
                      simulate_heston_market, stochastic_exponential)
 from .affine import (AffineMomentQuery, MomentExplosionError,
                      affine_exponential_moment, cir_bond_price, density_moment)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import PathBundle
+from .market import HestonParams, PathBundle, TimeGrid
 from .primal import _accumulate, _nelder_mead
 from .stopping import first_crossing
 from .utility import ClaimSpec, ConjugatePair, constrained_conjugate
@@ -288,25 +288,27 @@ class SubrepReport:
         return {f"{x:g}": e.mean for x, e in self.rows}
 
 
-def subreplication_estimate(claim: ClaimSpec, bundle: PathBundle,
-                            t_prime: float, shifts) -> SubrepReport:
+def subreplication_estimate(claim: ClaimSpec, params: HestonParams,
+                            grid: TimeGrid, b: np.ndarray, t_prime: float,
+                            shifts) -> SubrepReport:
     """Estimate ``E[phi(B_T - B_{T'} + x)]`` over a grid of shifts ``x``.
 
     These are the conditional claim prices under the measures that
     concentrate the driver's remaining motion after ``T'``; their infimum
     over ``x`` approaches the claim's infimum as ``T' -> T``, which is the
-    mechanism forcing the wealth floor.  Only meaningful in markets with
-    ``rho != 0`` (the construction needs a driver direction the price does
-    not span), and ``T'`` must be a grid node strictly before the horizon.
+    mechanism forcing the wealth floor.  Only the driver paths ``b``
+    (``(paths, steps+1)`` on ``grid``, e.g. from
+    :func:`~mcduality.market.simulate_driver`) are read.  Only meaningful
+    in markets with ``params.rho != 0`` (the construction needs a driver
+    direction the price does not span), and ``T'`` must be a grid node
+    strictly before the horizon.
     """
-    if bundle.params.rho == 0.0:
+    if params.rho == 0.0:
         raise ValueError("subreplication construction requires rho != 0")
-    times = bundle.times
-    grid_dt = float(times[1] - times[0])
-    k = round(t_prime / grid_dt)
-    if not 0 <= k < len(times) - 1 or abs(k * grid_dt - t_prime) > 1e-9:
+    k = grid.node_index(t_prime)
+    if k == grid.steps:
         raise ValueError(f"T'={t_prime} must be a grid node before the horizon")
-    tail = bundle.b[:, -1] - bundle.b[:, k]
+    tail = b[:, -1] - b[:, k]
     rows = []
     for x in np.asarray(shifts, dtype=float).ravel():
         rows.append((float(x), mc_estimate(np.asarray(claim(tail + x)))))

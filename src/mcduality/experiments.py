@@ -28,7 +28,7 @@ import numpy as np
 from . import affine, kw, pricing
 from .dual import subreplication_estimate
 from .estimates import mc_estimate
-from .market import HestonParams, TimeGrid, simulate_cir, simulate_heston_market
+from .market import HestonParams, TimeGrid, simulate_cir, simulate_driver
 from .rng import RandomStream, worker_count
 from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
                       digital_claim, load_claim_table, logistic_claim)
@@ -108,6 +108,23 @@ def _floats(val) -> list[float] | None:
     """A nonempty list of numbers as floats; ``None`` for anything else."""
     out = [_number(v) for v in val] if isinstance(val, (list, tuple)) else []
     return None if not out or any(math.isnan(v) for v in out) else out
+
+
+def _t_prime_ok(cfg: dict, t_prime) -> bool:
+    """Whether ``t_prime`` is null or a node of the run's grid strictly
+    before the horizon; an unbuildable market is reported on its own."""
+    if t_prime is None:
+        return True
+    if isinstance(t_prime, bool) or not isinstance(t_prime, (int, float)):
+        return False
+    try:
+        grid = build_market(cfg)[1]
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return True
+    try:
+        return grid.node_index(float(t_prime)) < grid.steps
+    except (ValueError, OverflowError):
+        return False
 
 
 def validate_config(cfg: dict) -> list[dict]:
@@ -190,6 +207,9 @@ def validate_config(cfg: dict) -> list[dict]:
             bad("subreplication.rho", "requires 0 < |rho| < 1")
         if _floats(sec.get("shifts")) is None:
             bad("subreplication.shifts", "must be a nonempty list of numbers")
+        if not _t_prime_ok(cfg, sec.get("t_prime")):
+            bad("subreplication.t_prime",
+                "must be null or a grid node strictly before the horizon")
     elif kind == "oracle-check":
         for key in ("a_values", "b_values", "q_values"):
             if _floats(sec.get(key)) is None:
@@ -450,9 +470,10 @@ def _run_subreplication(cfg, out: Path, workers):
     t_prime = sub.get("t_prime")
     if t_prime is None:
         t_prime = grid.times[-2]
-    bundle = simulate_heston_market(params, grid, int(cfg["paths"]),
-                                    RandomStream(int(cfg["seed"])), workers)
-    rep = subreplication_estimate(claim, bundle, float(t_prime), sub["shifts"])
+    b = simulate_driver(grid, int(cfg["paths"]),
+                        RandomStream(int(cfg["seed"])), workers)
+    rep = subreplication_estimate(claim, params, grid, b, float(t_prime),
+                                  sub["shifts"])
     write_csv(out / "subreplication.csv",
               ["shift", "mean", "se"],
               [(x, e.mean, e.stderr) for x, e in rep.rows])

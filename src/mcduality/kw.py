@@ -61,6 +61,21 @@ def _cellwise(arr, paths, steps, d):
     return np.broadcast_to(out, (paths, steps, d))
 
 
+def _coefficient(nu, sigma):
+    """``(|sigma|**2, H, |sigma| == 0)`` per cell, ``H = 0`` where zero.
+
+    The cells may come in any order (``(paths, steps, d)`` or time-major
+    ``(steps, paths, d)``): each cell reduces over its own ``d`` axis, last,
+    so its values do not depend on the order.
+    """
+    sig2 = np.einsum("...d,...d->...", sigma, sigma)
+    dot = np.einsum("...d,...d->...", nu, sigma)
+    zero = sig2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(zero, 0.0, dot / np.where(zero, 1.0, sig2))
+    return sig2, h, zero
+
+
 def kw_decompose(nu, sigma, db, dt: float) -> KWResult:
     """Project ``nu`` on ``sigma`` cell by cell.
 
@@ -75,12 +90,7 @@ def kw_decompose(nu, sigma, db, dt: float) -> KWResult:
     nu = _cellwise(nu, paths, steps, d)
     sigma = _cellwise(sigma, paths, steps, d)
 
-    sig2 = np.einsum("pkd,pkd->pk", sigma, sigma)
-    dot = np.einsum("pkd,pkd->pk", nu, sigma)
-    zero = sig2 == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(zero, 0.0, dot / np.where(zero, 1.0, sig2))
-
+    sig2, h, zero = _coefficient(nu, sigma)
     resid = nu - h[:, :, None] * sigma
     l_inc = np.einsum("pkd,pkd->pk", resid, db)
     energy = (h**2 * sig2).sum(axis=1) * dt
@@ -108,37 +118,43 @@ def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
     ``nu_fn(t, b)`` returns integrand vectors for driver levels ``b`` of
     shape ``(paths, d)``.  Precondition: ``|nu . sigma_inf| < 1e-10`` at
     every node, checked against the limit volatility ``n = inf``; violations
-    raise ``ValueError``.
+    raise ``ValueError``.  Per ``n`` only what a row reports is computed:
+    the coefficient ``H``, the energy and the zero-cell fraction, each equal
+    bit for bit to :func:`kw_decompose`'s on the same increments.  The
+    cells are laid out time-major, so that each node's ``nu`` and ``sigma``
+    are written contiguously; the products ``H**2 |sigma|**2`` are turned
+    to ``(paths, steps)`` before the sum over steps, which keeps numpy's
+    pairwise summation of each path's energy.
     """
     d = coeffs.d
-    sq = math.sqrt(grid.dt)
-    flat = stream.split(0).standard_normals(paths, grid.steps * d)
-    db = sq * flat.reshape(paths, grid.steps, d)
+    db = stream.split(0).standard_normals(paths, grid.steps * d)
+    db *= math.sqrt(grid.dt)
     b = np.zeros((paths, grid.steps + 1, d))
-    np.cumsum(db, axis=1, out=b[:, 1:, :])
+    np.cumsum(db.reshape(paths, grid.steps, d), axis=1, out=b[:, 1:, :])
+    del db
     t = grid.times
 
-    nu = np.empty((paths, grid.steps, d))
+    nu = np.empty((grid.steps, paths, d))
     worst = 0.0
     for k in range(grid.steps):
-        nu[:, k, :] = np.broadcast_to(
-            np.asarray(nu_fn(t[k], b[:, k, :]), dtype=float), (paths, d))
+        nu[k] = np.asarray(nu_fn(t[k], b[:, k, :]), dtype=float)
         sig_inf = coeffs.sigma_at(math.inf, t[k], b[:, k, :])
         worst = max(worst, float(np.abs(
-            np.einsum("pd,pd->p", nu[:, k, :], sig_inf)).max()))
+            np.einsum("pd,pd->p", nu[k], sig_inf)).max()))
     if worst >= ORTHO_TOL:
         raise ValueError(
             f"integrand is not orthogonal to the limit volatility "
             f"(max |nu . sigma_inf| = {worst:.3g} >= {ORTHO_TOL:g})")
 
     rows = []
+    sigma = np.empty((grid.steps, paths, d))
     for n in n_values:
-        sigma = np.empty((paths, grid.steps, d))
         for k in range(grid.steps):
-            sigma[:, k, :] = coeffs.sigma_at(n, t[k], b[:, k, :])
-        res = kw_decompose(nu, sigma, db, grid.dt)
-        rows.append(KWDiagRow(n=float(n), energy=res.energy,
-                              zero_fraction=res.zero_fraction))
+            sigma[k] = coeffs.sigma_at(n, t[k], b[:, k, :])
+        sig2, h, zero = _coefficient(nu, sigma)
+        energy = np.ascontiguousarray((h**2 * sig2).T).sum(axis=1) * grid.dt
+        rows.append(KWDiagRow(n=float(n), energy=mc_estimate(energy),
+                              zero_fraction=float(zero.mean())))
     return rows
 
 

@@ -101,7 +101,8 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                        claim: ClaimSpec, budget: int = 120,
                        w_family=None, w_budget: int = 40,
                        constrained_u: bool = False, max_iter: int = 48,
-                       u_opt: PrimalOpt | None = None) -> PriceResult:
+                       u_opt: PrimalOpt | None = None, *,
+                       _gains=None) -> PriceResult:
     """Solve ``w(x + p) = u(x)`` for ``p`` by noise-aware bisection.
 
     Both sides are family bounds on the same bundle (common random
@@ -110,7 +111,9 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
     floor is matched to it so that pathwise monotonicity in ``p`` carries
     over to the two estimates and the initial bracket
     ``[phi_min, phi_max]`` is valid.  ``u_opt`` may carry a precomputed
-    claim-side search result for the same configuration.
+    claim-side search result for the same configuration.  (``rho_sweep``
+    also passes the ``_component_gains`` it built for ``family``: they do
+    not depend on the floor, the one field the claim-free family changes.)
     """
     if u_opt is None:
         u_opt = optimize_primal(pair, x, family, bundle, claim=claim,
@@ -131,7 +134,7 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
         w_family = _family_with_floor(w_family, x + claim.phi_min - slack)
 
     # the claim-free searches differ only in capital: one hedge evaluation
-    gains = _component_gains(w_family, bundle)
+    gains = _component_gains(w_family, bundle) if _gains is None else _gains
 
     def w_value(capital: float) -> Estimate:
         return _search(pair, capital, w_family, bundle, None, False,
@@ -306,7 +309,7 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
         price = indifference_price(pair, x, family, bundle, claim,
                                    budget=budget, w_budget=w_budget,
                                    constrained_u=constrained_headline,
-                                   u_opt=u_opt)
+                                   u_opt=u_opt, _gains=gains)
         rows.append(dataclasses.replace(row, price=price))
     return SweepResult(x=x, y_star=y_star, cap_value=cap_value,
                        cap_stderr=cap_est.stderr, cap_table=cap_table,

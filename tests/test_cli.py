@@ -50,10 +50,19 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"kind": "sweep", "sweep": {"w_budgte": 5}}, "sweep.w_budgte"),
     ({"kind": "oracle-check", "oracle": {"q_value": [1.0]}},
      "oracle.q_value"),
+    ({"kind": "subreplication", "subreplication": {"t_prime": "x"}},
+     "subreplication.t_prime"),
+    ({"kind": "subreplication", "subreplication": {"t_prime": 0.123456}},
+     "subreplication.t_prime"),
+    ({"kind": "subreplication", "subreplication": {"t_prime": 1.0}},
+     "subreplication.t_prime"),
+    ({"kind": "subreplication", "subreplication": {"t_prime": True}},
+     "subreplication.t_prime"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
         "degenerate_x_text", "oracle_not_object", "oracle_values_text",
-        "sweep_unknown_key", "oracle_unknown_key"])
+        "sweep_unknown_key", "oracle_unknown_key", "t_prime_text",
+        "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2
@@ -97,13 +106,15 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
 
 
 def test_runtime_failure_exit_1(tmp_path, capsys):
-    # t_prime off the grid passes validation but fails inside the run
+    # a valid config whose output directory cannot be created (its parent
+    # is a regular file) passes validation but fails inside the run
     cfg = write_cfg(tmp_path / "c.json",
                     {"version": 1, "kind": "subreplication", "paths": 300,
                      "steps": 16,
-                     "subreplication": {"rho": 0.3, "t_prime": 0.1234,
-                                        "shifts": [0.0]}})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+                     "subreplication": {"rho": 0.3, "shifts": [0.0]}})
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    assert main(["run", "--config", cfg, "--out",
+                 str(tmp_path / "f" / "o")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "run failed"
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mcduality.experiments import _kw_setup
 from mcduality.kw import (kw_convergence_diag, kw_decompose,
                           nondegeneracy_check)
 from mcduality.market import GeneralMarketCoeffs, TimeGrid
@@ -181,3 +182,51 @@ def test_nondegeneracy_half_time_family():
                               RandomStream(6))
     assert rep.zero_fraction == pytest.approx(0.5, abs=1e-15)
     assert rep.degenerate
+
+
+def _path_dependent_family():
+    # volatility and integrand vary with the driver levels, so the per-path
+    # energies (and their standard error) do too
+    def sigma(n, _t, b):
+        out = np.ones_like(b)
+        out[:, 1] = 0.0 if math.isinf(n) else (1.0 + b[:, 0] ** 2) / n
+        return out
+
+    def nu(_t, b):
+        out = np.zeros_like(b)
+        out[:, 1] = np.cos(b[:, 1])
+        return out
+
+    return GeneralMarketCoeffs(d=2, sigma=sigma,
+                               lam=lambda n, t, b: np.zeros(b.shape[0])), nu
+
+
+@pytest.mark.parametrize("family, n_values", [
+    (_kw_setup("nondegenerate"), [1.0, 3.0, 10.0, 30.0]),
+    (_kw_setup("degenerate"), [1.0, 4.0, math.inf]),
+    (_path_dependent_family(), [0.5, 2.0, 7.0]),
+], ids=["nondegenerate", "degenerate", "path_dependent"])
+def test_diag_is_bitwise_decompose(family, n_values):
+    # the diagnostic's energies, SEs and zero fractions are those of a full
+    # kw_decompose on the same increments, bit for bit
+    coeffs, nu_fn = family
+    grid, paths, d = TimeGrid(1.0, 24), 700, coeffs.d
+    rows = kw_convergence_diag(nu_fn, coeffs, n_values, grid, paths,
+                               RandomStream(13))
+    flat = RandomStream(13).split(0).standard_normals(paths, grid.steps * d)
+    db = math.sqrt(grid.dt) * flat.reshape(paths, grid.steps, d)
+    b = np.zeros((paths, grid.steps + 1, d))
+    np.cumsum(db, axis=1, out=b[:, 1:, :])
+    t = grid.times
+    nu = np.stack([np.broadcast_to(nu_fn(t[k], b[:, k, :]), (paths, d))
+                   for k in range(grid.steps)], axis=1)
+    assert len(rows) == len(n_values)
+    for row, n in zip(rows, n_values):
+        sigma = np.stack([coeffs.sigma_at(n, t[k], b[:, k, :])
+                          for k in range(grid.steps)], axis=1)
+        res = kw_decompose(nu, sigma, db, grid.dt)
+        assert row.n == n
+        assert row.energy == res.energy
+        assert row.zero_fraction == res.zero_fraction
+    assert rows[-1].zero_fraction == (1.0 if math.isinf(n_values[-1])
+                                      else 0.0)

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from mcduality.affine import AffineMomentQuery, affine_exponential_moment
+from mcduality.estimates import mc_estimate
 from mcduality.market import (GeneralMarketCoeffs, HestonParams, PathBundle,
-                              TimeGrid, minimal_martingale_density,
+                              TimeGrid, _cir_full_truncation,
+                              minimal_martingale_density,
                               semimartingale_distance, simulate_cir,
-                              simulate_general_market, simulate_heston_market,
-                              stochastic_exponential)
-from mcduality.rng import RandomStream
+                              simulate_driver, simulate_general_market,
+                              simulate_heston_market, stochastic_exponential)
+from mcduality.rng import BLOCK_SIZE, RandomStream
 
 from conftest import BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED
 
@@ -84,6 +87,67 @@ def test_cir_matches_market_bundle(bundle_rho0):
     assert np.array_equal(v, bundle_rho0.v)
 
 
+def test_driver_matches_market_bundle(bundle_rho0):
+    b = simulate_driver(SMALL_GRID, SMALL_PATHS, RandomStream(SMALL_SEED))
+    assert np.array_equal(b, bundle_rho0.b)
+
+
+def _cir_step_loop(params, grid, db):
+    # one full-truncation Euler step at a time over all paths
+    paths, steps = db.shape
+    raw = np.empty((paths, steps + 1))
+    raw[:, 0] = params.v0
+    x = np.full(paths, params.v0)
+    for k in range(steps):
+        xp = np.maximum(x, 0.0)
+        x = x + params.kappa * (params.theta - xp) * grid.dt \
+            + params.sigma * np.sqrt(xp) * db[:, k]
+        raw[:, k + 1] = x
+    return np.maximum(raw, 0.0)
+
+
+@pytest.mark.parametrize("paths, steps", [
+    (BLOCK_SIZE + 3, 37), (5, 3), (BLOCK_SIZE, 16), (2 * BLOCK_SIZE + 1, 33),
+])
+def test_cir_blocked_recursion_is_bitwise_step_loop(paths, steps):
+    # a partial last block of paths and a partial last chunk of steps; a
+    # large sigma makes the truncation bind on some paths
+    p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3)
+    grid = TimeGrid(1.0, steps)
+    db = math.sqrt(grid.dt) * RandomStream(4).standard_normals(paths, steps)
+    v = _cir_full_truncation(p, grid, db)
+    ref = _cir_step_loop(p, grid, db)
+    assert np.array_equal(v, ref)
+    if paths > BLOCK_SIZE:
+        assert (ref == 0.0).any()   # the truncation binds on some paths
+
+
+def test_cir_time_step_bias_shrinks_against_oracles():
+    # full-truncation Euler is first order in dt: against the exact
+    # E[V_T] and the affine oracle's E[exp(-V_T)] the error falls about
+    # fourfold per fourfold refinement, and at 16 steps it is resolved
+    p = HestonParams(mu=0.0, kappa=2.0, theta=1.0, sigma=0.5, v0=4.0)
+    exact = {"mean": p.theta + (p.v0 - p.theta) * math.exp(-p.kappa),
+             "exp": affine_exponential_moment(
+                 p, AffineMomentQuery(-1.0, 0.0, 1.0))}
+    ests = {"mean": [], "exp": []}
+    for steps in (16, 64, 256):
+        vt = simulate_cir(p, TimeGrid(1.0, steps), 40_000,
+                          RandomStream(1))[:, -1]
+        ests["mean"].append(mc_estimate(vt))
+        ests["exp"].append(mc_estimate(np.exp(-vt)))
+    for name, (e16, e64, e256) in ests.items():
+        err = [abs(e.mean - exact[name]) for e in (e16, e64, e256)]
+        assert err[0] >= 5.0 * e16.stderr, name
+        assert err[0] > err[1] > err[2], name
+        # a first-order error cancels in the Richardson combination of the
+        # 64- and 256-step estimates; a scheme that is not consistent, or
+        # not first order, leaves a resolved remainder
+        rich = (4.0 * e256.mean - e64.mean) / 3.0
+        rich_se = math.hypot(4.0 * e256.stderr, e64.stderr) / 3.0
+        assert abs(rich - exact[name]) <= 3.0 * rich_se, name
+
+
 # ---------------------------------------------------------------------------
 # stochastic exponential and density
 # ---------------------------------------------------------------------------
@@ -119,7 +183,6 @@ def test_density_zero_drift_is_one():
     p = HestonParams(mu=0.0, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
     grid = TimeGrid(1.0, 32)
     db = math.sqrt(grid.dt) * RandomStream(5).standard_normals(100, 32)
-    from mcduality.market import _cir_full_truncation
     v = _cir_full_truncation(p, grid, db)
     z = minimal_martingale_density(0.0, v, db, grid.dt)
     assert np.array_equal(z, np.ones((100, 33)))

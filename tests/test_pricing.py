@@ -92,6 +92,29 @@ def test_sweep_structure_and_determinism():
         [r.u_headline.estimate.mean for r in res.rows]
 
 
+def test_sweep_builds_each_rows_gains_once(monkeypatch):
+    # the claim searches and the claim-free bisection of a row share one
+    # evaluation of the hedge: the floor the bisection changes is not an
+    # input of the gains
+    from mcduality import pricing
+    built = []
+    real = pricing._component_gains
+
+    def counted(family, bundle):
+        built.append(family.floor)
+        return real(family, bundle)
+
+    monkeypatch.setattr(pricing, "_component_gains", counted)
+    res = rho_sweep(pair=POWER, x=0.75, claim=logistic_claim(rate=-2.0,
+                                                             scale=2.0),
+                    params=BASE_PARAMS, grid=TimeGrid(1.0, 12), paths=600,
+                    seed=5, rho_values=[0.3], y_grid=[1.0], hedge_buckets=3,
+                    budget=8, w_budget=6)
+    assert len(res.rows) == 2
+    assert built == [6.0, 6.0]
+    assert all(math.isfinite(r.price.price) for r in res.rows)
+
+
 def test_degenerate_example_anchors():
     res = degenerate_example(n_values=[1, 4], grid=TimeGrid(1.0, 24),
                              paths=3000, seed=7, buckets=6, budget=30)
