@@ -11,23 +11,20 @@ oracle used for validation throughout.
 
 from .estimates import Estimate, combined_se, mc_estimate
 from .rng import RandomStream, worker_count
-from .utility import (ClaimSpec, ConjugatePair, UtilitySpec,
-                      asymptotic_elasticity, constant_claim,
-                      constrained_conjugate, digital_claim, exp_identity_check,
-                      load_claim_table, logistic_claim, save_claim_table)
+from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
+                      constrained_conjugate, digital_claim, load_claim_table,
+                      logistic_claim)
 from .market import (GeneralMarketCoeffs, HestonParams, PathBundle, TimeGrid,
                      minimal_martingale_density, semimartingale_distance,
                      simulate_cir, simulate_driver, simulate_general_market,
-                     simulate_heston_market, stochastic_exponential)
+                     simulate_heston_market)
 from .affine import (AffineMomentQuery, MomentExplosionError,
                      affine_exponential_moment, cir_bond_price, density_moment)
 from .dual import (DualCandidate, dual_bound_mmm, dual_bound_perturbed,
-                   minimize_dual, perturbation_exponential,
-                   subreplication_estimate)
+                   minimize_dual, subreplication_estimate)
 from .primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
-                     enforce_admissibility, lsmc_hedge, optimize_primal,
-                     primal_bound, wealth_process)
-from .kw import kw_convergence_diag, kw_decompose, nondegeneracy_check
+                     lsmc_hedge, optimize_primal, primal_bound)
+from .kw import kw_convergence_diag, kw_decompose
 from .pricing import degenerate_example, indifference_price, rho_sweep
 from .experiments import run_experiment, validate_config
 

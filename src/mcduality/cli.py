@@ -85,13 +85,16 @@ def main(argv=None) -> int:
             user_cfg = merged
 
     cfg = merge_config(user_cfg)
+    # overrides first: a grid-dependent field is checked at the run's steps
+    for key in ("seed", "paths", "steps"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     violations = validate_config(cfg)
     if violations:
         _emit_violations(violations)
         return 2
     try:
-        manifest = run_experiment(cfg, args.out, seed=args.seed,
-                                  paths=args.paths, steps=args.steps)
+        manifest = run_experiment(cfg, args.out)
     except Exception as exc:  # noqa: BLE001 - surfaced as an error record
         json.dump({"error": "run failed", "reason": str(exc)}, sys.stderr,
                   indent=2)

@@ -56,6 +56,11 @@ __all__ = [
 #: ``dW_perp``, ``nu`` and the log increments stay in cache between passes
 _CHUNK = 16
 
+#: ``minimize_dual``'s search box, ``|coefficient| <= _BOX`` on every basis
+#: slot and time bucket, and the cap of every candidate it builds
+_BOX = 0.6
+_CAP = 8.0
+
 
 @dataclass(frozen=True)
 class DualCandidate:
@@ -219,16 +224,15 @@ class DualOpt:
 
 
 def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
-                  claim: ClaimSpec | None = None,
-                  bounds=((-0.6, 0.6), (-0.6, 0.6), (-0.6, 0.6)),
-                  buckets: int = 1, cap: float = 8.0,
+                  claim: ClaimSpec | None = None, buckets: int = 1,
                   budget: int = 60) -> DualOpt:
     """Minimize the perturbed bound over a coefficient box with Nelder-Mead.
 
-    ``bounds`` is one ``(lo, hi)`` pair per basis slot ``(1, V, B)``; the
-    same box applies on every time bucket.  The baseline ``nu = 0`` bound is
-    evaluated first and retained whenever the search cannot improve on it,
-    so the result is never worse than the unperturbed density.  Common
+    Each of the ``3 * buckets`` coefficients (basis ``(1, V, B)`` on each
+    time bucket) ranges over ``[-_BOX, _BOX]``, and every candidate is
+    capped at ``_CAP``.  The baseline ``nu = 0`` bound is evaluated first
+    and retained whenever the search cannot improve on it, so the result is
+    never worse than the unperturbed density.  Common
     random numbers (one shared bundle) make the search deterministic for a
     fixed seed and budget; the restarts follow the primal search's policy,
     ties breaking lexicographically on the rounded coefficient vector.
@@ -237,15 +241,12 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    box = [tuple(map(float, b)) for b in bounds]
-    if len(box) != 3:
-        raise ValueError("bounds must give one (lo, hi) pair per basis slot")
-    lo = np.tile([b[0] for b in box], buckets)
-    hi = np.tile([b[1] for b in box], buckets)
+    lo = np.full(3 * buckets, -_BOX)
+    hi = np.full(3 * buckets, _BOX)
     evals = 0
 
     def make(theta, label=""):
-        return DualCandidate(np.asarray(theta).reshape(buckets, 3), cap=cap,
+        return DualCandidate(np.asarray(theta).reshape(buckets, 3), cap=_CAP,
                              label=label)
 
     def objective(theta):
@@ -264,7 +265,7 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     best_est = dual_bound_perturbed(pair, y, bundle, best_cand, claim)
     table.append(("nm", best_est))
     if base.mean <= best_est.mean:
-        best_cand = DualCandidate(np.zeros((buckets, 3)), cap=cap,
+        best_cand = DualCandidate(np.zeros((buckets, 3)), cap=_CAP,
                                   label="mmm")
         best_est = base
     return DualOpt(best=best_cand, estimate=best_est, table=table,
@@ -283,9 +284,6 @@ class SubrepReport:
     rows: list            # [(shift, Estimate)]
     min_shift: float
     minimum: Estimate
-
-    def as_dict(self) -> dict:
-        return {f"{x:g}": e.mean for x, e in self.rows}
 
 
 def subreplication_estimate(claim: ClaimSpec, params: HestonParams,

@@ -1,4 +1,4 @@
-"""Monte Carlo point estimates with standard errors and confidence bounds."""
+"""Monte Carlo point estimates with standard errors."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -15,27 +14,12 @@ class Estimate:
 
     ``mean`` may be ``-inf`` when any contributing sample is ``-inf`` (the
     convention for utility estimates that leave the utility's domain); in
-    that case ``stderr`` is ``inf`` and the confidence interval collapses
-    to ``(-inf, -inf)``.
+    that case ``stderr`` is ``inf``.
     """
 
     mean: float
     stderr: float
     paths: int
-    confidence: float = 0.95
-
-    @property
-    def halfwidth(self) -> float:
-        if not math.isfinite(self.mean):
-            return math.inf
-        z = ndtri(0.5 + self.confidence / 2.0)
-        return z * self.stderr
-
-    def ci(self) -> tuple[float, float]:
-        """Two-sided confidence bounds at the stored confidence level."""
-        if self.mean == -math.inf:
-            return (-math.inf, -math.inf)
-        return (self.mean - self.halfwidth, self.mean + self.halfwidth)
 
     def __str__(self) -> str:
         if not math.isfinite(self.mean):
@@ -43,7 +27,7 @@ class Estimate:
         return f"{self.mean:.6g} +/- {self.stderr:.2g} (n={self.paths})"
 
 
-def mc_estimate(samples: np.ndarray, confidence: float = 0.95) -> Estimate:
+def mc_estimate(samples: np.ndarray) -> Estimate:
     """Build an :class:`Estimate` from a 1-D array of per-path samples.
 
     Standard error uses the unbiased sample variance (``ddof=1``).  Any
@@ -54,12 +38,12 @@ def mc_estimate(samples: np.ndarray, confidence: float = 0.95) -> Estimate:
     if n == 0:
         raise ValueError("cannot estimate from zero samples")
     if np.any(np.isneginf(samples)):
-        return Estimate(-math.inf, math.inf, n, confidence)
+        return Estimate(-math.inf, math.inf, n)
     if np.any(~np.isfinite(samples)):
         raise ValueError("samples contain nan or +inf")
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return Estimate(mean, se, n, confidence)
+    return Estimate(mean, se, n)
 
 
 def combined_se(*estimates: Estimate) -> float:

@@ -76,6 +76,10 @@ _DEFAULTS: dict = {
 #: fields a kind section still accepts and ignores
 _RETIRED = {"sweep": ("price_tol",)}
 
+#: what a builder raises on a malformed or out-of-range section
+_BUILD_ERRORS = (ValueError, TypeError, KeyError, AttributeError,
+                 OverflowError)
+
 
 def default_config() -> dict:
     return json.loads(json.dumps(_DEFAULTS))
@@ -100,7 +104,7 @@ def _number(val) -> float:
     """``float(val)``, or NaN (which fails every comparison) if malformed."""
     try:
         return float(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return math.nan
 
 
@@ -108,6 +112,11 @@ def _floats(val) -> list[float] | None:
     """A nonempty list of numbers as floats; ``None`` for anything else."""
     out = [_number(v) for v in val] if isinstance(val, (list, tuple)) else []
     return None if not out or any(math.isnan(v) for v in out) else out
+
+
+def _count(val) -> bool:
+    """Whether ``val`` is a JSON integer (``true`` is an int to Python)."""
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _t_prime_ok(cfg: dict, t_prime) -> bool:
@@ -119,7 +128,7 @@ def _t_prime_ok(cfg: dict, t_prime) -> bool:
         return False
     try:
         grid = build_market(cfg)[1]
-    except (ValueError, TypeError, KeyError, AttributeError):
+    except _BUILD_ERRORS:
         return True
     try:
         return grid.node_index(float(t_prime)) < grid.steps
@@ -135,38 +144,38 @@ def validate_config(cfg: dict) -> list[dict]:
         errs.append({"field": fieldname, "reason": str(reason)})
 
     def counts(sec, kind, *keys):
-        # JSON true is an int to Python, and no count
         for key in keys:
             val = sec.get(key, 1)
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            if not _count(val) or val < 1:
                 bad(f"{kind}.{key}", "must be a positive integer")
             elif (key in ("hedge_buckets", "buckets") and
-                  isinstance(cfg.get("steps"), int) and val > cfg["steps"]):
+                  _count(cfg.get("steps")) and val > cfg["steps"]):
                 bad(f"{kind}.{key}", "must not exceed steps")
 
-    if cfg.get("version") != CONFIG_VERSION:
+    version = cfg.get("version")
+    if isinstance(version, bool) or version != CONFIG_VERSION:
         bad("version", f"must be {CONFIG_VERSION}")
     kind = cfg.get("kind")
     if kind not in KINDS:
         bad("kind", f"must be one of {KINDS}")
     seed = cfg.get("seed")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not _count(seed) or not 0 <= seed < 2**64:
         bad("seed", "must be an unsigned 64-bit integer")
     for name in ("paths", "steps"):
         val = cfg.get(name)
-        if not isinstance(val, int) or val < 1:
+        if not _count(val) or val < 1:
             bad(name, "must be a positive integer")
     try:
         build_market(cfg)
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except _BUILD_ERRORS as exc:
         bad("market", exc)
     try:
         build_utility(cfg)
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except _BUILD_ERRORS as exc:
         bad("utility", exc)
     try:
         build_claim(cfg)
-    except (ValueError, TypeError, KeyError, AttributeError, OSError) as exc:
+    except _BUILD_ERRORS + (OSError,) as exc:
         bad("claim", exc)
 
     section = "oracle" if kind == "oracle-check" else kind

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import GeneralMarketCoeffs, TimeGrid
+from .market import (GeneralMarketCoeffs, TimeGrid, _driver_increments,
+                     _levels)
 from .rng import RandomStream
 
 __all__ = [
@@ -127,11 +128,7 @@ def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
     pairwise summation of each path's energy.
     """
     d = coeffs.d
-    db = stream.split(0).standard_normals(paths, grid.steps * d)
-    db *= math.sqrt(grid.dt)
-    b = np.zeros((paths, grid.steps + 1, d))
-    np.cumsum(db.reshape(paths, grid.steps, d), axis=1, out=b[:, 1:, :])
-    del db
+    b = _levels(_driver_increments(stream.split(0), grid, paths, d=d))
     t = grid.times
 
     nu = np.empty((grid.steps, paths, d))
@@ -172,12 +169,8 @@ def nondegeneracy_check(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
                         paths: int, stream: RandomStream,
                         threshold: float = 1e-12) -> NondegeneracyReport:
     """Probe ``|sigma_n|`` over simulated nodes and flag degeneracy."""
-    d = coeffs.d
-    sq = math.sqrt(grid.dt)
-    flat = stream.split(0).standard_normals(paths, grid.steps * d)
-    db = sq * flat.reshape(paths, grid.steps, d)
-    b = np.zeros((paths, grid.steps + 1, d))
-    np.cumsum(db, axis=1, out=b[:, 1:, :])
+    b = _levels(_driver_increments(stream.split(0), grid, paths,
+                                   d=coeffs.d))
 
     min_norm = math.inf
     below = 0

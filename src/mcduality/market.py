@@ -206,17 +206,25 @@ def _cir_full_truncation(params: HestonParams, grid: TimeGrid,
 
 
 def _driver_increments(stream: RandomStream, grid: TimeGrid, paths: int,
-                       workers: int | None) -> np.ndarray:
-    """``sqrt(dt)``-scaled standard normals of a substream, ``(paths, steps)``."""
-    d = stream.standard_normals(paths, grid.steps, workers)
-    d *= math.sqrt(grid.dt)
-    return d
+                       workers: int | None = None,
+                       d: int | None = None) -> np.ndarray:
+    """``sqrt(dt)``-scaled standard normals of a substream.
+
+    The shape is ``(paths, steps)``, or ``(paths, steps, d)`` for a
+    ``d``-dimensional driver, whose ``d`` coordinates of one step are
+    consecutive draws of a path's row.
+    """
+    cols = grid.steps if d is None else grid.steps * d
+    z = stream.standard_normals(paths, cols, workers)
+    z *= math.sqrt(grid.dt)
+    return z if d is None else z.reshape(paths, grid.steps, d)
 
 
-def _levels(d: np.ndarray) -> np.ndarray:
-    """Running sums of increments from a zero column, ``(paths, steps+1)``."""
-    out = np.zeros((d.shape[0], d.shape[1] + 1))
-    np.cumsum(d, axis=1, out=out[:, 1:])
+def _levels(inc: np.ndarray) -> np.ndarray:
+    """Running sums of increments over axis 1 from a zero slice, so
+    ``(paths, steps[, d])`` increments give ``(paths, steps+1[, d])``."""
+    out = np.zeros((inc.shape[0], inc.shape[1] + 1) + inc.shape[2:])
+    np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
 
 
@@ -339,7 +347,6 @@ class GeneralPaths:
     times: np.ndarray
     b: np.ndarray        # (paths, steps+1, d)
     s: np.ndarray        # (paths, steps+1) price
-    m: np.ndarray        # (paths, steps+1) martingale part
     n: float             # family index (math.inf for the limit market)
 
     @property
@@ -359,25 +366,18 @@ def simulate_general_market(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
     Reusing the same ``stream`` across family indices gives common driver
     paths, which is what the convergence diagnostics assume.
     """
-    d = coeffs.d
-    sq = math.sqrt(grid.dt)
-    flat = stream.split(0).standard_normals(paths, grid.steps * d, workers)
-    db = sq * flat.reshape(paths, grid.steps, d)
-
-    b = np.zeros((paths, grid.steps + 1, d))
-    np.cumsum(db, axis=1, out=b[:, 1:, :])
-
+    db = _driver_increments(stream.split(0), grid, paths, workers,
+                            d=coeffs.d)
+    b = _levels(db)
     s = np.zeros((paths, grid.steps + 1))
-    m = np.zeros((paths, grid.steps + 1))
     t = grid.times
     for k in range(grid.steps):
         sig = coeffs.sigma_at(n, t[k], b[:, k, :])
         lam = coeffs.lam_at(n, t[k], b[:, k, :])
         dm = np.einsum("pd,pd->p", sig, db[:, k, :])
         drift = lam * np.einsum("pd,pd->p", sig, sig) * grid.dt
-        m[:, k + 1] = m[:, k] + dm
         s[:, k + 1] = s[:, k] + drift + dm
-    return GeneralPaths(times=t, b=b, s=s, m=m, n=float(n))
+    return GeneralPaths(times=t, b=b, s=s, n=float(n))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ __all__ = [
     "degenerate_example",
 ]
 
+#: bisection steps after the bracket endpoints before giving up
+_MAX_BISECTIONS = 48
+
 
 # ---------------------------------------------------------------------------
 # indifference pricing
@@ -77,10 +80,6 @@ class PriceResult:
     diagnosis: str = ""
 
 
-def _family_with_floor(family, floor: float):
-    return dataclasses.replace(family, floor=floor)
-
-
 def _secant_slope(evals, p: float) -> float:
     """Local slope of the claim-free value in the price variable.
 
@@ -99,8 +98,7 @@ def _secant_slope(evals, p: float) -> float:
 
 def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                        claim: ClaimSpec, budget: int = 120,
-                       w_family=None, w_budget: int = 40,
-                       constrained_u: bool = False, max_iter: int = 48,
+                       w_budget: int = 40, constrained_u: bool = False,
                        u_opt: PrimalOpt | None = None, *,
                        _gains=None) -> PriceResult:
     """Solve ``w(x + p) = u(x)`` for ``p`` by noise-aware bisection.
@@ -125,13 +123,12 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                            iterations=0, converged=False,
                            diagnosis="claim-side estimate is -inf")
 
-    if w_family is None:
-        w_family = family
+    w_family = family
     if constrained_u:
         # match the claim-free floor to the enforced one so that the
         # bracket endpoints compare pathwise against the claim side
-        slack = family.slack
-        w_family = _family_with_floor(w_family, x + claim.phi_min - slack)
+        w_family = dataclasses.replace(
+            family, floor=x + claim.phi_min - family.slack)
 
     # the claim-free searches differ only in capital: one hedge evaluation
     gains = _component_gains(w_family, bundle) if _gains is None else _gains
@@ -170,7 +167,7 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
     p, w_p = lo, w_lo
     iters = 2
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         p = 0.5 * (lo + hi)
         w_p = w_value(x + p)
         evals.append((p, w_p))
@@ -189,8 +186,8 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                        w_estimate=w_p, stderr=se_price, iterations=iters,
                        converged=converged,
                        diagnosis="" if converged else
-                       f"noise floor not reached in {max_iter} bisections "
-                       f"(bracket width {hi - lo:.3g})")
+                       f"noise floor not reached in {_MAX_BISECTIONS} "
+                       f"bisections (bracket width {hi - lo:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +242,10 @@ class SweepResult:
         se = math.hypot(p0.stderr, pr.stderr)
         return p0.price - pr.price, se
 
-    def triple(self, rho: float):
-        """Diagnostic triple: claim value at rho, constrained value, cap."""
-        return (self.row(rho).u_headline.estimate,
-                self.row(0.0).u_constrained.result.estimate,
-                self.cap_value)
-
 
 def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
               params: HestonParams, grid: TimeGrid, paths: int, seed: int,
               rho_values, y_grid, hedge_buckets: int = 8,
-              scale_bounds=(-1.6, 0.4), const_bounds=(-1.0, 3.5),
-              lin_bounds=(-1.0, 2.5),
-              floor: float = 6.0, max_holding: float = 25.0,
               budget: int = 120, w_budget: int = 40,
               workers: int | None = None) -> SweepResult:
     """Bounds, cap and prices across correlation values on a shared seed.
@@ -291,10 +279,10 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
         bundle = bundles[rho]
         hedge = lsmc_hedge(claim, bundle, buckets=hedge_buckets)
         family = HedgeMixFamily(hedge=hedge.strategy,
-                                scale_bounds=scale_bounds,
-                                const_bounds=const_bounds,
-                                lin_bounds=lin_bounds, floor=floor,
-                                max_holding=max_holding)
+                                scale_bounds=(-1.6, 0.4),
+                                const_bounds=(-1.0, 3.5),
+                                lin_bounds=(-1.0, 2.5), floor=6.0,
+                                max_holding=25.0)
         # both claim searches run on one evaluation of the hedge
         gains = _component_gains(family, bundle)
         u_unc = _search(pair, x, family, bundle, claim, False, budget, gains)

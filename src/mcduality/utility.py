@@ -1,13 +1,13 @@
 """Utility functions, Fenchel conjugates, and bounded claim payoffs.
 
-Three utility families are supported: power ``U(x) = x**p / p`` with ``p < 1``
-(``p = 0`` is read as logarithmic utility), exponential ``U(x) = -exp(-a*x)``,
-and tabulated utilities given by a monotone concave sample grid.  Power and
-log utilities live on the positive half line and evaluate to ``-inf`` for
-negative wealth; exponential utility lives on the whole line.
+Two utility families are supported: power ``U(x) = x**p / p`` with ``p < 1``
+(``p = 0`` is read as logarithmic utility) and exponential
+``U(x) = -exp(-a*x)``.  Power and log utilities live on the positive half
+line and evaluate to ``-inf`` for negative wealth; exponential utility lives
+on the whole line.
 
-The conjugate ``V(y) = sup_x [U(x) - x*y]`` has closed forms for the
-parametric families.  The constrained variant
+The conjugate ``V(y) = sup_x [U(x) - x*y]`` has closed forms for both
+families.  The constrained variant
 
     ``V_c(y, z) = sup_{x > -m} [U(x + z) - x*y]``
 
@@ -23,7 +23,7 @@ extrapolation outside them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,9 @@ __all__ = [
     "UtilitySpec",
     "ConjugatePair",
     "ClaimSpec",
-    "ElasticityReport",
     "constrained_conjugate",
-    "asymptotic_elasticity",
     "exp_identity_check",
     "load_claim_table",
-    "save_claim_table",
     "constant_claim",
     "logistic_claim",
     "digital_claim",
@@ -63,14 +60,12 @@ class UtilitySpec:
     """One utility function.
 
     Use the classmethod constructors: :meth:`power`, :meth:`log`,
-    :meth:`exponential`, :meth:`tabulated`.
+    :meth:`exponential`.
     """
 
     kind: str
     p: float = 0.0
     alpha: float = 0.0
-    xs: np.ndarray | None = field(default=None, repr=False)
-    us: np.ndarray | None = field(default=None, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -92,46 +87,12 @@ class UtilitySpec:
             raise ValueError(f"exponential coefficient must be > 0, got {alpha}")
         return cls(kind="exponential", alpha=float(alpha))
 
-    @classmethod
-    def tabulated(cls, xs, us) -> "UtilitySpec":
-        """Piecewise-linear utility through strictly increasing samples.
-
-        The samples must be strictly increasing in both coordinates and
-        concave (non-increasing secant slopes).  Left of the first knot the
-        utility is ``-inf``; right of the last knot it extends linearly with
-        the final secant slope.
-        """
-        xs = _as_float_array(xs).ravel()
-        us = _as_float_array(us).ravel()
-        if xs.size != us.size or xs.size < 2:
-            raise ValueError("tabulated utility needs >= 2 matching samples")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("tabulated utility grid must be strictly increasing")
-        if not np.all(np.diff(us) > 0):
-            raise ValueError("tabulated utility values must be strictly increasing")
-        slopes = np.diff(us) / np.diff(xs)
-        if np.any(np.diff(slopes) > 1e-12 * np.maximum(1.0, np.abs(slopes[:-1]))):
-            raise ValueError("tabulated utility must be concave")
-        return cls(kind="tabulated", xs=xs, us=us)
-
     # -- basic properties ---------------------------------------------------
 
     @property
     def is_halfline(self) -> bool:
         """True when the utility is ``-inf`` somewhere on the left."""
-        return self.kind in ("power", "tabulated")
-
-    @property
-    def domain_left(self) -> float:
-        """Left edge of the effective domain (``-inf`` for whole-line)."""
-        if self.kind == "power":
-            return 0.0
-        if self.kind == "tabulated":
-            return float(self.xs[0])
-        return -math.inf
-
-    def _slopes(self) -> np.ndarray:
-        return np.diff(self.us) / np.diff(self.xs)
+        return self.kind == "power"
 
     # -- evaluation ---------------------------------------------------------
 
@@ -151,16 +112,7 @@ class UtilitySpec:
                 pos = xa > 0
                 out[pos] = np.power(xa[pos], p) / p
             return _maybe_scalar(out, x)
-        if self.kind == "exponential":
-            return _maybe_scalar(-np.exp(-self.alpha * xa), x)
-        # tabulated: interp inside, linear extension to the right, -inf left
-        out = np.interp(xa, self.xs, self.us)
-        right = xa > self.xs[-1]
-        if np.any(right):
-            s = self._slopes()[-1]
-            out = np.where(right, self.us[-1] + s * (xa - self.xs[-1]), out)
-        out = np.where(xa < self.xs[0], -math.inf, out)
-        return _maybe_scalar(out, x)
+        return _maybe_scalar(-np.exp(-self.alpha * xa), x)
 
     def marginal(self, x):
         """Marginal utility U'(x); ``+inf`` at the Inada boundary."""
@@ -175,14 +127,7 @@ class UtilitySpec:
                 out[pos] = np.power(xa[pos], p - 1.0)
             out[xa < 0] = np.nan
             return _maybe_scalar(out, x)
-        if self.kind == "exponential":
-            return _maybe_scalar(self.alpha * np.exp(-self.alpha * xa), x)
-        slopes = self._slopes()
-        idx = np.clip(np.searchsorted(self.xs, xa, side="right") - 1,
-                      0, slopes.size - 1)
-        out = slopes[idx]
-        out = np.where(xa < self.xs[0], np.nan, out)
-        return _maybe_scalar(out, x)
+        return _maybe_scalar(self.alpha * np.exp(-self.alpha * xa), x)
 
     def inverse_marginal(self, y):
         """Inverse of the marginal utility on y > 0."""
@@ -195,9 +140,7 @@ class UtilitySpec:
             else:
                 out = np.power(ya, 1.0 / (self.p - 1.0))
             return _maybe_scalar(out, y)
-        if self.kind == "exponential":
-            return _maybe_scalar(-np.log(ya / self.alpha) / self.alpha, y)
-        raise NotImplementedError("inverse marginal of a tabulated utility")
+        return _maybe_scalar(-np.log(ya / self.alpha) / self.alpha, y)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +149,7 @@ class UtilitySpec:
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """A utility together with its Fenchel conjugate ``V``.
-
-    ``V`` is evaluated in closed form for power/log/exponential utilities
-    and by maximization over the sample grid for tabulated ones (exact for
-    piecewise-linear concave utilities, which attain the sup at a knot).
-    """
+    """A utility together with its Fenchel conjugate ``V`` in closed form."""
 
     utility: UtilitySpec
 
@@ -228,21 +166,12 @@ class ConjugatePair:
                 q = p / (p - 1.0)
                 out = ((1.0 - p) / p) * np.power(ya, q)
             return _maybe_scalar(out, y)
-        if u.kind == "exponential":
-            a = u.alpha
-            out = (ya / a) * (np.log(ya / a) - 1.0)
-            return _maybe_scalar(out, y)
-        # tabulated: sup over knots, valid only when the sup is finite
-        s_last = u._slopes()[-1]
-        if np.any(ya < s_last - 1e-15):
-            raise ValueError(
-                "conjugate of tabulated utility is +inf below the final slope")
-        vals = u.us - ya[..., None] * u.xs
-        out = vals.max(axis=-1)
+        a = u.alpha
+        out = (ya / a) * (np.log(ya / a) - 1.0)
         return _maybe_scalar(out, y)
 
     def v_prime(self, y):
-        """Derivative V'(y) = -inverse_marginal(y) (parametric kinds only)."""
+        """Derivative V'(y) = -inverse_marginal(y)."""
         ya = _as_float_array(y)
         if np.any(ya <= 0):
             raise ValueError("conjugate requires y > 0")
@@ -262,8 +191,6 @@ def constrained_conjugate(pair: ConjugatePair, y, z, phi_min: float):
     if np.any(ya <= 0):
         raise ValueError("constrained conjugate requires y > 0")
     u = pair.utility
-    if u.kind == "tabulated":
-        raise NotImplementedError("constrained conjugate of tabulated utility")
     edge = za - phi_min
     if u.is_halfline and np.any(edge < -1e-12):
         raise ValueError("claim value below declared infimum (z < phi_min)")
@@ -301,83 +228,6 @@ def exp_identity_check(alpha: float, y_grid, c_grid) -> tuple[float, float]:
     rhs = Y * (pair.v_prime(Y * np.exp(alpha * C)) - 1.0 / alpha)
     err2 = np.abs(lhs - rhs)
     return float(err1.max()), float(err2.max())
-
-
-# ---------------------------------------------------------------------------
-# asymptotic elasticity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ElasticityReport:
-    """Empirical asymptotic elasticities with pass/fail flags."""
-
-    ae_plus: float
-    ok_plus: bool
-    ae_minus: float | None
-    ok_minus: bool | None
-    dropped_probes: int = 0
-
-
-def asymptotic_elasticity(spec: UtilitySpec, probes=None) -> ElasticityReport:
-    """Probe ``x U'(x) / U(x)`` on a geometric grid and report tail values.
-
-    ``ae_plus`` is the largest ratio over the outermost probe decade as
-    ``x -> +inf`` (flag: must be < 1); for whole-line utilities ``ae_minus``
-    is the smallest ratio over the outermost usable decade as ``x -> -inf``
-    (flag: must be > 1).  When the utility is nonpositive at the right tail
-    the ratio is computed against ``U`` shifted to be positive there (the
-    usual normalization ``U(0) > 0`` of the elasticity conditions); probes
-    where evaluation overflows are dropped and counted.
-    """
-    if probes is None:
-        probes = np.logspace(0, 7, 29)
-    probes = np.sort(_as_float_array(probes).ravel())
-    if probes[-1] < 1e6:
-        raise ValueError("probe grid must reach at least 1e6")
-    if np.any(probes <= 0):
-        raise ValueError("probes must be positive magnitudes")
-
-    def tail_ratios(xs):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            uprime = _as_float_array(spec.marginal(xs))
-            uval = _as_float_array(spec.u(xs))
-        return uprime, uval
-
-    # +inf tail
-    upr, uva = tail_ratios(probes)
-    finite = np.isfinite(upr) & np.isfinite(uva)
-    xs, upr, uva = probes[finite], upr[finite], uva[finite]
-    dropped = int(probes.size - xs.size)
-    if xs.size == 0:
-        raise ValueError("no finite probes on the positive tail")
-    if uva[-1] <= 0:
-        uva = uva + (1.0 - 2.0 * uva[-1])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios = xs * upr / uva
-    decade = xs >= xs[-1] / 10.0
-    ae_plus = float(np.max(ratios[decade]))
-
-    ae_minus: float | None = None
-    ok_minus: bool | None = None
-    if not spec.is_halfline:
-        neg = -probes
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            uprm = _as_float_array(spec.marginal(neg))
-            uvam = _as_float_array(spec.u(neg))
-            rat = neg * uprm / uvam
-        ok = np.isfinite(rat)
-        dropped += int(probes.size - ok.sum())
-        if not np.any(ok):
-            raise ValueError("no finite probes on the negative tail")
-        xs_m = probes[ok]
-        rat = rat[ok]
-        decade_m = xs_m >= xs_m[-1] / 10.0
-        ae_minus = float(np.min(rat[decade_m]))
-        ok_minus = bool(ae_minus > 1.0)
-
-    return ElasticityReport(ae_plus=ae_plus, ok_plus=bool(ae_plus < 1.0),
-                            ae_minus=ae_minus, ok_minus=ok_minus,
-                            dropped_probes=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +293,6 @@ def load_claim_table(path) -> ClaimSpec:
             knots.append(float(parts[0]))
             values.append(float(parts[1]))
     return ClaimSpec(knots, values)
-
-
-def save_claim_table(claim: ClaimSpec, path) -> None:
-    """Write a claim in the two-column text format read by ``load_claim_table``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# z  phi(z)\n")
-        for z, v in zip(claim.knots, claim.values):
-            fh.write(f"{z:.17g} {v:.17g}\n")
 
 
 def constant_claim(c: float, lo: float = -1.0, hi: float = 1.0) -> ClaimSpec:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mcduality.cli import main
-from mcduality.utility import logistic_claim, save_claim_table
+from mcduality.utility import logistic_claim
 
 TINY_KW = {"version": 1, "kind": "kw", "paths": 300, "steps": 8,
            "kw": {"mode": "nondegenerate", "n_values": [1, 4]}}
@@ -58,11 +58,18 @@ def test_validate_reports_violations(tmp_path, capsys):
      "subreplication.t_prime"),
     ({"kind": "subreplication", "subreplication": {"t_prime": True}},
      "subreplication.t_prime"),
+    ({"version": True}, "version"),
+    ({"seed": True}, "seed"),
+    ({"paths": True}, "paths"),
+    ({"steps": True}, "steps"),
+    ({"market": {"sigma": 1e200}}, "market"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
         "degenerate_x_text", "oracle_not_object", "oracle_values_text",
         "sweep_unknown_key", "oracle_unknown_key", "t_prime_text",
-        "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool"])
+        "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool",
+        "version_bool", "seed_bool", "paths_bool", "steps_bool",
+        "sigma_overflow"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2
@@ -85,6 +92,24 @@ def test_run_malformed_integer_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert [v["field"] for v in err["violations"]] == ["sweep.hedge_buckets"]
+
+
+@pytest.mark.parametrize("cfg, override, field", [
+    ({"kind": "degenerate"}, ["--steps", "8"], "degenerate.buckets"),
+    ({"kind": "subreplication", "subreplication": {"t_prime": 0.5}},
+     ["--steps", "7"], "subreplication.t_prime"),
+    (TINY_KW, ["--seed", "-1"], "seed"),
+    (TINY_KW, ["--paths", "0"], "paths"),
+], ids=["buckets_over_steps", "t_prime_off_grid", "seed_negative",
+        "paths_zero"])
+def test_run_checks_overrides_exit_2(tmp_path, capsys, cfg, override, field):
+    # the overrides are part of the config the run validates
+    path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out), *override]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert [v["field"] for v in err["violations"]] == [field]
+    assert not out.exists()
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -128,8 +153,9 @@ def test_oracle_check_needs_no_config(tmp_path):
 
 
 def test_table_claim_resolved_relative_to_config(tmp_path):
-    save_claim_table(logistic_claim(rate=-2.0, scale=2.0),
-                     tmp_path / "payoff.txt")
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    (tmp_path / "payoff.txt").write_text("".join(
+        f"{z:.17g} {v:.17g}\n" for z, v in zip(claim.knots, claim.values)))
     cfg = write_cfg(tmp_path / "c.json",
                     {"version": 1, "kind": "subreplication", "paths": 400,
                      "steps": 8,

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcduality.experiments import (_fmt, build_claim, build_utility,
-                                   default_config, merge_config,
-                                   run_experiment, validate_config, write_csv,
-                                   write_gnuplot)
+from mcduality.experiments import (KINDS, _fmt, build_claim, build_market,
+                                   build_utility, default_config,
+                                   merge_config, run_experiment,
+                                   validate_config, write_csv, write_gnuplot)
 from mcduality.rng import WORKERS_ENV
-from mcduality.utility import logistic_claim, save_claim_table
+from mcduality.utility import logistic_claim
 
 
 def fields(cfg):
@@ -108,9 +110,45 @@ def test_other_kind_checks():
                       "subreplication": {"shifts": []}}))
 
 
+# any JSON value; texts avoid path separators, so a claim table path names
+# nothing outside the working directory
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=st.characters(blacklist_characters="/\\"),
+              max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _overlay(key, default):
+    """Any JSON value for a config field; a section may instead get a
+    partial overlay of its own fields."""
+    if isinstance(default, dict):
+        return _JSON | st.dictionaries(st.sampled_from(sorted(default)),
+                                       _JSON, max_size=4)
+    return _JSON | st.sampled_from(KINDS) if key == "kind" else _JSON
+
+
+_OVERLAY = st.fixed_dictionaries(
+    {}, optional={key: _overlay(key, val)
+                  for key, val in default_config().items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(user=_OVERLAY)
+def test_validate_any_json_violations_or_builds(user):
+    cfg = merge_config(user)
+    if not validate_config(cfg):
+        build_market(cfg)
+        build_utility(cfg)
+        build_claim(cfg)
+
+
 def test_claim_table_roundtrip(tmp_path):
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    save_claim_table(claim, tmp_path / "claim-table-roundtrip.txt")
+    (tmp_path / "claim-table-roundtrip.txt").write_text("".join(
+        f"{z:.17g} {v:.17g}\n" for z, v in zip(claim.knots, claim.values)))
     cfg = merge_config({"claim": {"kind": "table",
                                   "path": "claim-table-roundtrip.txt"}})
     loaded = build_claim(cfg, base_dir=tmp_path)

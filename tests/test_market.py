@@ -267,10 +267,16 @@ def _scaled_brownian_coeffs():
 
 def test_general_market_scaled_brownian():
     coeffs = _scaled_brownian_coeffs()
-    gp = simulate_general_market(coeffs, 4.0, TimeGrid(1.0, 32), 500,
-                                 RandomStream(6))
+    grid = TimeGrid(1.0, 32)
+    gp = simulate_general_market(coeffs, 4.0, grid, 500, RandomStream(6))
     assert np.allclose(gp.s, gp.b[:, :, 0] / 4.0, atol=1e-12)
-    assert np.array_equal(gp.s, gp.m)  # no drift
+    # no drift: S is the martingale sum of sigma dB, rebuilt from the draws
+    db = RandomStream(6).split(0).standard_normals(500, 32)
+    db *= math.sqrt(grid.dt)
+    m = np.zeros((500, 33))
+    for k in range(32):
+        m[:, k + 1] = m[:, k] + 0.25 * db[:, k]
+    assert np.array_equal(gp.s, m)
 
 
 def test_general_market_limit_is_flat():
