@@ -28,7 +28,8 @@ import numpy as np
 from . import affine, kw, pricing
 from .dual import subreplication_estimate
 from .estimates import mc_estimate
-from .market import HestonParams, TimeGrid, simulate_cir, simulate_driver
+from .market import (HestonParams, TimeGrid, simulate_cir_blocks,
+                     simulate_driver)
 from .rng import RandomStream, worker_count
 from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
                       digital_claim, load_claim_table, logistic_claim)
@@ -494,9 +495,18 @@ def _run_subreplication(cfg, out: Path, workers):
 def _run_oracle_check(cfg, out: Path, workers):
     params, grid = build_market(cfg)
     oc = cfg["oracle"]
-    stream = RandomStream(int(cfg["seed"]))
-    v = simulate_cir(params, grid, int(cfg["paths"]), stream, workers)
-    int_v = v[:, :-1].sum(axis=1) * grid.dt
+    paths = int(cfg["paths"])
+    # each path block is reduced to V_T and the left-endpoint sum of V,
+    # then overwritten by the next, so no (paths, steps+1) array exists
+    v_t, int_v = np.empty(paths), np.empty(paths)
+
+    def reduce(lo, hi, v):
+        v_t[lo:hi] = v[:, -1]
+        np.sum(v[:, :-1], axis=1, out=int_v[lo:hi])
+
+    simulate_cir_blocks(params, grid, paths, RandomStream(int(cfg["seed"])),
+                        reduce, workers)
+    int_v *= grid.dt
     rows = []
     for a in oc["a_values"]:
         for b in oc["b_values"]:
@@ -508,7 +518,7 @@ def _run_oracle_check(cfg, out: Path, workers):
                 rows.append((a, b, math.nan, math.nan, math.nan, math.nan,
                              math.nan))
                 continue
-            est = mc_estimate(np.exp(float(a) * v[:, -1] + float(b) * int_v))
+            est = mc_estimate(np.exp(float(a) * v_t + float(b) * int_v))
             closed = (affine.cir_bond_price(params, -float(b), grid.horizon)
                       if float(a) == 0.0 and float(b) <= 0.0 else math.nan)
             zscore = ((est.mean - exact) / est.stderr

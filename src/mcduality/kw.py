@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import (GeneralMarketCoeffs, TimeGrid, _driver_increments,
-                     _levels)
+from .market import _CHUNK, GeneralMarketCoeffs, TimeGrid, _driver_levels
 from .rng import RandomStream
 
 __all__ = [
@@ -123,17 +122,19 @@ def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
     the coefficient ``H``, the energy and the zero-cell fraction, each equal
     bit for bit to :func:`kw_decompose`'s on the same increments.  The
     cells are laid out time-major, so that each node's ``nu`` and ``sigma``
-    are written contiguously; the products ``H**2 |sigma|**2`` are turned
-    to ``(paths, steps)`` before the sum over steps, which keeps numpy's
-    pairwise summation of each path's energy.
+    are written contiguously.  Per ``n``, ``sigma``, ``H`` and the products
+    ``H**2 |sigma|**2`` are formed for ``market._CHUNK`` nodes at a time,
+    the products going straight into one ``(paths, steps)`` buffer whose
+    rows are summed over steps, which keeps numpy's pairwise summation of
+    each path's energy; zero cells are counted exactly.
     """
-    d = coeffs.d
-    b = _levels(_driver_increments(stream.split(0), grid, paths, d=d))
+    d, steps = coeffs.d, grid.steps
+    b = _driver_levels(stream.split(0), grid, paths, d=d)
     t = grid.times
 
-    nu = np.empty((grid.steps, paths, d))
+    nu = np.empty((steps, paths, d))
     worst = 0.0
-    for k in range(grid.steps):
+    for k in range(steps):
         nu[k] = np.asarray(nu_fn(t[k], b[:, k, :]), dtype=float)
         sig_inf = coeffs.sigma_at(math.inf, t[k], b[:, k, :])
         worst = max(worst, float(np.abs(
@@ -144,14 +145,20 @@ def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
             f"(max |nu . sigma_inf| = {worst:.3g} >= {ORTHO_TOL:g})")
 
     rows = []
-    sigma = np.empty((grid.steps, paths, d))
+    sigma = np.empty((min(_CHUNK, steps), paths, d))
+    products = np.empty((paths, steps))
     for n in n_values:
-        for k in range(grid.steps):
-            sigma[k] = coeffs.sigma_at(n, t[k], b[:, k, :])
-        sig2, h, zero = _coefficient(nu, sigma)
-        energy = np.ascontiguousarray((h**2 * sig2).T).sum(axis=1) * grid.dt
+        zeros = 0
+        for k0 in range(0, steps, _CHUNK):
+            k1 = min(k0 + _CHUNK, steps)
+            for k in range(k0, k1):
+                sigma[k - k0] = coeffs.sigma_at(n, t[k], b[:, k, :])
+            sig2, h, zero = _coefficient(nu[k0:k1], sigma[:k1 - k0])
+            products[:, k0:k1] = (h**2 * sig2).T
+            zeros += int(np.count_nonzero(zero))
+        energy = products.sum(axis=1) * grid.dt
         rows.append(KWDiagRow(n=float(n), energy=mc_estimate(energy),
-                              zero_fraction=float(zero.mean())))
+                              zero_fraction=zeros / (paths * steps)))
     return rows
 
 
@@ -169,8 +176,7 @@ def nondegeneracy_check(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
                         paths: int, stream: RandomStream,
                         threshold: float = 1e-12) -> NondegeneracyReport:
     """Probe ``|sigma_n|`` over simulated nodes and flag degeneracy."""
-    b = _levels(_driver_increments(stream.split(0), grid, paths,
-                                   d=coeffs.d))
+    b = _driver_levels(stream.split(0), grid, paths, d=coeffs.d)
 
     min_norm = math.inf
     below = 0

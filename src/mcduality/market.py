@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .rng import BLOCK_SIZE, RandomStream
+from .rng import BLOCK_SIZE, RandomStream, blocks, map_blocks
 
 __all__ = [
     "HestonParams",
@@ -40,6 +40,7 @@ __all__ = [
     "DistanceReport",
     "simulate_driver",
     "simulate_cir",
+    "simulate_cir_blocks",
     "simulate_heston_market",
     "stochastic_exponential",
     "minimal_martingale_density",
@@ -58,7 +59,8 @@ _CHUNK = 16
 
 @dataclass(frozen=True)
 class HestonParams:
-    """Market parameters; the Feller condition is enforced at construction."""
+    """Market parameters; finiteness and the Feller condition are enforced
+    at construction."""
 
     mu: float
     kappa: float
@@ -69,6 +71,10 @@ class HestonParams:
     horizon: float = 1.0
 
     def __post_init__(self):
+        values = (self.mu, self.kappa, self.theta, self.sigma, self.v0,
+                  self.rho, self.horizon)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("market parameters must be finite numbers")
         if self.kappa <= 0 or self.theta <= 0 or self.sigma <= 0:
             raise ValueError("kappa, theta, sigma must be positive")
         if self.v0 < 0:
@@ -154,55 +160,69 @@ class PathBundle:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _cir_full_truncation(params: HestonParams, grid: TimeGrid,
-                         db: np.ndarray) -> np.ndarray:
-    """Variance paths ``(paths, steps+1)`` from driver increments ``db``.
+def _cir_scratch(width: int) -> np.ndarray:
+    """Scratch of :func:`_cir_block` for blocks of up to ``width`` paths."""
+    return np.empty((2 * _CHUNK + 2, width))
 
-    Full-truncation Euler: with ``x+ = max(x, 0)`` each step is
+
+def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
+               out: np.ndarray, scratch: np.ndarray) -> None:
+    """Variance paths of one path block from its driver increments.
+
+    ``db`` holds the block's ``(m, steps)`` increments of ``B``, with ``m``
+    at most the width of ``scratch`` (:func:`_cir_scratch`), and ``out``
+    receives the ``(m, steps+1)`` paths.  Full-truncation Euler: with
+    ``x+ = max(x, 0)`` each step is
     ``(x + (kappa (theta - x+)) dt) + (sigma sqrt(x+)) dB``, and the stored
-    path is the clipped ``max(x, 0)``.  The recursion walks the paths in
-    blocks of ``rng.BLOCK_SIZE`` and the steps in chunks of ``_CHUNK``
-    time-major rows, so that a chunk's increments and states stay in cache;
-    every step runs in place in scratch of at most one block, in the order
-    above, so the values do not depend on the blocking.
+    path is the clipped ``max(x, 0)``.  The steps are walked in chunks of
+    ``_CHUNK`` time-major rows, so that a chunk's increments and states
+    stay in cache; every step runs in place in ``scratch``, in the order
+    above, so the values depend neither on the chunking nor on how the
+    paths are split into blocks.
     """
-    paths, steps = db.shape
+    m, steps = db.shape
     dt = grid.dt
     kappa, theta, sigma = params.kappa, params.theta, params.sigma
-    # one scratch buffer: a chunk of increments and the states it reaches
-    # (both time-major), the state entering the chunk and x+.  It comes
-    # before the result: allocated after it, the freed scratch left about
-    # 0.3 MiB of heap in use per small bundle.
-    width = min(BLOCK_SIZE, paths)
-    scratch = np.empty((2 * _CHUNK + 2, width))
-    dbt, xt = scratch[:_CHUNK], scratch[_CHUNK:2 * _CHUNK]
-    x, xp = scratch[2 * _CHUNK], scratch[2 * _CHUNK + 1]
-    raw = np.empty((paths, steps + 1))
-    raw[:, 0] = params.v0
-    for lo in range(0, paths, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, paths)
-        m = hi - lo
-        x[:m] = params.v0
-        for k0 in range(0, steps, _CHUNK):
-            k1 = min(k0 + _CHUNK, steps)
-            n = k1 - k0
-            dbt[:n, :m] = db[lo:hi, k0:k1].T
-            prev = x[:m]
-            for j in range(n):
-                cur, pos = xt[j, :m], xp[:m]
-                np.maximum(prev, 0.0, out=pos)
-                np.subtract(theta, pos, out=cur)
-                cur *= kappa
-                cur *= dt
-                cur += prev
-                np.sqrt(pos, out=pos)
-                pos *= sigma
-                pos *= dbt[j, :m]
-                cur += pos
-                prev = cur
-            x[:m] = prev
-            raw[lo:hi, k0 + 1:k1 + 1] = xt[:n, :m].T
-    return np.maximum(raw, 0.0, out=raw)
+    # a chunk of increments and the states it reaches (both time-major),
+    # the state entering the chunk and x+
+    dbt, xt = scratch[:_CHUNK, :m], scratch[_CHUNK:2 * _CHUNK, :m]
+    x, xp = scratch[2 * _CHUNK, :m], scratch[2 * _CHUNK + 1, :m]
+    out[:, 0] = params.v0
+    x[:] = params.v0
+    for k0 in range(0, steps, _CHUNK):
+        k1 = min(k0 + _CHUNK, steps)
+        n = k1 - k0
+        dbt[:n] = db[:, k0:k1].T
+        prev = x
+        for j in range(n):
+            cur = xt[j]
+            np.maximum(prev, 0.0, out=xp)
+            np.subtract(theta, xp, out=cur)
+            cur *= kappa
+            cur *= dt
+            cur += prev
+            np.sqrt(xp, out=xp)
+            xp *= sigma
+            xp *= dbt[j]
+            cur += xp
+            prev = cur
+        x[:] = prev
+        out[:, k0 + 1:k1 + 1] = xt[:n].T
+    np.maximum(out, 0.0, out=out)
+
+
+def _cir_full_truncation(params: HestonParams, grid: TimeGrid,
+                         db: np.ndarray) -> np.ndarray:
+    """Variance paths ``(paths, steps+1)`` from driver increments ``db``,
+    one path block of ``rng.BLOCK_SIZE`` at a time (:func:`_cir_block`)."""
+    paths, steps = db.shape
+    # the scratch comes before the result: allocated after it, the freed
+    # scratch left about 0.3 MiB of heap in use per small bundle
+    scratch = _cir_scratch(min(BLOCK_SIZE, paths))
+    v = np.empty((paths, steps + 1))
+    for _, lo, hi in blocks(paths):
+        _cir_block(params, grid, db[lo:hi], v[lo:hi], scratch)
+    return v
 
 
 def _driver_increments(stream: RandomStream, grid: TimeGrid, paths: int,
@@ -220,6 +240,19 @@ def _driver_increments(stream: RandomStream, grid: TimeGrid, paths: int,
     return z if d is None else z.reshape(paths, grid.steps, d)
 
 
+def _increment_blocks(stream: RandomStream, grid: TimeGrid, cols: int,
+                      spans):
+    """Yield ``(lo, hi, db)`` for each path block ``(block, lo, hi)`` of
+    ``spans``: the block's rows of :func:`_driver_increments` with ``cols``
+    columns, drawn into one buffer that the next block overwrites."""
+    buf = np.empty((spans[0][2] - spans[0][1], cols))
+    scale = math.sqrt(grid.dt)
+    for block, lo, hi in spans:
+        db = stream.fill_normals(block, buf[:hi - lo])
+        db *= scale
+        yield lo, hi, db
+
+
 def _levels(inc: np.ndarray) -> np.ndarray:
     """Running sums of increments over axis 1 from a zero slice, so
     ``(paths, steps[, d])`` increments give ``(paths, steps+1[, d])``."""
@@ -228,14 +261,62 @@ def _levels(inc: np.ndarray) -> np.ndarray:
     return out
 
 
+def _driver_levels(stream: RandomStream, grid: TimeGrid, paths: int,
+                   workers: int | None = None,
+                   d: int | None = None) -> np.ndarray:
+    """``_levels(_driver_increments(stream, grid, paths, workers, d))``, bit
+    for bit, with the increments of one path block alive at a time: each
+    block is drawn and summed straight into the levels array."""
+    trail = () if d is None else (d,)
+    out = np.zeros((paths, grid.steps + 1) + trail)
+    cols = grid.steps * (1 if d is None else d)
+
+    def work(spans):
+        for lo, hi, db in _increment_blocks(stream, grid, cols, spans):
+            np.cumsum(db.reshape((hi - lo, grid.steps) + trail), axis=1,
+                      out=out[lo:hi, 1:])
+
+    map_blocks(work, paths, workers)
+    return out
+
+
 def simulate_driver(grid: TimeGrid, paths: int, stream: RandomStream,
                     workers: int | None = None) -> np.ndarray:
     """The variance driver ``B`` alone; a ``(paths, steps+1)`` array.
 
     ``B`` is the same for every market parameter and agrees bit for bit with
-    the ``b`` of :func:`simulate_heston_market` from the same stream.
+    the ``b`` of :func:`simulate_heston_market` from the same stream.  Each
+    path block's increments are drawn and summed into the result in turn,
+    so no ``(paths, steps)`` array of increments exists.
     """
-    return _levels(_driver_increments(stream.split(0), grid, paths, workers))
+    return _driver_levels(stream.split(0), grid, paths, workers)
+
+
+def simulate_cir_blocks(params: HestonParams, grid: TimeGrid, paths: int,
+                        stream: RandomStream, visit,
+                        workers: int | None = None) -> None:
+    """Simulate variance paths one path block at a time.
+
+    The paths are those of :func:`simulate_cir`, bit for bit.  Each block's
+    increments of ``B`` are drawn just before its recursion, so the
+    ``(paths, steps)`` normals never exist.  A block's ``(hi - lo,
+    steps+1)`` variance is written to a block buffer that the next block
+    overwrites; ``visit(lo, hi, v)`` reads it in between.  With several
+    workers the blocks run on threads (:func:`rng.map_blocks`), so
+    ``visit`` may write only to rows ``lo:hi`` of what it fills.
+    """
+    sub = stream.split(0)
+
+    def work(spans):
+        width = spans[0][2] - spans[0][1]
+        scratch = _cir_scratch(width)
+        buf = np.empty((width, grid.steps + 1))
+        for lo, hi, db in _increment_blocks(sub, grid, grid.steps, spans):
+            v = buf[:hi - lo]
+            _cir_block(params, grid, db, v, scratch)
+            visit(lo, hi, v)
+
+    map_blocks(work, paths, workers)
 
 
 def simulate_cir(params: HestonParams, grid: TimeGrid, paths: int,
@@ -244,10 +325,18 @@ def simulate_cir(params: HestonParams, grid: TimeGrid, paths: int,
 
     Draws the increments of ``B`` from the substream that
     :func:`simulate_heston_market` uses, so the variance paths agree bit for
-    bit with a full market simulation from the same stream.
+    bit with a full market simulation from the same stream.  The
+    increments are drawn one path block at a time, just before the block's
+    recursion (:func:`simulate_cir_blocks`), so only the result has the
+    size of all paths.
     """
-    db = _driver_increments(stream.split(0), grid, paths, workers)
-    return _cir_full_truncation(params, grid, db)
+    v = np.empty((paths, grid.steps + 1))
+
+    def store(lo, hi, block):
+        v[lo:hi] = block
+
+    simulate_cir_blocks(params, grid, paths, stream, store, workers)
+    return v
 
 
 def stochastic_exponential(theta, d_m, d_qv) -> np.ndarray:

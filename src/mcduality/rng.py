@@ -1,11 +1,13 @@
 """Deterministic, splittable random streams for path generation.
 
-Path simulation is organized in fixed blocks of path indices.  Every block
-owns a counter-based Philox generator derived from the master seed and the
-block index, so the numbers drawn for block ``k`` do not depend on which
-worker thread happens to fill it, nor on how many workers there are.  All
-reductions downstream operate on fully materialized arrays in path-index
-order, which makes every statistic bit-stable across worker counts.
+Path simulation is organized in fixed blocks of path indices
+(:func:`blocks`).  Every block owns a counter-based Philox generator
+derived from the master seed and the block index, so the numbers drawn for
+block ``k`` do not depend on which worker thread happens to fill it, nor on
+how many workers there are, nor on whether the block's rows are part of a
+whole ``(paths, cols)`` array or drawn alone just before they are used.
+Reductions downstream run per path in path-index order, which makes every
+statistic bit-stable across worker counts.
 
 The worker count defaults to 1 and can be overridden with the
 ``MCDUALITY_WORKERS`` environment variable.
@@ -34,6 +36,37 @@ def worker_count(workers: int | None = None) -> int:
     return workers
 
 
+def blocks(paths: int) -> list[tuple[int, int, int]]:
+    """The path blocks ``(block, lo, hi)`` covering ``paths`` path indices:
+    ``BLOCK_SIZE`` paths each, the last one possibly shorter."""
+    return [(block, lo, min(lo + BLOCK_SIZE, paths))
+            for block, lo in enumerate(range(0, paths, BLOCK_SIZE))]
+
+
+def map_blocks(work, paths: int, workers: int | None = None) -> None:
+    """Run ``work(spans)`` over the path blocks of ``paths``.
+
+    With one worker ``work`` gets every block, in order.  With ``w``
+    workers, thread ``j`` gets every ``w``-th block from block ``j``, so
+    each call can keep its own scratch for the blocks it runs.  ``work``
+    must write each block's results to that block's rows only; then the
+    results do not depend on the worker count.  The first span of every
+    call is its widest.
+    """
+    if paths < 1:
+        raise ValueError("need paths >= 1")
+    spans = blocks(paths)
+    nworkers = min(worker_count(workers), len(spans))
+    if nworkers == 1:
+        work(spans)
+        return
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        futures = [pool.submit(work, spans[j::nworkers])
+                   for j in range(nworkers)]
+        for fut in futures:
+            fut.result()
+
+
 class RandomStream:
     """A labelled substream of a master seed.
 
@@ -58,6 +91,11 @@ class RandomStream:
                                     spawn_key=self.key + (int(block),))
         return np.random.Generator(np.random.Philox(ss))
 
+    def fill_normals(self, block: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (C-contiguous float64 rows of path block ``block``,
+        one row per path) with the block's standard normals, in place."""
+        return self.block_rng(block).standard_normal(out=out)
+
     def standard_normals(self, paths: int, cols: int,
                          workers: int | None = None) -> np.ndarray:
         """Draw a ``(paths, cols)`` array of iid standard normals.
@@ -68,20 +106,12 @@ class RandomStream:
         if paths < 1 or cols < 0:
             raise ValueError("need paths >= 1 and cols >= 0")
         out = np.empty((paths, cols))
-        nblocks = (paths + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-        def fill(block: int) -> None:
-            lo = block * BLOCK_SIZE
-            hi = min(lo + BLOCK_SIZE, paths)
-            out[lo:hi] = self.block_rng(block).standard_normal((hi - lo, cols))
+        def work(spans):
+            for block, lo, hi in spans:
+                self.fill_normals(block, out[lo:hi])
 
-        nworkers = worker_count(workers)
-        if nworkers == 1 or nblocks == 1:
-            for b in range(nblocks):
-                fill(b)
-        else:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                list(pool.map(fill, range(nblocks)))
+        map_blocks(work, paths, workers)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover

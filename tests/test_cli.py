@@ -1,9 +1,15 @@
 """Exit codes and artifacts of the console entry point."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcduality
 from mcduality.cli import main
 from mcduality.utility import logistic_claim
 
@@ -63,13 +69,16 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"paths": True}, "paths"),
     ({"steps": True}, "steps"),
     ({"market": {"sigma": 1e200}}, "market"),
+    ({"market": {"kappa": math.nan}}, "market"),
+    ({"market": {"mu": math.nan}}, "market"),
+    ({"market": {"v0": math.inf}}, "market"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
         "degenerate_x_text", "oracle_not_object", "oracle_values_text",
         "sweep_unknown_key", "oracle_unknown_key", "t_prime_text",
         "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool",
         "version_bool", "seed_bool", "paths_bool", "steps_bool",
-        "sigma_overflow"])
+        "sigma_overflow", "kappa_nan", "mu_nan", "v0_inf"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2
@@ -142,6 +151,23 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
                  str(tmp_path / "f" / "o")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "run failed"
+
+
+def test_oracle_check_nan_market_exit_2(tmp_path):
+    # with kappa NaN the moment oracle's ODE solver never returns, so the
+    # run must stop at validation; a child process bounds a regression
+    path = write_cfg(tmp_path / "c.json", {"market": {"kappa": math.nan}})
+    out = tmp_path / "o"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mcduality.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcduality.cli", "oracle-check", "--config",
+         path, "--paths", "500", "--steps", "8", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert [v["field"] for v in err["violations"]] == ["market"]
+    assert not out.exists()
 
 
 def test_oracle_check_needs_no_config(tmp_path):

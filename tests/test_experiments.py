@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from mcduality.experiments import (KINDS, _fmt, build_claim, build_market,
                                    build_utility, default_config,
                                    merge_config, run_experiment,
                                    validate_config, write_csv, write_gnuplot)
-from mcduality.rng import WORKERS_ENV
+from mcduality.affine import (AffineMomentQuery, MomentExplosionError,
+                              affine_exponential_moment, cir_bond_price)
+from mcduality.estimates import mc_estimate
+from mcduality.market import _cir_full_truncation
+from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 from mcduality.utility import logistic_claim
 
 
@@ -279,6 +284,62 @@ def test_oracle_check_report(tmp_path):
     blown = t[t["a"] == 12.0]
     assert np.all(np.isnan(blown["riccati"]))
     assert np.all(np.isnan(blown["mc_mean"]))
+
+
+def _oracle_rows_draw_all(cfg):
+    # the oracle check as first written: every normal drawn, the whole
+    # variance array simulated, then reduced to V_T and the integral of V
+    params, grid = build_market(cfg)
+    db = math.sqrt(grid.dt) * RandomStream(cfg["seed"]).split(0) \
+        .standard_normals(cfg["paths"], grid.steps)
+    v = _cir_full_truncation(params, grid, db)
+    int_v = v[:, :-1].sum(axis=1) * grid.dt
+    rows = []
+    for a in cfg["oracle"]["a_values"]:
+        for b in cfg["oracle"]["b_values"]:
+            try:
+                exact = affine_exponential_moment(
+                    params, AffineMomentQuery(a, b, grid.horizon))
+            except MomentExplosionError:
+                rows.append((a, b) + (math.nan,) * 5)
+                continue
+            est = mc_estimate(np.exp(a * v[:, -1] + b * int_v))
+            closed = (cir_bond_price(params, -b, grid.horizon)
+                      if a == 0.0 and b <= 0.0 else math.nan)
+            z = (est.mean - exact) / est.stderr if est.stderr > 0 else math.nan
+            rows.append((a, b, exact, closed, est.mean, est.stderr, z))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_check_blocks_are_bitwise_draw_all(tmp_path, workers):
+    # three path blocks, the last of five paths, reduced one at a time
+    cfg = merge_config({"kind": "oracle-check", "paths": 2 * BLOCK_SIZE + 5,
+                        "steps": 37,
+                        "oracle": {"a_values": [-0.5, 0.0, 12.0],
+                                   "b_values": [-0.4, 0.0, 0.3]}})
+    run_experiment(cfg, tmp_path / "run", workers=workers)
+    write_csv(tmp_path / "ref.csv",
+              ["a", "b", "riccati", "closed_form", "mc_mean", "mc_se",
+               "z_score"], _oracle_rows_draw_all(cfg))
+    assert ((tmp_path / "run" / "oracle.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_oracle_check_holds_one_block(tmp_path):
+    # the run's traced peak stays below one (paths, steps+1) float64 array,
+    # so it never holds the variance of all paths (nor all their normals)
+    paths, steps = 3 * BLOCK_SIZE + 5, 64
+    cfg = {"version": 1, "kind": "oracle-check"}
+    run_experiment(cfg, tmp_path / "warm", paths=50, steps=8, workers=1)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, tmp_path / "run", paths=paths, steps=steps,
+                       workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < paths * (steps + 1) * 8
 
 
 def test_degenerate_run_reports(tmp_path):

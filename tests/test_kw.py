@@ -208,25 +208,27 @@ def _path_dependent_family():
 ], ids=["nondegenerate", "degenerate", "path_dependent"])
 def test_diag_is_bitwise_decompose(family, n_values):
     # the diagnostic's energies, SEs and zero fractions are those of a full
-    # kw_decompose on the same increments, bit for bit
+    # kw_decompose on the same increments, bit for bit; 37 steps end in a
+    # partial chunk of nodes
     coeffs, nu_fn = family
-    grid, paths, d = TimeGrid(1.0, 24), 700, coeffs.d
-    rows = kw_convergence_diag(nu_fn, coeffs, n_values, grid, paths,
-                               RandomStream(13))
-    flat = RandomStream(13).split(0).standard_normals(paths, grid.steps * d)
-    db = math.sqrt(grid.dt) * flat.reshape(paths, grid.steps, d)
-    b = np.zeros((paths, grid.steps + 1, d))
-    np.cumsum(db, axis=1, out=b[:, 1:, :])
-    t = grid.times
-    nu = np.stack([np.broadcast_to(nu_fn(t[k], b[:, k, :]), (paths, d))
-                   for k in range(grid.steps)], axis=1)
-    assert len(rows) == len(n_values)
-    for row, n in zip(rows, n_values):
-        sigma = np.stack([coeffs.sigma_at(n, t[k], b[:, k, :])
-                          for k in range(grid.steps)], axis=1)
-        res = kw_decompose(nu, sigma, db, grid.dt)
-        assert row.n == n
-        assert row.energy == res.energy
-        assert row.zero_fraction == res.zero_fraction
-    assert rows[-1].zero_fraction == (1.0 if math.isinf(n_values[-1])
-                                      else 0.0)
+    for steps in (24, 37):
+        grid, paths, d = TimeGrid(1.0, steps), 700, coeffs.d
+        rows = kw_convergence_diag(nu_fn, coeffs, n_values, grid, paths,
+                                   RandomStream(13))
+        flat = RandomStream(13).split(0).standard_normals(paths, steps * d)
+        db = math.sqrt(grid.dt) * flat.reshape(paths, steps, d)
+        b = np.zeros((paths, steps + 1, d))
+        np.cumsum(db, axis=1, out=b[:, 1:, :])
+        t = grid.times
+        nu = np.stack([np.broadcast_to(nu_fn(t[k], b[:, k, :]), (paths, d))
+                       for k in range(steps)], axis=1)
+        assert len(rows) == len(n_values)
+        for row, n in zip(rows, n_values):
+            sigma = np.stack([coeffs.sigma_at(n, t[k], b[:, k, :])
+                              for k in range(steps)], axis=1)
+            res = kw_decompose(nu, sigma, db, grid.dt)
+            assert row.n == n
+            assert row.energy == res.energy
+            assert row.zero_fraction == res.zero_fraction
+        assert rows[-1].zero_fraction == (1.0 if math.isinf(n_values[-1])
+                                          else 0.0)

@@ -11,7 +11,8 @@ from mcduality.market import (GeneralMarketCoeffs, HestonParams, PathBundle,
                               TimeGrid, _cir_full_truncation,
                               minimal_martingale_density,
                               semimartingale_distance, simulate_cir,
-                              simulate_driver, simulate_general_market,
+                              simulate_cir_blocks, simulate_driver,
+                              simulate_general_market,
                               simulate_heston_market, stochastic_exponential)
 from mcduality.rng import BLOCK_SIZE, RandomStream
 
@@ -35,6 +36,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         HestonParams(mu=0.0, kappa=1.0, theta=1.0, sigma=1.0, v0=1.0,
                      horizon=0.0)
+    for name in ("mu", "kappa", "theta", "sigma", "v0", "rho", "horizon"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                HestonParams(**{"mu": 0.5, "kappa": 2.0, "theta": 1.0,
+                                "sigma": 0.7, "v0": 1.0, name: bad})
     p = BASE_PARAMS.with_rho(0.25)
     assert p.rho == 0.25 and p.mu == BASE_PARAMS.mu
 
@@ -120,6 +126,46 @@ def test_cir_blocked_recursion_is_bitwise_step_loop(paths, steps):
     assert np.array_equal(v, ref)
     if paths > BLOCK_SIZE:
         assert (ref == 0.0).any()   # the truncation binds on some paths
+
+
+def _draw_all_increments(stream, grid, paths):
+    # every increment of B drawn at once, as simulation first did
+    return math.sqrt(grid.dt) * stream.split(0).standard_normals(paths,
+                                                                 grid.steps)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cir_per_block_draws_are_bitwise_draw_all(workers):
+    # drawing each path block's normals just before its recursion gives the
+    # paths of drawing all normals first, whether the blocks are stored into
+    # simulate_cir's result or visited one at a time in a block buffer
+    p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3)
+    grid, paths = TimeGrid(1.0, 37), 2 * BLOCK_SIZE + 3
+    ref = _cir_step_loop(p, grid,
+                         _draw_all_increments(RandomStream(8), grid, paths))
+    v = simulate_cir(p, grid, paths, RandomStream(8), workers=workers)
+    assert np.array_equal(v, ref)
+    seen = np.full_like(ref, np.nan)
+    spans = []
+
+    def visit(lo, hi, block):
+        seen[lo:hi] = block
+        spans.append((lo, hi))
+
+    simulate_cir_blocks(p, grid, paths, RandomStream(8), visit, workers)
+    assert np.array_equal(seen, ref)
+    assert sorted(spans) == [(0, BLOCK_SIZE), (BLOCK_SIZE, 2 * BLOCK_SIZE),
+                             (2 * BLOCK_SIZE, paths)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_driver_per_block_draws_are_bitwise_draw_all(workers):
+    grid, paths = TimeGrid(1.0, 37), 2 * BLOCK_SIZE + 3
+    db = _draw_all_increments(RandomStream(8), grid, paths)
+    ref = np.zeros((paths, grid.steps + 1))
+    np.cumsum(db, axis=1, out=ref[:, 1:])
+    b = simulate_driver(grid, paths, RandomStream(8), workers)
+    assert np.array_equal(b, ref)
 
 
 def test_cir_time_step_bias_shrinks_against_oracles():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mcduality.rng import BLOCK_SIZE, RandomStream, worker_count
+from mcduality.rng import (BLOCK_SIZE, RandomStream, blocks, map_blocks,
+                           worker_count)
 
 
 def test_same_seed_same_draws():
@@ -40,6 +41,33 @@ def test_worker_count_does_not_change_values():
     one = s.standard_normals(paths, 2, workers=1)
     four = s.standard_normals(paths, 2, workers=4)
     assert np.array_equal(one, four)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_normals_fill_in_place_is_bitwise_temp_and_copy(workers):
+    # each block's draws written straight into the result equal the block
+    # drawn into a temporary array and copied, as the fill first did
+    s = RandomStream(12)
+    paths, cols = 2 * BLOCK_SIZE + 5, 3
+    ref = np.empty((paths, cols))
+    for block, lo in enumerate(range(0, paths, BLOCK_SIZE)):
+        hi = min(lo + BLOCK_SIZE, paths)
+        ref[lo:hi] = s.block_rng(block).standard_normal((hi - lo, cols))
+    assert np.array_equal(s.standard_normals(paths, cols, workers), ref)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_map_blocks_runs_every_block_once(workers):
+    paths = 3 * BLOCK_SIZE + 17
+    calls = []
+    map_blocks(calls.append, paths, workers)
+    assert len(calls) == min(workers, 4)
+    assert sorted(span for spans in calls for span in spans) == blocks(paths)
+    for spans in calls:  # each call's first span is its widest
+        assert spans[0][2] - spans[0][1] == max(hi - lo for _, lo, hi in spans)
+    assert blocks(5) == [(0, 0, 5)]
+    with pytest.raises(ValueError):
+        map_blocks(calls.append, 0)
 
 
 def test_prefix_stability_across_path_counts():
