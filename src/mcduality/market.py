@@ -15,6 +15,11 @@ The density process ``Z = StochExp(-mu * sqrt(V) . B)`` is a function of
 ``(B, V)`` alone and is therefore shared by every ``rho`` market simulated
 from the same seed.
 
+Every simulator works one path block at a time (:func:`rng.map_blocks`):
+a block's driver increments are drawn just before they are used and its
+paths are written into its own rows, so the bits do not depend on the
+worker count and no ``(paths, steps)`` array of increments exists.
+
 A light general-market family ``dS^n = lambda_n |sigma_n|^2 dt + sigma_n . dB``
 with d-dimensional ``B`` supports degenerate-limit experiments, and
 ``semimartingale_distance`` estimates the gap between two price processes
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .rng import BLOCK_SIZE, RandomStream, blocks, map_blocks
+from .rng import RandomStream, map_blocks
 
 __all__ = [
     "HestonParams",
@@ -211,40 +216,12 @@ def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
     np.maximum(out, 0.0, out=out)
 
 
-def _cir_full_truncation(params: HestonParams, grid: TimeGrid,
-                         db: np.ndarray) -> np.ndarray:
-    """Variance paths ``(paths, steps+1)`` from driver increments ``db``,
-    one path block of ``rng.BLOCK_SIZE`` at a time (:func:`_cir_block`)."""
-    paths, steps = db.shape
-    # the scratch comes before the result: allocated after it, the freed
-    # scratch left about 0.3 MiB of heap in use per small bundle
-    scratch = _cir_scratch(min(BLOCK_SIZE, paths))
-    v = np.empty((paths, steps + 1))
-    for _, lo, hi in blocks(paths):
-        _cir_block(params, grid, db[lo:hi], v[lo:hi], scratch)
-    return v
-
-
-def _driver_increments(stream: RandomStream, grid: TimeGrid, paths: int,
-                       workers: int | None = None,
-                       d: int | None = None) -> np.ndarray:
-    """``sqrt(dt)``-scaled standard normals of a substream.
-
-    The shape is ``(paths, steps)``, or ``(paths, steps, d)`` for a
-    ``d``-dimensional driver, whose ``d`` coordinates of one step are
-    consecutive draws of a path's row.
-    """
-    cols = grid.steps if d is None else grid.steps * d
-    z = stream.standard_normals(paths, cols, workers)
-    z *= math.sqrt(grid.dt)
-    return z if d is None else z.reshape(paths, grid.steps, d)
-
-
 def _increment_blocks(stream: RandomStream, grid: TimeGrid, cols: int,
                       spans):
     """Yield ``(lo, hi, db)`` for each path block ``(block, lo, hi)`` of
-    ``spans``: the block's rows of :func:`_driver_increments` with ``cols``
-    columns, drawn into one buffer that the next block overwrites."""
+    ``spans``: its ``(hi - lo, cols)`` normals of ``stream`` times
+    ``sqrt(dt)``, in one buffer that the next block overwrites.  A step of a
+    ``d``-dimensional driver is ``d`` consecutive draws of a row."""
     buf = np.empty((spans[0][2] - spans[0][1], cols))
     scale = math.sqrt(grid.dt)
     for block, lo, hi in spans:
@@ -253,20 +230,11 @@ def _increment_blocks(stream: RandomStream, grid: TimeGrid, cols: int,
         yield lo, hi, db
 
 
-def _levels(inc: np.ndarray) -> np.ndarray:
-    """Running sums of increments over axis 1 from a zero slice, so
-    ``(paths, steps[, d])`` increments give ``(paths, steps+1[, d])``."""
-    out = np.zeros((inc.shape[0], inc.shape[1] + 1) + inc.shape[2:])
-    np.cumsum(inc, axis=1, out=out[:, 1:])
-    return out
-
-
 def _driver_levels(stream: RandomStream, grid: TimeGrid, paths: int,
                    workers: int | None = None,
                    d: int | None = None) -> np.ndarray:
-    """``_levels(_driver_increments(stream, grid, paths, workers, d))``, bit
-    for bit, with the increments of one path block alive at a time: each
-    block is drawn and summed straight into the levels array."""
+    """Driver levels ``(paths, steps+1[, d])`` from a zero slice; each
+    block's increments are summed straight into its rows."""
     trail = () if d is None else (d,)
     out = np.zeros((paths, grid.steps + 1) + trail)
     cols = grid.steps * (1 if d is None else d)
@@ -285,9 +253,7 @@ def simulate_driver(grid: TimeGrid, paths: int, stream: RandomStream,
     """The variance driver ``B`` alone; a ``(paths, steps+1)`` array.
 
     ``B`` is the same for every market parameter and agrees bit for bit with
-    the ``b`` of :func:`simulate_heston_market` from the same stream.  Each
-    path block's increments are drawn and summed into the result in turn,
-    so no ``(paths, steps)`` array of increments exists.
+    the ``b`` of :func:`simulate_heston_market` from the same stream.
     """
     return _driver_levels(stream.split(0), grid, paths, workers)
 
@@ -297,13 +263,11 @@ def simulate_cir_blocks(params: HestonParams, grid: TimeGrid, paths: int,
                         workers: int | None = None) -> None:
     """Simulate variance paths one path block at a time.
 
-    The paths are those of :func:`simulate_cir`, bit for bit.  Each block's
-    increments of ``B`` are drawn just before its recursion, so the
-    ``(paths, steps)`` normals never exist.  A block's ``(hi - lo,
-    steps+1)`` variance is written to a block buffer that the next block
-    overwrites; ``visit(lo, hi, v)`` reads it in between.  With several
-    workers the blocks run on threads (:func:`rng.map_blocks`), so
-    ``visit`` may write only to rows ``lo:hi`` of what it fills.
+    The paths are those of :func:`simulate_cir`, bit for bit.  A block's
+    ``(hi - lo, steps+1)`` variance is written to a block buffer that the
+    next block overwrites; ``visit(lo, hi, v)`` reads it in between.  With
+    several workers the blocks run on threads, so ``visit`` may write only
+    to rows ``lo:hi`` of what it fills.
     """
     sub = stream.split(0)
 
@@ -325,10 +289,7 @@ def simulate_cir(params: HestonParams, grid: TimeGrid, paths: int,
 
     Draws the increments of ``B`` from the substream that
     :func:`simulate_heston_market` uses, so the variance paths agree bit for
-    bit with a full market simulation from the same stream.  The
-    increments are drawn one path block at a time, just before the block's
-    recursion (:func:`simulate_cir_blocks`), so only the result has the
-    size of all paths.
+    bit with a full market simulation from the same stream.
     """
     v = np.empty((paths, grid.steps + 1))
 
@@ -361,18 +322,33 @@ def stochastic_exponential(theta, d_m, d_qv) -> np.ndarray:
 
 
 def minimal_martingale_density(mu: float, v: np.ndarray, db: np.ndarray,
-                               dt: float) -> np.ndarray:
+                               dt: float, out: np.ndarray | None = None
+                               ) -> np.ndarray:
     """Density paths ``Z = StochExp(-mu * sqrt(V) . B)``.
 
     Left-endpoint variance values feed both the integrand and the bracket,
     so each factor has conditional mean one and ``E[Z_T] = 1`` exactly in
     distribution.  Depends only on ``(B, V)``: the same array serves every
-    ``rho`` market built from the same drivers.
+    ``rho`` market built from the same drivers.  Written to ``out`` (new if
+    None) by way of the log increments, so the integrand is the only
+    temporary; the bits are those of :func:`stochastic_exponential`.
     """
-    vleft = v[:, :-1]
+    if out is None:
+        out = np.empty(v.shape)
     # integrand is -mu*sqrt(V) against B itself, so the bracket increment is
     # plain dt; the V-dependence already sits inside the integrand.
-    return stochastic_exponential(-mu * np.sqrt(vleft), db, dt)
+    theta = np.sqrt(v[:, :-1])
+    theta *= -mu
+    logs = out[:, 1:]
+    np.multiply(theta, db, out=logs)
+    theta *= theta
+    theta *= 0.5
+    theta *= dt
+    logs -= theta
+    out[:, 0] = 1.0
+    np.cumsum(logs, axis=1, out=logs)
+    np.exp(logs, out=logs)
+    return out
 
 
 def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
@@ -381,24 +357,39 @@ def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
     """Simulate a full path bundle ``(B, W, V, S, Z)``.
 
     With a shared stream, ``B``, ``W``, ``V`` and ``Z`` are identical across
-    ``rho`` values; only the price mixing changes.
+    ``rho`` values; only the price mixing changes.  A path block draws its
+    increments of ``B`` (substream 0) and ``W`` (substream 1) and computes
+    all five paths from them in its own rows.
     """
-    if paths < 1:
-        raise ValueError("need at least one path")
-    db = _driver_increments(stream.split(0), grid, paths, workers)
-    dw = _driver_increments(stream.split(1), grid, paths, workers)
-
-    v = _cir_full_truncation(params, grid, db)
-    vleft = v[:, :-1]
-    sqv = np.sqrt(vleft)
-
-    rho = params.rho
+    b, w, v, s, z = (np.zeros((paths, grid.steps + 1)) for _ in range(5))
+    mu, rho, dt = params.mu, params.rho, grid.dt
     mix = math.sqrt(1.0 - rho**2)
-    ds = params.mu * vleft * grid.dt + sqv * (mix * db + rho * dw)
 
-    z = minimal_martingale_density(params.mu, v, db, grid.dt)
-    return PathBundle(times=grid.times, b=_levels(db), w=_levels(dw), v=v,
-                      s=_levels(ds), z=z, seed=stream.seed, params=params)
+    def work(spans):
+        scratch = _cir_scratch(spans[0][2] - spans[0][1])
+        b_blocks = _increment_blocks(stream.split(0), grid, grid.steps, spans)
+        w_blocks = _increment_blocks(stream.split(1), grid, grid.steps, spans)
+        for (lo, hi, db), (_, _, dw) in zip(b_blocks, w_blocks):
+            _cir_block(params, grid, db, v[lo:hi], scratch)
+            minimal_martingale_density(mu, v[lo:hi], db, dt, out=z[lo:hi])
+            np.cumsum(db, axis=1, out=b[lo:hi, 1:])
+            np.cumsum(dw, axis=1, out=w[lo:hi, 1:])
+            # dS = mu V dt + sqrt(V) (mix dB + rho dW), built in place in
+            # the increment buffers, operation by operation as written
+            vleft = v[lo:hi, :-1]
+            db *= mix
+            dw *= rho
+            db += dw
+            np.sqrt(vleft, out=dw)
+            db *= dw
+            np.multiply(mu, vleft, out=dw)
+            dw *= dt
+            db += dw
+            np.cumsum(db, axis=1, out=s[lo:hi, 1:])
+
+    map_blocks(work, paths, workers)
+    return PathBundle(times=grid.times, b=b, w=w, v=v, s=s, z=z,
+                      seed=stream.seed, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +444,27 @@ def simulate_general_market(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
     """Simulate one member of the family on shared driver increments.
 
     Reusing the same ``stream`` across family indices gives common driver
-    paths, which is what the convergence diagnostics assume.
+    paths, which is what the convergence diagnostics assume.  A path block
+    draws its increments of ``B`` (substream 0) and walks the steps of
+    ``S``, so the coefficients see one block of driver levels at a time.
     """
-    db = _driver_increments(stream.split(0), grid, paths, workers,
-                            d=coeffs.d)
-    b = _levels(db)
-    s = np.zeros((paths, grid.steps + 1))
-    t = grid.times
-    for k in range(grid.steps):
-        sig = coeffs.sigma_at(n, t[k], b[:, k, :])
-        lam = coeffs.lam_at(n, t[k], b[:, k, :])
-        dm = np.einsum("pd,pd->p", sig, db[:, k, :])
-        drift = lam * np.einsum("pd,pd->p", sig, sig) * grid.dt
-        s[:, k + 1] = s[:, k] + drift + dm
+    d, steps, t = coeffs.d, grid.steps, grid.times
+    b, s = np.zeros((paths, steps + 1, d)), np.zeros((paths, steps + 1))
+
+    def work(spans):
+        for lo, hi, flat in _increment_blocks(stream.split(0), grid,
+                                              steps * d, spans):
+            db = flat.reshape(hi - lo, steps, d)
+            bb, sb = b[lo:hi], s[lo:hi]
+            np.cumsum(db, axis=1, out=bb[:, 1:])
+            for k in range(steps):
+                sig = coeffs.sigma_at(n, t[k], bb[:, k, :])
+                lam = coeffs.lam_at(n, t[k], bb[:, k, :])
+                dm = np.einsum("pd,pd->p", sig, db[:, k, :])
+                drift = lam * np.einsum("pd,pd->p", sig, sig) * grid.dt
+                sb[:, k + 1] = sb[:, k] + drift + dm
+
+    map_blocks(work, paths, workers)
     return GeneralPaths(times=t, b=b, s=s, n=float(n))
 
 

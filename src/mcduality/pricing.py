@@ -208,10 +208,11 @@ class SweepRow:
     def u_headline(self) -> PrimalResult:
         """The faithful estimate of the claim problem's value at this rho.
 
-        For ``rho != 0`` the endogenous floor is part of the problem, so the
-        constrained search is the honest estimator.  At ``rho = 0`` the claim
-        is replicable and the problem carries no endogenous floor, so the
-        unconstrained search is the right one there.
+        For ``rho != 0`` and a half-line utility the endogenous floor is part
+        of the problem, so the constrained search is the honest estimator.
+        At ``rho = 0`` the claim is replicable and the problem carries no
+        endogenous floor, and a real-line utility imposes no floor at any
+        rho, so the unconstrained search is the right one there.
         """
         if self.headline_constrained:
             return self.u_constrained.result
@@ -287,10 +288,12 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
         gains = _component_gains(family, bundle)
         u_unc = _search(pair, x, family, bundle, claim, False, budget, gains)
         u_con = _search(pair, x, family, bundle, claim, True, budget, gains)
-        # the endogenous floor comes from subreplicating a claim with genuine
-        # spread; a constant claim is replicable everywhere, so its problem
-        # stays unconstrained at every rho
-        constrained_headline = rho != 0.0 and claim.spread > 0.0
+        # the endogenous floor comes from half-line admissibility and from
+        # subreplicating a claim with genuine spread; a constant claim is
+        # replicable everywhere, and a real-line utility admits wealth below
+        # any floor, so those problems stay unconstrained at every rho
+        constrained_headline = (rho != 0.0 and claim.spread > 0.0
+                                and pair.utility.is_halfline)
         row = SweepRow(rho=rho, u_unconstrained=u_unc, u_constrained=u_con,
                        price=None, headline_constrained=constrained_headline)
         u_opt = u_con if constrained_headline else u_unc

@@ -1,5 +1,6 @@
 """Shared fixtures: small path bundles reused across test modules."""
 
+import numpy as np
 import pytest
 
 from mcduality import HestonParams, RandomStream, TimeGrid, simulate_heston_market
@@ -20,3 +21,18 @@ def bundle_rho0():
 def bundle_rho03():
     return simulate_heston_market(BASE_PARAMS.with_rho(0.3), SMALL_GRID,
                                   SMALL_PATHS, RandomStream(SMALL_SEED))
+
+
+def cir_step_loop(params, grid, db):
+    """Full-truncation Euler variance, one step at a time over all paths:
+    the reference for the blocked recursion of the simulators."""
+    paths, steps = db.shape
+    raw = np.empty((paths, steps + 1))
+    raw[:, 0] = params.v0
+    x = np.full(paths, params.v0)
+    for k in range(steps):
+        xp = np.maximum(x, 0.0)
+        x = x + params.kappa * (params.theta - xp) * grid.dt \
+            + params.sigma * np.sqrt(xp) * db[:, k]
+        raw[:, k + 1] = x
+    return np.maximum(raw, 0.0)

@@ -17,9 +17,10 @@ from mcduality.experiments import (KINDS, _fmt, build_claim, build_market,
 from mcduality.affine import (AffineMomentQuery, MomentExplosionError,
                               affine_exponential_moment, cir_bond_price)
 from mcduality.estimates import mc_estimate
-from mcduality.market import _cir_full_truncation
 from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 from mcduality.utility import logistic_claim
+
+from conftest import cir_step_loop
 
 
 def fields(cfg):
@@ -292,7 +293,7 @@ def _oracle_rows_draw_all(cfg):
     params, grid = build_market(cfg)
     db = math.sqrt(grid.dt) * RandomStream(cfg["seed"]).split(0) \
         .standard_normals(cfg["paths"], grid.steps)
-    v = _cir_full_truncation(params, grid, db)
+    v = cir_step_loop(params, grid, db)
     int_v = v[:, :-1].sum(axis=1) * grid.dt
     rows = []
     for a in cfg["oracle"]["a_values"]:

@@ -8,15 +8,15 @@ import pytest
 from mcduality.affine import AffineMomentQuery, affine_exponential_moment
 from mcduality.estimates import mc_estimate
 from mcduality.market import (GeneralMarketCoeffs, HestonParams, PathBundle,
-                              TimeGrid, _cir_full_truncation,
-                              minimal_martingale_density,
+                              TimeGrid, minimal_martingale_density,
                               semimartingale_distance, simulate_cir,
                               simulate_cir_blocks, simulate_driver,
                               simulate_general_market,
                               simulate_heston_market, stochastic_exponential)
 from mcduality.rng import BLOCK_SIZE, RandomStream
 
-from conftest import BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED
+from conftest import (BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED,
+                      cir_step_loop)
 
 
 def _se(x):
@@ -98,18 +98,10 @@ def test_driver_matches_market_bundle(bundle_rho0):
     assert np.array_equal(b, bundle_rho0.b)
 
 
-def _cir_step_loop(params, grid, db):
-    # one full-truncation Euler step at a time over all paths
-    paths, steps = db.shape
-    raw = np.empty((paths, steps + 1))
-    raw[:, 0] = params.v0
-    x = np.full(paths, params.v0)
-    for k in range(steps):
-        xp = np.maximum(x, 0.0)
-        x = x + params.kappa * (params.theta - xp) * grid.dt \
-            + params.sigma * np.sqrt(xp) * db[:, k]
-        raw[:, k + 1] = x
-    return np.maximum(raw, 0.0)
+def _draw_all_increments(stream, grid, paths, label=0, d=1):
+    # every increment of a driver drawn at once, as simulation first did
+    return math.sqrt(grid.dt) * stream.split(label).standard_normals(
+        paths, grid.steps * d)
 
 
 @pytest.mark.parametrize("paths, steps", [
@@ -120,18 +112,12 @@ def test_cir_blocked_recursion_is_bitwise_step_loop(paths, steps):
     # large sigma makes the truncation bind on some paths
     p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3)
     grid = TimeGrid(1.0, steps)
-    db = math.sqrt(grid.dt) * RandomStream(4).standard_normals(paths, steps)
-    v = _cir_full_truncation(p, grid, db)
-    ref = _cir_step_loop(p, grid, db)
+    v = simulate_cir(p, grid, paths, RandomStream(4))
+    ref = cir_step_loop(p, grid, _draw_all_increments(RandomStream(4), grid,
+                                                      paths))
     assert np.array_equal(v, ref)
     if paths > BLOCK_SIZE:
         assert (ref == 0.0).any()   # the truncation binds on some paths
-
-
-def _draw_all_increments(stream, grid, paths):
-    # every increment of B drawn at once, as simulation first did
-    return math.sqrt(grid.dt) * stream.split(0).standard_normals(paths,
-                                                                 grid.steps)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -141,8 +127,8 @@ def test_cir_per_block_draws_are_bitwise_draw_all(workers):
     # simulate_cir's result or visited one at a time in a block buffer
     p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3)
     grid, paths = TimeGrid(1.0, 37), 2 * BLOCK_SIZE + 3
-    ref = _cir_step_loop(p, grid,
-                         _draw_all_increments(RandomStream(8), grid, paths))
+    ref = cir_step_loop(p, grid,
+                        _draw_all_increments(RandomStream(8), grid, paths))
     v = simulate_cir(p, grid, paths, RandomStream(8), workers=workers)
     assert np.array_equal(v, ref)
     seen = np.full_like(ref, np.nan)
@@ -228,8 +214,8 @@ def test_density_recomputes_from_bundle(bundle_rho0):
 def test_density_zero_drift_is_one():
     p = HestonParams(mu=0.0, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
     grid = TimeGrid(1.0, 32)
-    db = math.sqrt(grid.dt) * RandomStream(5).standard_normals(100, 32)
-    v = _cir_full_truncation(p, grid, db)
+    db = _draw_all_increments(RandomStream(5), grid, 100)
+    v = simulate_cir(p, grid, 100, RandomStream(5))
     z = minimal_martingale_density(0.0, v, db, grid.dt)
     assert np.array_equal(z, np.ones((100, 33)))
 
@@ -279,6 +265,42 @@ def test_shared_seed_rho_invariance(bundle_rho0, bundle_rho03):
     assert not np.array_equal(bundle_rho0.s, bundle_rho03.s)
 
 
+def _levels(inc):
+    # running sums over axis 1 from a zero slice
+    out = np.zeros((inc.shape[0], inc.shape[1] + 1) + inc.shape[2:])
+    np.cumsum(inc, axis=1, out=out[:, 1:])
+    return out
+
+
+def _reference_heston_market(params, grid, paths, stream):
+    # every increment drawn at once and each path array built whole over
+    # all paths, as the bundle was first simulated
+    db = _draw_all_increments(stream, grid, paths)
+    dw = _draw_all_increments(stream, grid, paths, label=1)
+    v = cir_step_loop(params, grid, db)
+    vleft = v[:, :-1]
+    mix = math.sqrt(1.0 - params.rho**2)
+    ds = params.mu * vleft * grid.dt \
+        + np.sqrt(vleft) * (mix * db + params.rho * dw)
+    z = stochastic_exponential(-params.mu * np.sqrt(vleft), db, grid.dt)
+    return {"b": _levels(db), "w": _levels(dw), "v": v, "s": _levels(ds),
+            "z": z}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("paths, steps", [(2 * BLOCK_SIZE + 3, 37), (5, 3)])
+def test_bundle_is_bitwise_whole_array_reference(paths, steps, workers):
+    # three path blocks, the last of three paths, and a one-block bundle;
+    # the large sigma makes the truncation bind on some of the long paths
+    p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3,
+                     rho=0.3)
+    grid = TimeGrid(1.0, steps)
+    got = simulate_heston_market(p, grid, paths, RandomStream(12), workers)
+    ref = _reference_heston_market(p, grid, paths, RandomStream(12))
+    for f in ("b", "w", "v", "s", "z"):
+        assert np.array_equal(getattr(got, f), ref[f]), f
+
+
 def test_worker_count_bit_invariance():
     grid = TimeGrid(1.0, 16)
     a = simulate_heston_market(BASE_PARAMS, grid, 9000, RandomStream(2),
@@ -309,6 +331,43 @@ def _scaled_brownian_coeffs():
 
     return GeneralMarketCoeffs(d=1, sigma=sigma,
                                lam=lambda n, t, b: np.zeros(b.shape[0]))
+
+
+def _reference_general_market(coeffs, n, grid, paths, stream):
+    # every increment drawn at once and each step taken over all paths
+    db = _draw_all_increments(stream, grid, paths, d=coeffs.d).reshape(
+        paths, grid.steps, coeffs.d)
+    b = _levels(db)
+    s = np.zeros((paths, grid.steps + 1))
+    t = grid.times
+    for k in range(grid.steps):
+        sig = coeffs.sigma_at(n, t[k], b[:, k, :])
+        lam = coeffs.lam_at(n, t[k], b[:, k, :])
+        dm = np.einsum("pd,pd->p", sig, db[:, k, :])
+        drift = lam * np.einsum("pd,pd->p", sig, sig) * grid.dt
+        s[:, k + 1] = s[:, k] + drift + dm
+    return b, s
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("paths, steps", [(2 * BLOCK_SIZE + 3, 37), (5, 3)])
+@pytest.mark.parametrize("n", [2.0, math.inf])
+def test_general_market_is_bitwise_whole_array_reference(n, paths, steps,
+                                                         workers):
+    # two drivers and coefficients that read the driver levels, so each
+    # block must see its own rows of b
+    def sigma(n, _t, b):
+        return (0.0 if math.isinf(n) else 1.0 / n) + 0.2 * np.tanh(b)
+
+    coeffs = GeneralMarketCoeffs(
+        d=2, sigma=sigma, lam=lambda n, t, b: 0.5 + 0.1 * b[:, 0] ** 2)
+    grid = TimeGrid(1.0, steps)
+    got = simulate_general_market(coeffs, n, grid, paths, RandomStream(13),
+                                  workers)
+    b, s = _reference_general_market(coeffs, n, grid, paths,
+                                     RandomStream(13))
+    assert np.array_equal(got.b, b)
+    assert np.array_equal(got.s, s)
 
 
 def test_general_market_scaled_brownian():

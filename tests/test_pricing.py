@@ -92,6 +92,25 @@ def test_sweep_structure_and_determinism():
         [r.u_headline.estimate.mean for r in res.rows]
 
 
+@pytest.mark.parametrize("pair, halfline", [(EXP, False), (POWER, True)])
+def test_sweep_headline_floor_only_for_halfline_utility(pair, halfline):
+    # the endogenous floor comes from half-line admissibility: a real-line
+    # utility's headline and price stay unconstrained at every rho, while
+    # both searches still run and fill the u_con columns
+    res = rho_sweep(pair=pair, x=0.75,
+                    claim=logistic_claim(rate=-2.0, scale=2.0),
+                    params=BASE_PARAMS, grid=TimeGrid(1.0, 8), paths=400,
+                    seed=5, rho_values=[0.3, 0.1], y_grid=[1.0],
+                    hedge_buckets=3, budget=8, w_budget=6)
+    for r in res.rows:
+        assert r.headline_constrained == (halfline and r.rho != 0.0)
+        head = r.u_constrained if r.headline_constrained \
+            else r.u_unconstrained
+        assert r.u_headline is head.result
+        assert r.price.u_estimate == head.result.estimate
+        assert math.isfinite(r.u_constrained.result.estimate.mean)
+
+
 def test_sweep_builds_each_rows_gains_once(monkeypatch):
     # the claim searches and the claim-free bisection of a row share one
     # evaluation of the hedge: the floor the bisection changes is not an
