@@ -69,13 +69,12 @@ _DEFAULTS: dict = {
     "subreplication": {"rho": 0.3, "t_prime": None,
                        "shifts": [-5.0, -4.0, -3.0, -2.0, -1.0, 0.0,
                                   1.0, 2.0, 3.0, 4.0, 5.0]},
-    "oracle": {"a_values": [-0.5, 0.0, 0.4], "b_values": [-1.0, -0.4, 0.0],
-               "q_values": [-1.0, 0.5, 2.0]},
+    "oracle": {"a_values": [-0.5, 0.0, 0.4], "b_values": [-1.0, -0.4, 0.0]},
 }
 
 
 #: fields a kind section still accepts and ignores
-_RETIRED = {"sweep": ("price_tol",)}
+_RETIRED = {"sweep": ("price_tol",), "oracle": ("q_values",)}
 
 #: what a builder raises on a malformed or out-of-range section
 _BUILD_ERRORS = (ValueError, TypeError, KeyError, AttributeError,
@@ -221,9 +220,11 @@ def validate_config(cfg: dict) -> list[dict]:
             bad("subreplication.t_prime",
                 "must be null or a grid node strictly before the horizon")
     elif kind == "oracle-check":
-        for key in ("a_values", "b_values", "q_values"):
-            if _floats(sec.get(key)) is None:
-                bad(f"oracle.{key}", "must be a nonempty list of numbers")
+        for key in ("a_values", "b_values"):
+            vals = _floats(sec.get(key))
+            if vals is None or not all(map(math.isfinite, vals)):
+                bad(f"oracle.{key}",
+                    "must be a nonempty list of finite numbers")
     if kind in KINDS and isinstance(sec, dict):
         known = set(_DEFAULTS[section]) | set(_RETIRED.get(section, ()))
         for key in sorted(set(sec) - known):

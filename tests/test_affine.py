@@ -1,14 +1,15 @@
-"""Riccati moment oracle vs the closed-form bond route and frozen values."""
+"""Riccati moment oracle vs the bond closed form, an ODE reference and
+frozen values."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mcduality.affine import (AffineMomentQuery, MomentExplosionError,
-                              affine_exponential_moment, cir_bond_price,
-                              density_moment)
-from mcduality.market import TimeGrid, simulate_heston_market
+from mcduality.affine import (EXPLOSION_THRESHOLD, AffineMomentQuery,
+                              MomentExplosionError, affine_exponential_moment,
+                              cir_bond_price, density_moment)
+from mcduality.market import HestonParams, TimeGrid, simulate_heston_market
 from mcduality.rng import RandomStream
 
 from conftest import BASE_PARAMS
@@ -31,12 +32,75 @@ def test_ode_route_matches_closed_form_bond():
         ode = affine_exponential_moment(BASE_PARAMS,
                                         AffineMomentQuery(0.0, -u, 1.0))
         closed = cir_bond_price(BASE_PARAMS, u, 1.0)
-        assert ode == pytest.approx(closed, rel=1e-8)
+        assert ode == pytest.approx(closed, rel=1e-12)
     # and on a longer horizon
     ode = affine_exponential_moment(BASE_PARAMS,
                                     AffineMomentQuery(0.0, -1.0, 3.0))
     assert ode == pytest.approx(cir_bond_price(BASE_PARAMS, 1.0, 3.0),
-                                rel=1e-8)
+                                rel=1e-12)
+
+
+# sigma = 1 makes Delta = kappa**2 - 2 b, so b = 2 gives Delta == 0 exactly
+_UNIT_SIGMA = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.0, v0=1.0)
+
+
+def _ode_moment(params, a, b, horizon):
+    """The Riccati pair integrated by DOP853 at rtol 1e-13, or ``None`` once
+    ``|psi|`` or ``|phi|`` reaches the explosion threshold."""
+    from scipy.integrate import solve_ivp
+    kappa, theta, sigma = params.kappa, params.theta, params.sigma
+
+    def rhs(_s, y):
+        return (0.5 * sigma**2 * y[0]**2 - kappa * y[0] + b,
+                kappa * theta * y[0])
+
+    def blown(_s, y):
+        return EXPLOSION_THRESHOLD - max(abs(y[0]), abs(y[1]))
+
+    blown.terminal = True
+    sol = solve_ivp(rhs, (0.0, horizon), (a, 0.0), method="DOP853",
+                    rtol=1e-13, atol=1e-14, events=blown)
+    if sol.t_events[0].size > 0 or not sol.success:
+        return None
+    return math.exp(sol.y[1, -1] + sol.y[0, -1] * params.v0)
+
+
+# poles of psi: t* solves C(t*) + k S(t*) = 0 for k = kappa - a
+_POLES = {
+    "delta_pos": (5.0, 0.0, math.atanh(2.0 / 3.0)),
+    "delta_zero": (3.0, 2.0, 2.0),
+    "delta_neg": (0.0, 3.0, 2.0 * math.atan2(math.sqrt(2.0), -2.0)
+                  / math.sqrt(2.0)),
+}
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("b", [-3.0, -0.5, 0.0, 1.0, 2.0, 2.5])
+@pytest.mark.parametrize("horizon", [0.25, 1.0, 2.0])
+def test_closed_form_matches_ode_reference(a, b, horizon):
+    # b < 2, b == 2 and b > 2 cover Delta > 0, Delta == 0 and Delta < 0
+    ref = _ode_moment(_UNIT_SIGMA, a, b, horizon)
+    query = AffineMomentQuery(a, b, horizon)
+    if ref is None:
+        with pytest.raises(MomentExplosionError):
+            affine_exponential_moment(_UNIT_SIGMA, query)
+    else:
+        assert affine_exponential_moment(_UNIT_SIGMA, query) == \
+            pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", sorted(_POLES))
+def test_closed_form_pole_inside_and_outside_horizon(case):
+    a, b, pole = _POLES[case]
+    inside = AffineMomentQuery(a, b, 0.99 * pole)
+    ref = _ode_moment(_UNIT_SIGMA, a, b, inside.horizon)
+    assert ref is not None
+    assert affine_exponential_moment(_UNIT_SIGMA, inside) == \
+        pytest.approx(ref, rel=1e-9)
+    assert _ode_moment(_UNIT_SIGMA, a, b, 1.01 * pole) is None
+    with pytest.raises(MomentExplosionError):
+        affine_exponential_moment(_UNIT_SIGMA,
+                                  AffineMomentQuery(a, b, 1.01 * pole))
 
 
 def test_frozen_bond_value():

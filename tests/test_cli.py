@@ -72,13 +72,18 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"market": {"kappa": math.nan}}, "market"),
     ({"market": {"mu": math.nan}}, "market"),
     ({"market": {"v0": math.inf}}, "market"),
+    ({"kind": "oracle-check", "oracle": {"a_values": [0.0, math.inf]}},
+     "oracle.a_values"),
+    ({"kind": "oracle-check", "oracle": {"b_values": [-math.inf]}},
+     "oracle.b_values"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
         "degenerate_x_text", "oracle_not_object", "oracle_values_text",
         "sweep_unknown_key", "oracle_unknown_key", "t_prime_text",
         "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool",
         "version_bool", "seed_bool", "paths_bool", "steps_bool",
-        "sigma_overflow", "kappa_nan", "mu_nan", "v0_inf"])
+        "sigma_overflow", "kappa_nan", "mu_nan", "v0_inf", "a_inf",
+        "b_neg_inf"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2
@@ -89,6 +94,14 @@ def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
 def test_validate_accepts_retired_price_tol(tmp_path, capsys):
     path = write_cfg(tmp_path / "c.json", {"version": 1, "kind": "sweep",
                                            "sweep": {"price_tol": 0.05}})
+    assert main(["validate", "--config", path]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+def test_validate_accepts_retired_q_values(tmp_path, capsys):
+    path = write_cfg(tmp_path / "c.json",
+                     {"version": 1, "kind": "oracle-check",
+                      "oracle": {"q_values": [-1.0, 0.5, 2.0]}})
     assert main(["validate", "--config", path]) == 0
     assert "OK" in capsys.readouterr().out
 
@@ -154,8 +167,8 @@ def test_runtime_failure_exit_1(tmp_path, capsys):
 
 
 def test_oracle_check_nan_market_exit_2(tmp_path):
-    # with kappa NaN the moment oracle's ODE solver never returns, so the
-    # run must stop at validation; a child process bounds a regression
+    # a NaN kappa must stop the run at validation, before the moment oracle
+    # sees it; a child process bounds a regression that hangs
     path = write_cfg(tmp_path / "c.json", {"market": {"kappa": math.nan}})
     out = tmp_path / "o"
     env = dict(os.environ,
@@ -168,6 +181,37 @@ def test_oracle_check_nan_market_exit_2(tmp_path):
     err = json.loads(proc.stderr)
     assert [v["field"] for v in err["violations"]] == ["market"]
     assert not out.exists()
+
+
+def test_import_and_runs_load_no_scipy(tmp_path):
+    # numpy is the package's only runtime dependency: importing scipy would
+    # cost every run about 0.4 s and 45 MiB of start-up
+    cfg = write_cfg(tmp_path / "c.json",
+                    {"version": 1, "kind": "sweep", "paths": 200, "steps": 8,
+                     "sweep": {"rho_values": [0.3], "y_grid": [0.8, 1.2],
+                               "hedge_buckets": 2, "budget": 10,
+                               "w_budget": 8}})
+    code = "\n".join([
+        "import sys",
+        "import mcduality, mcduality.cli",
+        "argv = sys.argv[1:]",
+        "assert mcduality.cli.main(['run', '--config', argv[0], '--out',"
+        " argv[1]]) == 0",
+        "assert mcduality.cli.main(['oracle-check', '--paths', '400',"
+        " '--steps', '16', '--out', argv[2]]) == 0",
+        "sys.stderr.write(repr(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'scipy')))",
+    ])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mcduality.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "sweep"),
+         str(tmp_path / "oracle")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
+    assert (tmp_path / "oracle" / "oracle.csv").exists()
 
 
 def test_oracle_check_needs_no_config(tmp_path):

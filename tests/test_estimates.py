@@ -1,15 +1,10 @@
 """Estimate container semantics, including the -inf convention."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mcduality
 from mcduality.estimates import Estimate, combined_se, mc_estimate
 
 
@@ -20,17 +15,6 @@ def test_mean_and_stderr_match_numpy():
     assert est.mean == pytest.approx(float(x.mean()), abs=0.0)
     assert est.stderr == pytest.approx(float(x.std(ddof=1) / math.sqrt(500)))
     assert est.paths == 500
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half the package's import time and ~19 MiB
-    src = str(Path(mcduality.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, mcduality; "
-            "sys.exit(int('scipy.stats' in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_neginf_sample_poisons_estimate():

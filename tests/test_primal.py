@@ -296,6 +296,108 @@ def test_restart_ties_go_to_smallest_end_point():
     assert not np.array_equal(best, ends[0])
 
 
+def _scipy_simplex(objective, x0, lo, hi, maxfev):
+    """The same run through scipy's bounded Nelder-Mead."""
+    from scipy.optimize import minimize
+    sol = minimize(objective, x0, method="Nelder-Mead",
+                   bounds=list(zip(lo, hi)),
+                   options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-10,
+                            "adaptive": False})
+    return sol.x, sol.fun
+
+
+def _traced(run, objective, x0, lo, hi, maxfev):
+    """``run``'s end point and value, and its trial points in call order."""
+    calls = []
+
+    def recorded(x):
+        calls.append(np.array(x, copy=True))
+        return objective(x)
+
+    x, fun = run(recorded, x0, lo, hi, maxfev)
+    return x, fun, calls
+
+
+def _same_run(case, maxfev):
+    fn, x0, lo, hi, _ = _SIMPLEX_CASES[case]
+    x0, lo, hi = (np.asarray(v, dtype=float) for v in (x0, lo, hi))
+    x, fun, calls = _traced(primal._simplex, fn, x0, lo, hi, maxfev)
+    ref_x, ref_fun, ref_calls = _traced(_scipy_simplex, fn, x0, lo, hi,
+                                        maxfev)
+    assert np.array_equal(x, ref_x), maxfev
+    assert np.array_equal(fun, ref_fun), maxfev
+    assert len(calls) == len(ref_calls), maxfev
+    assert all(np.array_equal(a, b) for a, b in zip(calls, ref_calls))
+    return calls
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+def _quantized_bowl(x):
+    # coarse steps in the value: many vertices tie, which exercises the
+    # order argsort leaves equal values in
+    return math.floor(4.0 * float(np.sum((x - 0.3) ** 2))) / 4.0
+
+
+def _stretched_ties(x):
+    return math.floor(4.0 * ((1.8 * (x[0] - 1.6)) ** 2
+                             + (1.4 * (x[1] - 0.7)) ** 2)) / 4.0
+
+
+def _walled_bowl(x):
+    # the primal search's convention: an infeasible point scores 1e30
+    # and the unconstrained minimum (1, 1) lies beyond the wall
+    return primal._BAD if x[0] + x[1] > 0.5 else float(np.sum((x - 1.0) ** 2))
+
+
+_SIMPLEX_CASES = {
+    # a far minimum: the first passes expand
+    "expansion": (lambda x: float(np.sum((x - 3.0) ** 2)), [0.1, 0.2],
+                  [-5.0, -5.0], [5.0, 5.0], 200),
+    # a curved valley: outside and inside contractions and shrinks
+    "rosenbrock": (_rosenbrock, [-1.2, 1.0, 0.0], [-2.0, -2.0, -2.0],
+                   [2.0, 2.0, 2.0], 400),
+    # a start on the upper bound: the initial simplex is reflected inside
+    "upper_start": (lambda x: float(np.sum((x - 0.2) ** 2)), [1.0, 2.0],
+                    [-1.0, -1.0], [1.0, 2.0], 120),
+    "walled": (_walled_bowl, [0.0, 0.0], [-2.0, -2.0], [2.0, 2.0], 150),
+    "ties_17d": (_quantized_bowl, np.linspace(-1.0, 1.0, 17),
+                 np.full(17, -2.0), np.full(17, 2.0), 300),
+    "stretched_ties": (_stretched_ties, [0.6, -0.45], [-2.0, -2.0],
+                       [2.0, 2.0], 200),
+    # converges long before the budget: stops on xatol and fatol
+    "tolerance": (lambda x: float(np.sum((x - 0.5) ** 2)), [0.0, 0.0],
+                  [-1.0, -1.0], [1.0, 1.0], 5000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIMPLEX_CASES))
+def test_simplex_is_bitwise_scipy_nelder_mead(case):
+    fn, _, _, _, maxfev = _SIMPLEX_CASES[case]
+    calls = _same_run(case, maxfev)
+    if case == "tolerance":
+        assert len(calls) < maxfev
+    if case == "walled":
+        assert primal._BAD in map(fn, calls)
+
+
+@pytest.mark.parametrize("case", ["rosenbrock", "ties_17d",
+                                  "stretched_ties"])
+def test_simplex_budget_cuts_every_pass_as_scipy(case):
+    # every budget up to 80 calls stops the run at a different point of a
+    # pass: part way through the initial simplex, after a reflection,
+    # between an expansion or contraction and its trial, and part way
+    # through a shrink (17-d case, budgets 23-39); at budget 23 the
+    # stretched case stops a shrink whose first new vertex beats the best,
+    # so only the re-sort after the cut pass finds the right end point
+    converged = len(_same_run(case, 1000))
+    for maxfev in range(1, 81):
+        assert len(_same_run(case, maxfev)) == min(maxfev, converged)
+
+
 def _reference(fam, comps, theta, bundle, thr):
     """Raw and stopped wealth from first principles: explicit
     ``clip(theta . H)``, ``np.cumsum`` of ``H dS`` and a full-matrix first
