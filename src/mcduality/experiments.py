@@ -199,8 +199,10 @@ def validate_config(cfg: dict) -> list[dict]:
             bad("degenerate.alpha", "alpha must be a positive number")
         if not math.isfinite(_number(sec.get("x", 0.0))):
             bad("degenerate.x", "initial capital must be a finite number")
-        if _floats(sec.get("n_values")) is None:
-            bad("degenerate.n_values", "must be a nonempty list of numbers")
+        ns = _floats(sec.get("n_values"))
+        if ns is None or not all(0 < n < math.inf for n in ns):
+            bad("degenerate.n_values",
+                "must be a nonempty list of finite positive numbers")
         counts(sec, "degenerate", "buckets", "budget")
         degree = sec.get("degree", 2)
         if isinstance(degree, bool) or degree not in (1, 2):
@@ -208,8 +210,9 @@ def validate_config(cfg: dict) -> list[dict]:
     elif kind == "kw":
         if sec.get("mode") not in ("nondegenerate", "degenerate"):
             bad("kw.mode", "must be 'nondegenerate' or 'degenerate'")
-        if _floats(sec.get("n_values")) is None:
-            bad("kw.n_values", "must be a nonempty list of numbers")
+        ns = _floats(sec.get("n_values"))
+        if ns is None or not all(n > 0 for n in ns):
+            bad("kw.n_values", "must be a nonempty list of positive numbers")
     elif kind == "subreplication":
         rho = _number(sec.get("rho", 0.0))
         if rho == 0.0 or not -1.0 < rho < 1.0:

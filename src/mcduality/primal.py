@@ -30,13 +30,14 @@ The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
 giving both a replication-price intercept and a residual report.  The
 fitted ``BucketStrategy`` is a raw holdings rule that a family uses as one
-component; only a family truncates and stops.
+component; only a family truncates and stops.  A claim-adapted strategy
+carries the claim's delta on its fitting bundle and computes it afresh on
+any other bundle.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,11 +84,6 @@ _FEATURES = ("1", "b", "v", "b2", "bv", "v2", "delta", "deltav")
 #: resolution of the payoff-derivative table behind the ``delta`` feature
 _DELTA_GRID_N = 2001
 
-# smoothed-delta paths are strategy-independent, so they are computed once
-# per (bundle, claim); a hit must be the same live objects, since a collected
-# bundle's id is reused, and a weak reference keeps no bundle alive
-_DELTA_CACHE: dict = {}
-
 
 def _smoothed_delta(claim: ClaimSpec, bundle) -> np.ndarray:
     """Gaussian-transition delta of the claim along the driver paths.
@@ -100,10 +96,6 @@ def _smoothed_delta(claim: ClaimSpec, bundle) -> np.ndarray:
     their delta is the correctly scaled near-expiry bump that no low-degree
     polynomial in ``B`` can represent.
     """
-    key = (id(bundle), id(claim))
-    hit = _DELTA_CACHE.get(key)
-    if hit is not None and hit[0]() is bundle and hit[1] is claim:
-        return hit[2]
     times = bundle.times
     b = driver_levels(bundle)
     steps = times.size - 1
@@ -123,14 +115,11 @@ def _smoothed_delta(claim: ClaimSpec, bundle) -> np.ndarray:
         kern = np.exp(-0.5 * (k / sd) ** 2) * (h / (sd * math.sqrt(2.0 * math.pi)))
         table = np.convolve(dphi, kern, mode="same")
         out[:, j] = np.interp(b[:, j], xs, table)
-    if len(_DELTA_CACHE) >= 3:
-        _DELTA_CACHE.pop(next(iter(_DELTA_CACHE)))
-    _DELTA_CACHE[key] = (weakref.ref(bundle), claim, out)
     return out
 
 
 def _feature(bundle, name: str, sl: slice,
-             claim: ClaimSpec | None = None) -> np.ndarray:
+             delta: np.ndarray | None) -> np.ndarray:
     b = driver_levels(bundle)[:, sl]
     if name == "1":
         return np.ones_like(b)
@@ -139,9 +128,7 @@ def _feature(bundle, name: str, sl: slice,
     if name == "b2":
         return b * b
     if name in ("delta", "deltav"):
-        if claim is None:
-            raise ValueError(f"feature {name!r} needs the claim")
-        d = _smoothed_delta(claim, bundle)[:, sl]
+        d = delta[:, sl]
         if name == "delta":
             return d
         v = variance_levels(bundle)
@@ -189,12 +176,17 @@ class BucketStrategy:
     """Piecewise-in-time holdings from basis functions of the state.
 
     ``coeffs`` has shape ``(buckets, len(features))``; on time bucket ``j``
-    the holdings are ``sum_i coeffs[j, i] * feature_i(state)``.
+    the holdings are ``sum_i coeffs[j, i] * feature_i(state)``.  The claim's
+    delta that ``lsmc_hedge`` carries is read only on a bundle whose ``b`` is
+    the fitting bundle's array; otherwise each call computes it once.
     """
 
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros((1, 2)))
     features: tuple[str, ...] = ("1", "b")
     claim: ClaimSpec | None = None
+    # (driver array, smoothed delta) of the fitting bundle, set by lsmc_hedge
+    _fitted: tuple = field(default=(None, None), init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -212,6 +204,9 @@ class BucketStrategy:
         steps = bundle.times.size - 1
         buckets = self.coeffs.shape[0]
         edges = np.linspace(0, steps, buckets + 1).astype(int)
+        fitted_b, delta = self._fitted
+        if self.claim is not None and bundle.b is not fitted_b:
+            delta = _smoothed_delta(self.claim, bundle)
         out = np.zeros((bundle.paths, steps))
         for j in range(buckets):
             sl = slice(edges[j], edges[j + 1])
@@ -219,7 +214,7 @@ class BucketStrategy:
             for i, name in enumerate(self.features):
                 cij = self.coeffs[j, i]
                 if cij != 0.0:
-                    acc += cij * _feature(bundle, name, sl, self.claim)
+                    acc += cij * _feature(bundle, name, sl, delta)
             out[:, sl] = acc
         return out
 
@@ -458,7 +453,8 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
     holdings rule that minimizes the replication variance on the sample, and
     the intercept is the implied price.  Deterministic given the bundle.
     ``claim_adapted`` adds the claim's smoothed delta to the basis, which is
-    what lets sharp payoffs replicate to their discretization floor.
+    what lets sharp payoffs replicate to their discretization floor; the
+    strategy carries that delta for its holdings on this bundle.
     """
     feats = features_for(degree, variance_levels(bundle) is not None,
                          claim_adapted=claim_adapted)
@@ -468,6 +464,7 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
     edges = np.linspace(0, steps, buckets + 1).astype(int)
     ds = np.diff(bundle.s, axis=1)
     f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
+    delta = _smoothed_delta(claim, bundle) if claim_adapted else None
 
     ncols = 1 + buckets * len(feats)
     design = np.empty((bundle.paths, ncols))
@@ -477,7 +474,7 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
         sl = slice(edges[j], edges[j + 1])
         dsl = ds[:, sl]
         for name in feats:
-            design[:, col] = (_feature(bundle, name, sl, claim)
+            design[:, col] = (_feature(bundle, name, sl, delta)
                               * dsl).sum(axis=1)
             col += 1
     coef, *_ = np.linalg.lstsq(design, f, rcond=None)
@@ -489,6 +486,8 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
     strategy = BucketStrategy(coeffs=coef[1:].reshape(buckets, len(feats)),
                               features=feats,
                               claim=claim if claim_adapted else None)
+    if claim_adapted:
+        object.__setattr__(strategy, "_fitted", (bundle.b, delta))
     return HedgeResult(strategy=strategy, price=float(coef[0]),
                        residual_sd=float(resid.std(ddof=1)),
                        r_squared=1.0 - (float(resid.var(ddof=1)) / var_f
@@ -502,7 +501,8 @@ def hedge_residual(hedge: BucketStrategy, price: float, bundle,
 
     Computes ``sd(price + X_T - f)`` with the raw (unstopped, untruncated)
     gains of the hedge's holdings on the bundle's price paths.  Lets a hedge
-    fitted in one market be scored in another sharing the same drivers.
+    fitted in one market be scored in another sharing the same drivers, with
+    that market's own claim delta.
     """
     g = hedge.holdings(bundle).T * np.diff(bundle.s, axis=1).T
     gains = _accumulate(g)[-1]

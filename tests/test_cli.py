@@ -76,6 +76,16 @@ def test_validate_reports_violations(tmp_path, capsys):
      "oracle.a_values"),
     ({"kind": "oracle-check", "oracle": {"b_values": [-math.inf]}},
      "oracle.b_values"),
+    ({"kind": "kw", "kw": {"n_values": [0]}}, "kw.n_values"),
+    ({"kind": "kw", "kw": {"n_values": [3, -1]}}, "kw.n_values"),
+    ({"kind": "degenerate", "degenerate": {"n_values": [0]}},
+     "degenerate.n_values"),
+    ({"kind": "degenerate", "degenerate": {"n_values": [-2]}},
+     "degenerate.n_values"),
+    ({"kind": "degenerate", "degenerate": {"n_values": [math.inf]}},
+     "degenerate.n_values"),
+    ({"kind": "degenerate", "degenerate": {"n_values": [2, math.inf]}},
+     "degenerate.n_values"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
         "degenerate_x_text", "oracle_not_object", "oracle_values_text",
@@ -83,7 +93,9 @@ def test_validate_reports_violations(tmp_path, capsys):
         "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool",
         "version_bool", "seed_bool", "paths_bool", "steps_bool",
         "sigma_overflow", "kappa_nan", "mu_nan", "v0_inf", "a_inf",
-        "b_neg_inf"])
+        "b_neg_inf", "kw_n_zero", "kw_n_negative", "degenerate_n_zero",
+        "degenerate_n_negative", "degenerate_n_inf",
+        "degenerate_n_inf_among_finite"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2
@@ -102,6 +114,15 @@ def test_validate_accepts_retired_q_values(tmp_path, capsys):
     path = write_cfg(tmp_path / "c.json",
                      {"version": 1, "kind": "oracle-check",
                       "oracle": {"q_values": [-1.0, 0.5, 2.0]}})
+    assert main(["validate", "--config", path]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+def test_validate_accepts_kw_limit_market(tmp_path, capsys):
+    # the kw diagnostic reports the limit market n = inf as a row of its own
+    path = write_cfg(tmp_path / "c.json",
+                     {**TINY_KW, "kw": {"mode": "nondegenerate",
+                                        "n_values": [1, math.inf]}})
     assert main(["validate", "--config", path]) == 0
     assert "OK" in capsys.readouterr().out
 

@@ -134,6 +134,30 @@ def test_sweep_builds_each_rows_gains_once(monkeypatch):
     assert all(math.isfinite(r.price.price) for r in res.rows)
 
 
+def test_claim_delta_computed_once_per_row(monkeypatch):
+    # each row's hedge fit computes the claim's delta and its strategy
+    # carries it to every search and bisection on the row's bundle
+    from mcduality import primal
+    calls = []
+    real = primal._smoothed_delta
+
+    def counted(claim, bundle):
+        calls.append(bundle)
+        return real(claim, bundle)
+
+    monkeypatch.setattr(primal, "_smoothed_delta", counted)
+    res = rho_sweep(pair=POWER, x=0.75, claim=logistic_claim(rate=-2.0,
+                                                             scale=2.0),
+                    params=BASE_PARAMS, grid=TimeGrid(1.0, 12), paths=600,
+                    seed=5, rho_values=[0.3, 0.1], y_grid=[1.0],
+                    hedge_buckets=3, budget=8, w_budget=6)
+    assert len(res.rows) == 3 and len(calls) == 3
+    calls.clear()
+    res = degenerate_example(n_values=[1, 4], grid=TimeGrid(1.0, 12),
+                             paths=300, seed=7, buckets=3, budget=8)
+    assert len(res.rows) == 2 and len(calls) == 2
+
+
 def test_degenerate_example_anchors():
     res = degenerate_example(n_values=[1, 4], grid=TimeGrid(1.0, 24),
                              paths=3000, seed=7, buckets=6, budget=30)

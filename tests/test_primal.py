@@ -1,13 +1,13 @@
 """Strategy admissibility, regression hedging and the primal search."""
 
-import gc
 import math
 
 import numpy as np
 import pytest
 
 from mcduality import primal
-from mcduality.market import TimeGrid, simulate_general_market
+from mcduality.market import (TimeGrid, simulate_general_market,
+                             simulate_heston_market)
 from mcduality.pricing import degenerate_coeffs
 from mcduality.estimates import mc_estimate
 from mcduality.primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
@@ -20,7 +20,7 @@ from mcduality.stopping import first_crossing
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                                constant_claim, digital_claim, logistic_claim)
 
-from conftest import SMALL_GRID
+from conftest import BASE_PARAMS, SMALL_GRID
 
 
 @pytest.fixture(scope="module")
@@ -185,20 +185,29 @@ def test_smoothed_delta_near_expiry_is_payoff_slope(flat_market):
     assert np.allclose(d[:, -1], slope, atol=5e-3)
 
 
-def test_smoothed_delta_never_served_across_bundles(monkeypatch):
-    # a collected bundle's id is soon reused by a later one; the cached delta
-    # of a dead bundle must never be handed to the new one
+def test_smoothed_delta_never_served_across_bundles():
+    # a fitted hedge carries its fitting bundle's claim delta; a bundle of
+    # the same shape from another seed must get its own delta, exactly as a
+    # strategy that carries none computes it (Heston b is 2-D, general 3-D)
     claim = digital_claim(level=1.0, at=0.0)
-    coeffs = degenerate_coeffs()
-    for seed in range(40):
-        bundle = simulate_general_market(coeffs, 1.0, TimeGrid(1.0, 8), 300,
-                                         RandomStream(seed))
-        got = _smoothed_delta(claim, bundle)
-        with monkeypatch.context() as m:
-            m.setattr(primal, "_DELTA_CACHE", {})
-            assert np.array_equal(got, _smoothed_delta(claim, bundle))
-        del bundle, got
-        gc.collect()
+    grid = TimeGrid(1.0, 8)
+    for simulate in (
+            lambda seed: simulate_heston_market(BASE_PARAMS, grid, 300,
+                                                RandomStream(seed)),
+            lambda seed: simulate_general_market(degenerate_coeffs(), 1.0,
+                                                 grid, 300,
+                                                 RandomStream(seed))):
+        fit_bundle = simulate(1000)
+        fitted = lsmc_hedge(claim, fit_bundle, buckets=4).strategy
+        plain = BucketStrategy(coeffs=fitted.coeffs,
+                               features=fitted.features, claim=claim)
+        assert "delta" in fitted.features
+        assert np.array_equal(fitted.holdings(fit_bundle),
+                              plain.holdings(fit_bundle))
+        for seed in range(40):
+            bundle = simulate(seed)
+            assert np.array_equal(fitted.holdings(bundle),
+                                  plain.holdings(bundle))
 
 
 def test_digital_hedge_reaches_discretization_floor(flat_market):
