@@ -9,6 +9,8 @@ with closed-form limits, projection diagnostics and an exact affine moment
 oracle used for validation throughout.
 """
 
+__version__ = "0.1.0"
+
 from .estimates import Estimate, combined_se, mc_estimate
 from .rng import RandomStream, worker_count
 from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
@@ -27,5 +29,3 @@ from .primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
 from .kw import kw_convergence_diag, kw_decompose
 from .pricing import degenerate_example, indifference_price, rho_sweep
 from .experiments import run_experiment, validate_config
-
-__version__ = "0.1.0"

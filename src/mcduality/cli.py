@@ -1,7 +1,10 @@
 """Command-line front end: ``run``, ``validate`` and ``oracle-check``.
 
-Configs are JSON (see :mod:`mcduality.experiments` for the schema and
-defaults).  Validation failures are reported as machine-readable JSON on
+Each subcommand reads its JSON config (see :mod:`mcduality.experiments`
+for the schema and defaults) the same way, reading a relative table claim
+path against the config file's directory.  Input a run cannot start from
+(an unreadable, non-JSON or non-object config, a config violation or a
+malformed ``MCDUALITY_WORKERS``) is reported as machine-readable JSON on
 stderr with exit code 2; runtime failures exit with code 1.
 """
 
@@ -12,18 +15,32 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import (build_claim, merge_config, run_experiment,
-                          validate_config)
+from .experiments import (ConfigError, check_config, merge_config,
+                          run_experiment)
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON object in ``path``, with a relative table claim path
+    resolved against the directory of ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            user = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # not JSON or text
+        raise ConfigError([{"field": "config", "reason": str(exc)}]) from None
+    if not isinstance(user, dict):
+        raise ConfigError([{"field": "config",
+                            "reason": "must be a JSON object"}])
+    claim = user.get("claim")
+    if (isinstance(claim, dict) and claim.get("kind") == "table"
+            and isinstance(claim.get("path"), str)
+            and not Path(claim["path"]).is_absolute()):
+        base = Path(path).resolve().parent
+        user["claim"] = {**claim, "path": str(base / claim["path"])}
+    return user
 
 
-def _emit_violations(violations) -> None:
-    json.dump({"error": "invalid config", "violations": violations},
-              sys.stderr, indent=2)
+def _report(record: dict) -> None:
+    json.dump(record, sys.stderr, indent=2)
     sys.stderr.write("\n")
 
 
@@ -59,46 +76,21 @@ def main(argv=None) -> int:
     _add_common(p_oc, need_config=False)
 
     args = parser.parse_args(argv)
-
-    if args.command == "validate":
-        cfg = merge_config(_load_config(args.config))
-        violations = validate_config(cfg)
-        if violations:
-            _emit_violations(violations)
-            return 2
-        print("OK")
-        return 0
-
-    if args.command == "oracle-check":
-        user_cfg = _load_config(args.config) if args.config else {}
-        user_cfg["kind"] = "oracle-check"
-    else:
-        user_cfg = _load_config(args.config)
-        base = Path(args.config).resolve().parent
-        merged = merge_config(user_cfg)
-        if merged.get("claim", {}).get("kind") == "table":
-            # resolve table paths relative to the config file
-            build_claim(merged, base_dir=base)
-            path = Path(merged["claim"]["path"])
-            if not path.is_absolute():
-                merged["claim"]["path"] = str(base / path)
-            user_cfg = merged
-
-    cfg = merge_config(user_cfg)
-    # overrides first: a grid-dependent field is checked at the run's steps
-    for key in ("seed", "paths", "steps"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    violations = validate_config(cfg)
-    if violations:
-        _emit_violations(violations)
-        return 2
     try:
-        manifest = run_experiment(cfg, args.out)
+        user = _load_config(args.config) if args.config else {}
+        if args.command == "validate":
+            check_config(merge_config(user))
+            print("OK")
+            return 0
+        if args.command == "oracle-check":
+            user["kind"] = "oracle-check"
+        manifest = run_experiment(user, args.out, seed=args.seed,
+                                  paths=args.paths, steps=args.steps)
+    except ConfigError as exc:
+        _report({"error": "invalid config", "violations": exc.violations})
+        return 2
     except Exception as exc:  # noqa: BLE001 - surfaced as an error record
-        json.dump({"error": "run failed", "reason": str(exc)}, sys.stderr,
-                  indent=2)
-        sys.stderr.write("\n")
+        _report({"error": "run failed", "reason": str(exc)})
         return 1
     print(f"kind: {manifest.kind}")
     print(f"seed: {manifest.seed}")

@@ -17,30 +17,30 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from importlib import metadata as _metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import affine, kw, pricing
+from . import __version__, affine, kw, pricing
 from .dual import subreplication_estimate
 from .estimates import mc_estimate
 from .market import (HestonParams, TimeGrid, simulate_cir_blocks,
                      simulate_driver)
-from .rng import RandomStream, worker_count
+from .rng import WORKERS_ENV, RandomStream, worker_count
 from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
                       digital_claim, load_claim_table, logistic_claim)
 
 __all__ = [
     "CONFIG_VERSION",
     "KINDS",
+    "ConfigError",
     "RunManifest",
     "default_config",
     "merge_config",
     "validate_config",
+    "check_config",
     "build_market",
     "build_utility",
     "build_claim",
@@ -119,21 +119,27 @@ def _count(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _t_prime_ok(cfg: dict, t_prime) -> bool:
-    """Whether ``t_prime`` is null or a node of the run's grid strictly
-    before the horizon; an unbuildable market is reported on its own."""
+def _t_prime_ok(grid: TimeGrid | None, t_prime) -> bool:
+    """Whether ``t_prime`` is null or a node of ``grid`` strictly before the
+    horizon; no grid (an unbuildable market, reported on its own) passes."""
     if t_prime is None:
         return True
     if isinstance(t_prime, bool) or not isinstance(t_prime, (int, float)):
         return False
-    try:
-        grid = build_market(cfg)[1]
-    except _BUILD_ERRORS:
+    if grid is None:
         return True
     try:
         return grid.node_index(float(t_prime)) < grid.steps
     except (ValueError, OverflowError):
         return False
+
+
+class ConfigError(ValueError):
+    """Input a run cannot start from; ``violations`` holds the records."""
+
+    def __init__(self, violations: list[dict]):
+        super().__init__("invalid config: " + json.dumps(violations))
+        self.violations = violations
 
 
 def validate_config(cfg: dict) -> list[dict]:
@@ -165,8 +171,9 @@ def validate_config(cfg: dict) -> list[dict]:
         val = cfg.get(name)
         if not _count(val) or val < 1:
             bad(name, "must be a positive integer")
+    grid = None
     try:
-        build_market(cfg)
+        grid = build_market(cfg)[1]
     except _BUILD_ERRORS as exc:
         bad("market", exc)
     try:
@@ -219,7 +226,7 @@ def validate_config(cfg: dict) -> list[dict]:
             bad("subreplication.rho", "requires 0 < |rho| < 1")
         if _floats(sec.get("shifts")) is None:
             bad("subreplication.shifts", "must be a nonempty list of numbers")
-        if not _t_prime_ok(cfg, sec.get("t_prime")):
+        if not _t_prime_ok(grid, sec.get("t_prime")):
             bad("subreplication.t_prime",
                 "must be null or a grid node strictly before the horizon")
     elif kind == "oracle-check":
@@ -233,6 +240,19 @@ def validate_config(cfg: dict) -> list[dict]:
         for key in sorted(set(sec) - known):
             bad(f"{section}.{key}", "unknown field")
     return errs
+
+
+def check_config(cfg: dict, workers: int | None = None) -> int:
+    """Raise :class:`ConfigError` unless ``cfg`` is valid and the worker
+    count (``workers`` or ``MCDUALITY_WORKERS``) resolves; return it."""
+    errs = validate_config(cfg)
+    try:
+        nworkers = worker_count(workers)
+    except ValueError as exc:
+        errs.append({"field": WORKERS_ENV, "reason": str(exc)})
+    if errs:
+        raise ConfigError(errs)
+    return nworkers
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +283,7 @@ def build_utility(cfg: dict) -> ConjugatePair:
     return ConjugatePair(spec)
 
 
-def build_claim(cfg: dict, base_dir: Path | None = None) -> ClaimSpec:
+def build_claim(cfg: dict) -> ClaimSpec:
     c = cfg["claim"]
     kind = c.get("kind")
     if kind == "logistic":
@@ -275,10 +295,7 @@ def build_claim(cfg: dict, base_dir: Path | None = None) -> ClaimSpec:
         return digital_claim(level=float(c.get("level", 1.0)),
                              at=float(c.get("at", 0.0)))
     if kind == "table":
-        path = Path(c["path"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return load_claim_table(path)
+        return load_claim_table(Path(c["path"]))
     raise ValueError(f"unknown claim kind {kind!r}")
 
 
@@ -342,13 +359,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _package_version() -> str:
-    try:
-        return _metadata.version("mcduality")
-    except _metadata.PackageNotFoundError:  # pragma: no cover
-        return "0.1.0"
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds
 # ---------------------------------------------------------------------------
@@ -406,8 +416,7 @@ def _run_sweep(cfg, out: Path, workers):
 
 def _run_degenerate(cfg, out: Path, workers):
     dg = cfg["degenerate"]
-    grid = TimeGrid(horizon=float(cfg["market"].get("horizon", 1.0)),
-                    steps=int(cfg["steps"]))
+    grid = build_market(cfg)[1]
     res = pricing.degenerate_example(alpha=float(dg["alpha"]),
                                      x=float(dg["x"]),
                                      n_values=[float(n) for n in dg["n_values"]],
@@ -463,8 +472,7 @@ def _kw_setup(mode: str):
 def _run_kw(cfg, out: Path, workers):
     kwc = cfg["kw"]
     coeffs, nu = _kw_setup(kwc["mode"])
-    grid = TimeGrid(horizon=float(cfg["market"].get("horizon", 1.0)),
-                    steps=int(cfg["steps"]))
+    grid = build_market(cfg)[1]
     n_values = [float(n) for n in kwc["n_values"]]
     rows = kw.kw_convergence_diag(nu, coeffs, n_values, grid,
                                   int(cfg["paths"]),
@@ -548,6 +556,7 @@ def run_experiment(user_cfg: dict, out_dir, seed: int | None = None,
     ``seed``, ``paths`` and ``steps`` override the config when given.  The
     worker count (``workers`` argument or ``MCDUALITY_WORKERS``) controls
     scheduling only; reported numbers and CSV bytes do not depend on it.
+    Invalid input raises :class:`ConfigError` before ``out_dir`` is made.
     """
     cfg = merge_config(user_cfg)
     if seed is not None:
@@ -556,13 +565,10 @@ def run_experiment(user_cfg: dict, out_dir, seed: int | None = None,
         cfg["paths"] = int(paths)
     if steps is not None:
         cfg["steps"] = int(steps)
-    violations = validate_config(cfg)
-    if violations:
-        raise ValueError("invalid config: " + json.dumps(violations))
+    nworkers = check_config(cfg, workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    nworkers = worker_count(workers)
     t0 = time.perf_counter()
     files, extras = _RUNNERS[cfg["kind"]](cfg, out, workers)
     wall = time.perf_counter() - t0
@@ -571,7 +577,7 @@ def run_experiment(user_cfg: dict, out_dir, seed: int | None = None,
     manifest = RunManifest(kind=cfg["kind"], seed=int(cfg["seed"]), config=cfg,
                            outputs=outputs, wall_seconds=wall,
                            workers=nworkers,
-                           package_version=_package_version(), extras=extras)
+                           package_version=__version__, extras=extras)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,12 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcduality
+from mcduality import experiments
 from mcduality.cli import main
+from mcduality.rng import WORKERS_ENV
 from mcduality.utility import logistic_claim
 
 TINY_KW = {"version": 1, "kind": "kw", "paths": 300, "steps": 8,
@@ -155,6 +162,69 @@ def test_run_checks_overrides_exit_2(tmp_path, capsys, cfg, override, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "oracle-check"])
+@pytest.mark.parametrize("text, workers, field", [
+    (None, None, "config"),
+    ("{not json", None, "config"),
+    ("[1, 2]", None, "config"),
+    ("[" * 100000 + "]" * 100000, None, "config"),
+    (json.dumps({**TINY_KW, "claim": "x"}), None, "claim"),
+    (json.dumps({**TINY_KW, "claim": {"kind": "table"}}), None, "claim"),
+    (json.dumps({**TINY_KW, "claim": {"kind": "table", "path": 5}}), None,
+     "claim"),
+    (json.dumps({**TINY_KW, "claim": {"kind": "table",
+                                      "path": "absent.txt"}}), None, "claim"),
+    (json.dumps(TINY_KW), "abc", WORKERS_ENV),
+    (json.dumps(TINY_KW), "0", WORKERS_ENV),
+    (json.dumps(TINY_KW), "-3", WORKERS_ENV),
+], ids=["missing_file", "not_json", "top_level_list", "nested_too_deep",
+        "claim_text", "table_no_path", "table_path_number",
+        "table_file_missing", "workers_text", "workers_zero",
+        "workers_negative"])
+def test_malformed_input_exit_2(tmp_path, capsys, monkeypatch, command, text,
+                                workers, field):
+    # every subcommand reads and checks its input the same way: one
+    # violation record, no traceback and no output directory
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    if workers is not None:
+        monkeypatch.setenv(WORKERS_ENV, workers)
+    out = tmp_path / "o"
+    sizes = ([] if command == "validate" else
+             ["--paths", "50", "--steps", "4", "--out", str(out)])
+    assert main([command, "--config", str(path), *sizes]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert [v["field"] for v in err["violations"]] == [field]
+    assert not out.exists()
+
+
+# any JSON document, at the top level too; keys are often config fields,
+# and texts avoid path separators, so a table claim path names nothing
+# outside the config's directory
+_TEXT = st.text(alphabet=st.characters(blacklist_characters="/\\"),
+                max_size=8)
+_DOCUMENT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT | st.sampled_from(
+        sorted(experiments.default_config())), inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_DOCUMENT)
+def test_validate_any_document_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp) / "c.json", doc)
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(["validate", "--config", path])
+    assert code in (0, 2)
+    if code == 2:
+        assert json.loads(err.getvalue())["error"] == "invalid config"
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.json", TINY_KW)
     out = tmp_path / "out"
@@ -206,7 +276,8 @@ def test_oracle_check_nan_market_exit_2(tmp_path):
 
 def test_import_and_runs_load_no_scipy(tmp_path):
     # numpy is the package's only runtime dependency: importing scipy would
-    # cost every run about 0.4 s and 45 MiB of start-up
+    # cost every run about 0.4 s and 45 MiB of start-up, and
+    # importlib.metadata about 30 ms
     cfg = write_cfg(tmp_path / "c.json",
                     {"version": 1, "kind": "sweep", "paths": 200, "steps": 8,
                      "sweep": {"rho_values": [0.3], "y_grid": [0.8, 1.2],
@@ -221,7 +292,8 @@ def test_import_and_runs_load_no_scipy(tmp_path):
         "assert mcduality.cli.main(['oracle-check', '--paths', '400',"
         " '--steps', '16', '--out', argv[2]]) == 0",
         "sys.stderr.write(repr(sorted(m for m in sys.modules"
-        " if m.partition('.')[0] == 'scipy')))",
+        " if m.partition('.')[0] == 'scipy'"
+        " or m == 'importlib.metadata')))",
     ])
     env = dict(os.environ,
                PYTHONPATH=str(Path(mcduality.__file__).parents[1]))
@@ -243,19 +315,46 @@ def test_oracle_check_needs_no_config(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-def test_table_claim_resolved_relative_to_config(tmp_path):
+@pytest.mark.parametrize("command", ["validate", "run", "oracle-check"])
+def test_table_claim_resolved_relative_to_config(tmp_path, capsys,
+                                                 monkeypatch, command):
+    # the config and its table sit in sub/, the cwd is its parent; the run
+    # validates once, and that validation builds the market once
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    (tmp_path / "payoff.txt").write_text("".join(
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "payoff.txt").write_text("".join(
         f"{z:.17g} {v:.17g}\n" for z, v in zip(claim.knots, claim.values)))
-    cfg = write_cfg(tmp_path / "c.json",
-                    {"version": 1, "kind": "subreplication", "paths": 400,
-                     "steps": 8,
-                     "claim": {"kind": "table", "path": "payoff.txt"},
-                     "subreplication": {"rho": 0.3, "shifts": [-1.0, 0.0]}})
+    write_cfg(tmp_path / "sub" / "c.json",
+              {"version": 1, "kind": "subreplication", "paths": 400,
+               "steps": 8, "claim": {"kind": "table", "path": "payoff.txt"},
+               "subreplication": {"rho": 0.3, "t_prime": 0.5,
+                                  "shifts": [-1.0, 0.0]}})
+    monkeypatch.chdir(tmp_path)
+    markets, per_validation = [], []
+    build_market, validate_config = (experiments.build_market,
+                                     experiments.validate_config)
+
+    def counted_market(cfg):
+        markets.append(cfg)
+        return build_market(cfg)
+
+    def counted_validate(cfg):
+        start = len(markets)
+        errs = validate_config(cfg)
+        per_validation.append(len(markets) - start)
+        return errs
+
+    monkeypatch.setattr(experiments, "build_market", counted_market)
+    monkeypatch.setattr(experiments, "validate_config", counted_validate)
     out = tmp_path / "o"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    man = json.loads((out / "manifest.json").read_text())
-    assert man["config"]["claim"]["path"].startswith(str(tmp_path))
+    sizes = [] if command == "validate" else ["--out", str(out)]
+    assert main([command, "--config", "sub/c.json", *sizes]) == 0, \
+        capsys.readouterr().err
+    assert per_validation == [1]
+    if command != "validate":
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["config"]["claim"]["path"] == str(
+            tmp_path.resolve() / "sub" / "payoff.txt")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -153,16 +153,17 @@ def test_validate_any_json_violations_or_builds(user):
 
 def test_claim_table_roundtrip(tmp_path):
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    (tmp_path / "claim-table-roundtrip.txt").write_text("".join(
+    path = tmp_path / "claim-table-roundtrip.txt"
+    path.write_text("".join(
         f"{z:.17g} {v:.17g}\n" for z, v in zip(claim.knots, claim.values)))
-    cfg = merge_config({"claim": {"kind": "table",
-                                  "path": "claim-table-roundtrip.txt"}})
-    loaded = build_claim(cfg, base_dir=tmp_path)
+    loaded = build_claim(merge_config({"claim": {"kind": "table",
+                                                 "path": str(path)}}))
     z = np.linspace(-4.0, 4.0, 41)
     np.testing.assert_allclose(loaded(z), claim(z), rtol=0, atol=1e-12)
     assert loaded.spread > 0
-    # without base_dir the path resolves against the cwd and fails validation
-    assert "claim" in fields(cfg)
+    # a relative path resolves against the cwd and fails validation
+    assert "claim" in fields(merge_config({"claim": {"kind": "table",
+                                                     "path": path.name}}))
 
 
 # ---------------------------------------------------------------------------
