@@ -20,12 +20,12 @@ at every node.  That is the first crossing of the negated sum below
 What a candidate does not choose -- ``dW_perp`` and the left-endpoint ``V``
 and ``B``, each a contiguous time-major copy, ``Z_T``, the claim values, the
 log buffer and a few rows of scratch -- is built once per bundle, and
-``minimize_dual`` builds it once per search.  An evaluation walks the steps a
-chunk of rows at a time, so that a chunk's inputs stay in cache: it forms
-``nu`` in the scratch rows, writes the log increments into their rows of the
-log buffer and carries the running sum on, one vector add per step.  It
-allocates nothing of size ``paths x steps`` and takes ``exp`` of the terminal
-values only.
+``minimize_dual`` builds it once per search.  An evaluation forms only the
+log increments: a chunk of steps at a time it forms ``nu`` in the scratch
+rows and writes the increments into their rows of the log buffer, and
+:func:`~mcduality.stopping.walk`, which the primal shares, sums and stops
+them while the chunk is in cache.  It allocates nothing of size
+``paths x steps`` and takes ``exp`` of the terminal values only.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import numpy as np
 
 from .estimates import Estimate, mc_estimate
 from .market import HestonParams, PathBundle, TimeGrid
-from .primal import _accumulate, _nelder_mead
-from .stopping import first_crossing
+from .primal import _nelder_mead
+from .stopping import chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair, constrained_conjugate
 
 __all__ = [
@@ -51,10 +51,6 @@ __all__ = [
     "minimize_dual",
     "subreplication_estimate",
 ]
-
-#: steps per chunk of an evaluation, so that a chunk's rows of ``V``, ``B``,
-#: ``dW_perp``, ``nu`` and the log increments stay in cache between passes
-_CHUNK = 16
 
 #: ``minimize_dual``'s search box, ``|coefficient| <= _BOX`` on every basis
 #: slot and time bucket, and the cap of every candidate it builds
@@ -111,9 +107,9 @@ def _perturbed_logs(bundle: PathBundle):
     The negated log is the running sum laid out ``(steps + 1, paths)`` from a
     zero first row, in a buffer that the next call overwrites; each path is
     read at the node before its first crossing, else at the last.  The
-    increments and the sum are formed ``_CHUNK`` steps at a time, with the
-    operations of a whole-array evaluation in its order, so the bits do not
-    depend on the chunking.
+    increments are the walk's fill (:func:`~mcduality.stopping.walk`), a
+    chunk of steps at a time, with the operations of a whole-array
+    evaluation in its order, so the bits do not depend on the chunking.
     """
     rho = bundle.params.rho
     mix = math.sqrt(1.0 - rho**2)
@@ -122,21 +118,19 @@ def _perturbed_logs(bundle: PathBundle):
     v = np.ascontiguousarray(bundle.v[:, :-1].T)
     b = np.ascontiguousarray(bundle.b[:, :-1].T)
     steps, dt = dwp.shape[0], bundle.dt
-    scratch = np.empty((min(_CHUNK, steps), dwp.shape[1]))
+    scratch = np.empty((min(chunk_steps(dwp.shape[1]), steps), dwp.shape[1]))
     logs = np.zeros((steps + 1, dwp.shape[1]))
 
     def negated_logs(candidate: DualCandidate):
-        for k0 in range(0, steps, _CHUNK):
-            k1 = min(k0 + _CHUNK, steps)
+        def fill(k0, k1, inc):
             nu = candidate.integrand(v, b, scratch[:k1 - k0], start=k0)
-            inc = logs[k0 + 1:k1 + 1]
             np.multiply(nu, nu, out=inc)
             inc *= 0.5
             inc *= dt
             np.multiply(nu, dwp[k0:k1], out=nu)
             inc -= nu           # exactly -(nu dW_perp - 0.5 nu**2 dt)
-            _accumulate(logs[k0:k1 + 1])
-        stop, _, crossed = first_crossing(logs, -math.log(candidate.cap))
+
+        stop, _, crossed = walk(fill, logs, -math.log(candidate.cap))
         return logs, stop - crossed
 
     return negated_logs

@@ -196,14 +196,15 @@ def validate_config(cfg: dict) -> list[dict]:
         elif any(not -1.0 < r < 1.0 for r in rhos):
             bad("sweep.rho_values", "every rho must satisfy |rho| < 1")
         ys = _floats(sec.get("y_grid"))
-        if ys is None or any(not y > 0 for y in ys):
-            bad("sweep.y_grid", "must be a nonempty list of positive values")
-        if not _number(sec.get("x", 0.0)) > 0:
-            bad("sweep.x", "initial capital must be a positive number")
+        if ys is None or not all(0 < y < math.inf for y in ys):
+            bad("sweep.y_grid",
+                "must be a nonempty list of finite positive values")
+        if not 0 < _number(sec.get("x", 0.0)) < math.inf:
+            bad("sweep.x", "initial capital must be a finite positive number")
         counts(sec, "sweep", "hedge_buckets", "budget", "w_budget")
     elif kind == "degenerate":
-        if not _number(sec.get("alpha", 1.0)) > 0:
-            bad("degenerate.alpha", "alpha must be a positive number")
+        if not 0 < _number(sec.get("alpha", 1.0)) < math.inf:
+            bad("degenerate.alpha", "alpha must be a finite positive number")
         if not math.isfinite(_number(sec.get("x", 0.0))):
             bad("degenerate.x", "initial capital must be a finite number")
         ns = _floats(sec.get("n_values"))
@@ -224,8 +225,10 @@ def validate_config(cfg: dict) -> list[dict]:
         rho = _number(sec.get("rho", 0.0))
         if rho == 0.0 or not -1.0 < rho < 1.0:
             bad("subreplication.rho", "requires 0 < |rho| < 1")
-        if _floats(sec.get("shifts")) is None:
-            bad("subreplication.shifts", "must be a nonempty list of numbers")
+        shifts = _floats(sec.get("shifts"))
+        if shifts is None or not all(map(math.isfinite, shifts)):
+            bad("subreplication.shifts",
+                "must be a nonempty list of finite numbers")
         if not _t_prime_ok(grid, sec.get("t_prime")):
             bad("subreplication.t_prime",
                 "must be null or a grid node strictly before the horizon")

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import _CHUNK, GeneralMarketCoeffs, TimeGrid, _driver_levels
+from .market import GeneralMarketCoeffs, TimeGrid, _driver_levels
 from .rng import RandomStream
+from .stopping import chunk_steps
 
 __all__ = [
     "KWResult",
@@ -122,38 +123,43 @@ def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
     the coefficient ``H``, the energy and the zero-cell fraction, each equal
     bit for bit to :func:`kw_decompose`'s on the same increments.  The
     cells are laid out time-major, so that each node's ``nu`` and ``sigma``
-    are written contiguously.  Per ``n``, ``sigma``, ``H`` and the products
-    ``H**2 |sigma|**2`` are formed for ``market._CHUNK`` nodes at a time,
-    the products going straight into one ``(paths, steps)`` buffer whose
-    rows are summed over steps, which keeps numpy's pairwise summation of
-    each path's energy; zero cells are counted exactly.
+    are written contiguously.  ``nu`` is never held whole: the
+    orthogonality check forms it one node at a time, and per ``n`` it is
+    formed again, with ``sigma``, ``H`` and the products
+    ``H**2 |sigma|**2``, for a chunk of ``stopping.chunk_steps(paths * d)``
+    nodes at a time, the products going straight into one ``(paths,
+    steps)`` buffer whose rows are summed over steps, which keeps numpy's
+    pairwise summation of each path's energy; zero cells are counted
+    exactly.
     """
     d, steps = coeffs.d, grid.steps
     b = _driver_levels(stream.split(0), grid, paths, d=d)
     t = grid.times
 
-    nu = np.empty((steps, paths, d))
+    chunk = chunk_steps(paths * d)
+    nu = np.empty((min(chunk, steps), paths, d))
     worst = 0.0
     for k in range(steps):
-        nu[k] = np.asarray(nu_fn(t[k], b[:, k, :]), dtype=float)
+        nu[0] = nu_fn(t[k], b[:, k, :])
         sig_inf = coeffs.sigma_at(math.inf, t[k], b[:, k, :])
         worst = max(worst, float(np.abs(
-            np.einsum("pd,pd->p", nu[k], sig_inf)).max()))
+            np.einsum("pd,pd->p", nu[0], sig_inf)).max()))
     if worst >= ORTHO_TOL:
         raise ValueError(
             f"integrand is not orthogonal to the limit volatility "
             f"(max |nu . sigma_inf| = {worst:.3g} >= {ORTHO_TOL:g})")
 
     rows = []
-    sigma = np.empty((min(_CHUNK, steps), paths, d))
+    sigma = np.empty_like(nu)
     products = np.empty((paths, steps))
     for n in n_values:
         zeros = 0
-        for k0 in range(0, steps, _CHUNK):
-            k1 = min(k0 + _CHUNK, steps)
+        for k0 in range(0, steps, chunk):
+            k1 = min(k0 + chunk, steps)
             for k in range(k0, k1):
+                nu[k - k0] = nu_fn(t[k], b[:, k, :])
                 sigma[k - k0] = coeffs.sigma_at(n, t[k], b[:, k, :])
-            sig2, h, zero = _coefficient(nu[k0:k1], sigma[:k1 - k0])
+            sig2, h, zero = _coefficient(nu[:k1 - k0], sigma[:k1 - k0])
             products[:, k0:k1] = (h**2 * sig2).T
             zeros += int(np.count_nonzero(zero))
         energy = products.sum(axis=1) * grid.dt

@@ -35,6 +35,7 @@ import numpy as np
 
 from .estimates import Estimate, mc_estimate
 from .rng import RandomStream, map_blocks
+from .stopping import chunk_steps
 
 __all__ = [
     "HestonParams",
@@ -52,10 +53,6 @@ __all__ = [
     "simulate_general_market",
     "semimartingale_distance",
 ]
-
-
-#: steps per time-major chunk of the variance recursion
-_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +164,7 @@ class PathBundle:
 
 def _cir_scratch(width: int) -> np.ndarray:
     """Scratch of :func:`_cir_block` for blocks of up to ``width`` paths."""
-    return np.empty((2 * _CHUNK + 2, width))
+    return np.empty((2 * chunk_steps(width) + 2, width))
 
 
 def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
@@ -180,22 +177,23 @@ def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
     ``x+ = max(x, 0)`` each step is
     ``(x + (kappa (theta - x+)) dt) + (sigma sqrt(x+)) dB``, and the stored
     path is the clipped ``max(x, 0)``.  The steps are walked in chunks of
-    ``_CHUNK`` time-major rows, so that a chunk's increments and states
-    stay in cache; every step runs in place in ``scratch``, in the order
-    above, so the values depend neither on the chunking nor on how the
-    paths are split into blocks.
+    time-major rows, ``stopping.chunk_steps`` of the block width, so that a
+    chunk's increments and states stay in cache; every step runs in place
+    in ``scratch``, in the order above, so the values depend neither on the
+    chunking nor on how the paths are split into blocks.
     """
     m, steps = db.shape
     dt = grid.dt
     kappa, theta, sigma = params.kappa, params.theta, params.sigma
+    c = chunk_steps(scratch.shape[1])
     # a chunk of increments and the states it reaches (both time-major),
     # the state entering the chunk and x+
-    dbt, xt = scratch[:_CHUNK, :m], scratch[_CHUNK:2 * _CHUNK, :m]
-    x, xp = scratch[2 * _CHUNK, :m], scratch[2 * _CHUNK + 1, :m]
+    dbt, xt = scratch[:c, :m], scratch[c:2 * c, :m]
+    x, xp = scratch[2 * c, :m], scratch[2 * c + 1, :m]
     out[:, 0] = params.v0
     x[:] = params.v0
-    for k0 in range(0, steps, _CHUNK):
-        k1 = min(k0 + _CHUNK, steps)
+    for k0 in range(0, steps, c):
+        k1 = min(k0 + c, steps)
         n = k1 - k0
         dbt[:n] = db[:, k0:k1].T
         prev = x

@@ -23,8 +23,10 @@ value of the corresponding problem, reported with a standard error.  For
 half-line utilities any path ending outside the domain makes the estimate
 ``-inf``; the number of such paths is reported as the violation count.
 ``primal_bound`` and every evaluation of ``optimize_primal`` are one
-function: one first-crossing kernel on the running gains, reading terminal
-values only.
+function: the family forms its gains increments a chunk of steps at a time,
+and :func:`~mcduality.stopping.walk`, which the dual shares, sums them into
+one buffer per search and stops them at the floor; an evaluation reads
+terminal values only.
 
 The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .stopping import first_crossing
+from .stopping import chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair
 
 __all__ = [
@@ -297,44 +299,44 @@ class HedgeMixFamily:
 # wealth and admissibility
 # ---------------------------------------------------------------------------
 
-def _accumulate(g: np.ndarray) -> np.ndarray:
-    """Running sum down the rows of ``g`` in place: one vector add per
-    step, ``np.cumsum``'s adds in its order."""
-    for j in range(1, g.shape[0]):
-        np.add(g[j - 1], g[j], out=g[j])
-    return g
-
-
 def _component_gains(family, bundle):
-    """``theta ->`` gains ``X_1 .. X_steps`` of the family at ``theta``,
-    laid out ``(steps, paths)``.
+    """The family's gains walk: ``(theta -> fill, path)``.
 
-    The component holdings are computed once and kept time-major; an
-    evaluation sums ``theta_k C_k`` (zero weights skipped), truncates the
-    sum, multiplies by ``dS`` and accumulates.
+    ``path`` is the ``(steps+1, paths)`` buffer, from ``X_0 = 0``, that
+    :func:`~mcduality.stopping.walk` sums the gains into; ``fill_at(theta)``
+    is the walk's fill, writing a chunk of the increments
+    ``clip(sum_k theta_k C_k) dS`` (zero weights skipped).  The component
+    holdings are computed once and kept time-major, and the buffer and a
+    chunk of scratch are allocated once, so an evaluation allocates nothing
+    of size ``paths x steps``.
     """
     comps = [np.transpose(c).copy() for c in family.components(bundle)]
     ds = np.diff(bundle.s, axis=1).T.copy()
+    steps, paths = ds.shape
+    path = np.zeros((steps + 1, paths))
+    term = np.empty((min(chunk_steps(paths), steps), paths))
     cap = family.max_holding
 
-    def gains(theta) -> np.ndarray:
-        g = np.zeros(ds.shape)
-        for w, c in zip(theta, comps):
-            if w != 0.0:
-                g += w * c
-        np.clip(g, -cap, cap, out=g)
-        g *= ds
-        return _accumulate(g)
+    def fill_at(theta):
+        def fill(k0, k1, rows):
+            rows.fill(0.0)
+            for w, c in zip(theta, comps):
+                if w != 0.0:
+                    rows += (np.multiply(w, c[k0:k1], out=term[:k1 - k0])
+                             if c.ndim else w * c)
+            np.clip(rows, -cap, cap, out=rows)
+            rows *= ds[k0:k1]
 
-    return gains
+        return fill
+
+    return fill_at, path
 
 
 def wealth_process(family, theta, bundle) -> np.ndarray:
     """Raw gains paths ``(paths, steps+1)`` of the family at ``theta``."""
-    g = _component_gains(family, bundle)(theta)
-    x = np.zeros((g.shape[1], g.shape[0] + 1))
-    x[:, 1:] = g.T
-    return x
+    fill_at, path = _component_gains(family, bundle)
+    walk(fill_at(theta), path, -math.inf)
+    return path.T.copy()
 
 
 def _threshold(family, x: float, constrained: bool, phi_min: float) -> float:
@@ -373,8 +375,9 @@ def enforce_admissibility(family, theta, bundle, x: float = 0.0,
     the strategy genuinely suffered and is never repaired.
     """
     thr = _threshold(family, x, constrained, phi_min)
-    raw = wealth_process(family, theta, bundle)
-    stop_at, _, crossed = first_crossing(raw.T, thr)
+    fill_at, path = _component_gains(family, bundle)
+    stop_at, _, crossed = walk(fill_at(theta), path, thr)
+    raw = path.T
     idx = np.minimum(np.arange(raw.shape[1])[None, :], stop_at[:, None])
     stopped = np.take_along_axis(raw, idx, axis=1)
     return EnforcedWealth(wealth=stopped,
@@ -400,9 +403,10 @@ def _evaluation(pair: ConjugatePair, x: float, family, bundle,
     else:
         thr = _threshold(family, x, constrained, claim.phi_min)
         f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
+    fill_at, path = gains
 
     def evaluate(theta) -> PrimalResult:
-        _, xt, crossed = first_crossing(gains(theta), thr)
+        _, xt, crossed = walk(fill_at(theta), path, thr)
         w = x + xt if f is None else (x + f) + xt
         samples = np.asarray(pair.utility.u(w), dtype=float)
         return PrimalResult(estimate=mc_estimate(samples),
@@ -504,8 +508,8 @@ def hedge_residual(hedge: BucketStrategy, price: float, bundle,
     fitted in one market be scored in another sharing the same drivers, with
     that market's own claim delta.
     """
-    g = hedge.holdings(bundle).T * np.diff(bundle.s, axis=1).T
-    gains = _accumulate(g)[-1]
+    gains = np.multiply(hedge.holdings(bundle).T, np.diff(bundle.s, axis=1).T,
+                        order="C").sum(axis=0)
     f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
     return float((price + gains - f).std(ddof=1))
 

@@ -72,8 +72,9 @@ class UtilitySpec:
     @classmethod
     def power(cls, p: float) -> "UtilitySpec":
         """Power utility ``x**p / p`` (``p = 0`` selects log utility)."""
-        if p >= 1.0:
-            raise ValueError(f"power exponent must satisfy p < 1, got {p}")
+        if not (math.isfinite(p) and p < 1.0):
+            raise ValueError(
+                f"power exponent must be finite with p < 1, got {p}")
         return cls(kind="power", p=float(p))
 
     @classmethod
@@ -83,8 +84,9 @@ class UtilitySpec:
     @classmethod
     def exponential(cls, alpha: float) -> "UtilitySpec":
         """Exponential utility ``-exp(-alpha * x)`` on the whole line."""
-        if alpha <= 0.0:
-            raise ValueError(f"exponential coefficient must be > 0, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(
+                f"exponential coefficient must be finite and > 0, got {alpha}")
         return cls(kind="exponential", alpha=float(alpha))
 
     # -- basic properties ---------------------------------------------------

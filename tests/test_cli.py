@@ -93,6 +93,16 @@ def test_validate_reports_violations(tmp_path, capsys):
      "degenerate.n_values"),
     ({"kind": "degenerate", "degenerate": {"n_values": [2, math.inf]}},
      "degenerate.n_values"),
+    ({"utility": {"kind": "power", "p": math.nan}}, "utility"),
+    ({"utility": {"kind": "power", "p": -math.inf}}, "utility"),
+    ({"utility": {"kind": "exponential", "alpha": math.nan}}, "utility"),
+    ({"utility": {"kind": "exponential", "alpha": math.inf}}, "utility"),
+    ({"kind": "sweep", "sweep": {"x": math.inf}}, "sweep.x"),
+    ({"kind": "sweep", "sweep": {"y_grid": [math.inf]}}, "sweep.y_grid"),
+    ({"kind": "degenerate", "degenerate": {"alpha": math.inf}},
+     "degenerate.alpha"),
+    ({"kind": "subreplication", "subreplication": {"shifts": [math.inf]}},
+     "subreplication.shifts"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
         "degenerate_x_text", "oracle_not_object", "oracle_values_text",
@@ -102,7 +112,9 @@ def test_validate_reports_violations(tmp_path, capsys):
         "sigma_overflow", "kappa_nan", "mu_nan", "v0_inf", "a_inf",
         "b_neg_inf", "kw_n_zero", "kw_n_negative", "degenerate_n_zero",
         "degenerate_n_negative", "degenerate_n_inf",
-        "degenerate_n_inf_among_finite"])
+        "degenerate_n_inf_among_finite", "utility_p_nan", "utility_p_neg_inf",
+        "utility_alpha_nan", "utility_alpha_inf", "sweep_x_inf",
+        "sweep_y_inf", "degenerate_alpha_inf", "subrep_shift_inf"])
 def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     path = write_cfg(tmp_path / "c.json", {"version": 1, **cfg})
     assert main(["validate", "--config", path]) == 2

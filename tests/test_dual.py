@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mcduality.affine import density_moment
-from mcduality import dual
+from mcduality import dual, stopping
 from mcduality.dual import (DualCandidate, dual_bound_mmm,
                             dual_bound_perturbed, minimize_dual,
                             perturbation_exponential, subreplication_estimate)
@@ -114,11 +114,14 @@ def chunked_bundle():
 @pytest.mark.parametrize("cap", [1.5, 1e6])
 @pytest.mark.parametrize("buckets", [1, 2, 3, 5])
 def test_kernel_is_bitwise_step_loop_across_chunks(chunked_bundle, cap,
-                                                   buckets):
+                                                   buckets, monkeypatch):
     # several chunks of steps, the last one short, with bucket edges
-    # falling inside chunks
-    steps = chunked_bundle.steps
-    assert steps > 2 * dual._CHUNK and steps % dual._CHUNK != 0
+    # falling inside chunks: 300 paths fit one chunk at the default budget,
+    # so the budget is cut to 16 rows
+    monkeypatch.setattr(stopping, "_CHUNK_VALUES", 16 * chunked_bundle.paths)
+    steps, chunk = chunked_bundle.steps, stopping.chunk_steps(
+        chunked_bundle.paths)
+    assert steps > 2 * chunk and steps % chunk != 0
     stopped = _stopped_fractions_bitwise(chunked_bundle, cap, buckets)
     assert max(stopped) > 0.3 if cap == 1.5 else max(stopped) == 0.0
 

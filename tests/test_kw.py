@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mcduality import stopping
 from mcduality.experiments import _kw_setup
 from mcduality.kw import (kw_convergence_diag, kw_decompose,
                           nondegeneracy_check)
@@ -206,13 +207,17 @@ def _path_dependent_family():
     (_kw_setup("degenerate"), [1.0, 4.0, math.inf]),
     (_path_dependent_family(), [0.5, 2.0, 7.0]),
 ], ids=["nondegenerate", "degenerate", "path_dependent"])
-def test_diag_is_bitwise_decompose(family, n_values):
+def test_diag_is_bitwise_decompose(family, n_values, monkeypatch):
     # the diagnostic's energies, SEs and zero fractions are those of a full
-    # kw_decompose on the same increments, bit for bit; 37 steps end in a
-    # partial chunk of nodes
+    # kw_decompose on the same increments, bit for bit; 700 paths fit one
+    # chunk at the default budget, so the budget is cut to 16 nodes, and 37
+    # steps end in a partial chunk of nodes
     coeffs, nu_fn = family
+    paths, d = 700, coeffs.d
+    monkeypatch.setattr(stopping, "_CHUNK_VALUES", 16 * paths * d)
+    assert stopping.chunk_steps(paths * d) == 16
     for steps in (24, 37):
-        grid, paths, d = TimeGrid(1.0, steps), 700, coeffs.d
+        grid = TimeGrid(1.0, steps)
         rows = kw_convergence_diag(nu_fn, coeffs, n_values, grid, paths,
                                    RandomStream(13))
         flat = RandomStream(13).split(0).standard_normals(paths, steps * d)

@@ -1,6 +1,7 @@
 """Strategy admissibility, regression hedging and the primal search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mcduality.primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
                               optimize_primal, primal_bound, wealth_process,
                               _smoothed_delta)
 from mcduality.rng import RandomStream
-from mcduality.stopping import first_crossing
+from mcduality.stopping import walk
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                                constant_claim, digital_claim, logistic_claim)
 
@@ -451,7 +452,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     thr = -fam.floor - fam.slack
     if constrained:
         thr = max(thr, -x - phi_min)
-    gains = primal._component_gains(fam, flat_market)
+    fill_at, path = primal._component_gains(fam, flat_market)
 
     def reference_bound(theta):
         raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
@@ -469,7 +470,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
         raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
                                            thr)
         assert np.array_equal(wealth_process(fam, theta, flat_market), raw)
-        _, xt, kernel_crossed = first_crossing(gains(theta), thr)
+        _, xt, kernel_crossed = walk(fill_at(theta), path, thr)
         assert np.array_equal(xt, stopped[:, -1])
         assert np.array_equal(kernel_crossed, crossed)
         enforced = enforce_admissibility(fam, theta, flat_market, x=x,
@@ -490,3 +491,30 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     opt = optimize_primal(pair, x, fam, flat_market, claim=c,
                           constrained=constrained, budget=12)
     assert opt.result == reference_bound(opt.theta)
+
+
+def test_evaluation_allocates_no_gains_array():
+    # the walk's buffer belongs to the built gains, so an evaluation
+    # allocates only per-path vectors and first_crossing's gather of the
+    # crossing columns: well under one (steps+1) x paths array
+    market = simulate_general_market(degenerate_coeffs(), 1.0,
+                                     TimeGrid(1.0, 64), 4000,
+                                     RandomStream(29))
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    hedge = lsmc_hedge(claim, market, buckets=4)
+    fam = HedgeMixFamily(hedge=hedge.strategy, floor=4.0, max_holding=2.5,
+                         lin_bounds=(-1.0, 1.0))
+    gains = primal._component_gains(fam, market)
+    evaluate = primal._evaluation(ConjugatePair(UtilitySpec.power(0.5)), 6.0,
+                                  fam, market, None, False, gains)
+    theta = np.array([0.1, 2.0, 0.1])
+    first = evaluate(theta)
+    assert 0.0 < first.stopped_fraction < 0.1
+    tracemalloc.start()
+    try:
+        again = evaluate(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 0.5 * (64 + 1) * 4000 * 8
