@@ -37,7 +37,7 @@ import numpy as np
 
 from .estimates import Estimate, mc_estimate
 from .market import HestonParams, PathBundle, TimeGrid
-from .primal import _nelder_mead
+from .search import minimize
 from .stopping import chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair, constrained_conjugate
 
@@ -226,34 +226,28 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     time bucket) ranges over ``[-_BOX, _BOX]``, and every candidate is
     capped at ``_CAP``.  The baseline ``nu = 0`` bound is evaluated first
     and retained whenever the search cannot improve on it, so the result is
-    never worse than the unperturbed density.  Common
-    random numbers (one shared bundle) make the search deterministic for a
-    fixed seed and budget; the restarts follow the primal search's policy,
-    ties breaking lexicographically on the rounded coefficient vector.
-    Each evaluation gives the bits of ``dual_bound_perturbed`` on the
-    search's inputs, built once.
+    never worse than the unperturbed density.  Common random numbers (one
+    shared bundle) make the search deterministic for a fixed seed and
+    budget.  The search is :func:`~mcduality.search.minimize`, the primal's
+    too: runs from the box's midpoint ``nu = 0`` and its two quarter points,
+    a non-finite bound scoring ``1e30``.  Each evaluation gives the bits of
+    ``dual_bound_perturbed`` on the search's inputs, built once;
+    ``evaluations`` counts the search's calls and the reported evaluation.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     lo = np.full(3 * buckets, -_BOX)
     hi = np.full(3 * buckets, _BOX)
-    evals = 0
 
     def make(theta, label=""):
         return DualCandidate(np.asarray(theta).reshape(buckets, 3), cap=_CAP,
                              label=label)
 
-    def objective(theta):
-        nonlocal evals
-        evals += 1
-        m = bound(make(theta)).mean
-        return 1e30 if not math.isfinite(m) else m
-
     base = dual_bound_mmm(pair, y, bundle, claim)
     table: list[tuple[str, Estimate]] = [("mmm", base)]
     bound = _perturbed_bound(pair, y, bundle, claim)
-    starts = [np.zeros(lo.size), 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi]
-    best_theta = _nelder_mead(objective, starts, lo, hi, budget)
+    best_theta, evals = minimize(lambda t: bound(make(t)).mean, lo, hi,
+                                 budget)
     del bound   # free the search's buffers before the reported evaluation
     best_cand = make(best_theta, "nm")
     best_est = dual_bound_perturbed(pair, y, bundle, best_cand, claim)

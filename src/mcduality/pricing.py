@@ -386,14 +386,12 @@ def degenerate_example(alpha: float = 1.0, x: float = 0.0,
     coeffs = degenerate_coeffs()
     stream = RandomStream(seed)
 
+    n_values = list(n_values)
+    if not n_values:
+        raise ValueError("n_values must name at least one family member")
     rows = []
-    limit_bound = None
-    for n in list(n_values) + [math.inf]:
+    for n in n_values:
         gp = simulate_general_market(coeffs, n, grid, paths, stream, workers)
-        f = np.asarray(claim(driver_levels(gp)[:, -1]), dtype=float)
-        if math.isinf(n):
-            limit_bound = mc_estimate(pair.utility.u(x + f))
-            continue
         hedge = lsmc_hedge(claim, gp, buckets=buckets, degree=degree)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=(-1.4, -0.6),
@@ -411,6 +409,10 @@ def degenerate_example(alpha: float = 1.0, x: float = 0.0,
                                   value_mc=value_mc,
                                   value_mc_stderr=value_se))
 
+    # every member draws the same driver increments, so the limit market's
+    # B_T, and with it the limit bound, is any member's
+    f = np.asarray(claim(driver_levels(gp)[:, -1]), dtype=float)
+    limit_bound = mc_estimate(pair.utility.u(x + f))
     u_exact = float(pair.utility.u(x + 0.5))
     u_limit = 0.5 * (float(pair.utility.u(x)) + float(pair.utility.u(x + 1.0)))
     return DegenerateResult(rows=rows, analytic_value_n=u_exact,

@@ -26,7 +26,9 @@ half-line utilities any path ending outside the domain makes the estimate
 function: the family forms its gains increments a chunk of steps at a time,
 and :func:`~mcduality.stopping.walk`, which the dual shares, sums them into
 one buffer per search and stops them at the floor; an evaluation reads
-terminal values only.
+terminal values only.  ``optimize_primal`` hands the negated mean and the
+family's bounds to :func:`~mcduality.search.minimize`, the bounded
+Nelder-Mead search that the dual uses too.
 
 The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
@@ -45,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
+from .search import minimize
 from .stopping import chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair
 
@@ -527,118 +530,6 @@ class PrimalOpt:
     evaluations: int
 
 
-_BAD = 1e30
-
-
-class _BudgetSpent(Exception):
-    """Raised by a simplex run's objective once ``maxfev`` calls are made."""
-
-
-def _simplex(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-             maxfev: int) -> tuple[np.ndarray, float]:
-    """One bounded Nelder-Mead run from ``x0``: best vertex and best value.
-
-    Coefficients 1, 2, 1/2 and 1/2; the initial simplex steps each
-    coordinate by 5% (or to 0.00025 from zero), reflects vertices above
-    ``hi`` back into the box and clips; every trial point is clipped to
-    ``[lo, hi]``.  A pass stops where the ``maxfev``-th call leaves it, even
-    mid-shrink, and the simplex is re-sorted after each pass.  The run ends
-    when the vertices lie within 1e-4 and their values within 1e-10 of the
-    best.  These are the iterates of scipy's bounded, non-adaptive
-    ``Nelder-Mead`` with the same operations in the same order, so the
-    search keeps its bits.
-    """
-    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.full(n + 1, np.inf)
-    calls = 0
-
-    def f(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _BudgetSpent
-        calls += 1
-        return objective(np.copy(x))
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    # sorted twice, as scipy does: argsort is not stable, so the second
-    # sort may move tied vertices
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    while calls < maxfev:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-4 and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = np.clip(2 * xbar - sim[-1], lo, hi)
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:      # outside contraction
-                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:                   # inside contraction
-                    xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
-                    fxcc = f(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]),
-                                         lo, hi)
-                        fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], float(np.min(fsim))
-
-
-def _nelder_mead(objective, starts, lo: np.ndarray, hi: np.ndarray,
-                 budget: int) -> np.ndarray:
-    """Best end point of bounded Nelder-Mead runs, one from each start.
-
-    The runs share ``budget`` evaluations (at least ``dim + 2`` each); end
-    points are clipped to the box ``[lo, hi]`` and ties in the objective go
-    to the lexicographically smallest end point rounded to 12 decimals.
-    The primal and the dual search both use this restart policy.
-    """
-    per_start = max(budget // len(starts), lo.size + 2)
-    outcomes = []
-    for s in starts:
-        x, fun = _simplex(objective, s, lo, hi, per_start)
-        theta = np.clip(x, lo, hi)
-        outcomes.append((fun, tuple(np.round(theta, 12)), theta))
-    outcomes.sort(key=lambda t: (t[0], t[1]))
-    return outcomes[0][2]
-
-
 def _search(pair: ConjugatePair, x: float, family, bundle,
             claim: ClaimSpec | None, constrained: bool, budget: int,
             gains) -> PrimalOpt:
@@ -647,16 +538,8 @@ def _search(pair: ConjugatePair, x: float, family, bundle,
     lo = np.array([b[0] for b in family.bounds])
     hi = np.array([b[1] for b in family.bounds])
     evaluate = _evaluation(pair, x, family, bundle, claim, constrained, gains)
-    evals = 0
-
-    def objective(theta):
-        nonlocal evals
-        evals += 1
-        m = evaluate(theta).estimate.mean
-        return _BAD if m == -math.inf else -m
-
-    starts = [0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi]
-    theta = _nelder_mead(objective, starts, lo, hi, budget)
+    theta, evals = minimize(lambda t: -evaluate(t).estimate.mean, lo, hi,
+                            budget)
     return PrimalOpt(theta=theta, result=evaluate(theta), evaluations=evals)
 
 
@@ -667,9 +550,10 @@ def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
 
     All evaluations reuse the bundle's paths (common random numbers), so the
     search is deterministic given seed, family and budget; each evaluation
-    gives the bits of ``primal_bound`` of the family at ``theta``.  Three
-    fixed starting points share the budget; ties between restarts are broken
-    lexicographically by coefficient vector.
+    gives the bits of ``primal_bound`` of the family at ``theta``.  The
+    search is :func:`~mcduality.search.minimize` of the negated mean over
+    the family's bounds, so an infeasible ``theta`` (a ``-inf`` mean) scores
+    as its one penalty.
     """
     return _search(pair, x, family, bundle, claim, constrained, budget,
                    _component_gains(family, bundle))

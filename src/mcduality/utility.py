@@ -311,7 +311,8 @@ def logistic_claim(rate: float = 1.0, scale: float = 1.0,
     range).
     """
     z = np.linspace(lo, hi, n)
-    vals = scale / (1.0 + np.exp(-rate * z))
+    with np.errstate(over="ignore"):    # exp -> inf: the payoff's limit 0
+        vals = scale / (1.0 + np.exp(-rate * z))
     return ClaimSpec(z, vals, phi_min=0.0, phi_max=scale)
 
 

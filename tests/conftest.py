@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcduality import HestonParams, RandomStream, TimeGrid, simulate_heston_market
+from mcduality import search
 
 BASE_PARAMS = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
 SMALL_GRID = TimeGrid(horizon=1.0, steps=64)
@@ -36,3 +37,16 @@ def cir_step_loop(params, grid, db):
             + params.sigma * np.sqrt(xp) * db[:, k]
         raw[:, k + 1] = x
     return np.maximum(raw, 0.0)
+
+
+def record_simplex_starts(monkeypatch) -> list:
+    """The start of every bounded simplex run, recorded as the runs go."""
+    starts = []
+    real = search._simplex
+
+    def recording(objective, x0, lo, hi, maxfev):
+        starts.append(np.array(x0, copy=True))
+        return real(objective, x0, lo, hi, maxfev)
+
+    monkeypatch.setattr(search, "_simplex", recording)
+    return starts

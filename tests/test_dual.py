@@ -16,7 +16,8 @@ from mcduality.rng import RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                logistic_claim)
 
-from conftest import BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED
+from conftest import (BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED,
+                      record_simplex_starts)
 
 
 POWER = ConjugatePair(UtilitySpec.power(0.5))
@@ -245,6 +246,18 @@ def test_minimize_dual_deterministic(bundle_rho03):
     b = minimize_dual(POWER, 1.0, bundle_rho03, claim, budget=45)
     assert a.estimate.mean == b.estimate.mean
     assert np.array_equal(a.best.coeffs, b.best.coeffs)
+
+
+def test_minimize_dual_runs_from_distinct_starts(monkeypatch, bundle_rho03):
+    # three runs share the budget, each from its own start; the reported
+    # evaluation makes the count one more than the search's calls
+    starts = record_simplex_starts(monkeypatch)
+    opt = minimize_dual(POWER, 1.0, bundle_rho03,
+                        logistic_claim(rate=-2.0, scale=2.0), buckets=2,
+                        budget=60)
+    assert len(starts) == 3
+    assert len({tuple(s) for s in starts}) == 3
+    assert opt.evaluations == 61
 
 
 def test_minimize_dual_rejects_zero_budget(bundle_rho0):

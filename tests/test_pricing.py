@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from mcduality import pricing
+from mcduality.estimates import mc_estimate
 from mcduality.market import TimeGrid
 from mcduality.pricing import (degenerate_example, indifference_price,
                                rho_sweep)
-from mcduality.primal import ConstantFamily
+from mcduality.primal import ConstantFamily, driver_levels
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
-                               logistic_claim)
+                               digital_claim, logistic_claim)
 
 from conftest import BASE_PARAMS
 
@@ -156,6 +158,31 @@ def test_claim_delta_computed_once_per_row(monkeypatch):
     res = degenerate_example(n_values=[1, 4], grid=TimeGrid(1.0, 12),
                              paths=300, seed=7, buckets=3, budget=8)
     assert len(res.rows) == 2 and len(calls) == 2
+
+
+def test_degenerate_limit_bound_reads_a_finite_member(monkeypatch):
+    # every member shares the driver increments, so the limit market's B_T
+    # is a finite member's: one simulation per finite n, none for the limit
+    members = []
+    real = pricing.simulate_general_market
+
+    def recorded(*args, **kwargs):
+        members.append(real(*args, **kwargs))
+        return members[-1]
+
+    monkeypatch.setattr(pricing, "simulate_general_market", recorded)
+    res = degenerate_example(alpha=1.0, x=0.25, n_values=[1, 4],
+                             grid=TimeGrid(1.0, 12), paths=300, seed=7,
+                             buckets=3, budget=8)
+    assert [gp.n for gp in members] == [1.0, 4.0]
+    claim = digital_claim(level=1.0, at=0.0)
+    for gp in members:
+        f = np.asarray(claim(driver_levels(gp)[:, -1]), dtype=float)
+        ref = mc_estimate(EXP.utility.u(0.25 + f))
+        assert (res.limit_bound.mean, res.limit_bound.stderr) == (
+            ref.mean, ref.stderr)
+    with pytest.raises(ValueError):
+        degenerate_example(n_values=[])
 
 
 def test_degenerate_example_anchors():

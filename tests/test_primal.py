@@ -1,4 +1,5 @@
-"""Strategy admissibility, regression hedging and the primal search."""
+"""Strategy admissibility, regression hedging, the primal search and the
+bounded simplex search it runs."""
 
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcduality import primal
+from mcduality import primal, search
 from mcduality.market import (TimeGrid, simulate_general_market,
                              simulate_heston_market)
 from mcduality.pricing import degenerate_coeffs
@@ -21,7 +22,7 @@ from mcduality.stopping import walk
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                                constant_claim, digital_claim, logistic_claim)
 
-from conftest import BASE_PARAMS, SMALL_GRID
+from conftest import BASE_PARAMS, SMALL_GRID, record_simplex_starts
 
 
 @pytest.fixture(scope="module")
@@ -292,18 +293,51 @@ def test_hedge_mix_family_bounds(flat_market):
     assert np.array_equal(comps[2], flat_market.b[:, :-1, 0])
 
 
-def test_restart_ties_go_to_smallest_end_point():
+def _pairwise_distinct(points):
+    return len({tuple(p) for p in points}) == len(points)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # the dual's box for two time buckets
+    (np.full(6, -0.6), np.full(6, 0.6)),
+    # the sweep's claim search: scale, constant and B-linear exposure
+    (np.array([-1.6, -1.0, -1.0]), np.array([0.4, 3.5, 2.5])),
+])
+def test_restart_starts_are_distinct(monkeypatch, lo, hi):
+    starts = record_simplex_starts(monkeypatch)
+    search.minimize(lambda t: 0.0, lo, hi, 60)
+    assert len(starts) == 3 and _pairwise_distinct(starts)
+    policy = [0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi]
+    assert all(np.array_equal(s, p) for s, p in zip(starts, policy))
+
+
+def test_restart_ties_go_to_smallest_end_point(monkeypatch):
     # on a flat objective every restart ends on the same value, so the
-    # lexicographically smallest end point wins whatever the start order
+    # lexicographically smallest end point wins, not the first run's
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    starts = [np.array([0.5, 0.5]), np.array([-0.5, 0.25]),
-              np.array([-0.5, -0.25])]
-    ends = [primal._nelder_mead(lambda t: 0.0, [s], lo, hi, 12)
+    real = search._simplex
+    starts = record_simplex_starts(monkeypatch)
+    best, _ = search.minimize(lambda t: 0.0, lo, hi, 36)
+    assert len(starts) == 3
+    ends = [np.clip(real(lambda t: 0.0, s, lo, hi, 12)[0], lo, hi)
             for s in starts]
-    assert len({tuple(e) for e in ends}) == 3
-    best = primal._nelder_mead(lambda t: 0.0, starts, lo, hi, 36)
+    assert _pairwise_distinct(ends)
     assert np.array_equal(best, min(ends, key=tuple))
     assert not np.array_equal(best, ends[0])
+
+
+@pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan, 2.5])
+def test_non_finite_objective_scores_penalty(monkeypatch, value):
+    seen = []
+
+    def first_value(objective, x0, lo, hi, maxfev):
+        seen.append(objective(x0))
+        return x0, seen[-1]
+
+    monkeypatch.setattr(search, "_simplex", first_value)
+    _, calls = search.minimize(lambda t: value, np.zeros(2), np.ones(2), 12)
+    assert calls == 3
+    assert seen == [value if math.isfinite(value) else 1e30] * 3
 
 
 def _scipy_simplex(objective, x0, lo, hi, maxfev):
@@ -331,7 +365,7 @@ def _traced(run, objective, x0, lo, hi, maxfev):
 def _same_run(case, maxfev):
     fn, x0, lo, hi, _ = _SIMPLEX_CASES[case]
     x0, lo, hi = (np.asarray(v, dtype=float) for v in (x0, lo, hi))
-    x, fun, calls = _traced(primal._simplex, fn, x0, lo, hi, maxfev)
+    x, fun, calls = _traced(search._simplex, fn, x0, lo, hi, maxfev)
     ref_x, ref_fun, ref_calls = _traced(_scipy_simplex, fn, x0, lo, hi,
                                         maxfev)
     assert np.array_equal(x, ref_x), maxfev
@@ -358,9 +392,9 @@ def _stretched_ties(x):
 
 
 def _walled_bowl(x):
-    # the primal search's convention: an infeasible point scores 1e30
+    # the search's convention: an infeasible point scores 1e30
     # and the unconstrained minimum (1, 1) lies beyond the wall
-    return primal._BAD if x[0] + x[1] > 0.5 else float(np.sum((x - 1.0) ** 2))
+    return search._BAD if x[0] + x[1] > 0.5 else float(np.sum((x - 1.0) ** 2))
 
 
 _SIMPLEX_CASES = {
@@ -391,7 +425,7 @@ def test_simplex_is_bitwise_scipy_nelder_mead(case):
     if case == "tolerance":
         assert len(calls) < maxfev
     if case == "walled":
-        assert primal._BAD in map(fn, calls)
+        assert search._BAD in map(fn, calls)
 
 
 @pytest.mark.parametrize("case", ["rosenbrock", "ties_17d",

@@ -1,6 +1,7 @@
 """Utility families, conjugates, constrained conjugates and claim tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,17 @@ def test_claim_constructors():
     assert lg(0.0) == pytest.approx(1.0)
     dg = digital_claim(level=1.0, at=0.0)
     assert dg(-1.0) == 0.0 and dg(1.0) == 1.0 and dg.phi_max == 1.0
+
+
+@pytest.mark.parametrize("rate", [1e3, -1e3])
+def test_logistic_claim_steep_rate_is_silent(rate):
+    # exp(-rate * z) overflows at one end of the table; scale / inf is the
+    # payoff's limit 0 there, and no warning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lg = logistic_claim(rate=rate, scale=2.0)
+    ends = (lg.values[0], lg.values[-1])
+    assert ends == ((0.0, 2.0) if rate > 0 else (2.0, 0.0))
 
 
 @settings(max_examples=60, deadline=None)
