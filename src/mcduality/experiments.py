@@ -2,8 +2,11 @@
 
 A single JSON config format (``"version": 1``) drives every experiment
 kind: ``sweep``, ``degenerate``, ``kw``, ``subreplication`` and
-``oracle-check``.  Unspecified fields fall back to defaults, so
-``{"version": 1, "kind": "degenerate"}`` is a complete config.
+``oracle-check``.  One table declares each field once: its default, the
+type a run reads it as and its check (``utility`` and ``claim`` fields per
+kind).  Unspecified fields take their defaults, so ``{"version": 1,
+"kind": "degenerate"}`` is a complete config; a key the table does not
+declare, in any section, is a violation.
 
 Every run writes CSV reports (UTF-8, comma separated, floats at 17
 significant digits) plus a JSON manifest recording the effective config,
@@ -14,90 +17,43 @@ manifest's timing fields are the only nondeterministic output.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, affine, kw, pricing
 from .dual import subreplication_estimate
 from .estimates import mc_estimate
-from .market import (HestonParams, TimeGrid, simulate_cir_blocks,
-                     simulate_driver)
+from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
+                     simulate_cir_blocks, simulate_driver)
 from .rng import WORKERS_ENV, RandomStream, worker_count
 from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
                       digital_claim, load_claim_table, logistic_claim)
 
-__all__ = [
-    "CONFIG_VERSION",
-    "KINDS",
-    "ConfigError",
-    "RunManifest",
-    "default_config",
-    "merge_config",
-    "validate_config",
-    "check_config",
-    "build_market",
-    "build_utility",
-    "build_claim",
-    "run_experiment",
-]
+__all__ = ["CONFIG_VERSION", "KINDS", "ConfigError", "RunManifest",
+           "default_config", "merge_config", "validate_config",
+           "check_config", "build_market", "build_utility", "build_claim",
+           "run_experiment"]
 
 CONFIG_VERSION = 1
 KINDS = ("sweep", "degenerate", "kw", "subreplication", "oracle-check")
 
-_DEFAULTS: dict = {
-    "version": CONFIG_VERSION,
-    "kind": "degenerate",
-    "seed": 20240,
-    "paths": 20000,
-    "steps": 96,
-    "market": {"mu": 0.5, "kappa": 2.0, "theta": 1.0, "sigma": 0.7,
-               "v0": 1.0, "rho": 0.0, "horizon": 1.0},
-    "utility": {"kind": "power", "p": 0.5},
-    "claim": {"kind": "logistic", "rate": -2.0, "scale": 2.0},
-    "sweep": {"x": 0.75, "rho_values": [0.4, 0.2, 0.1, 0.05],
-              "y_grid": [0.3, 0.4, 0.5, 0.65, 0.8, 1.0, 1.25, 1.6, 2.0],
-              "hedge_buckets": 8, "budget": 120, "w_budget": 40},
-    "degenerate": {"alpha": 1.0, "x": 0.0, "n_values": [1, 2, 4, 8],
-                   "buckets": 12, "degree": 2, "budget": 60},
-    "kw": {"mode": "nondegenerate", "n_values": [1, 3, 10, 30, 100]},
-    "subreplication": {"rho": 0.3, "t_prime": None,
-                       "shifts": [-5.0, -4.0, -3.0, -2.0, -1.0, 0.0,
-                                  1.0, 2.0, 3.0, 4.0, 5.0]},
-    "oracle": {"a_values": [-0.5, 0.0, 0.4], "b_values": [-1.0, -0.4, 0.0]},
-}
-
-
-#: fields a kind section still accepts and ignores
-_RETIRED = {"sweep": ("price_tol",), "oracle": ("q_values",)}
-
 #: what a builder raises on a malformed or out-of-range section
 _BUILD_ERRORS = (ValueError, TypeError, KeyError, AttributeError,
-                 OverflowError)
-
-
-def default_config() -> dict:
-    return json.loads(json.dumps(_DEFAULTS))
-
-
-def merge_config(user: dict) -> dict:
-    """Overlay a user config on the defaults (one level of nesting deep)."""
-    cfg = default_config()
-    for key, val in user.items():
-        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(val)
-        else:
-            cfg[key] = val
-    return cfg
+                 OverflowError, OSError)
 
 
 # ---------------------------------------------------------------------------
-# validation
+# the field table.  A check ``check(value, steps, grid)`` returns the reason
+# ``value`` is bad, or None; ``steps`` is the config's, ``grid`` its
+# market's time grid (None if the market does not build, reported apart).
 # ---------------------------------------------------------------------------
 
 def _number(val) -> float:
@@ -119,19 +75,205 @@ def _count(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _t_prime_ok(grid: TimeGrid | None, t_prime) -> bool:
-    """Whether ``t_prime`` is null or a node of ``grid`` strictly before the
-    horizon; no grid (an unbuildable market, reported on its own) passes."""
-    if t_prime is None:
-        return True
-    if isinstance(t_prime, bool) or not isinstance(t_prime, (int, float)):
-        return False
-    if grid is None:
-        return True
+def _where(ok, reason: str):
+    """Check: a number (or numeric text) for which ``ok`` holds."""
+    return lambda val, *_: None if ok(_number(val)) else reason
+
+
+def _all_where(ok, reason: str):
+    """Check: a nonempty list of numbers, ``ok`` holding for each; a
+    malformed or empty list is checked as ``[nan]``, which ``ok`` fails."""
+    return lambda val, *_: (None if all(map(ok, _floats(val) or [math.nan]))
+                            else reason)
+
+
+def _integer(lo, hi, reason: str):
+    """Check: a JSON integer in ``[lo, hi)``."""
+    return lambda val, *_: None if _count(val) and lo <= val < hi else reason
+
+
+def _one_of(options: tuple, reason: str):
+    """Check: one of ``options``, never ``true`` or ``false``."""
+    return lambda val, *_: (None if not isinstance(val, bool)
+                            and val in options else reason)
+
+
+def _finite_positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+_COUNT = _integer(1, math.inf, "must be a positive integer")
+_POSITIVE = _where(_finite_positive, "must be a finite positive number")
+_POSITIVES = _all_where(_finite_positive,
+                        "must be a nonempty list of finite positive numbers")
+_FINITES = _all_where(math.isfinite,
+                      "must be a nonempty list of finite numbers")
+
+
+def _buckets(val, steps, _grid):
+    """Check: a positive integer no larger than ``steps``."""
+    if _count(val) and _count(steps) and val > steps:
+        return "must not exceed steps"
+    return _COUNT(val)
+
+
+def _t_prime(val, _steps, grid: TimeGrid | None):
+    """Check: null, or a node of ``grid`` strictly before the horizon."""
     try:
-        return grid.node_index(float(t_prime)) < grid.steps
+        ok = val is None or (
+            isinstance(val, (int, float)) and not isinstance(val, bool)
+            and (grid is None or grid.node_index(float(val)) < grid.steps))
     except (ValueError, OverflowError):
-        return False
+        ok = False
+    return None if ok else "must be null or a grid node before the horizon"
+
+
+class _Field(NamedTuple):
+    """A config field's default, the type a run reads it as and its check
+    (none for ``market``, ``utility`` and ``claim``: building checks them)."""
+
+    default: object
+    coerce: Callable = float
+    check: Callable | None = None
+
+
+#: the top-level fields
+_TOP = {
+    "version": _Field(CONFIG_VERSION, int,
+                      _one_of((CONFIG_VERSION,), f"must be {CONFIG_VERSION}")),
+    "kind": _Field("degenerate", str,
+                   _one_of(KINDS, f"must be one of {KINDS}")),
+    "seed": _Field(20240, int,
+                   _integer(0, 2**64, "must be an unsigned 64-bit integer")),
+    "paths": _Field(20000, int, _COUNT),
+    "steps": _Field(96, int, _COUNT),
+}
+
+#: the sections' fields.  A kind section's fields are keyword parameters
+#: of what runs it; a ``utility`` or ``claim`` kind (the first is the
+#: default) maps to its builder and the builder's keyword parameters.
+_SECTIONS = {
+    "market": {"mu": _Field(0.5), "kappa": _Field(2.0), "theta": _Field(1.0),
+               "sigma": _Field(0.7), "v0": _Field(1.0), "rho": _Field(0.0),
+               "horizon": _Field(1.0)},
+    "utility": {"power": (UtilitySpec.power, {"p": _Field(0.5)}),
+                "log": (UtilitySpec.log, {}),
+                "exponential": (UtilitySpec.exponential,
+                                {"alpha": _Field(1.0)})},
+    "claim": {"logistic": (logistic_claim,
+                           {"rate": _Field(-2.0), "scale": _Field(2.0)}),
+              "constant": (constant_claim, {"c": _Field(0.0)}),
+              "digital": (digital_claim,
+                          {"level": _Field(1.0), "at": _Field(0.0)}),
+              "table": (load_claim_table, {"path": _Field(None, Path)})},
+    "sweep": {
+        "x": _Field(0.75, float, _POSITIVE),
+        "rho_values": _Field([0.4, 0.2, 0.1, 0.05], _floats, _all_where(
+            lambda r: -1.0 < r < 1.0,
+            "must be a nonempty list of numbers, each with |rho| < 1")),
+        "y_grid": _Field([0.3, 0.4, 0.5, 0.65, 0.8, 1.0, 1.25, 1.6, 2.0],
+                         _floats, _POSITIVES),
+        "hedge_buckets": _Field(8, int, _buckets),
+        "budget": _Field(120, int, _COUNT),
+        "w_budget": _Field(40, int, _COUNT)},
+    "degenerate": {
+        "alpha": _Field(1.0, float, _POSITIVE),
+        "x": _Field(0.0, float, _where(math.isfinite,
+                                       "must be a finite number")),
+        "n_values": _Field([1, 2, 4, 8], _floats, _POSITIVES),
+        "buckets": _Field(12, int, _buckets),
+        "degree": _Field(2, int, _one_of((1, 2), "must be 1 or 2")),
+        "budget": _Field(60, int, _COUNT)},
+    "kw": {
+        "mode": _Field("nondegenerate", str, _one_of(
+            ("nondegenerate", "degenerate"),
+            "must be 'nondegenerate' or 'degenerate'")),
+        # Infinity is the limit market, a row of its own
+        "n_values": _Field([1, 3, 10, 30, 100], _floats, _all_where(
+            lambda n: n > 0, "must be a nonempty list of positive numbers"))},
+    "subreplication": {
+        "rho": _Field(0.3, float, _where(lambda r: r != 0.0 and -1.0 < r < 1.0,
+                                         "requires 0 < |rho| < 1")),
+        "t_prime": _Field(None, lambda t: None if t is None else float(t),
+                          _t_prime),
+        "shifts": _Field([-5.0, -4.0, -3.0, -2.0, -1.0, 0.0,
+                          1.0, 2.0, 3.0, 4.0, 5.0], _floats, _FINITES)},
+    "oracle": {"a_values": _Field([-0.5, 0.0, 0.4], _floats, _FINITES),
+               "b_values": _Field([-1.0, -0.4, 0.0], _floats, _FINITES)},
+}
+_KEYED = ("utility", "claim")
+#: the section of each kind not named after it
+_SECTION = {"oracle-check": "oracle"}
+
+
+def _declared(name: str, sec: dict) -> dict | None:
+    """The fields of section ``name``; for ``utility`` and ``claim`` those
+    of the kind ``sec`` names, ``kind`` included (None: an unknown kind)."""
+    fields, kind = _SECTIONS[name], sec.get("kind")
+    if name not in _KEYED:
+        return fields
+    if not isinstance(kind, str) or kind not in fields:
+        return None
+    return {"kind": _Field(kind, str), **fields[kind][1]}
+
+
+def _defaults(fields: dict) -> dict:
+    return {key: copy.deepcopy(f.default) for key, f in fields.items()}
+
+
+def _coerce(sec: dict, fields: dict) -> dict:
+    """``sec``'s values of ``fields`` (or defaults) as a run reads them."""
+    return {key: f.coerce(sec.get(key, f.default))
+            for key, f in fields.items()}
+
+
+def default_config() -> dict:
+    """Every field's default; ``utility`` and ``claim`` of their first kind."""
+    return {**_defaults(_TOP), **{
+        name: _defaults(_declared(name, {"kind": next(iter(fields))}))
+        for name, fields in _SECTIONS.items()}}
+
+
+def merge_config(user: dict) -> dict:
+    """Overlay a user config on the defaults (one level of nesting deep); a
+    ``utility`` or ``claim`` naming a kind overlays that kind's defaults."""
+    cfg = default_config()
+    for key, val in user.items():
+        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            if key in _KEYED and "kind" in val:
+                cfg[key] = _defaults(_declared(key, val) or {})
+            cfg[key].update(val)
+        else:
+            cfg[key] = val
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# builders and validation
+# ---------------------------------------------------------------------------
+
+def build_market(cfg: dict) -> tuple[HestonParams, TimeGrid]:
+    params = HestonParams(**_coerce(cfg["market"], _SECTIONS["market"]))
+    grid = TimeGrid(horizon=params.horizon,
+                    steps=_TOP["steps"].coerce(cfg["steps"]))
+    return params, grid
+
+
+def _build_keyed(cfg: dict, name: str):
+    """What section ``name`` (``utility`` or ``claim``) of ``cfg`` makes."""
+    fields = _declared(name, cfg[name])
+    if fields is None:
+        raise ValueError(f"unknown {name} kind {cfg[name].get('kind')!r}")
+    values = _coerce(cfg[name], fields)
+    return _SECTIONS[name][values.pop("kind")][0](**values)
+
+
+def build_utility(cfg: dict) -> ConjugatePair:
+    return ConjugatePair(_build_keyed(cfg, "utility"))
+
+
+def build_claim(cfg: dict) -> ClaimSpec:
+    return _build_keyed(cfg, "claim")
 
 
 class ConfigError(ValueError):
@@ -143,105 +285,47 @@ class ConfigError(ValueError):
 
 
 def validate_config(cfg: dict) -> list[dict]:
-    """Return a list of violation records ``{"field":..., "reason":...}``."""
+    """Return a list of violation records ``{"field":..., "reason":...}``
+    on the top level and the running kind's section field by field, on
+    ``market``, ``utility`` and ``claim`` by building them, on all keys."""
     errs: list[dict] = []
 
     def bad(fieldname, reason):
         errs.append({"field": fieldname, "reason": str(reason)})
 
-    def counts(sec, kind, *keys):
-        for key in keys:
-            val = sec.get(key, 1)
-            if not _count(val) or val < 1:
-                bad(f"{kind}.{key}", "must be a positive integer")
-            elif (key in ("hedge_buckets", "buckets") and
-                  _count(cfg.get("steps")) and val > cfg["steps"]):
-                bad(f"{kind}.{key}", "must not exceed steps")
+    def check(prefix, sec, fields, grid=None):
+        for key, f in fields.items():
+            reason = f.check(sec.get(key, f.default), steps, grid)
+            if reason is not None:
+                bad(prefix + key, reason)
 
-    version = cfg.get("version")
-    if isinstance(version, bool) or version != CONFIG_VERSION:
-        bad("version", f"must be {CONFIG_VERSION}")
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        bad("kind", f"must be one of {KINDS}")
-    seed = cfg.get("seed")
-    if not _count(seed) or not 0 <= seed < 2**64:
-        bad("seed", "must be an unsigned 64-bit integer")
-    for name in ("paths", "steps"):
-        val = cfg.get(name)
-        if not _count(val) or val < 1:
-            bad(name, "must be a positive integer")
-    grid = None
-    try:
-        grid = build_market(cfg)[1]
-    except _BUILD_ERRORS as exc:
-        bad("market", exc)
-    try:
-        build_utility(cfg)
-    except _BUILD_ERRORS as exc:
-        bad("utility", exc)
-    try:
-        build_claim(cfg)
-    except _BUILD_ERRORS + (OSError,) as exc:
-        bad("claim", exc)
+    def unknown(prefix, sec, fields):
+        for key in sorted(set(sec) - set(fields), key=str):
+            bad(prefix + str(key), "unknown field")
 
-    section = "oracle" if kind == "oracle-check" else kind
-    sec = cfg.get(section, {}) if kind in KINDS else {}
-    if not isinstance(sec, dict):
-        bad(section, "must be an object")
-    elif kind == "sweep":
-        rhos = _floats(sec.get("rho_values"))
-        if rhos is None:
-            bad("sweep.rho_values", "must be a nonempty list of numbers")
-        elif any(not -1.0 < r < 1.0 for r in rhos):
-            bad("sweep.rho_values", "every rho must satisfy |rho| < 1")
-        ys = _floats(sec.get("y_grid"))
-        if ys is None or not all(0 < y < math.inf for y in ys):
-            bad("sweep.y_grid",
-                "must be a nonempty list of finite positive values")
-        if not 0 < _number(sec.get("x", 0.0)) < math.inf:
-            bad("sweep.x", "initial capital must be a finite positive number")
-        counts(sec, "sweep", "hedge_buckets", "budget", "w_budget")
-    elif kind == "degenerate":
-        if not 0 < _number(sec.get("alpha", 1.0)) < math.inf:
-            bad("degenerate.alpha", "alpha must be a finite positive number")
-        if not math.isfinite(_number(sec.get("x", 0.0))):
-            bad("degenerate.x", "initial capital must be a finite number")
-        ns = _floats(sec.get("n_values"))
-        if ns is None or not all(0 < n < math.inf for n in ns):
-            bad("degenerate.n_values",
-                "must be a nonempty list of finite positive numbers")
-        counts(sec, "degenerate", "buckets", "budget")
-        degree = sec.get("degree", 2)
-        if isinstance(degree, bool) or degree not in (1, 2):
-            bad("degenerate.degree", "must be 1 or 2")
-    elif kind == "kw":
-        if sec.get("mode") not in ("nondegenerate", "degenerate"):
-            bad("kw.mode", "must be 'nondegenerate' or 'degenerate'")
-        ns = _floats(sec.get("n_values"))
-        if ns is None or not all(n > 0 for n in ns):
-            bad("kw.n_values", "must be a nonempty list of positive numbers")
-    elif kind == "subreplication":
-        rho = _number(sec.get("rho", 0.0))
-        if rho == 0.0 or not -1.0 < rho < 1.0:
-            bad("subreplication.rho", "requires 0 < |rho| < 1")
-        shifts = _floats(sec.get("shifts"))
-        if shifts is None or not all(map(math.isfinite, shifts)):
-            bad("subreplication.shifts",
-                "must be a nonempty list of finite numbers")
-        if not _t_prime_ok(grid, sec.get("t_prime")):
-            bad("subreplication.t_prime",
-                "must be null or a grid node strictly before the horizon")
-    elif kind == "oracle-check":
-        for key in ("a_values", "b_values"):
-            vals = _floats(sec.get(key))
-            if vals is None or not all(map(math.isfinite, vals)):
-                bad(f"oracle.{key}",
-                    "must be a nonempty list of finite numbers")
-    if kind in KINDS and isinstance(sec, dict):
-        known = set(_DEFAULTS[section]) | set(_RETIRED.get(section, ()))
-        for key in sorted(set(sec) - known):
-            bad(f"{section}.{key}", "unknown field")
+    steps = cfg.get("steps", _TOP["steps"].default)
+    check("", cfg, _TOP)
+    unknown("", cfg, {**_TOP, **_SECTIONS})
+    built = {}
+    for name, build in (("market", build_market), ("utility", build_utility),
+                        ("claim", build_claim)):
+        try:
+            built[name] = build(cfg)
+        except _BUILD_ERRORS as exc:
+            bad(name, exc)
+    grid = built["market"][1] if "market" in built else None
+
+    kind = cfg.get("kind", _TOP["kind"].default)
+    running = _SECTION.get(kind, kind) if kind in KINDS else None
+    for name in _SECTIONS:
+        sec = cfg.get(name)
+        fields = _declared(name, sec) if isinstance(sec, dict) else None
+        if name == running and fields is not None:
+            check(name + ".", sec, fields, grid)
+        elif name == running:
+            bad(name, "must be an object")
+        if fields is not None:
+            unknown(name + ".", sec, fields)
     return errs
 
 
@@ -256,50 +340,6 @@ def check_config(cfg: dict, workers: int | None = None) -> int:
     if errs:
         raise ConfigError(errs)
     return nworkers
-
-
-# ---------------------------------------------------------------------------
-# builders
-# ---------------------------------------------------------------------------
-
-def build_market(cfg: dict) -> tuple[HestonParams, TimeGrid]:
-    m = cfg["market"]
-    params = HestonParams(mu=float(m["mu"]), kappa=float(m["kappa"]),
-                          theta=float(m["theta"]), sigma=float(m["sigma"]),
-                          v0=float(m["v0"]), rho=float(m.get("rho", 0.0)),
-                          horizon=float(m.get("horizon", 1.0)))
-    grid = TimeGrid(horizon=params.horizon, steps=int(cfg["steps"]))
-    return params, grid
-
-
-def build_utility(cfg: dict) -> ConjugatePair:
-    u = cfg["utility"]
-    kind = u.get("kind")
-    if kind == "power":
-        spec = UtilitySpec.power(float(u.get("p", 0.5)))
-    elif kind == "log":
-        spec = UtilitySpec.log()
-    elif kind == "exponential":
-        spec = UtilitySpec.exponential(float(u.get("alpha", 1.0)))
-    else:
-        raise ValueError(f"unknown utility kind {kind!r}")
-    return ConjugatePair(spec)
-
-
-def build_claim(cfg: dict) -> ClaimSpec:
-    c = cfg["claim"]
-    kind = c.get("kind")
-    if kind == "logistic":
-        return logistic_claim(rate=float(c.get("rate", 1.0)),
-                              scale=float(c.get("scale", 1.0)))
-    if kind == "constant":
-        return constant_claim(float(c.get("c", 0.0)))
-    if kind == "digital":
-        return digital_claim(level=float(c.get("level", 1.0)),
-                             at=float(c.get("at", 0.0)))
-    if kind == "table":
-        return load_claim_table(Path(c["path"]))
-    raise ValueError(f"unknown claim kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,53 +390,31 @@ class RunManifest:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"artifact": "mcduality", "package_version": self.package_version,
-                "kind": self.kind, "seed": self.seed, "workers": self.workers,
-                "config": self.config, "outputs": self.outputs,
-                "wall_seconds": self.wall_seconds, "extras": self.extras}
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+        return {"artifact": "mcduality", **asdict(self)}
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: a runner reads the top-level fields and its own section
+# of a valid config as the field table coerces them
 # ---------------------------------------------------------------------------
 
 def _run_sweep(cfg, out: Path, workers):
-    pair = build_utility(cfg)
-    claim = build_claim(cfg)
     params, grid = build_market(cfg)
-    sw = cfg["sweep"]
-    res = pricing.rho_sweep(pair, float(sw["x"]), claim, params, grid,
-                            int(cfg["paths"]), int(cfg["seed"]),
-                            sw["rho_values"], sw["y_grid"],
-                            hedge_buckets=int(sw["hedge_buckets"]),
-                            budget=int(sw["budget"]),
-                            w_budget=int(sw["w_budget"]), workers=workers)
-    rows = []
-    dat_rows = []
+    res = pricing.rho_sweep(build_utility(cfg), claim=build_claim(cfg),
+                            params=params, grid=grid, paths=cfg["paths"],
+                            seed=cfg["seed"], workers=workers, **cfg["sweep"])
+    rows, dat_rows = [], []
     for r in res.rows:
         gap, gap_se = (res.price_gap(r.rho) if r.rho != 0.0 else (0.0, 0.0))
-        head = r.u_headline
+        head, unc, con = (r.u_headline, r.u_unconstrained.result,
+                          r.u_constrained.result)
         rows.append((
-            r.rho,
-            r.u_unconstrained.result.estimate.mean,
-            r.u_unconstrained.result.estimate.stderr,
-            r.u_unconstrained.result.violations,
-            r.u_unconstrained.result.stopped_fraction,
-            r.u_constrained.result.estimate.mean,
-            r.u_constrained.result.estimate.stderr,
-            r.u_constrained.result.stopped_fraction,
-            head.estimate.mean, head.estimate.stderr,
-            res.cap_value, res.cap_stderr,
-            res.cap_value - head.estimate.mean,
+            r.rho, unc.estimate.mean, unc.estimate.stderr, unc.violations,
+            unc.stopped_fraction, con.estimate.mean, con.estimate.stderr,
+            con.stopped_fraction, head.estimate.mean, head.estimate.stderr,
+            res.cap_value, res.cap_stderr, res.cap_value - head.estimate.mean,
             r.price.price, r.price.stderr, r.price.iterations,
-            r.price.converged, gap, gap_se,
-        ))
+            r.price.converged, gap, gap_se))
         dat_rows.append((r.rho, r.price.price, r.price.stderr,
                          head.estimate.mean, res.cap_value))
     write_csv(out / "sweep.csv",
@@ -405,10 +423,8 @@ def _run_sweep(cfg, out: Path, workers):
                "u_con_stopped_fraction", "u_mean", "u_se", "cap_value",
                "cap_se", "cap_minus_u", "price", "price_se",
                "price_iterations", "price_converged", "price_gap_vs_rho0",
-               "price_gap_se"],
-              rows)
-    write_csv(out / "cap.csv",
-              ["y", "mmm_mean", "mmm_se", "cap_at_y"],
+               "price_gap_se"], rows)
+    write_csv(out / "cap.csv", ["y", "mmm_mean", "mmm_se", "cap_at_y"],
               [(y, e.mean, e.stderr, e.mean + res.x * y)
                for y, e in res.cap_table])
     write_gnuplot(out / "prices.dat", "indifference prices across rho",
@@ -418,16 +434,9 @@ def _run_sweep(cfg, out: Path, workers):
 
 
 def _run_degenerate(cfg, out: Path, workers):
-    dg = cfg["degenerate"]
-    grid = build_market(cfg)[1]
-    res = pricing.degenerate_example(alpha=float(dg["alpha"]),
-                                     x=float(dg["x"]),
-                                     n_values=[float(n) for n in dg["n_values"]],
-                                     grid=grid, paths=int(cfg["paths"]),
-                                     seed=int(cfg["seed"]),
-                                     buckets=int(dg["buckets"]),
-                                     degree=int(dg["degree"]),
-                                     budget=int(dg["budget"]), workers=workers)
+    res = pricing.degenerate_example(grid=build_market(cfg)[1],
+                                     paths=cfg["paths"], seed=cfg["seed"],
+                                     workers=workers, **cfg["degenerate"])
     write_csv(out / "bounds.csv",
               ["n", "hedge_price", "hedge_price_se", "hedge_residual_sd",
                "bound_mean", "bound_se", "violations", "stopped_fraction",
@@ -437,49 +446,43 @@ def _run_degenerate(cfg, out: Path, workers):
                 r.bound.violations, r.bound.stopped_fraction,
                 r.value_mc, r.value_mc_stderr) for r in res.rows])
     gap_mc, gap_mc_se = res.mc_gap
-    write_csv(out / "analytic.csv",
-              ["quantity", "value", "stderr"],
+    write_csv(out / "analytic.csv", ["quantity", "value", "stderr"],
               [("value_finite_n_exact", res.analytic_value_n, 0.0),
                ("value_limit_exact", res.analytic_value_limit, 0.0),
                ("value_limit_mc", res.limit_bound.mean, res.limit_bound.stderr),
                ("gap_exact", res.analytic_gap, 0.0),
                ("gap_mc", gap_mc, gap_mc_se)])
-    extras = {"alpha": res.alpha, "x": res.x,
-              "analytic_gap": res.analytic_gap}
-    return ["bounds.csv", "analytic.csv"], extras
+    return ["bounds.csv", "analytic.csv"], {
+        "alpha": res.alpha, "x": res.x, "analytic_gap": res.analytic_gap}
 
 
 def _kw_setup(mode: str):
-    if mode == "nondegenerate":
-        def sigma(n, _t, b):
-            out = np.zeros_like(b)
-            out[:, 0] = 1.0
-            if not math.isinf(n):
-                out[:, 1] = 1.0 / n
-            return out
+    if mode == "degenerate":
+        # volatility shrinks to zero along the shared direction
+        return pricing.degenerate_coeffs(), lambda _t, b: np.ones_like(b)
 
-        def nu(_t, b):
-            out = np.zeros_like(b)
-            out[:, 1] = 1.0
-            return out
+    def sigma(n, _t, b):
+        out = np.zeros_like(b)
+        out[:, 0] = 1.0
+        if not math.isinf(n):
+            out[:, 1] = 1.0 / n
+        return out
 
-        from .market import GeneralMarketCoeffs
-        coeffs = GeneralMarketCoeffs(
-            d=2, sigma=sigma, lam=lambda n, t, b: np.zeros(b.shape[0]))
-        return coeffs, nu
-    # degenerate: volatility shrinks to zero along the shared direction
-    coeffs = pricing.degenerate_coeffs()
-    return coeffs, lambda _t, b: np.ones_like(b)
+    def nu(_t, b):
+        out = np.zeros_like(b)
+        out[:, 1] = 1.0
+        return out
+
+    return GeneralMarketCoeffs(d=2, sigma=sigma, lam=lambda n, t, b: np.zeros(
+        b.shape[0])), nu
 
 
 def _run_kw(cfg, out: Path, workers):
     kwc = cfg["kw"]
     coeffs, nu = _kw_setup(kwc["mode"])
-    grid = build_market(cfg)[1]
-    n_values = [float(n) for n in kwc["n_values"]]
-    rows = kw.kw_convergence_diag(nu, coeffs, n_values, grid,
-                                  int(cfg["paths"]),
-                                  RandomStream(int(cfg["seed"])))
+    rows = kw.kw_convergence_diag(nu, coeffs, kwc["n_values"],
+                                  build_market(cfg)[1], cfg["paths"],
+                                  RandomStream(cfg["seed"]))
     write_csv(out / "energies.csv",
               ["n", "energy_mean", "energy_se", "zero_cell_fraction"],
               [(r.n, r.energy.mean, r.energy.stderr, r.zero_fraction)
@@ -491,16 +494,13 @@ def _run_subreplication(cfg, out: Path, workers):
     sub = cfg["subreplication"]
     claim = build_claim(cfg)
     params, grid = build_market(cfg)
-    params = params.with_rho(float(sub["rho"]))
-    t_prime = sub.get("t_prime")
-    if t_prime is None:
-        t_prime = grid.times[-2]
-    b = simulate_driver(grid, int(cfg["paths"]),
-                        RandomStream(int(cfg["seed"])), workers)
-    rep = subreplication_estimate(claim, params, grid, b, float(t_prime),
+    params = params.with_rho(sub["rho"])
+    t_prime = grid.times[-2] if sub["t_prime"] is None else sub["t_prime"]
+    b = simulate_driver(grid, cfg["paths"], RandomStream(cfg["seed"]),
+                        workers)
+    rep = subreplication_estimate(claim, params, grid, b, t_prime,
                                   sub["shifts"])
-    write_csv(out / "subreplication.csv",
-              ["shift", "mean", "se"],
+    write_csv(out / "subreplication.csv", ["shift", "mean", "se"],
               [(x, e.mean, e.stderr) for x, e in rep.rows])
     extras = {"t_prime": rep.t_prime, "min_shift": rep.min_shift,
               "min_mean": rep.minimum.mean, "phi_min": claim.phi_min}
@@ -510,7 +510,7 @@ def _run_subreplication(cfg, out: Path, workers):
 def _run_oracle_check(cfg, out: Path, workers):
     params, grid = build_market(cfg)
     oc = cfg["oracle"]
-    paths = int(cfg["paths"])
+    paths = cfg["paths"]
     # each path block is reduced to V_T and the left-endpoint sum of V,
     # then overwritten by the next, so no (paths, steps+1) array exists
     v_t, int_v = np.empty(paths), np.empty(paths)
@@ -519,7 +519,7 @@ def _run_oracle_check(cfg, out: Path, workers):
         v_t[lo:hi] = v[:, -1]
         np.sum(v[:, :-1], axis=1, out=int_v[lo:hi])
 
-    simulate_cir_blocks(params, grid, paths, RandomStream(int(cfg["seed"])),
+    simulate_cir_blocks(params, grid, paths, RandomStream(cfg["seed"]),
                         reduce, workers)
     int_v *= grid.dt
     rows = []
@@ -527,22 +527,18 @@ def _run_oracle_check(cfg, out: Path, workers):
         for b in oc["b_values"]:
             try:
                 exact = affine.affine_exponential_moment(
-                    params, affine.AffineMomentQuery(float(a), float(b),
-                                                     grid.horizon))
+                    params, affine.AffineMomentQuery(a, b, grid.horizon))
             except affine.MomentExplosionError:
-                rows.append((a, b, math.nan, math.nan, math.nan, math.nan,
-                             math.nan))
+                rows.append((a, b) + (math.nan,) * 5)
                 continue
-            est = mc_estimate(np.exp(float(a) * v_t + float(b) * int_v))
-            closed = (affine.cir_bond_price(params, -float(b), grid.horizon)
-                      if float(a) == 0.0 and float(b) <= 0.0 else math.nan)
+            est = mc_estimate(np.exp(a * v_t + b * int_v))
+            closed = (affine.cir_bond_price(params, -b, grid.horizon)
+                      if a == 0.0 and b <= 0.0 else math.nan)
             zscore = ((est.mean - exact) / est.stderr
                       if est.stderr > 0 else math.nan)
             rows.append((a, b, exact, closed, est.mean, est.stderr, zscore))
-    write_csv(out / "oracle.csv",
-              ["a", "b", "riccati", "closed_form", "mc_mean", "mc_se",
-               "z_score"],
-              rows)
+    write_csv(out / "oracle.csv", ["a", "b", "riccati", "closed_form",
+                                   "mc_mean", "mc_se", "z_score"], rows)
     return ["oracle.csv"], {}
 
 
@@ -562,22 +558,24 @@ def run_experiment(user_cfg: dict, out_dir, seed: int | None = None,
     Invalid input raises :class:`ConfigError` before ``out_dir`` is made.
     """
     cfg = merge_config(user_cfg)
-    if seed is not None:
-        cfg["seed"] = int(seed)
-    if paths is not None:
-        cfg["paths"] = int(paths)
-    if steps is not None:
-        cfg["steps"] = int(steps)
+    for key, val in (("seed", seed), ("paths", paths), ("steps", steps)):
+        if val is not None:
+            cfg[key] = int(val)
     nworkers = check_config(cfg, workers)
+    section = _SECTION.get(cfg["kind"], cfg["kind"])
+    typed = {**cfg, **_coerce(cfg, _TOP),
+             section: _coerce(cfg[section], _SECTIONS[section])}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    files, extras = _RUNNERS[cfg["kind"]](cfg, out, workers)
+    files, extras = _RUNNERS[cfg["kind"]](typed, out, workers)
     wall = time.perf_counter() - t0
 
-    outputs = [{"file": f, "sha256": _sha256(out / f)} for f in files]
-    manifest = RunManifest(kind=cfg["kind"], seed=int(cfg["seed"]), config=cfg,
+    outputs = [{"file": f,
+                "sha256": hashlib.sha256((out / f).read_bytes()).hexdigest()}
+               for f in files]
+    manifest = RunManifest(kind=cfg["kind"], seed=cfg["seed"], config=cfg,
                            outputs=outputs, wall_seconds=wall,
                            workers=nworkers,
                            package_version=__version__, extras=extras)

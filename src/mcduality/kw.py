@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import GeneralMarketCoeffs, TimeGrid, _driver_levels
+from .market import GeneralMarketCoeffs, TimeGrid, simulate_driver
 from .rng import RandomStream
 from .stopping import chunk_steps
 
@@ -133,7 +133,7 @@ def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
     exactly.
     """
     d, steps = coeffs.d, grid.steps
-    b = _driver_levels(stream.split(0), grid, paths, d=d)
+    b = simulate_driver(grid, paths, stream, d=d)
     t = grid.times
 
     chunk = chunk_steps(paths * d)
@@ -182,7 +182,7 @@ def nondegeneracy_check(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
                         paths: int, stream: RandomStream,
                         threshold: float = 1e-12) -> NondegeneracyReport:
     """Probe ``|sigma_n|`` over simulated nodes and flag degeneracy."""
-    b = _driver_levels(stream.split(0), grid, paths, d=coeffs.d)
+    b = simulate_driver(grid, paths, stream, d=coeffs.d)
 
     min_norm = math.inf
     below = 0

@@ -228,11 +228,20 @@ def _increment_blocks(stream: RandomStream, grid: TimeGrid, cols: int,
         yield lo, hi, db
 
 
-def _driver_levels(stream: RandomStream, grid: TimeGrid, paths: int,
-                   workers: int | None = None,
-                   d: int | None = None) -> np.ndarray:
-    """Driver levels ``(paths, steps+1[, d])`` from a zero slice; each
-    block's increments are summed straight into its rows."""
+def simulate_driver(grid: TimeGrid, paths: int, stream: RandomStream,
+                    workers: int | None = None,
+                    d: int | None = None) -> np.ndarray:
+    """The driver ``B`` alone: ``(paths, steps+1)``, or ``(paths, steps+1,
+    d)`` for a ``d``-dimensional driver, whose steps are ``d`` consecutive
+    draws of a row.
+
+    Each block's increments are summed straight into its rows from a zero
+    slice.  ``B`` is the same for every market parameter and agrees bit for
+    bit with the ``b`` of :func:`simulate_heston_market` (scalar) or
+    :func:`simulate_general_market` (``d``-dimensional) from the same
+    stream.
+    """
+    stream = stream.split(0)
     trail = () if d is None else (d,)
     out = np.zeros((paths, grid.steps + 1) + trail)
     cols = grid.steps * (1 if d is None else d)
@@ -244,16 +253,6 @@ def _driver_levels(stream: RandomStream, grid: TimeGrid, paths: int,
 
     map_blocks(work, paths, workers)
     return out
-
-
-def simulate_driver(grid: TimeGrid, paths: int, stream: RandomStream,
-                    workers: int | None = None) -> np.ndarray:
-    """The variance driver ``B`` alone; a ``(paths, steps+1)`` array.
-
-    ``B`` is the same for every market parameter and agrees bit for bit with
-    the ``b`` of :func:`simulate_heston_market` from the same stream.
-    """
-    return _driver_levels(stream.split(0), grid, paths, workers)
 
 
 def simulate_cir_blocks(params: HestonParams, grid: TimeGrid, paths: int,

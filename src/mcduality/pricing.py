@@ -34,7 +34,7 @@ from .dual import dual_bound_mmm
 from .estimates import Estimate, combined_se, mc_estimate
 from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
                      simulate_general_market, simulate_heston_market)
-from .primal import (HedgeMixFamily, PrimalOpt, PrimalResult,
+from .primal import (FLOOR_SLACK, HedgeMixFamily, PrimalOpt, PrimalResult,
                      _component_gains, _search, driver_levels, lsmc_hedge,
                      optimize_primal)
 from .rng import RandomStream
@@ -128,7 +128,7 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
         # match the claim-free floor to the enforced one so that the
         # bracket endpoints compare pathwise against the claim side
         w_family = dataclasses.replace(
-            family, floor=x + claim.phi_min - family.slack)
+            family, floor=x + claim.phi_min - FLOOR_SLACK)
 
     # the claim-free searches differ only in capital: one hedge evaluation
     gains = _component_gains(w_family, bundle) if _gains is None else _gains
@@ -294,14 +294,13 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
         # any floor, so those problems stay unconstrained at every rho
         constrained_headline = (rho != 0.0 and claim.spread > 0.0
                                 and pair.utility.is_halfline)
-        row = SweepRow(rho=rho, u_unconstrained=u_unc, u_constrained=u_con,
-                       price=None, headline_constrained=constrained_headline)
-        u_opt = u_con if constrained_headline else u_unc
-        price = indifference_price(pair, x, family, bundle, claim,
-                                   budget=budget, w_budget=w_budget,
-                                   constrained_u=constrained_headline,
-                                   u_opt=u_opt, _gains=gains)
-        rows.append(dataclasses.replace(row, price=price))
+        price = indifference_price(
+            pair, x, family, bundle, claim, w_budget=w_budget,
+            constrained_u=constrained_headline,
+            u_opt=u_con if constrained_headline else u_unc, _gains=gains)
+        rows.append(SweepRow(rho=rho, u_unconstrained=u_unc,
+                             u_constrained=u_con, price=price,
+                             headline_constrained=constrained_headline))
     return SweepResult(x=x, y_star=y_star, cap_value=cap_value,
                        cap_stderr=cap_est.stderr, cap_table=cap_table,
                        rows=rows)

@@ -7,7 +7,8 @@ truncated to the family's declared magnitude bound after summing.  Every
 family is linear in ``theta``, so the components are computed once per
 bundle and search.  The raw gains process is the Euler sum
 ``X = sum H dS``.  Before any utility is averaged, wealth is stopped at the
-first node that lands below the family's declared floor ``-K - slack``.
+first node that lands below the family's declared floor
+``-K - FLOOR_SLACK``.
 The stop is a genuine stopping rule -- holdings are zeroed from the
 crossing node onward, so the decision at each step uses only information
 already revealed.  The frozen value retains any overshoot below the floor;
@@ -52,6 +53,7 @@ from .stopping import chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair
 
 __all__ = [
+    "FLOOR_SLACK",
     "BucketStrategy",
     "EnforcedWealth",
     "PrimalResult",
@@ -228,11 +230,14 @@ class BucketStrategy:
 # strategy families
 # ---------------------------------------------------------------------------
 
+#: delta > 0 of every family's floor rule: the declared wealth floor is
+#: ``-K - FLOOR_SLACK``
+FLOOR_SLACK = 1e-9
+
+
 def _check_floor_rule(family) -> None:
     if family.floor < 0:
         raise ValueError("floor K must be >= 0")
-    if family.slack <= 0:
-        raise ValueError("slack must be > 0")
     if family.max_holding <= 0:
         raise ValueError("max_holding must be > 0")
 
@@ -243,8 +248,7 @@ class ConstantFamily:
 
     lo: float = -5.0
     hi: float = 5.0
-    floor: float = 10.0        # K: declared wealth floor is -K - slack
-    slack: float = 1e-9        # delta > 0
+    floor: float = 10.0        # K
     max_holding: float = 100.0
 
     def __post_init__(self):
@@ -274,7 +278,6 @@ class HedgeMixFamily:
     const_bounds: tuple = (-2.0, 2.0)
     lin_bounds: tuple | None = None
     floor: float = 10.0
-    slack: float = 1e-9
     max_holding: float = 100.0
 
     def __post_init__(self):
@@ -344,7 +347,7 @@ def wealth_process(family, theta, bundle) -> np.ndarray:
 
 def _threshold(family, x: float, constrained: bool, phi_min: float) -> float:
     """Effective floor on ``X`` of a family's floor rule."""
-    thr = -family.floor - family.slack
+    thr = -family.floor - FLOOR_SLACK
     if constrained:
         thr = max(thr, -x - phi_min)
     if thr >= 0.0:
@@ -368,14 +371,15 @@ def enforce_admissibility(family, theta, bundle, x: float = 0.0,
                           phi_min: float = 0.0) -> EnforcedWealth:
     """Stop the family's gains process at ``theta`` at its declared floor.
 
-    The effective threshold on ``X`` is ``-K - slack``; in constrained mode
-    the claim-problem floor ``x + X >= -phi_min`` is enforced as well, so the
-    threshold is the larger of the two.  A path is frozen at the first node
-    whose value falls below the threshold: holdings vanish from that node on,
-    so the rule is predictable, and the frozen value keeps whatever overshoot
-    the crossing step produced.  All nodes strictly before the stop satisfy
-    the floor exactly (first-crossing definition); the overshoot is a loss
-    the strategy genuinely suffered and is never repaired.
+    The effective threshold on ``X`` is ``-K - FLOOR_SLACK``; in constrained
+    mode the claim-problem floor ``x + X >= -phi_min`` is enforced as well,
+    so the threshold is the larger of the two.  A path is frozen at the
+    first node whose value falls below the threshold: holdings vanish from
+    that node on, so the rule is predictable, and the frozen value keeps
+    whatever overshoot the crossing step produced.  All nodes strictly
+    before the stop satisfy the floor exactly (first-crossing definition);
+    the overshoot is a loss the strategy genuinely suffered and is never
+    repaired.
     """
     thr = _threshold(family, x, constrained, phi_min)
     fill_at, path = _component_gains(family, bundle)

@@ -382,8 +382,7 @@ def test_reproducible_reports(tmp_path, monkeypatch):
     configs = [
         {"version": 1, "kind": "sweep", "paths": 800, "steps": 16, "seed": 5,
          "sweep": {"x": 0.75, "rho_values": [0.3], "y_grid": [0.8, 1.2],
-                   "hedge_buckets": 2, "budget": 10, "w_budget": 8,
-                   "price_tol": 0.05}},
+                   "hedge_buckets": 2, "budget": 10, "w_budget": 8}},
         {"version": 1, "kind": "degenerate", "paths": 600, "steps": 12,
          "degenerate": {"alpha": 1.0, "x": 0.0, "n_values": [1.0],
                         "buckets": 4, "degree": 2, "budget": 8}},

@@ -122,17 +122,34 @@ def test_validate_malformed_values_exit_2(tmp_path, capsys, cfg, field):
     assert [v["field"] for v in err["violations"]] == [field]
 
 
-def test_validate_accepts_retired_price_tol(tmp_path, capsys):
+def test_validate_rejects_retired_price_tol(tmp_path, capsys):
+    # the sweep ignored price_tol; a key no run reads is an unknown field
     path = write_cfg(tmp_path / "c.json", {"version": 1, "kind": "sweep",
                                            "sweep": {"price_tol": 0.05}})
-    assert main(["validate", "--config", path]) == 0
-    assert "OK" in capsys.readouterr().out
+    assert main(["validate", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["violations"] == [{"field": "sweep.price_tol",
+                                  "reason": "unknown field"}]
 
 
-def test_validate_accepts_retired_q_values(tmp_path, capsys):
+def test_validate_rejects_retired_q_values(tmp_path, capsys):
     path = write_cfg(tmp_path / "c.json",
                      {"version": 1, "kind": "oracle-check",
                       "oracle": {"q_values": [-1.0, 0.5, 2.0]}})
+    assert main(["validate", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["violations"] == [{"field": "oracle.q_values",
+                                  "reason": "unknown field"}]
+
+
+def test_validate_readme_example(tmp_path, capsys):
+    # the config the README's "Command line" section shows is a valid one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("## Command line"):]
+    example = section[section.index("```json") + len("```json"):]
+    example = json.loads(example[:example.index("```")])
+    path = write_cfg(tmp_path / "c.json", example)
     assert main(["validate", "--config", path]) == 0
     assert "OK" in capsys.readouterr().out
 
@@ -189,14 +206,32 @@ def test_run_checks_overrides_exit_2(tmp_path, capsys, cfg, override, field):
     (json.dumps(TINY_KW), "abc", WORKERS_ENV),
     (json.dumps(TINY_KW), "0", WORKERS_ENV),
     (json.dumps(TINY_KW), "-3", WORKERS_ENV),
+    (json.dumps({**TINY_KW, "sweeep": {"x": 2}}), None, "sweeep"),
+    (json.dumps({**TINY_KW, "market": {"rho_": 0.1}}), None, "market.rho_"),
+    (json.dumps({**TINY_KW, "utility": {"P": 0.3}}), None, "utility.P"),
+    (json.dumps({**TINY_KW, "utility": {"kind": "exponential", "p": 0.5}}),
+     None, "utility.p"),
+    (json.dumps({**TINY_KW, "claim": {"rat": 1.0}}), None, "claim.rat"),
+    (json.dumps({**TINY_KW, "claim": {"kind": "digital", "rate": 1.0}}),
+     None, "claim.rate"),
+    (json.dumps({**TINY_KW, "degenerate": {"bogus": 1}}), None,
+     "degenerate.bogus"),
+    (json.dumps({**TINY_KW, "sweep": {"price_tol": "junk"}}), None,
+     "sweep.price_tol"),
+    (json.dumps({**TINY_KW, "oracle": {"q_values": [1.0]}}), None,
+     "oracle.q_values"),
 ], ids=["missing_file", "not_json", "top_level_list", "nested_too_deep",
         "claim_text", "table_no_path", "table_path_number",
         "table_file_missing", "workers_text", "workers_zero",
-        "workers_negative"])
+        "workers_negative", "unknown_top_level", "unknown_market",
+        "unknown_utility", "utility_key_of_other_kind", "unknown_claim",
+        "claim_key_of_other_kind", "unknown_in_section_not_run",
+        "retired_price_tol", "retired_q_values"])
 def test_malformed_input_exit_2(tmp_path, capsys, monkeypatch, command, text,
                                 workers, field):
     # every subcommand reads and checks its input the same way: one
-    # violation record, no traceback and no output directory
+    # violation record, no traceback and no output directory; a key the
+    # config does not declare is one, in any section, run or not
     path = tmp_path / "c.json"
     if text is not None:
         path.write_text(text, encoding="utf-8")

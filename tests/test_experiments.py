@@ -1,6 +1,7 @@
 """Config validation, report files and run manifests."""
 
 import hashlib
+import inspect
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from mcduality.experiments import (KINDS, _fmt, build_claim, build_market,
 from mcduality.affine import (AffineMomentQuery, MomentExplosionError,
                               affine_exponential_moment, cir_bond_price)
 from mcduality.estimates import mc_estimate
+from mcduality.pricing import degenerate_example, rho_sweep
 from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 from mcduality.utility import logistic_claim
 
@@ -57,6 +59,39 @@ def test_merge_overlays_one_level():
     assert cfg["market"]["rho"] == 0.25
     assert cfg["market"]["kappa"] == 2.0
     assert cfg["sweep"]["x"] == 0.75
+
+
+def test_merge_takes_the_defaults_of_the_named_kind():
+    # a utility or claim of another kind keeps none of the default kind's
+    # fields, so the defaults never count as the user's keys
+    cfg = merge_config({"utility": {"kind": "log"},
+                        "claim": {"kind": "digital", "at": 0.5}})
+    assert cfg["utility"] == {"kind": "log"}
+    assert cfg["claim"] == {"kind": "digital", "level": 1.0, "at": 0.5}
+    assert validate_config(cfg) == []
+    assert merge_config(cfg) == cfg
+
+
+def test_unknown_keys_anywhere_are_violations():
+    cfg = merge_config({"kind": "sweep", "sweeep": {"x": 2},
+                        "market": {"rho_": 0.1}, "utility": {"P": 0.3},
+                        "claim": {"rat": 1.0}, "degenerate": {"bogus": 1},
+                        "sweep": {"price_tol": 0.05},
+                        "oracle": {"q_values": [1.0]}})
+    assert fields(cfg) == ["sweeep", "market.rho_", "utility.P", "claim.rat",
+                           "sweep.price_tol", "degenerate.bogus",
+                           "oracle.q_values"]
+    # a section that is not run is checked for keys, not for values
+    assert fields(merge_config({"kind": "kw",
+                                "sweep": {"rho_values": [2.0]}})) == []
+
+
+def test_kind_sections_are_keyword_parameters():
+    # the sweep and degenerate sections pass straight to what runs them
+    for fn, section in ((rho_sweep, "sweep"),
+                        (degenerate_example, "degenerate")):
+        assert set(default_config()[section]) <= set(
+            inspect.signature(fn).parameters)
 
 
 def test_version_kind_seed_size_checks():
@@ -369,8 +404,7 @@ def test_degenerate_run_reports(tmp_path):
 def test_sweep_run_reports(tmp_path):
     cfg = {"version": 1, "kind": "sweep", "paths": 800, "steps": 16, "seed": 5,
            "sweep": {"x": 0.75, "rho_values": [0.3], "y_grid": [0.8, 1.2],
-                     "hedge_buckets": 2, "budget": 10, "w_budget": 8,
-                     "price_tol": 0.05}}
+                     "hedge_buckets": 2, "budget": 10, "w_budget": 8}}
     man = run_experiment(cfg, tmp_path)
 
     s = np.genfromtxt(tmp_path / "sweep.csv", delimiter=",", names=True)

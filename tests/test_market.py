@@ -368,6 +368,9 @@ def test_general_market_is_bitwise_whole_array_reference(n, paths, steps,
                                      RandomStream(13))
     assert np.array_equal(got.b, b)
     assert np.array_equal(got.s, s)
+    # the driver alone, as the kw diagnostic simulates it
+    assert np.array_equal(simulate_driver(grid, paths, RandomStream(13),
+                                          workers, d=2), b)
 
 
 def test_general_market_scaled_brownian():

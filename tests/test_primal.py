@@ -65,9 +65,8 @@ def test_state_linear_needs_variance(flat_market):
         strat.holdings(flat_market)
 
 
-@pytest.mark.parametrize("rule", [{"floor": -1.0}, {"slack": 0.0},
-                                  {"max_holding": -1.0}],
-                         ids=["floor", "slack", "max_holding"])
+@pytest.mark.parametrize("rule", [{"floor": -1.0}, {"max_holding": -1.0}],
+                         ids=["floor", "max_holding"])
 @pytest.mark.parametrize("family", [ConstantFamily, HedgeMixFamily])
 def test_family_floor_rule_checked_on_construction(family, rule):
     # given a hedge, the family fails on the rule, not on the missing hedge
@@ -84,7 +83,7 @@ def test_hedge_mix_family_needs_a_hedge():
 def test_enforcement_stops_at_first_crossing(flat_market):
     fam = ConstantFamily(floor=1.0)
     enforced = enforce_admissibility(fam, [5.0], flat_market)
-    assert enforced.threshold == -1.0 - fam.slack
+    assert enforced.threshold == -1.0 - primal.FLOOR_SLACK
     assert 0.0 < enforced.stopped_fraction < 1.0
     raw = wealth_process(fam, [5.0], flat_market)
     below = raw < enforced.threshold
@@ -483,7 +482,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     c = claim if with_claim else None
     f = np.asarray(claim(flat_market.b[:, -1, 0])) if with_claim else None
     phi_min = claim.phi_min if with_claim else 0.0
-    thr = -fam.floor - fam.slack
+    thr = -fam.floor - primal.FLOOR_SLACK
     if constrained:
         thr = max(thr, -x - phi_min)
     fill_at, path = primal._component_gains(fam, flat_market)
