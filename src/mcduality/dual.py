@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 #: ``minimize_dual``'s search box, ``|coefficient| <= _BOX`` on every basis
-#: slot and time bucket, and the cap of every candidate it builds
+#: slot and time bucket, and a candidate's default cap, which the search's
+#: candidates keep
 _BOX = 0.6
 _CAP = 8.0
 
@@ -64,12 +65,12 @@ class DualCandidate:
 
     ``coeffs`` has shape ``(buckets, 3)``; on time bucket ``j`` the integrand
     is ``coeffs[j] . (1, V_t, B_t)`` evaluated at left endpoints.  ``cap``
-    bounds the stochastic exponential (must be >= 1 so the starting value is
-    inside the allowed range).
+    (default :data:`_CAP`) bounds the stochastic exponential (must be >= 1
+    so the starting value is inside the allowed range).
     """
 
     coeffs: np.ndarray
-    cap: float = 8.0
+    cap: float = _CAP
     label: str = ""
 
     def __post_init__(self):
@@ -81,7 +82,7 @@ class DualCandidate:
         object.__setattr__(self, "coeffs", c)
 
     def integrand(self, v: np.ndarray, b: np.ndarray, out: np.ndarray,
-                  start: int = 0) -> np.ndarray:
+                  start: int) -> np.ndarray:
         """Integrand of the ``len(out)`` steps from ``start`` on, written
         into ``out``.
 
@@ -240,7 +241,7 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     hi = np.full(3 * buckets, _BOX)
 
     def make(theta, label=""):
-        return DualCandidate(np.asarray(theta).reshape(buckets, 3), cap=_CAP,
+        return DualCandidate(np.asarray(theta).reshape(buckets, 3),
                              label=label)
 
     base = dual_bound_mmm(pair, y, bundle, claim)
@@ -253,8 +254,7 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     best_est = dual_bound_perturbed(pair, y, bundle, best_cand, claim)
     table.append(("nm", best_est))
     if base.mean <= best_est.mean:
-        best_cand = DualCandidate(np.zeros((buckets, 3)), cap=_CAP,
-                                  label="mmm")
+        best_cand = DualCandidate(np.zeros((buckets, 3)), label="mmm")
         best_est = base
     return DualOpt(best=best_cand, estimate=best_est, table=table,
                    evaluations=evals + 1)

@@ -287,7 +287,9 @@ class ConfigError(ValueError):
 def validate_config(cfg: dict) -> list[dict]:
     """Return a list of violation records ``{"field":..., "reason":...}``
     on the top level and the running kind's section field by field, on
-    ``market``, ``utility`` and ``claim`` by building them, on all keys."""
+    ``market``, ``utility`` and ``claim`` by building them, and on every
+    section's keys and type (a section is an object, even one the run does
+    not read)."""
     errs: list[dict] = []
 
     def bad(fieldname, reason):
@@ -306,9 +308,10 @@ def validate_config(cfg: dict) -> list[dict]:
     steps = cfg.get("steps", _TOP["steps"].default)
     check("", cfg, _TOP)
     unknown("", cfg, {**_TOP, **_SECTIONS})
+    builds = {"market": build_market, "utility": build_utility,
+              "claim": build_claim}
     built = {}
-    for name, build in (("market", build_market), ("utility", build_utility),
-                        ("claim", build_claim)):
+    for name, build in builds.items():
         try:
             built[name] = build(cfg)
         except _BUILD_ERRORS as exc:
@@ -319,13 +322,18 @@ def validate_config(cfg: dict) -> list[dict]:
     running = _SECTION.get(kind, kind) if kind in KINDS else None
     for name in _SECTIONS:
         sec = cfg.get(name)
-        fields = _declared(name, sec) if isinstance(sec, dict) else None
-        if name == running and fields is not None:
+        # a built section that is no object, or names an unknown kind, has
+        # its build's record
+        if not isinstance(sec, dict):
+            if name == running or (name in cfg and name not in builds):
+                bad(name, "must be an object")
+            continue
+        fields = _declared(name, sec)
+        if fields is None:
+            continue
+        if name == running:
             check(name + ".", sec, fields, grid)
-        elif name == running:
-            bad(name, "must be an object")
-        if fields is not None:
-            unknown(name + ".", sec, fields)
+        unknown(name + ".", sec, fields)
     return errs
 
 

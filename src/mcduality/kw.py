@@ -179,9 +179,10 @@ class NondegeneracyReport:
 
 
 def nondegeneracy_check(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
-                        paths: int, stream: RandomStream,
-                        threshold: float = 1e-12) -> NondegeneracyReport:
-    """Probe ``|sigma_n|`` over simulated nodes and flag degeneracy."""
+                        paths: int,
+                        stream: RandomStream) -> NondegeneracyReport:
+    """Probe ``|sigma_n|`` over simulated nodes and flag degeneracy: a node
+    whose ``|sigma_n|`` is at most 1e-12 counts as a zero."""
     b = simulate_driver(grid, paths, stream, d=coeffs.d)
 
     min_norm = math.inf
@@ -191,7 +192,7 @@ def nondegeneracy_check(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
         sig = coeffs.sigma_at(n, grid.times[k], b[:, k, :])
         norms = np.sqrt(np.einsum("pd,pd->p", sig, sig))
         min_norm = min(min_norm, float(norms.min()))
-        below += int((norms <= threshold).sum())
+        below += int((norms <= 1e-12).sum())
         cells += norms.size
     frac = below / cells
     return NondegeneracyReport(n=float(n), min_norm=min_norm,

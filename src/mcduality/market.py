@@ -116,10 +116,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid node at time ``t`` (must land on the grid)."""
+    def node_index(self, t: float) -> int:
+        """Index of the grid node at time ``t`` (must land on the grid,
+        within 1e-9)."""
         k = round(t / self.dt)
-        if not 0 <= k <= self.steps or abs(k * self.dt - t) > tol:
+        if not 0 <= k <= self.steps or abs(k * self.dt - t) > 1e-9:
             raise ValueError(f"time {t} is not a node of the grid")
         return int(k)
 
@@ -139,7 +140,6 @@ class PathBundle:
     v: np.ndarray
     s: np.ndarray
     z: np.ndarray
-    seed: int
     params: HestonParams
 
     @property
@@ -319,19 +319,17 @@ def stochastic_exponential(theta, d_m, d_qv) -> np.ndarray:
 
 
 def minimal_martingale_density(mu: float, v: np.ndarray, db: np.ndarray,
-                               dt: float, out: np.ndarray | None = None
-                               ) -> np.ndarray:
-    """Density paths ``Z = StochExp(-mu * sqrt(V) . B)``.
+                               dt: float, out: np.ndarray) -> np.ndarray:
+    """Density paths ``Z = StochExp(-mu * sqrt(V) . B)``, written to ``out``
+    (shaped as ``v``) and returned.
 
     Left-endpoint variance values feed both the integrand and the bracket,
     so each factor has conditional mean one and ``E[Z_T] = 1`` exactly in
     distribution.  Depends only on ``(B, V)``: the same array serves every
-    ``rho`` market built from the same drivers.  Written to ``out`` (new if
-    None) by way of the log increments, so the integrand is the only
-    temporary; the bits are those of :func:`stochastic_exponential`.
+    ``rho`` market built from the same drivers.  Written by way of the log
+    increments, so the integrand is the only temporary; the bits are those
+    of :func:`stochastic_exponential`.
     """
-    if out is None:
-        out = np.empty(v.shape)
     # integrand is -mu*sqrt(V) against B itself, so the bracket increment is
     # plain dt; the V-dependence already sits inside the integrand.
     theta = np.sqrt(v[:, :-1])
@@ -386,7 +384,7 @@ def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
 
     map_blocks(work, paths, workers)
     return PathBundle(times=grid.times, b=b, w=w, v=v, s=s, z=z,
-                      seed=stream.seed, params=params)
+                      params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ _MAX_BISECTIONS = 48
 
 @dataclass(frozen=True)
 class PriceResult:
-    """An indifference price with its terminal bisection state.
+    """An indifference price with the bisection's last evaluation.
 
     ``stderr`` converts the value-space noise into price units through a
     local secant slope of the claim-free value near the returned price.  At
@@ -71,7 +71,6 @@ class PriceResult:
     """
 
     price: float
-    bracket: tuple[float, float]
     u_estimate: Estimate
     w_estimate: Estimate
     stderr: float
@@ -97,30 +96,25 @@ def _secant_slope(evals, p: float) -> float:
 
 
 def indifference_price(pair: ConjugatePair, x: float, family, bundle,
-                       claim: ClaimSpec, budget: int = 120,
-                       w_budget: int = 40, constrained_u: bool = False,
-                       u_opt: PrimalOpt | None = None, *,
+                       claim: ClaimSpec, u_opt: PrimalOpt,
+                       w_budget: int = 40, constrained_u: bool = False, *,
                        _gains=None) -> PriceResult:
     """Solve ``w(x + p) = u(x)`` for ``p`` by noise-aware bisection.
 
-    Both sides are family bounds on the same bundle (common random
-    numbers).  With ``constrained_u`` the claim side enforces the claim
-    problem's endogenous wealth floor, and the claim-free side's declared
-    floor is matched to it so that pathwise monotonicity in ``p`` carries
-    over to the two estimates and the initial bracket
-    ``[phi_min, phi_max]`` is valid.  ``u_opt`` may carry a precomputed
-    claim-side search result for the same configuration.  (``rho_sweep``
-    also passes the ``_component_gains`` it built for ``family``: they do
-    not depend on the floor, the one field the claim-free family changes.)
+    ``u_opt`` is the claim side's search: ``optimize_primal`` of ``family``
+    with ``claim`` at ``x``.  The claim-free side searches the same family
+    on the same bundle (common random numbers).  With ``constrained_u`` the
+    claim side enforced the claim problem's endogenous wealth floor, and the
+    claim-free side's declared floor is matched to it so that pathwise
+    monotonicity in ``p`` carries over to the two estimates and the initial
+    bracket ``[phi_min, phi_max]`` is valid.  (``rho_sweep`` also passes the
+    ``_component_gains`` it built for ``family``: they do not depend on the
+    floor, the one field the claim-free family changes.)
     """
-    if u_opt is None:
-        u_opt = optimize_primal(pair, x, family, bundle, claim=claim,
-                                constrained=constrained_u, budget=budget)
     u_est = u_opt.result.estimate
     if not math.isfinite(u_est.mean):
-        return PriceResult(price=math.nan, bracket=(claim.phi_min, claim.phi_max),
-                           u_estimate=u_est, w_estimate=u_est, stderr=math.nan,
-                           iterations=0, converged=False,
+        return PriceResult(price=math.nan, u_estimate=u_est, w_estimate=u_est,
+                           stderr=math.nan, iterations=0, converged=False,
                            diagnosis="claim-side estimate is -inf")
 
     w_family = family
@@ -143,7 +137,7 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
         w_est = w_value(x + lo)
         ok = abs(w_est.mean - u_est.mean) <= max(
             3.0 * combined_se(w_est, u_est), atol)
-        return PriceResult(price=lo, bracket=(lo, hi), u_estimate=u_est,
+        return PriceResult(price=lo, u_estimate=u_est,
                            w_estimate=w_est, stderr=0.0, iterations=1,
                            converged=ok,
                            diagnosis="" if ok else "degenerate bracket mismatch")
@@ -154,12 +148,12 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
     g_hi = w_hi.mean - u_est.mean
     evals = [(lo, w_lo), (hi, w_hi)]
     if g_lo > max(3.0 * combined_se(w_lo, u_est), atol):
-        return PriceResult(price=lo, bracket=(lo, hi), u_estimate=u_est,
+        return PriceResult(price=lo, u_estimate=u_est,
                            w_estimate=w_lo, stderr=math.nan, iterations=2,
                            converged=False,
                            diagnosis="no sign change: w(x+phi_min) > u(x)")
     if g_hi < -max(3.0 * combined_se(w_hi, u_est), atol):
-        return PriceResult(price=hi, bracket=(lo, hi), u_estimate=u_est,
+        return PriceResult(price=hi, u_estimate=u_est,
                            w_estimate=w_hi, stderr=math.nan, iterations=2,
                            converged=False,
                            diagnosis="no sign change: w(x+phi_max) < u(x)")
@@ -182,7 +176,7 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
             hi = p
     slope = _secant_slope(evals, p)
     se_price = (combined_se(w_p, u_est) / slope) if slope > 0 else math.nan
-    return PriceResult(price=p, bracket=(lo, hi), u_estimate=u_est,
+    return PriceResult(price=p, u_estimate=u_est,
                        w_estimate=w_p, stderr=se_price, iterations=iters,
                        converged=converged,
                        diagnosis="" if converged else
@@ -295,9 +289,9 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
         constrained_headline = (rho != 0.0 and claim.spread > 0.0
                                 and pair.utility.is_halfline)
         price = indifference_price(
-            pair, x, family, bundle, claim, w_budget=w_budget,
-            constrained_u=constrained_headline,
-            u_opt=u_con if constrained_headline else u_unc, _gains=gains)
+            pair, x, family, bundle, claim,
+            u_con if constrained_headline else u_unc, w_budget=w_budget,
+            constrained_u=constrained_headline, _gains=gains)
         rows.append(SweepRow(rho=rho, u_unconstrained=u_unc,
                              u_constrained=u_con, price=price,
                              headline_constrained=constrained_headline))
@@ -317,7 +311,6 @@ class DegenerateRow:
     hedge_price_stderr: float
     residual_sd: float
     bound: PrimalResult
-    theta: np.ndarray
     value_mc: float               # U(x + hedge price): replication value
     value_mc_stderr: float        # delta method through the marginal utility
 
@@ -363,9 +356,9 @@ def degenerate_coeffs() -> GeneralMarketCoeffs:
     return GeneralMarketCoeffs(d=1, sigma=sigma, lam=lam)
 
 
-def degenerate_example(alpha: float = 1.0, x: float = 0.0,
-                       n_values=(1, 2, 4, 8), grid: TimeGrid | None = None,
-                       paths: int = 30_000, seed: int = 7,
+def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
+                       x: float = 0.0, n_values=(1, 2, 4, 8),
+                       grid: TimeGrid | None = None,
                        buckets: int = 12, degree: int = 2,
                        budget: int = 60,
                        workers: int | None = None) -> DegenerateResult:
@@ -404,7 +397,7 @@ def degenerate_example(alpha: float = 1.0, x: float = 0.0,
         rows.append(DegenerateRow(n=float(n), hedge_price=hedge.price,
                                   hedge_price_stderr=hedge.price_stderr,
                                   residual_sd=hedge.residual_sd,
-                                  bound=opt.result, theta=opt.theta,
+                                  bound=opt.result,
                                   value_mc=value_mc,
                                   value_mc_stderr=value_se))
 

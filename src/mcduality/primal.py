@@ -35,9 +35,9 @@ The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
 giving both a replication-price intercept and a residual report.  The
 fitted ``BucketStrategy`` is a raw holdings rule that a family uses as one
-component; only a family truncates and stops.  A claim-adapted strategy
-carries the claim's delta on its fitting bundle and computes it afresh on
-any other bundle.
+component; only a family truncates and stops.  Its basis includes the
+claim's delta, which it carries on its fitting bundle and computes afresh
+on any other bundle.
 """
 
 from __future__ import annotations
@@ -155,13 +155,11 @@ def _feature(bundle, name: str, sl: slice,
     raise ValueError(f"unknown feature {name!r}")
 
 
-def features_for(degree: int, with_variance: bool,
-                 claim_adapted: bool = False) -> tuple[str, ...]:
-    """Monomial feature names in ``(B, V)`` up to the given total degree.
-
-    With ``claim_adapted`` the claim's smoothed driver-delta is appended
-    (plus its ``1/sqrt(V)`` version when a variance path exists) in the
-    usual least-squares-Monte-Carlo spirit of enriching the basis with
+def features_for(degree: int, with_variance: bool) -> tuple[str, ...]:
+    """The hedge's feature names: monomials in ``(B, V)`` up to the given
+    total degree, then the claim's smoothed driver-delta (plus its
+    ``1/sqrt(V)`` version when a variance path exists), in the usual
+    least-squares-Monte-Carlo spirit of enriching the basis with
     problem-adapted functions.
     """
     if degree not in (1, 2):
@@ -169,8 +167,7 @@ def features_for(degree: int, with_variance: bool,
     names = ["1", "b"] + (["v"] if with_variance else [])
     if degree == 2:
         names += ["b2"] + (["bv", "v2"] if with_variance else [])
-    if claim_adapted:
-        names += ["delta"] + (["deltav"] if with_variance else [])
+    names += ["delta"] + (["deltav"] if with_variance else [])
     return tuple(names)
 
 
@@ -455,27 +452,26 @@ class HedgeResult:
     price_stderr: float = math.nan   # OLS standard error of the intercept
 
 
-def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
-               claim_adapted: bool = True) -> HedgeResult:
+def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8,
+               degree: int = 2) -> HedgeResult:
     """Least-squares hedge of ``f = phi(B_T)`` by bucketed basis strategies.
 
     Regresses the terminal claim on the gains of every (bucket, feature)
     basis strategy plus an intercept; the coefficient vector is the
     holdings rule that minimizes the replication variance on the sample, and
     the intercept is the implied price.  Deterministic given the bundle.
-    ``claim_adapted`` adds the claim's smoothed delta to the basis, which is
-    what lets sharp payoffs replicate to their discretization floor; the
+    The basis holds the claim's smoothed delta (:func:`features_for`), which
+    is what lets sharp payoffs replicate to their discretization floor; the
     strategy carries that delta for its holdings on this bundle.
     """
-    feats = features_for(degree, variance_levels(bundle) is not None,
-                         claim_adapted=claim_adapted)
+    feats = features_for(degree, variance_levels(bundle) is not None)
     steps = bundle.times.size - 1
     if not 1 <= buckets <= steps:
         raise ValueError("buckets must lie between 1 and the step count")
     edges = np.linspace(0, steps, buckets + 1).astype(int)
     ds = np.diff(bundle.s, axis=1)
     f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
-    delta = _smoothed_delta(claim, bundle) if claim_adapted else None
+    delta = _smoothed_delta(claim, bundle)
 
     ncols = 1 + buckets * len(feats)
     design = np.empty((bundle.paths, ncols))
@@ -495,10 +491,8 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8, degree: int = 2,
     gram_inv_00 = float(np.linalg.pinv(design.T @ design)[0, 0])
     price_se = math.sqrt(max(float(resid @ resid) / dof, 0.0) * gram_inv_00)
     strategy = BucketStrategy(coeffs=coef[1:].reshape(buckets, len(feats)),
-                              features=feats,
-                              claim=claim if claim_adapted else None)
-    if claim_adapted:
-        object.__setattr__(strategy, "_fitted", (bundle.b, delta))
+                              features=feats, claim=claim)
+    object.__setattr__(strategy, "_fitted", (bundle.b, delta))
     return HedgeResult(strategy=strategy, price=float(coef[0]),
                        residual_sd=float(resid.std(ddof=1)),
                        r_squared=1.0 - (float(resid.var(ddof=1)) / var_f

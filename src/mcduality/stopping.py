@@ -6,17 +6,16 @@ freezes gains at the first node below the wealth floor, and the dual cap
 freezes the log of the perturbation before the first node above ``log(cap)``,
 which is a first crossing of the negated log sum below ``-log(cap)``.  Each
 side only forms its increments; :func:`walk` sums them a chunk of steps at a
-time, while the chunk's rows are in cache, and :func:`first_crossing` finds
-the stop.  :func:`chunk_steps` is the one rule for the length of a chunk of
-time-major rows, also used by the variance recursion and the projection
-diagnostic.
+time, while the chunk's rows are in cache, and finds the stop.
+:func:`chunk_steps` is the one rule for the length of a chunk of time-major
+rows, also used by the variance recursion and the projection diagnostic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["chunk_steps", "walk", "first_crossing"]
+__all__ = ["chunk_steps", "walk"]
 
 #: float64 values in one chunk of rows: 512 KiB
 _CHUNK_VALUES = 2**16
@@ -37,32 +36,28 @@ def walk(fill, out: np.ndarray, thr: float):
     steps ``k0 .. k1-1`` into ``rows``, rows ``k0+1 .. k1`` of ``out``, and
     the walk adds each onto the row before it (``np.cumsum``'s adds in its
     order, from the first increment as filled) while the chunk is in cache.
-    ``out`` is left holding the path; returns :func:`first_crossing` of it.
+
+    ``out`` is left holding the path.  Returns each path's stop node (its
+    first node below ``thr``, else the last node), the value there and the
+    crossed mask.  A running row-wise minimum, folded in chunk by chunk,
+    screens the paths that cross, so the search for the node runs on those
+    columns only.  ``fmin`` skips NaN as ``values < thr`` does, so the
+    screen never drops a path that crosses.
     """
-    steps = out.shape[0] - 1
-    n = chunk_steps(out.shape[1])
+    steps, paths = out.shape[0] - 1, out.shape[1]
+    n = chunk_steps(paths)
+    low = out[0].copy()
     for k0 in range(0, steps, n):
         k1 = min(k0 + n, steps)
-        fill(k0, k1, out[k0 + 1:k1 + 1])
+        rows = out[k0 + 1:k1 + 1]
+        fill(k0, k1, rows)
         prev = out[max(k0, 1)]
         for row in out[max(k0, 1) + 1:k1 + 1]:
             np.add(prev, row, out=row)
             prev = row
-    return first_crossing(out, thr)
-
-
-def first_crossing(values: np.ndarray, thr: float):
-    """Each path's first node below ``thr`` in ``values`` laid out
-    ``(nodes, paths)``.
-
-    Returns the stop node (the first crossing, else the last node), the
-    value there and the crossed mask.  One row-wise reduction screens the
-    paths that cross, so the search for the node runs on those columns only.
-    ``fmin`` skips NaN as ``values < thr`` does, so the screen never drops a
-    path that crosses.
-    """
-    crossed = np.fmin.reduce(values, axis=0) < thr
-    stop = np.full(values.shape[1], values.shape[0] - 1)
+        np.fmin(low, np.fmin.reduce(rows, axis=0), out=low)
+    crossed = low < thr
+    stop = np.full(paths, steps)
     hit = np.flatnonzero(crossed)
-    stop[hit] = np.argmax(values[:, hit] < thr, axis=0)
-    return stop, values[stop, np.arange(values.shape[1])], crossed
+    stop[hit] = np.argmax(out[:, hit] < thr, axis=0)
+    return stop, out[stop, np.arange(paths)], crossed

@@ -32,7 +32,6 @@ __all__ = [
     "ConjugatePair",
     "ClaimSpec",
     "constrained_conjugate",
-    "exp_identity_check",
     "load_claim_table",
     "constant_claim",
     "logistic_claim",
@@ -172,14 +171,6 @@ class ConjugatePair:
         out = (ya / a) * (np.log(ya / a) - 1.0)
         return _maybe_scalar(out, y)
 
-    def v_prime(self, y):
-        """Derivative V'(y) = -inverse_marginal(y)."""
-        ya = _as_float_array(y)
-        if np.any(ya <= 0):
-            raise ValueError("conjugate requires y > 0")
-        out = -_as_float_array(self.utility.inverse_marginal(ya))
-        return _maybe_scalar(out, y)
-
 
 def constrained_conjugate(pair: ConjugatePair, y, z, phi_min: float):
     """Evaluate ``V_c(y, z) = sup_{x > -phi_min} [U(x + z) - x*y]``.
@@ -210,28 +201,6 @@ def constrained_conjugate(pair: ConjugatePair, y, z, phi_min: float):
     return _maybe_scalar(out, y, z)
 
 
-def exp_identity_check(alpha: float, y_grid, c_grid) -> tuple[float, float]:
-    """Max absolute error of two exact exponential-conjugate identities.
-
-    Identity 1: ``V'(c*y) = V'(y) + log(c)/alpha`` for ``c > 0``.
-    Identity 2: ``V(y) + y*c = y * (V'(y * exp(alpha*c)) - 1/alpha)``.
-
-    Returns the pair of maximal absolute errors over the grids; both are at
-    machine-epsilon scale for any valid ``alpha``.
-    """
-    pair = ConjugatePair(UtilitySpec.exponential(alpha))
-    y = _as_float_array(y_grid).ravel()
-    c = _as_float_array(c_grid).ravel()
-    if np.any(y <= 0):
-        raise ValueError("identity check requires y > 0")
-    Y, C = np.meshgrid(y, c, indexing="ij")
-    err1 = np.abs(pair.v_prime(C * Y) - (pair.v_prime(Y) + np.log(C) / alpha))
-    lhs = pair.v(Y) + Y * C
-    rhs = Y * (pair.v_prime(Y * np.exp(alpha * C)) - 1.0 / alpha)
-    err2 = np.abs(lhs - rhs)
-    return float(err1.max()), float(err2.max())
-
-
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------
@@ -256,6 +225,8 @@ class ClaimSpec:
         values = _as_float_array(values).ravel()
         if knots.size != values.size or knots.size < 2:
             raise ValueError("claim table needs >= 2 matching knots")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("claim knots must be finite")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("claim knots must be strictly increasing")
         if not np.all(np.isfinite(values)):
@@ -297,31 +268,40 @@ def load_claim_table(path) -> ClaimSpec:
     return ClaimSpec(knots, values)
 
 
-def constant_claim(c: float, lo: float = -1.0, hi: float = 1.0) -> ClaimSpec:
+def _finite(**params) -> None:
+    """Reject a non-finite claim parameter before it reaches any arithmetic."""
+    for name, val in params.items():
+        if not math.isfinite(val):
+            raise ValueError(f"claim parameter {name} must be finite, "
+                             f"got {val}")
+
+
+def constant_claim(c: float) -> ClaimSpec:
     """The constant payoff ``phi(z) = c``."""
-    return ClaimSpec([lo, hi], [c, c])
+    _finite(c=c)
+    return ClaimSpec([-1.0, 1.0], [c, c])
 
 
-def logistic_claim(rate: float = 1.0, scale: float = 1.0,
-                   lo: float = -10.0, hi: float = 10.0, n: int = 801) -> ClaimSpec:
+def logistic_claim(rate: float, scale: float) -> ClaimSpec:
     """Tabulated logistic payoff ``scale / (1 + exp(-rate * z))``.
 
-    ``phi_min`` is declared as 0 and ``phi_max`` as ``scale`` (the payoff's
-    infimum and supremum over the whole line, slightly outside the tabulated
-    range).
+    Tabulated at 801 knots on ``[-10, 10]``.  ``phi_min`` is declared as 0
+    and ``phi_max`` as ``scale`` (the payoff's infimum and supremum over the
+    whole line, slightly outside the tabulated range).
     """
-    z = np.linspace(lo, hi, n)
+    _finite(rate=rate, scale=scale)
+    z = np.linspace(-10.0, 10.0, 801)
     with np.errstate(over="ignore"):    # exp -> inf: the payoff's limit 0
         vals = scale / (1.0 + np.exp(-rate * z))
     return ClaimSpec(z, vals, phi_min=0.0, phi_max=scale)
 
 
-def digital_claim(level: float = 1.0, at: float = 0.0,
-                  width: float = 1e-12) -> ClaimSpec:
+def digital_claim(level: float = 1.0, at: float = 0.0) -> ClaimSpec:
     """A numerically sharp step payoff ``level * 1{z >= at}``.
 
-    The step is realized as a linear ramp of the given (tiny) width so that
-    the payoff remains a continuous table.
+    The step is realized as a linear ramp of width ``2e-12`` so that the
+    payoff remains a continuous table.
     """
-    return ClaimSpec([at - width, at + width], [0.0, level],
+    _finite(level=level, at=at)
+    return ClaimSpec([at - 1e-12, at + 1e-12], [0.0, level],
                      phi_min=0.0, phi_max=level)

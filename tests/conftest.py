@@ -1,9 +1,11 @@
-"""Shared fixtures: small path bundles reused across test modules."""
+"""Shared fixtures and helpers: small path bundles reused across test
+modules, reference recursions and the conjugate identities."""
 
 import numpy as np
 import pytest
 
-from mcduality import HestonParams, RandomStream, TimeGrid, simulate_heston_market
+from mcduality import (ConjugatePair, HestonParams, RandomStream, TimeGrid,
+                       UtilitySpec, simulate_heston_market)
 from mcduality import search
 
 BASE_PARAMS = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
@@ -50,3 +52,24 @@ def record_simplex_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(search, "_simplex", recording)
     return starts
+
+
+def v_prime(pair, y):
+    """The conjugate's derivative ``V'(y) = -(U')^{-1}(y)``."""
+    return -np.asarray(pair.utility.inverse_marginal(y), dtype=float)
+
+
+def exp_identity_errors(alpha, y_grid, c_grid) -> tuple[float, float]:
+    """Max absolute error of two exact exponential-conjugate identities
+    over the grids ``y > 0`` and ``c > 0``.
+
+    Identity 1: ``V'(c*y) = V'(y) + log(c)/alpha``.
+    Identity 2: ``V(y) + y*c = y * (V'(y * exp(alpha*c)) - 1/alpha)``.
+    """
+    pair = ConjugatePair(UtilitySpec.exponential(alpha))
+    y, c = np.meshgrid(np.ravel(y_grid), np.ravel(c_grid), indexing="ij")
+    err1 = np.abs(v_prime(pair, c * y)
+                  - (v_prime(pair, y) + np.log(c) / alpha))
+    err2 = np.abs(pair.v(y) + y * c
+                  - y * (v_prime(pair, y * np.exp(alpha * c)) - 1.0 / alpha))
+    return float(err1.max()), float(err2.max())

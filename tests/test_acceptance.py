@@ -23,8 +23,9 @@ from mcduality.pricing import degenerate_coeffs, degenerate_example, rho_sweep
 from mcduality.primal import HedgeMixFamily, lsmc_hedge, optimize_primal
 from mcduality.rng import WORKERS_ENV, RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
-                               constrained_conjugate, exp_identity_check,
-                               logistic_claim)
+                               constrained_conjugate, logistic_claim)
+
+from conftest import exp_identity_errors
 
 BASE = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
 
@@ -83,7 +84,7 @@ def test_conjugate_algebra():
     c_grid = np.geomspace(0.25, 4.0, 17)
     err1 = err2 = 0.0
     for alpha in (1.0, 2.5):
-        e1, e2 = exp_identity_check(alpha, y_grid, c_grid)
+        e1, e2 = exp_identity_errors(alpha, y_grid, c_grid)
         err1, err2 = max(err1, e1), max(err2, e2)
     assert err1 <= 1e-12 and err2 <= 1e-12
 

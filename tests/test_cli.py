@@ -58,6 +58,7 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"kind": "degenerate", "steps": 8}, "degenerate.buckets"),
     ({"kind": "degenerate", "degenerate": {"x": "zero"}}, "degenerate.x"),
     ({"kind": "oracle-check", "oracle": [0.4]}, "oracle"),
+    ({"kind": "kw", "sweep": [0.4]}, "sweep"),
     ({"kind": "oracle-check", "oracle": {"a_values": ["a"]}},
      "oracle.a_values"),
     ({"kind": "sweep", "sweep": {"w_budgte": 5}}, "sweep.w_budgte"),
@@ -105,7 +106,8 @@ def test_validate_reports_violations(tmp_path, capsys):
      "subreplication.shifts"),
 ], ids=["rho_values_text", "x_text", "sweep_not_object", "alpha_null",
         "hedge_buckets_text", "buckets_bool", "buckets_over_steps",
-        "degenerate_x_text", "oracle_not_object", "oracle_values_text",
+        "degenerate_x_text", "oracle_not_object", "idle_sweep_not_object",
+        "oracle_values_text",
         "sweep_unknown_key", "oracle_unknown_key", "t_prime_text",
         "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool",
         "version_bool", "seed_bool", "paths_bool", "steps_bool",

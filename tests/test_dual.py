@@ -324,7 +324,7 @@ def test_subreplication_min_approaches_floor():
 
 
 def test_subreplication_rejects_bad_inputs(bundle_rho0, bundle_rho03):
-    claim = logistic_claim()
+    claim = logistic_claim(rate=1.0, scale=1.0)
     with pytest.raises(ValueError):
         subreplication_estimate(claim, bundle_rho0.params, SMALL_GRID,
                                 bundle_rho0.b, 0.5, [0.0])

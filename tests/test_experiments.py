@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_unknown_utility_and_claim_kinds():
     assert "claim" in fields(merge_config({"claim": {"kind": "lookback"}}))
     with pytest.raises(ValueError):
         build_utility(merge_config({"utility": {"kind": "quadratic"}}))
+
+
+@pytest.mark.parametrize("claim", [
+    {"rate": math.inf}, {"scale": -math.inf}, {"rate": math.nan},
+    {"kind": "digital", "at": math.inf}, {"kind": "digital", "level": math.nan},
+    {"kind": "constant", "c": math.inf}],
+    ids=["rate_inf", "scale_neg_inf", "rate_nan", "at_inf", "level_nan",
+         "c_inf"])
+def test_nonfinite_claim_parameter_is_one_silent_violation(claim):
+    # the claim function rejects the parameter before any arithmetic, so no
+    # RuntimeWarning reaches stderr ahead of the violation record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fields(merge_config({"claim": claim})) == ["claim"]
 
 
 def test_sweep_specific_checks():

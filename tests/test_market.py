@@ -216,7 +216,9 @@ def test_density_zero_drift_is_one():
     grid = TimeGrid(1.0, 32)
     db = _draw_all_increments(RandomStream(5), grid, 100)
     v = simulate_cir(p, grid, 100, RandomStream(5))
-    z = minimal_martingale_density(0.0, v, db, grid.dt)
+    out = np.full_like(v, np.nan)
+    z = minimal_martingale_density(0.0, v, db, grid.dt, out)
+    assert z is out
     assert np.array_equal(z, np.ones((100, 33)))
 
 

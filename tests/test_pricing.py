@@ -10,7 +10,7 @@ from mcduality.estimates import mc_estimate
 from mcduality.market import TimeGrid
 from mcduality.pricing import (degenerate_example, indifference_price,
                                rho_sweep)
-from mcduality.primal import ConstantFamily, driver_levels
+from mcduality.primal import ConstantFamily, driver_levels, optimize_primal
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                digital_claim, logistic_claim)
 
@@ -23,8 +23,11 @@ POWER = ConjugatePair(UtilitySpec.power(0.5))
 
 def test_constant_claim_priced_at_face_value(bundle_rho0):
     fam = ConstantFamily(lo=-0.5, hi=0.5, floor=30.0)
-    res = indifference_price(EXP, 0.5, fam, bundle_rho0,
-                             constant_claim(0.25), budget=15, w_budget=15)
+    claim = constant_claim(0.25)
+    u_opt = optimize_primal(EXP, 0.5, fam, bundle_rho0, claim=claim,
+                            budget=15)
+    res = indifference_price(EXP, 0.5, fam, bundle_rho0, claim, u_opt,
+                             w_budget=15)
     assert res.price == 0.25
     assert res.converged
     assert res.stderr == 0.0
@@ -34,8 +37,11 @@ def test_constant_claim_priced_at_face_value(bundle_rho0):
 
 def test_zero_claim_priced_at_zero(bundle_rho0):
     fam = ConstantFamily(lo=-0.5, hi=0.5, floor=30.0)
-    res = indifference_price(POWER, 1.0, fam, bundle_rho0,
-                             constant_claim(0.0), budget=15, w_budget=15)
+    claim = constant_claim(0.0)
+    u_opt = optimize_primal(POWER, 1.0, fam, bundle_rho0, claim=claim,
+                            budget=15)
+    res = indifference_price(POWER, 1.0, fam, bundle_rho0, claim, u_opt,
+                             w_budget=15)
     assert res.price == 0.0
     assert res.converged
 
@@ -43,8 +49,10 @@ def test_zero_claim_priced_at_zero(bundle_rho0):
 def test_price_stays_in_bracket_with_finite_se(bundle_rho0):
     claim = logistic_claim(rate=-2.0, scale=2.0)
     fam = ConstantFamily(lo=-1.0, hi=2.0, floor=30.0)
-    res = indifference_price(EXP, 0.5, fam, bundle_rho0, claim,
-                             budget=24, w_budget=12)
+    u_opt = optimize_primal(EXP, 0.5, fam, bundle_rho0, claim=claim,
+                            budget=24)
+    res = indifference_price(EXP, 0.5, fam, bundle_rho0, claim, u_opt,
+                             w_budget=12)
     assert claim.phi_min <= res.price <= claim.phi_max
     assert res.converged
     assert math.isfinite(res.stderr) and res.stderr > 0.0
@@ -54,8 +62,10 @@ def test_price_stays_in_bracket_with_finite_se(bundle_rho0):
 def test_price_constrained_mode_runs(bundle_rho03):
     claim = logistic_claim(rate=-2.0, scale=2.0)
     fam = ConstantFamily(lo=-1.0, hi=2.0, floor=6.0)
-    res = indifference_price(POWER, 0.75, fam, bundle_rho03, claim,
-                             budget=24, w_budget=12, constrained_u=True)
+    u_opt = optimize_primal(POWER, 0.75, fam, bundle_rho03, claim=claim,
+                            constrained=True, budget=24)
+    res = indifference_price(POWER, 0.75, fam, bundle_rho03, claim, u_opt,
+                             w_budget=12, constrained_u=True)
     assert claim.phi_min <= res.price <= claim.phi_max
     assert res.converged
 
@@ -182,7 +192,7 @@ def test_degenerate_limit_bound_reads_a_finite_member(monkeypatch):
         assert (res.limit_bound.mean, res.limit_bound.stderr) == (
             ref.mean, ref.stderr)
     with pytest.raises(ValueError):
-        degenerate_example(n_values=[])
+        degenerate_example(paths=30_000, seed=7, n_values=[])
 
 
 def test_degenerate_example_anchors():

@@ -34,11 +34,11 @@ def flat_market():
 
 
 def test_features_for_variants():
-    assert features_for(1, False) == ("1", "b")
-    assert features_for(2, True) == ("1", "b", "v", "b2", "bv", "v2")
-    assert features_for(2, False, claim_adapted=True) == ("1", "b", "b2",
-                                                          "delta")
-    assert features_for(1, True, claim_adapted=True)[-1] == "deltav"
+    assert features_for(1, False) == ("1", "b", "delta")
+    assert features_for(2, True) == ("1", "b", "v", "b2", "bv", "v2",
+                                     "delta", "deltav")
+    assert features_for(2, False) == ("1", "b", "b2", "delta")
+    assert features_for(1, True)[-1] == "deltav"
     with pytest.raises(ValueError):
         features_for(3, True)
 
@@ -150,8 +150,7 @@ def test_primal_bound_domain_violations(flat_market):
 
 def test_lsmc_exact_fit_linear_claim(flat_market):
     claim = ClaimSpec([-10.0, 10.0], [-10.0, 10.0])   # identity payoff
-    hedge = lsmc_hedge(claim, flat_market, buckets=4, degree=1,
-                       claim_adapted=False)
+    hedge = lsmc_hedge(claim, flat_market, buckets=4, degree=1)
     assert hedge.residual_sd < 1e-10
     assert hedge.price == pytest.approx(0.0, abs=1e-10)
     assert hedge.r_squared > 1.0 - 1e-12
@@ -211,12 +210,28 @@ def test_smoothed_delta_never_served_across_bundles():
                                   plain.holdings(bundle))
 
 
+def _monomial_residual_sd(claim, bundle, buckets):
+    """Residual sd of the least-squares hedge on the degree-2 monomials in
+    the driver alone, without the claim's delta."""
+    ds = np.diff(bundle.s, axis=1)
+    b = bundle.b[:, :-1, 0]
+    edges = np.linspace(0, ds.shape[1], buckets + 1).astype(int)
+    cols = [np.ones(bundle.paths)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        bj, dsj = b[:, lo:hi], ds[:, lo:hi]
+        cols += [dsj.sum(axis=1), (bj * dsj).sum(axis=1),
+                 (bj * bj * dsj).sum(axis=1)]
+    design = np.column_stack(cols)
+    f = np.asarray(claim(bundle.b[:, -1, 0]), dtype=float)
+    coef, *_ = np.linalg.lstsq(design, f, rcond=None)
+    return float((f - design @ coef).std(ddof=1))
+
+
 def test_digital_hedge_reaches_discretization_floor(flat_market):
     claim = digital_claim(level=1.0, at=0.0)
     with_delta = lsmc_hedge(claim, flat_market, buckets=8)
-    poly_only = lsmc_hedge(claim, flat_market, buckets=8,
-                           claim_adapted=False)
-    assert with_delta.residual_sd < 0.6 * poly_only.residual_sd
+    poly_only = _monomial_residual_sd(claim, flat_market, 8)
+    assert with_delta.residual_sd < 0.6 * poly_only
 
 
 def test_unreplicable_claim_off_driver(bundle_rho0, bundle_rho03):
@@ -528,8 +543,8 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
 
 def test_evaluation_allocates_no_gains_array():
     # the walk's buffer belongs to the built gains, so an evaluation
-    # allocates only per-path vectors and first_crossing's gather of the
-    # crossing columns: well under one (steps+1) x paths array
+    # allocates only per-path vectors and the walk's gather of the crossing
+    # columns: well under one (steps+1) x paths array
     market = simulate_general_market(degenerate_coeffs(), 1.0,
                                      TimeGrid(1.0, 64), 4000,
                                      RandomStream(29))

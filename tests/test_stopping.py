@@ -1,15 +1,16 @@
-"""The screened first-crossing kernel against its unscreened definition,
-and the running-sum walk against ``np.cumsum``."""
+"""The running-sum walk against ``np.cumsum`` and an unscreened ``argmax``:
+the walk's screened stop on the buffer it leaves, and its bits from the
+increments."""
 
 import numpy as np
 import pytest
 
 from mcduality import stopping
-from mcduality.stopping import first_crossing, walk
+from mcduality.stopping import walk
 
 
 def _unscreened(values, thr):
-    """``argmax`` over every column: the kernel's definition."""
+    """``argmax`` over every column: the first-crossing definition."""
     below = values < thr
     first = np.argmax(below, axis=0)
     cols = np.arange(values.shape[1])
@@ -19,28 +20,36 @@ def _unscreened(values, thr):
 
 
 def _cases():
+    """A start row, increments and a threshold per case."""
     rng = np.random.default_rng(3)
-    walk = np.cumsum(rng.normal(size=(12, 40)), axis=0)
-    first_row = walk.copy()
-    first_row[0, ::3] = -5.0
-    at_thr = walk.copy()
-    at_thr[4, :] = -1.0                    # exactly at the threshold
-    at_thr[7, ::2] = np.nextafter(-1.0, -np.inf)
-    with_nan = walk.copy()
-    with_nan[2, :] = np.nan                # NaN is never below the threshold
-    return {"mixed": (walk, -1.0),
-            "first_row": (first_row, -1.0),
-            "none": (walk, -1e9),
-            "all": (walk, 1e9),
-            "at_threshold": (at_thr, -1.0),
-            "nan": (with_nan, -1.0)}
+    start = np.zeros(40)
+    inc = rng.normal(size=(11, 40))
+    first_row = start.copy()
+    first_row[::3] = -5.0
+    exact = np.zeros((11, 40))
+    exact[:4] = -0.25                      # binary sums: row 4 is -1.0
+    exact[6, ::2] = np.nextafter(-1.0, -np.inf) + 1.0
+    with_nan = inc.copy()
+    with_nan[1, ::2] = np.nan              # NaN is never below the threshold
+    return {"mixed": (start, inc, -1.0),
+            "first_row": (first_row, inc, -1.0),
+            "none": (start, inc, -1e9),
+            "all": (start, inc, 1e9),
+            "at_threshold": (start, exact, -1.0),
+            "nan": (start, with_nan, -1.0)}
 
 
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_screened_kernel_is_unscreened_argmax(case):
-    values, thr = _cases()[case]
-    stop, val, crossed = first_crossing(values, thr)
-    ref_stop, ref_val, ref_crossed = _unscreened(values, thr)
+    start, inc, thr = _cases()[case]
+    out = np.empty((inc.shape[0] + 1, inc.shape[1]))
+    out[0] = start
+
+    def fill(k0, k1, rows):
+        rows[...] = inc[k0:k1]
+
+    stop, val, crossed = walk(fill, out, thr)
+    ref_stop, ref_val, ref_crossed = _unscreened(out, thr)
     assert np.array_equal(stop, ref_stop)
     assert np.array_equal(val, ref_val, equal_nan=True)
     assert np.array_equal(crossed, ref_crossed)
@@ -53,10 +62,13 @@ def test_screened_kernel_is_unscreened_argmax(case):
     if case == "at_threshold":
         # strict <: the row at the threshold stops no path
         assert not np.any(stop == 4)
+        assert np.all(stop[::2] == 7) and not crossed[1::2].any()
+    if case == "nan":
+        assert np.all(np.isnan(out[2:, ::2]))
 
 
 # ---------------------------------------------------------------------------
-# the running-sum walk against first_crossing of np.cumsum
+# the running-sum walk against the unscreened stop of np.cumsum
 # ---------------------------------------------------------------------------
 
 def _bits(a):
@@ -82,7 +94,7 @@ def _walked(inc, thr, monkeypatch, values):
 def _cumsum_reference(inc, thr):
     values = np.zeros((inc.shape[0] + 1, inc.shape[1]))
     values[1:] = np.cumsum(inc, axis=0)
-    return first_crossing(values, thr), values
+    return _unscreened(values, thr), values
 
 
 PATHS = 40

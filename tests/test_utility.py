@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                                constant_claim, constrained_conjugate,
-                               digital_claim, exp_identity_check,
-                               load_claim_table, logistic_claim)
+                               digital_claim, load_claim_table,
+                               logistic_claim)
+
+from conftest import exp_identity_errors, v_prime
 
 # ---------------------------------------------------------------------------
 # utility evaluation
@@ -139,14 +141,14 @@ def test_v_prime_is_conjugate_slope():
         for y in (0.4, 1.0, 3.0):
             h = 1e-6 * y
             fd = (pair.v(y + h) - pair.v(y - h)) / (2 * h)
-            assert pair.v_prime(y) == pytest.approx(fd, rel=1e-5)
+            assert v_prime(pair, y) == pytest.approx(fd, rel=1e-5)
 
 
 def test_exp_identity_errors_machine_small():
     y = np.logspace(-2, 2, 25)
     c = np.logspace(-1, 1, 17)
     for alpha in (0.7, 1.0, 2.3):
-        e1, e2 = exp_identity_check(alpha, y, c)
+        e1, e2 = exp_identity_errors(alpha, y, c)
         assert e1 < 1e-12
         assert e2 < 1e-12
 
@@ -230,6 +232,11 @@ def test_claim_validation():
         ClaimSpec([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         ClaimSpec([0.0, 1.0], [1.0, math.inf])
+    with warnings.catch_warnings():     # rejected before any arithmetic
+        warnings.simplefilter("error")
+        for knots in ([0.0, math.inf], [math.inf, math.inf]):
+            with pytest.raises(ValueError, match="knots must be finite"):
+                ClaimSpec(knots, [1.0, 2.0])
     with pytest.raises(ValueError):
         ClaimSpec([0.0, 1.0], [0.0, 1.0], phi_min=0.5)   # does not bracket
     # declared bounds wider than the table are allowed
