@@ -26,7 +26,7 @@ for rho in (0.0, 0.3):
     bundle = simulate_heston_market(params.with_rho(rho), grid, M,
                                     RandomStream(SEED))
     vT = mc_estimate(bundle.v[:, -1])
-    zT = mc_estimate(bundle.z[:, -1])
+    zT = mc_estimate(bundle.z)
     sT = mc_estimate(bundle.s[:, -1])
     print(f"rho = {rho}")
     print(f"  E[V_T]  = {vT.mean:.5f} +- {vT.stderr:.5f}   "

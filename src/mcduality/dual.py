@@ -3,9 +3,9 @@
 Every admissible wealth stream satisfies a Fenchel-type inequality against a
 positive density, so Monte Carlo averages of the conjugate evaluated at
 ``y * (density)`` give upper bounds on the maximal expected utility.  The
-baseline density is the bundle's ``Z`` (a function of ``(B, V)`` only, hence
-shared across ``rho`` markets).  Perturbed candidates multiply ``Z`` by a
-stochastic exponential driven by the direction orthogonal to the price
+baseline density is the bundle's ``Z_T`` (a function of ``(B, V)`` only,
+hence shared across ``rho`` markets).  Perturbed candidates multiply ``Z``
+by a stochastic exponential driven by the direction orthogonal to the price
 driver,
 
     W_perp = sqrt(1 - rho**2) W - rho B,
@@ -17,12 +17,17 @@ its first crossing above ``log(cap)``, which keeps the path in ``(0, cap]``
 at every node.  That is the first crossing of the negated sum below
 ``-log(cap)``, found by the kernel that also stops primal wealth.
 
-What a candidate does not choose -- ``dW_perp`` and the left-endpoint ``V``
-and ``B``, each a contiguous time-major copy, ``Z_T``, the claim values, the
-log buffer and a few rows of scratch -- is built once per bundle, and
-``minimize_dual`` builds it once per search.  An evaluation forms only the
-log increments: a chunk of steps at a time it forms ``nu`` in the scratch
-rows and writes the increments into their rows of the log buffer, and
+A candidate's capped exponential at the horizon depends on the bundle and
+the candidate alone, not on ``y`` or the claim, so it is shared per bundle:
+the bundle memoises the last ``steps + 1`` candidates' terminal values
+(:func:`_terminal_exponentials`), and the searches of a ``y`` grid, with
+and without a claim, walk each candidate they share once.  What a
+candidate does not choose -- ``dW_perp`` and the left-endpoint ``V`` and
+``B``, each a contiguous time-major copy, the log buffer and a few rows of
+scratch -- is built per search, at its first candidate not in the memo,
+and dropped with it.  A walk forms only the log increments: a chunk of
+steps at a time it forms ``nu`` in the scratch rows and writes the
+increments into their rows of the log buffer, and
 :func:`~mcduality.stopping.walk`, which the primal shares, sums and stops
 them while the chunk is in cache.  It allocates nothing of size
 ``paths x steps`` and takes ``exp`` of the terminal values only.
@@ -31,6 +36,7 @@ them while the chunk is in cache.  It allocates nothing of size
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,23 +88,24 @@ class DualCandidate:
         object.__setattr__(self, "coeffs", c)
 
     def integrand(self, v: np.ndarray, b: np.ndarray, out: np.ndarray,
-                  start: int) -> np.ndarray:
+                  start: int, edges: list, tmp: np.ndarray) -> np.ndarray:
         """Integrand of the ``len(out)`` steps from ``start`` on, written
         into ``out``.
 
         ``v`` and ``b`` hold the left-endpoint ``V`` and ``B`` of every step,
-        so the time buckets split all of them; all three arrays are laid out
-        time-major ``(steps, paths)``.
+        all three arrays laid out time-major ``(steps, paths)``; ``edges``
+        lists the first step of each time bucket, then ``steps``, and
+        ``tmp`` is scratch shaped as ``out``.
         """
-        buckets = self.coeffs.shape[0]
-        edges = np.linspace(0, v.shape[0], buckets + 1).astype(int)
-        edges = np.clip(edges, start, start + out.shape[0])
+        stop = start + out.shape[0]
         for j, (c0, cv, cb) in enumerate(self.coeffs):
-            sl = slice(edges[j], edges[j + 1])
-            rows = out[edges[j] - start:edges[j + 1] - start]
-            np.multiply(v[sl], cv, out=rows)
+            k0, k1 = max(edges[j], start), min(edges[j + 1], stop)
+            if k0 >= k1:
+                continue
+            rows = out[k0 - start:k1 - start]
+            np.multiply(v[k0:k1], cv, out=rows)
             rows += c0
-            rows += cb * b[sl]
+            rows += np.multiply(b[k0:k1], cb, out=tmp[:k1 - k0])
         return out
 
 
@@ -123,8 +130,13 @@ def _perturbed_logs(bundle: PathBundle):
     logs = np.zeros((steps + 1, dwp.shape[1]))
 
     def negated_logs(candidate: DualCandidate):
+        edges = np.linspace(0, steps, candidate.coeffs.shape[0] + 1
+                            ).astype(int).tolist()
+
         def fill(k0, k1, inc):
-            nu = candidate.integrand(v, b, scratch[:k1 - k0], start=k0)
+            # the rows of increments are the integrand's scratch until the
+            # increments are written
+            nu = candidate.integrand(v, b, scratch[:k1 - k0], k0, edges, inc)
             np.multiply(nu, nu, out=inc)
             inc *= 0.5
             inc *= dt
@@ -135,6 +147,72 @@ def _perturbed_logs(bundle: PathBundle):
         return logs, stop - crossed
 
     return negated_logs
+
+
+class _WalkMemo:
+    """Terminal capped exponentials of the ``steps + 1`` candidates walked
+    most recently on one bundle, each a row of one ``(steps + 1, paths)``
+    slab (one path array of floats), keyed by the candidate's coefficients,
+    bit for bit, and cap.  A new candidate takes the next unused row, else
+    the least recently used candidate's row."""
+
+    def __init__(self, steps: int, paths: int):
+        self.slab = np.empty((steps + 1, paths))
+        self.rows: OrderedDict = OrderedDict()      # key -> row index
+
+    @staticmethod
+    def key(candidate: DualCandidate):
+        c = candidate.coeffs
+        return c.shape, c.tobytes(), candidate.cap
+
+    def get(self, key):
+        """Row index of ``key``, now the most recently used, or ``None``."""
+        i = self.rows.get(key)
+        if i is not None:
+            self.rows.move_to_end(key)
+        return i
+
+    def put(self, key) -> int:
+        """Row index for the values of ``key``, which is not held."""
+        if len(self.rows) < self.slab.shape[0]:
+            i = len(self.rows)
+        else:
+            i = self.rows.popitem(last=False)[1]
+        self.rows[key] = i
+        return i
+
+
+def _terminal_exponentials(bundle: PathBundle):
+    """``candidate ->`` its capped exponential at the horizon.
+
+    The values are memoised on the bundle (``PathBundle._walks``, a
+    :class:`_WalkMemo`), so every search on the bundle shares them whatever
+    its ``y`` or claim, and an evicted candidate is walked again to the same
+    bits.  The returned read-only row holds the candidate's values until the
+    memo gives the row to another candidate.  The walk's inputs are built
+    at the first candidate that is not in the memo.
+    """
+    memo = bundle._walks
+    if memo is None:
+        memo = _WalkMemo(bundle.steps, bundle.paths)
+        object.__setattr__(bundle, "_walks", memo)
+    negated_logs = None
+
+    def terminal(candidate: DualCandidate) -> np.ndarray:
+        nonlocal negated_logs
+        key = memo.key(candidate)
+        i = memo.get(key)
+        if i is None:
+            if negated_logs is None:
+                negated_logs = _perturbed_logs(bundle)
+            logs, node = negated_logs(candidate)
+            i = memo.put(key)
+            np.exp(-logs[node, np.arange(node.size)], out=memo.slab[i])
+        row = memo.slab[i]
+        row.flags.writeable = False
+        return row
+
+    return terminal
 
 
 def perturbation_exponential(candidate: DualCandidate,
@@ -172,7 +250,7 @@ def _conjugate_samples(pair: ConjugatePair, y: float, density_t: np.ndarray,
 
 def dual_bound_mmm(pair: ConjugatePair, y: float, bundle: PathBundle,
                    claim: ClaimSpec | None = None) -> Estimate:
-    """Dual bound from the baseline density ``Z``.
+    """Dual bound from the baseline density ``Z_T``.
 
     Without a claim this is the mean of ``V(y Z_T)``.  With a claim it is
     the mean of the constrained conjugate ``V_c(y Z_T, f)`` for half-line
@@ -180,7 +258,7 @@ def dual_bound_mmm(pair: ConjugatePair, y: float, bundle: PathBundle,
     ``Z`` depends only on ``(B, V)``, the estimate is identical across
     ``rho`` markets simulated from a shared seed.
     """
-    samples = _conjugate_samples(pair, y, bundle.z[:, -1], claim,
+    samples = _conjugate_samples(pair, y, bundle.z, claim,
                                  _claim_values(claim, bundle))
     return mc_estimate(samples)
 
@@ -188,15 +266,13 @@ def dual_bound_mmm(pair: ConjugatePair, y: float, bundle: PathBundle,
 def _perturbed_bound(pair: ConjugatePair, y: float, bundle: PathBundle,
                      claim: ClaimSpec | None):
     """``candidate -> dual_bound_perturbed(pair, y, bundle, candidate,
-    claim)`` with the bundle's inputs built once."""
-    negated_logs = _perturbed_logs(bundle)
-    z_t = bundle.z[:, -1]
+    claim)`` with the claim values formed once."""
+    terminal = _terminal_exponentials(bundle)
     f = _claim_values(claim, bundle)
 
     def bound(candidate: DualCandidate) -> Estimate:
-        logs, node = negated_logs(candidate)
-        elt = np.exp(-logs[node, np.arange(node.size)])
-        return mc_estimate(_conjugate_samples(pair, y, z_t * elt, claim, f))
+        return mc_estimate(_conjugate_samples(
+            pair, y, bundle.z * terminal(candidate), claim, f))
 
     return bound
 
@@ -232,8 +308,11 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     budget.  The search is :func:`~mcduality.search.minimize`, the primal's
     too: runs from the box's midpoint ``nu = 0`` and its two quarter points,
     a non-finite bound scoring ``1e30``.  Each evaluation gives the bits of
-    ``dual_bound_perturbed`` on the search's inputs, built once;
-    ``evaluations`` counts the search's calls and the reported evaluation.
+    ``dual_bound_perturbed``; a candidate already walked on the bundle, by
+    this search or an earlier one, is read from the bundle's memo, so the
+    reported evaluation of the best candidate walks nothing.
+    ``evaluations`` counts the search's calls and the reported evaluation,
+    not walks.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -249,7 +328,7 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     bound = _perturbed_bound(pair, y, bundle, claim)
     best_theta, evals = minimize(lambda t: bound(make(t)).mean, lo, hi,
                                  budget)
-    del bound   # free the search's buffers before the reported evaluation
+    del bound   # free the search's walk inputs: the best was walked
     best_cand = make(best_theta, "nm")
     best_est = dual_bound_perturbed(pair, y, bundle, best_cand, claim)
     table.append(("nm", best_est))

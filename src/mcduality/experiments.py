@@ -437,7 +437,9 @@ def _run_sweep(cfg, out: Path, workers):
                for y, e in res.cap_table])
     write_gnuplot(out / "prices.dat", "indifference prices across rho",
                   ["rho", "price", "price_se", "u_value", "cap"], dat_rows)
-    extras = {"x": res.x, "y_star": res.y_star, "cap_value": res.cap_value}
+    extras = {"x": res.x, "y_star": res.y_star, "cap_value": res.cap_value,
+              "price_diagnosis": {str(r.rho): r.price.diagnosis
+                                  for r in res.rows}}
     return ["sweep.csv", "cap.csv", "prices.dat"], extras
 
 

@@ -13,7 +13,7 @@ diffusion), prices and densities with left-endpoint Euler sums.
 
 The density process ``Z = StochExp(-mu * sqrt(V) . B)`` is a function of
 ``(B, V)`` alone and is therefore shared by every ``rho`` market simulated
-from the same seed.
+from the same seed; a bundle keeps its terminal value ``Z_T`` only.
 
 Every simulator works one path block at a time (:func:`rng.map_blocks`):
 a block's driver increments are drawn just before they are used and its
@@ -129,9 +129,15 @@ class TimeGrid:
 class PathBundle:
     """Simulated Heston-market paths on a shared grid.
 
-    All path arrays have shape ``(paths, steps + 1)``: drivers ``b`` and
-    ``w``, variance ``v`` (nonnegative), price ``s`` (starts at 0) and
-    density ``z`` (starts at 1, strictly positive).
+    The path arrays have shape ``(paths, steps + 1)``: drivers ``b`` and
+    ``w``, variance ``v`` (nonnegative) and price ``s`` (starts at 0).  The
+    density is kept at the horizon only: ``z`` holds ``Z_T``, shape
+    ``(paths,)``, strictly positive.  :func:`simulate_heston_market` marks
+    every array read-only.
+
+    ``_walks`` is the dual side's memo of terminal capped exponentials of
+    the candidates walked on this bundle, at most ``steps + 1`` of them;
+    only :mod:`mcduality.dual` sets and fills it.
     """
 
     times: np.ndarray
@@ -141,6 +147,8 @@ class PathBundle:
     s: np.ndarray
     z: np.ndarray
     params: HestonParams
+    _walks: object = field(default=None, init=False, repr=False,
+                           compare=False)
 
     @property
     def paths(self) -> int:
@@ -349,24 +357,32 @@ def minimal_martingale_density(mu: float, v: np.ndarray, db: np.ndarray,
 def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
                            stream: RandomStream,
                            workers: int | None = None) -> PathBundle:
-    """Simulate a full path bundle ``(B, W, V, S, Z)``.
+    """Simulate a path bundle ``(B, W, V, S)`` and the density ``Z_T``.
 
-    With a shared stream, ``B``, ``W``, ``V`` and ``Z`` are identical across
-    ``rho`` values; only the price mixing changes.  A path block draws its
-    increments of ``B`` (substream 0) and ``W`` (substream 1) and computes
-    all five paths from them in its own rows.
+    With a shared stream, ``B``, ``W``, ``V`` and ``Z_T`` are identical
+    across ``rho`` values; only the price mixing changes.  A path block
+    draws its increments of ``B`` (substream 0) and ``W`` (substream 1) and
+    computes the four paths and ``Z_T`` from them in its own rows.  The
+    block's density path is formed in a block buffer that the next block
+    overwrites, and only its last node is kept: the bits of
+    ``minimal_martingale_density(...)[:, -1]``.  The returned arrays are
+    read-only, so nothing memoised on the bundle can go stale.
     """
-    b, w, v, s, z = (np.zeros((paths, grid.steps + 1)) for _ in range(5))
+    b, w, v, s = (np.zeros((paths, grid.steps + 1)) for _ in range(4))
+    z = np.empty(paths)
     mu, rho, dt = params.mu, params.rho, grid.dt
     mix = math.sqrt(1.0 - rho**2)
 
     def work(spans):
-        scratch = _cir_scratch(spans[0][2] - spans[0][1])
+        width = spans[0][2] - spans[0][1]
+        scratch = _cir_scratch(width)
+        density = np.empty((width, grid.steps + 1))
         b_blocks = _increment_blocks(stream.split(0), grid, grid.steps, spans)
         w_blocks = _increment_blocks(stream.split(1), grid, grid.steps, spans)
         for (lo, hi, db), (_, _, dw) in zip(b_blocks, w_blocks):
             _cir_block(params, grid, db, v[lo:hi], scratch)
-            minimal_martingale_density(mu, v[lo:hi], db, dt, out=z[lo:hi])
+            z[lo:hi] = minimal_martingale_density(
+                mu, v[lo:hi], db, dt, out=density[:hi - lo])[:, -1]
             np.cumsum(db, axis=1, out=b[lo:hi, 1:])
             np.cumsum(dw, axis=1, out=w[lo:hi, 1:])
             # dS = mu V dt + sqrt(V) (mix dB + rho dW), built in place in
@@ -383,8 +399,10 @@ def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
             np.cumsum(db, axis=1, out=s[lo:hi, 1:])
 
     map_blocks(work, paths, workers)
-    return PathBundle(times=grid.times, b=b, w=w, v=v, s=s, z=z,
-                      params=params)
+    times = grid.times
+    for a in (times, b, w, v, s, z):
+        a.flags.writeable = False
+    return PathBundle(times=times, b=b, w=w, v=v, s=s, z=z, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def big_tails():
     for half in range(2):
         bundle = simulate_heston_market(BASE, grid, 50000, parent.split(half))
         v_t.append(bundle.v[:, -1].copy())
-        z_t.append(bundle.z[:, -1].copy())
+        z_t.append(bundle.z)
         int_v.append(bundle.v[:, :-1].sum(axis=1) * grid.dt)
         del bundle
     return np.concatenate(v_t), np.concatenate(z_t), np.concatenate(int_v)

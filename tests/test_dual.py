@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcduality.affine import density_moment
+from mcduality.estimates import mc_estimate
 from mcduality import dual, stopping
 from mcduality.dual import (DualCandidate, dual_bound_mmm,
                             dual_bound_perturbed, minimize_dual,
@@ -139,6 +140,135 @@ def test_search_objective_is_perturbed_bound(bundle_rho03, pair, with_claim):
                                                    cand, claim)
 
 
+# ---------------------------------------------------------------------------
+# the bundle's memo of terminal exponentials
+# ---------------------------------------------------------------------------
+
+def _memo_bundle(seed=17):
+    """A fresh ten-step bundle: an empty memo of 11 entries at most."""
+    return simulate_heston_market(BASE_PARAMS.with_rho(0.3), TimeGrid(1.0, 10),
+                                  600, RandomStream(seed))
+
+
+def _fresh_terminal(bundle, cand):
+    logs, node = dual._perturbed_logs(bundle)(cand)
+    return np.exp(-logs[node, np.arange(bundle.paths)])
+
+
+def _candidates(n, buckets, cap=dual._CAP, seed=0):
+    rng = np.random.default_rng(seed)
+    return [DualCandidate(c, cap=cap)
+            for c in rng.uniform(-1.0, 1.0, size=(n, buckets, 3))]
+
+
+def _held(bundle):
+    """The memo's rows, by key, in order from least recently used."""
+    memo = bundle._walks
+    return {key: memo.slab[i].copy() for key, i in memo.rows.items()}
+
+
+@pytest.mark.parametrize("with_claim", [False, True])
+@pytest.mark.parametrize("cap", [1.5, 8.0, 1e6])
+@pytest.mark.parametrize("buckets", [1, 2, 3])
+def test_memo_hit_is_fresh_walk(buckets, cap, with_claim, monkeypatch):
+    bundle = _memo_bundle()
+    claim = logistic_claim(rate=-2.0, scale=2.0) if with_claim else None
+    cands = _candidates(4, buckets, cap, seed=buckets)
+    misses = [dual._perturbed_bound(POWER, 0.8, bundle, claim)(c)
+              for c in cands]
+    held = _held(bundle)
+    assert list(held) == [dual._WalkMemo.key(c) for c in cands]
+    fresh = [_fresh_terminal(bundle, c) for c in cands]
+
+    def no_walk(_bundle):
+        raise AssertionError("a memo hit walked")
+
+    monkeypatch.setattr(dual, "_perturbed_logs", no_walk)
+    bound = dual._perturbed_bound(POWER, 0.8, bundle, claim)
+    f = dual._claim_values(claim, bundle)
+    for cand, miss, elt, ref in zip(cands, misses, held.values(), fresh):
+        assert np.array_equal(elt, ref)
+        expected = mc_estimate(dual._conjugate_samples(
+            POWER, 0.8, bundle.z * ref, claim, f))
+        assert miss == expected
+        assert bound(cand) == expected
+
+
+def test_memo_never_shared_between_bundles():
+    a, b = _memo_bundle(17), _memo_bundle(18)
+    assert a.paths == b.paths and a.steps == b.steps
+    cands = _candidates(3, 2)
+    for cand in cands:
+        dual._perturbed_bound(POWER, 1.0, a, None)(cand)
+    assert b._walks is None
+    est_b = [dual._perturbed_bound(POWER, 1.0, b, None)(c) for c in cands]
+    assert a._walks is not b._walks
+    held_a, held_b = _held(a), _held(b)
+    assert list(held_a) == list(held_b)
+    for cand, ea, eb in zip(cands, held_a.values(), held_b.values()):
+        assert not np.array_equal(ea, eb)
+        assert np.array_equal(eb, _fresh_terminal(b, cand))
+    fresh_b = _memo_bundle(18)
+    assert est_b == [dual._perturbed_bound(POWER, 1.0, fresh_b, None)(c)
+                     for c in cands]
+
+
+def test_memo_is_bounded_and_evicts_least_recently_used():
+    bundle = _memo_bundle()
+    limit = bundle.steps + 1
+    cands = _candidates(limit + 4, 2)
+    terminal = dual._terminal_exponentials(bundle)
+    memo = bundle._walks
+    assert memo.slab.shape == (limit, bundle.paths)
+    first = terminal(cands[0]).copy()
+    kept = dual._WalkMemo.key(cands[1])
+    sizes = []
+    for cand in cands[1:]:
+        terminal(cand)
+        terminal(cands[1])      # kept in use, so never the one evicted
+        sizes.append(len(memo.rows))
+        assert kept in memo.rows
+    assert max(sizes) == limit
+    assert dual._WalkMemo.key(cands[0]) not in memo.rows
+    again = terminal(cands[0])      # evicted long ago: walked again
+    assert np.array_equal(again, first)
+    assert np.array_equal(again, _fresh_terminal(bundle, cands[0]))
+    assert len(memo.rows) == limit
+    assert not again.flags.writeable
+    assert memo.slab.shape == (limit, bundle.paths)
+
+
+def test_minimize_dual_memo_never_reaches_a_result(monkeypatch):
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    walks = 0
+    real = dual.walk
+
+    def counting(*args):
+        nonlocal walks
+        walks += 1
+        return real(*args)
+
+    monkeypatch.setattr(dual, "walk", counting)
+    shared = _memo_bundle()
+    shared_walks = fresh_walks = 0
+    for y in (2.0, 0.5, 1.0):
+        for c in (claim, None):
+            before = walks
+            got = minimize_dual(POWER, y, shared, c, buckets=2, budget=30)
+            shared_walks += walks - before
+            before = walks
+            want = minimize_dual(POWER, y, _memo_bundle(), c, buckets=2,
+                                 budget=30)
+            fresh_walks += walks - before
+            assert got.estimate == want.estimate
+            assert got.best.label == want.best.label
+            assert np.array_equal(got.best.coeffs, want.best.coeffs)
+            assert got.evaluations == want.evaluations
+            assert got.table == want.table
+    # the searches on the shared bundle walk what they have in common once
+    assert shared_walks < fresh_walks
+
+
 def test_perturbation_zero_integrand_is_one(bundle_rho0):
     cand = DualCandidate(np.zeros((1, 3)))
     elt = perturbation_exponential(cand, bundle_rho0)
@@ -184,7 +314,7 @@ def test_constant_claim_linearity_whole_line(bundle_rho0):
     y, c = 0.8, 0.4
     base = dual_bound_mmm(EXP, y, bundle_rho0)
     with_claim = dual_bound_mmm(EXP, y, bundle_rho0, constant_claim(c))
-    zmean = bundle_rho0.z[:, -1].mean()
+    zmean = bundle_rho0.z.mean()
     assert with_claim.mean == pytest.approx(base.mean + y * c * zmean,
                                             abs=1e-12)
 

@@ -441,3 +441,21 @@ def test_sweep_run_reports(tmp_path):
     assert dat[0].startswith("# ")
     assert dat[1].startswith("# rho ")
     assert len(dat) == 4
+    assert man.extras["price_diagnosis"] == {"0.0": "", "0.3": ""}
+    assert np.all(s["price_converged"] == 1)
+
+
+def test_sweep_manifest_says_why_a_price_did_not_converge(tmp_path):
+    # a digital claim at a capital of 0.01: the claim side leaves the power
+    # utility's domain, so no row's price converges
+    cfg = {"version": 1, "kind": "sweep", "paths": 200, "steps": 8, "seed": 1,
+           "claim": {"kind": "digital", "level": 1.0, "at": 0.0},
+           "sweep": {"x": 0.01, "rho_values": [0.4], "y_grid": [1.0],
+                     "budget": 10, "w_budget": 8}}
+    man = run_experiment(cfg, tmp_path)
+    s = np.genfromtxt(tmp_path / "sweep.csv", delimiter=",", names=True)
+    assert list(s["price_converged"]) == [0, 0]
+    why = "claim-side estimate is -inf"
+    assert man.extras["price_diagnosis"] == {"0.0": why, "0.4": why}
+    ondisk = json.loads((tmp_path / "manifest.json").read_text())
+    assert ondisk["extras"]["price_diagnosis"] == {"0.0": why, "0.4": why}

@@ -208,7 +208,7 @@ def test_density_recomputes_from_bundle(bundle_rho0):
     vleft = b.v[:, :-1]
     mu = b.params.mu
     logz = (-mu * np.sqrt(vleft) * db - 0.5 * mu**2 * vleft * b.dt).sum(axis=1)
-    assert np.abs(np.log(b.z[:, -1]) - logz).max() < 1e-12
+    assert np.abs(np.log(b.z) - logz).max() < 1e-12
 
 
 def test_density_zero_drift_is_one():
@@ -227,7 +227,7 @@ def test_density_terminal_mean_near_one(bundle_rho0):
     # Z_T is right-skewed, so small-sample means drift low; use more paths.
     b = simulate_heston_market(BASE_PARAMS, SMALL_GRID, 20_000,
                                RandomStream(21))
-    zt = b.z[:, -1]
+    zt = b.z
     assert abs(zt.mean() - 1.0) <= 3.0 * _se(zt)
 
 
@@ -286,7 +286,7 @@ def _reference_heston_market(params, grid, paths, stream):
         + np.sqrt(vleft) * (mix * db + params.rho * dw)
     z = stochastic_exponential(-params.mu * np.sqrt(vleft), db, grid.dt)
     return {"b": _levels(db), "w": _levels(dw), "v": v, "s": _levels(ds),
-            "z": z}
+            "z": z[:, -1]}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -316,9 +316,33 @@ def test_worker_count_bit_invariance():
 def test_bundle_initial_nodes(bundle_rho03):
     b = bundle_rho03
     assert np.all(b.b[:, 0] == 0) and np.all(b.w[:, 0] == 0)
-    assert np.all(b.s[:, 0] == 0) and np.all(b.z[:, 0] == 1.0)
+    assert np.all(b.s[:, 0] == 0)
     assert np.all(b.v[:, 0] == b.params.v0)
     assert b.paths == SMALL_PATHS and b.steps == SMALL_GRID.steps
+    assert b.z.shape == (SMALL_PATHS,)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bundle_density_is_terminal_of_density_paths(workers):
+    # two path blocks: the bundle keeps the last node of the density paths
+    # that minimal_martingale_density writes from the same increments
+    paths, grid = BLOCK_SIZE + 5, TimeGrid(1.0, 7)
+    bundle = simulate_heston_market(BASE_PARAMS, grid, paths,
+                                    RandomStream(3), workers)
+    db = _draw_all_increments(RandomStream(3), grid, paths)
+    full = minimal_martingale_density(BASE_PARAMS.mu, bundle.v, db, grid.dt,
+                                      np.empty_like(bundle.v))
+    assert np.array_equal(bundle.z, full[:, -1])
+
+
+def test_bundle_arrays_are_read_only(bundle_rho03):
+    b = bundle_rho03
+    with pytest.raises(ValueError):
+        b.w[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        b.w += 1.0
+    for f in ("times", "b", "w", "v", "s", "z"):
+        assert not getattr(b, f).flags.writeable, f
 
 
 # ---------------------------------------------------------------------------
