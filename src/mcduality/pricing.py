@@ -109,7 +109,10 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
     monotonicity in ``p`` carries over to the two estimates and the initial
     bracket ``[phi_min, phi_max]`` is valid.  (``rho_sweep`` also passes the
     ``_component_gains`` it built for ``family``: they do not depend on the
-    floor, the one field the claim-free family changes.)
+    floor, the one field the claim-free family changes.)  The claim-free
+    searches differ only in capital, and on common random numbers they
+    retrace many of each other's points; they share the gains' memo of
+    claim-free walks, so a retraced point is not walked again.
     """
     u_est = u_opt.result.estimate
     if not math.isfinite(u_est.mean):
@@ -247,20 +250,24 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
 
     Every rho reuses the same driver draws, so ``B``, ``W``, ``V`` and the
     density ``Z`` agree across rows and the dual cap (computed once, from
-    the baseline density) applies verbatim to each of them.
+    the baseline density) applies verbatim to each of them.  Each row's
+    bundle is simulated when the row runs and dropped after it: the streams
+    are counter-based, so every row sees the same drivers, and only the
+    first row's bundle is also read by the cap.
     """
     rho_values = [float(r) for r in rho_values]
     if 0.0 not in rho_values:
         rho_values = [0.0] + rho_values
 
     stream = RandomStream(seed)
-    bundles = {rho: simulate_heston_market(params.with_rho(rho), grid, paths,
-                                           stream, workers)
-               for rho in rho_values}
+
+    def bundle_at(rho: float):
+        return simulate_heston_market(params.with_rho(rho), grid, paths,
+                                      stream, workers)
 
     # dual cap from the shared density: min over the y grid of mmm bound + x y
     cap_table = []
-    base = bundles[rho_values[0]]
+    base = bundle_at(rho_values[0])
     for y in np.asarray(y_grid, dtype=float).ravel():
         est = dual_bound_mmm(pair, float(y), base, claim)
         cap_table.append((float(y), est))
@@ -269,16 +276,15 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
     y_star, cap_est = cap_table[k_star]
     cap_value = cap_est.mean + x * y_star
 
-    rows = []
-    for rho in rho_values:
-        bundle = bundles[rho]
+    def row(rho: float, bundle) -> SweepRow:
         hedge = lsmc_hedge(claim, bundle, buckets=hedge_buckets)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=(-1.6, 0.4),
                                 const_bounds=(-1.0, 3.5),
                                 lin_bounds=(-1.0, 2.5), floor=6.0,
                                 max_holding=25.0)
-        # both claim searches run on one evaluation of the hedge
+        # both claim searches run on one evaluation of the hedge, and the
+        # price bisection's claim-free searches share its memo of walks
         gains = _component_gains(family, bundle)
         u_unc = _search(pair, x, family, bundle, claim, False, budget, gains)
         u_con = _search(pair, x, family, bundle, claim, True, budget, gains)
@@ -292,9 +298,12 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
             pair, x, family, bundle, claim,
             u_con if constrained_headline else u_unc, w_budget=w_budget,
             constrained_u=constrained_headline, _gains=gains)
-        rows.append(SweepRow(rho=rho, u_unconstrained=u_unc,
-                             u_constrained=u_con, price=price,
-                             headline_constrained=constrained_headline))
+        return SweepRow(rho=rho, u_unconstrained=u_unc, u_constrained=u_con,
+                        price=price, headline_constrained=constrained_headline)
+
+    rows = [row(rho_values[0], base)]
+    del base
+    rows += [row(rho, bundle_at(rho)) for rho in rho_values[1:]]
     return SweepResult(x=x, y_star=y_star, cap_value=cap_value,
                        cap_stderr=cap_est.stderr, cap_table=cap_table,
                        rows=rows)

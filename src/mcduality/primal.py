@@ -43,12 +43,13 @@ on any other bundle.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .search import minimize
+from .search import max_calls, minimize
 from .stopping import chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair
 
@@ -180,14 +181,15 @@ class BucketStrategy:
     """Piecewise-in-time holdings from basis functions of the state.
 
     ``coeffs`` has shape ``(buckets, len(features))``; on time bucket ``j``
-    the holdings are ``sum_i coeffs[j, i] * feature_i(state)``.  The claim's
-    delta that ``lsmc_hedge`` carries is read only on a bundle whose ``b`` is
-    the fitting bundle's array; otherwise each call computes it once.
+    the holdings are ``sum_i coeffs[j, i] * feature_i(state)``.  The delta
+    of ``claim`` that ``lsmc_hedge`` carries is read only on a bundle whose
+    ``b`` is the fitting bundle's array; otherwise each call computes it
+    once.
     """
 
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros((1, 2)))
-    features: tuple[str, ...] = ("1", "b")
-    claim: ClaimSpec | None = None
+    coeffs: np.ndarray
+    features: tuple[str, ...]
+    claim: ClaimSpec
     # (driver array, smoothed delta) of the fitting bundle, set by lsmc_hedge
     _fitted: tuple = field(default=(None, None), init=False, repr=False,
                            compare=False)
@@ -199,8 +201,8 @@ class BucketStrategy:
         for f in self.features:
             if f not in _FEATURES:
                 raise ValueError(f"unknown feature {f!r}")
-            if f in ("delta", "deltav") and self.claim is None:
-                raise ValueError(f"feature {f!r} needs a claim table")
+        if self.claim is None:
+            raise ValueError("a bucket strategy needs its claim table")
         object.__setattr__(self, "coeffs", c)
 
     def holdings(self, bundle) -> np.ndarray:
@@ -209,7 +211,7 @@ class BucketStrategy:
         buckets = self.coeffs.shape[0]
         edges = np.linspace(0, steps, buckets + 1).astype(int)
         fitted_b, delta = self._fitted
-        if self.claim is not None and bundle.b is not fitted_b:
+        if bundle.b is not fitted_b:
             delta = _smoothed_delta(self.claim, bundle)
         out = np.zeros((bundle.paths, steps))
         for j in range(buckets):
@@ -302,18 +304,41 @@ class HedgeMixFamily:
 # wealth and admissibility
 # ---------------------------------------------------------------------------
 
-def _component_gains(family, bundle):
-    """The family's gains walk: ``(theta -> fill, path)``.
+@dataclass(frozen=True)
+class _Gains:
+    """A family's gains walk on one bundle (see :func:`_component_gains`)."""
+
+    fill_at: object             # theta -> the walk's fill
+    path: np.ndarray            # (steps+1, paths) buffer from X_0 = 0
+    # (theta bytes, threshold) -> (read-only X_T at the stop, stopped
+    # fraction) of the most recently used claim-free walks
+    walks: OrderedDict = field(default_factory=OrderedDict)
+
+
+def _component_gains(family, bundle) -> _Gains:
+    """The family's gains walk on ``bundle``.
 
     ``path`` is the ``(steps+1, paths)`` buffer, from ``X_0 = 0``, that
     :func:`~mcduality.stopping.walk` sums the gains into; ``fill_at(theta)``
     is the walk's fill, writing a chunk of the increments
-    ``clip(sum_k theta_k C_k) dS`` (zero weights skipped).  The component
-    holdings are computed once and kept time-major, and the buffer and a
-    chunk of scratch are allocated once, so an evaluation allocates nothing
-    of size ``paths x steps``.
+    ``clip(sum_k theta_k C_k) dS`` with zero weights skipped.  The first
+    weighted component is written straight into the rows and the others
+    are added in component order; ``0.0`` is added once when no non-zero
+    scalar term is live, which turns a sum of ``-0.0`` terms into ``+0.0``
+    exactly as summing from a zeroed row does.  The clip is skipped when
+    ``sum_k |theta_k| max|C_k|`` lies below ``max_holding (1 - 1e-9)``: no
+    entry can then reach the cap, and a NaN bound keeps the clip.  The
+    component holdings are computed once and kept time-major with their
+    largest magnitudes, and the buffer and a chunk of scratch are allocated
+    once, so an evaluation allocates nothing of size ``paths x steps``.
+
+    ``walks`` is the memo of :func:`_evaluation`'s claim-free walks on these
+    gains, least recently used evicted first.  It belongs to this object
+    alone: a sweep row builds one and every claim-free search of its price
+    bisection shares it.
     """
     comps = [np.transpose(c).copy() for c in family.components(bundle)]
+    sizes = [float(np.maximum(c.max(), -c.min())) for c in comps]
     ds = np.diff(bundle.s, axis=1).T.copy()
     steps, paths = ds.shape
     path = np.zeros((steps + 1, paths))
@@ -321,25 +346,37 @@ def _component_gains(family, bundle):
     cap = family.max_holding
 
     def fill_at(theta):
+        live = [(w, c) for w, c in zip(theta, comps) if w != 0.0]
+        # an all-zero theta fills zeros
+        (w0, c0), *rest = live or [(0.0, np.zeros(()))]
+        signed_zero = not any(c.ndim == 0 and w * c != 0.0 for w, c in live)
+        bound = sum(abs(w) * m for w, m in zip(theta, sizes) if w != 0.0)
+        clip = not bound < cap * (1.0 - 1e-9)
+
         def fill(k0, k1, rows):
-            rows.fill(0.0)
-            for w, c in zip(theta, comps):
-                if w != 0.0:
-                    rows += (np.multiply(w, c[k0:k1], out=term[:k1 - k0])
-                             if c.ndim else w * c)
-            np.clip(rows, -cap, cap, out=rows)
+            if c0.ndim:
+                np.multiply(w0, c0[k0:k1], out=rows)
+            else:
+                rows.fill(w0 * c0)
+            for w, c in rest:
+                rows += (np.multiply(w, c[k0:k1], out=term[:k1 - k0])
+                         if c.ndim else w * c)
+            if signed_zero:
+                rows += 0.0
+            if clip:
+                np.clip(rows, -cap, cap, out=rows)
             rows *= ds[k0:k1]
 
         return fill
 
-    return fill_at, path
+    return _Gains(fill_at, path)
 
 
 def wealth_process(family, theta, bundle) -> np.ndarray:
     """Raw gains paths ``(paths, steps+1)`` of the family at ``theta``."""
-    fill_at, path = _component_gains(family, bundle)
-    walk(fill_at(theta), path, -math.inf)
-    return path.T.copy()
+    gains = _component_gains(family, bundle)
+    walk(gains.fill_at(theta), gains.path, -math.inf)
+    return gains.path.T.copy()
 
 
 def _threshold(family, x: float, constrained: bool, phi_min: float) -> float:
@@ -379,9 +416,9 @@ def enforce_admissibility(family, theta, bundle, x: float = 0.0,
     repaired.
     """
     thr = _threshold(family, x, constrained, phi_min)
-    fill_at, path = _component_gains(family, bundle)
-    stop_at, _, crossed = walk(fill_at(theta), path, thr)
-    raw = path.T
+    gains = _component_gains(family, bundle)
+    stop_at, _, crossed = walk(gains.fill_at(theta), gains.path, thr)
+    raw = gains.path.T
     idx = np.minimum(np.arange(raw.shape[1])[None, :], stop_at[:, None])
     stopped = np.take_along_axis(raw, idx, axis=1)
     return EnforcedWealth(wealth=stopped,
@@ -399,23 +436,40 @@ class PrimalResult:
 
 
 def _evaluation(pair: ConjugatePair, x: float, family, bundle,
-                claim: ClaimSpec | None, constrained: bool, gains):
+                claim: ClaimSpec | None, constrained: bool, gains: _Gains,
+                kept: int):
     """``theta -> primal_bound(pair, x, family, theta, bundle, claim,
-    constrained)`` on the family's ``_component_gains``."""
+    constrained)`` on the family's ``_component_gains``.
+
+    Without a claim, a walk is looked up in the gains' memo before it is
+    done, and the memo is then trimmed to the ``kept`` most recently used
+    walks.
+    """
     if claim is None:
         thr, f = _threshold(family, x, constrained, 0.0), None
     else:
         thr = _threshold(family, x, constrained, claim.phi_min)
         f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
-    fill_at, path = gains
+    walks = gains.walks
 
     def evaluate(theta) -> PrimalResult:
-        _, xt, crossed = walk(fill_at(theta), path, thr)
+        key = (np.asarray(theta, dtype=float).tobytes(), thr)
+        if f is None and key in walks:
+            walks.move_to_end(key)
+            xt, stopped = walks[key]
+        else:
+            _, xt, crossed = walk(gains.fill_at(theta), gains.path, thr)
+            stopped = float(crossed.mean())
+            if f is None:
+                xt.flags.writeable = False
+                walks[key] = xt, stopped
+                if len(walks) > kept:
+                    walks.popitem(last=False)
         w = x + xt if f is None else (x + f) + xt
         samples = np.asarray(pair.utility.u(w), dtype=float)
         return PrimalResult(estimate=mc_estimate(samples),
                             violations=int(np.sum(np.isneginf(samples))),
-                            stopped_fraction=float(crossed.mean()))
+                            stopped_fraction=stopped)
 
     return evaluate
 
@@ -434,7 +488,7 @@ def primal_bound(pair: ConjugatePair, x: float, family, theta, bundle,
     treats the strategy as infeasible rather than silently repairing it.
     """
     return _evaluation(pair, x, family, bundle, claim, constrained,
-                       _component_gains(family, bundle))(theta)
+                       _component_gains(family, bundle), 0)(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +586,14 @@ def _search(pair: ConjugatePair, x: float, family, bundle,
             claim: ClaimSpec | None, constrained: bool, budget: int,
             gains) -> PrimalOpt:
     """``optimize_primal`` on the family's ``_component_gains``, which a
-    caller running several searches on one bundle builds once."""
+    caller running several searches on one bundle builds once.  The gains'
+    memo keeps as many claim-free walks as two searches of ``budget`` make:
+    a price bisection's searches on common random numbers retrace the
+    search before them."""
     lo = np.array([b[0] for b in family.bounds])
     hi = np.array([b[1] for b in family.bounds])
-    evaluate = _evaluation(pair, x, family, bundle, claim, constrained, gains)
+    evaluate = _evaluation(pair, x, family, bundle, claim, constrained, gains,
+                           2 * max_calls(budget, lo.size))
     theta, evals = minimize(lambda t: -evaluate(t).estimate.mean, lo, hi,
                             budget)
     return PrimalOpt(theta=theta, result=evaluate(theta), evaluations=evals)

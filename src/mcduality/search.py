@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["minimize"]
+__all__ = ["max_calls", "minimize"]
 
 #: the value of a point whose objective is not finite (``-inf`` expected
 #: utility on the primal side, an overflowing conjugate on the dual side)
@@ -110,6 +110,13 @@ def _simplex(objective, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return sim[0], float(np.min(fsim))
 
 
+def max_calls(budget: int, dim: int) -> int:
+    """The most objective calls :func:`minimize` makes with ``budget`` on a
+    box of ``dim`` coordinates: three runs of at most ``budget // 3`` calls,
+    and at least ``dim + 2``, each."""
+    return 3 * max(budget // 3, dim + 2)
+
+
 def minimize(objective, lo: np.ndarray, hi: np.ndarray,
              budget: int) -> tuple[np.ndarray, int]:
     """Best point of the box ``[lo, hi]`` and the number of objective calls.
@@ -129,7 +136,7 @@ def minimize(objective, lo: np.ndarray, hi: np.ndarray,
         return value if math.isfinite(value) else _BAD
 
     starts = (0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
-    per_start = max(budget // len(starts), lo.size + 2)
+    per_start = max_calls(budget, lo.size) // len(starts)
     outcomes = []
     for s in starts:
         x, fun = _simplex(counted, s, lo, hi, per_start)

@@ -146,6 +146,121 @@ def test_sweep_builds_each_rows_gains_once(monkeypatch):
     assert all(math.isfinite(r.price.price) for r in res.rows)
 
 
+def _recorded_searches(monkeypatch, fresh_gains: bool) -> list:
+    """Record every primal search of ``pricing`` as ``(capital, claim
+    given, theta, result, evaluations)``; with ``fresh_gains`` each search
+    gets gains of its own, so no walk is shared."""
+    from mcduality import primal
+    searches = []
+    real = primal._search
+
+    def recorded(pair, x, family, bundle, claim, constrained, budget,
+                 gains):
+        if fresh_gains:
+            gains = pricing._component_gains(family, bundle)
+        opt = real(pair, x, family, bundle, claim, constrained, budget, gains)
+        searches.append((x, claim is not None, opt.theta.tobytes(),
+                         opt.result, opt.evaluations))
+        return opt
+
+    monkeypatch.setattr(pricing, "_search", recorded)
+    return searches
+
+
+def test_shared_walks_never_reach_a_price(bundle_rho03, monkeypatch):
+    # the bisection's claim-free searches share the gains' memo of walks;
+    # each search ends where it ends on gains of its own, with the same
+    # result and number of calls, and the price is the same
+    from mcduality import primal
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    hedge = primal.lsmc_hedge(claim, bundle_rho03, buckets=4)
+    fam = primal.HedgeMixFamily(hedge=hedge.strategy,
+                                scale_bounds=(-1.6, 0.4),
+                                const_bounds=(-1.0, 3.5),
+                                lin_bounds=(-1.0, 2.5), floor=6.0,
+                                max_holding=25.0)
+    walks = []
+    real_walk = primal.walk
+
+    def counted(fill, out, thr):
+        walks.append(thr)
+        return real_walk(fill, out, thr)
+
+    monkeypatch.setattr(primal, "walk", counted)
+    runs = []
+    for fresh in (False, True):
+        walks.clear()
+        searches = _recorded_searches(monkeypatch, fresh)
+        gains = primal._component_gains(fam, bundle_rho03)
+        u_opt = pricing._search(POWER, 0.75, fam, bundle_rho03, claim, True,
+                                24, gains)
+        price = indifference_price(POWER, 0.75, fam, bundle_rho03, claim,
+                                   u_opt, w_budget=24, constrained_u=True,
+                                   _gains=gains)
+        runs.append((price, searches, len(walks)))
+    (shared, shared_searches, shared_walks), (fresh, fresh_searches,
+                                              fresh_walks) = runs
+    assert shared.converged and shared.iterations >= 4
+    assert shared == fresh
+    assert shared_searches == fresh_searches
+    assert sum(not with_claim for _, with_claim, *_ in shared_searches) \
+        == shared.iterations
+    # the shared memo saved walks, not calls
+    assert shared_walks < fresh_walks
+
+
+def test_sweep_simulates_each_rows_bundle_when_it_runs(monkeypatch):
+    # one bundle alive at a time: the first row's bundle serves the cap and
+    # its row, and every row's bundle is dropped before the next is built
+    import gc
+    import weakref
+    built = []
+    real = pricing.simulate_heston_market
+
+    def recorded(*args, **kwargs):
+        gc.collect()
+        alive = [ref() is not None for ref in built]
+        bundle = real(*args, **kwargs)
+        built.append(weakref.ref(bundle))
+        alive_at.append(alive)
+        return bundle
+
+    alive_at = []
+    monkeypatch.setattr(pricing, "simulate_heston_market", recorded)
+    kwargs = dict(pair=POWER, x=0.75, claim=logistic_claim(rate=-2.0,
+                                                            scale=2.0),
+                  params=BASE_PARAMS, grid=TimeGrid(1.0, 12), paths=600,
+                  seed=5, rho_values=[0.3, 0.1], y_grid=[1.0],
+                  hedge_buckets=3, budget=8, w_budget=6)
+    res = rho_sweep(**kwargs)
+    assert [r.rho for r in res.rows] == [0.0, 0.3, 0.1]
+    assert alive_at == [[], [False], [False, False]]
+    monkeypatch.undo()
+    # the bundles are the ones simulated up front from the same stream
+    stream = pricing.RandomStream(5)
+    for r in res.rows:
+        bundle = real(BASE_PARAMS.with_rho(r.rho), TimeGrid(1.0, 12), 600,
+                      stream)
+        u_opt = optimize_primal(
+            POWER, 0.75, _sweep_family(bundle, kwargs["claim"]), bundle,
+            claim=kwargs["claim"], constrained=r.headline_constrained,
+            budget=8)
+        head = r.u_constrained if r.headline_constrained \
+            else r.u_unconstrained
+        assert np.array_equal(u_opt.theta, head.theta)
+        assert u_opt.result == head.result
+
+
+def _sweep_family(bundle, claim):
+    from mcduality import primal
+    hedge = primal.lsmc_hedge(claim, bundle, buckets=3)
+    return primal.HedgeMixFamily(hedge=hedge.strategy,
+                                 scale_bounds=(-1.6, 0.4),
+                                 const_bounds=(-1.0, 3.5),
+                                 lin_bounds=(-1.0, 2.5), floor=6.0,
+                                 max_holding=25.0)
+
+
 def test_claim_delta_computed_once_per_row(monkeypatch):
     # each row's hedge fit computes the claim's delta and its strategy
     # carries it to every search and bisection on the row's bundle

@@ -1,6 +1,7 @@
 """Strategy admissibility, regression hedging, the primal search and the
 bounded simplex search it runs."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -60,7 +61,8 @@ def test_holding_clip(flat_market):
 
 
 def test_state_linear_needs_variance(flat_market):
-    strat = BucketStrategy(coeffs=[[0.0, 1.0]], features=("1", "v"))
+    strat = BucketStrategy(coeffs=[[0.0, 1.0]], features=("1", "v"),
+                           claim=constant_claim(0.0))
     with pytest.raises(ValueError, match="needs a variance path"):
         strat.holdings(flat_market)
 
@@ -70,7 +72,9 @@ def test_state_linear_needs_variance(flat_market):
 @pytest.mark.parametrize("family", [ConstantFamily, HedgeMixFamily])
 def test_family_floor_rule_checked_on_construction(family, rule):
     # given a hedge, the family fails on the rule, not on the missing hedge
-    hedge = {"hedge": BucketStrategy()} if family is HedgeMixFamily else {}
+    strategy = BucketStrategy(coeffs=np.zeros((1, 2)), features=("1", "b"),
+                              claim=constant_claim(0.0))
+    hedge = {"hedge": strategy} if family is HedgeMixFamily else {}
     with pytest.raises(ValueError, match=next(iter(rule))):
         family(**rule, **hedge)
 
@@ -249,12 +253,16 @@ def test_unreplicable_claim_off_driver(bundle_rho0, bundle_rho03):
 
 
 def test_bucket_strategy_validation():
+    claim = constant_claim(0.0)
     with pytest.raises(ValueError):
-        BucketStrategy(coeffs=np.zeros((2, 3)), features=("1", "b"))
+        BucketStrategy(coeffs=np.zeros((2, 3)), features=("1", "b"),
+                       claim=claim)
     with pytest.raises(ValueError):
-        BucketStrategy(coeffs=np.zeros((1, 1)), features=("nope",))
+        BucketStrategy(coeffs=np.zeros((1, 1)), features=("nope",),
+                       claim=claim)
     with pytest.raises(ValueError):
-        BucketStrategy(coeffs=np.zeros((1, 1)), features=("delta",))
+        BucketStrategy(coeffs=np.zeros((1, 1)), features=("delta",),
+                       claim=None)
 
 
 def test_scaled_sum_matches_manual(flat_market):
@@ -338,6 +346,16 @@ def test_restart_ties_go_to_smallest_end_point(monkeypatch):
     assert _pairwise_distinct(ends)
     assert np.array_equal(best, min(ends, key=tuple))
     assert not np.array_equal(best, ends[0])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+@pytest.mark.parametrize("budget", [1, 12, 40, 41, 120])
+def test_max_calls_is_what_a_search_spends(budget, dim):
+    # an objective that never settles spends every run's calls
+    rng = np.random.default_rng(budget * 10 + dim)
+    _, calls = search.minimize(lambda t: float(rng.random()), np.zeros(dim),
+                               np.ones(dim), budget)
+    assert calls == search.max_calls(budget, dim)
 
 
 @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan, 2.5])
@@ -500,7 +518,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     thr = -fam.floor - primal.FLOOR_SLACK
     if constrained:
         thr = max(thr, -x - phi_min)
-    fill_at, path = primal._component_gains(fam, flat_market)
+    gains = primal._component_gains(fam, flat_market)
 
     def reference_bound(theta):
         raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
@@ -518,7 +536,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
         raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
                                            thr)
         assert np.array_equal(wealth_process(fam, theta, flat_market), raw)
-        _, xt, kernel_crossed = walk(fill_at(theta), path, thr)
+        _, xt, kernel_crossed = walk(gains.fill_at(theta), gains.path, thr)
         assert np.array_equal(xt, stopped[:, -1])
         assert np.array_equal(kernel_crossed, crossed)
         enforced = enforce_admissibility(fam, theta, flat_market, x=x,
@@ -544,7 +562,8 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
 def test_evaluation_allocates_no_gains_array():
     # the walk's buffer belongs to the built gains, so an evaluation
     # allocates only per-path vectors and the walk's gather of the crossing
-    # columns: well under one (steps+1) x paths array
+    # columns: well under one (steps+1) x paths array.  The traced call
+    # walks a second point (a repeated one would be a memo hit)
     market = simulate_general_market(degenerate_coeffs(), 1.0,
                                      TimeGrid(1.0, 64), 4000,
                                      RandomStream(29))
@@ -552,17 +571,244 @@ def test_evaluation_allocates_no_gains_array():
     hedge = lsmc_hedge(claim, market, buckets=4)
     fam = HedgeMixFamily(hedge=hedge.strategy, floor=4.0, max_holding=2.5,
                          lin_bounds=(-1.0, 1.0))
+    pair = ConjugatePair(UtilitySpec.power(0.5))
     gains = primal._component_gains(fam, market)
-    evaluate = primal._evaluation(ConjugatePair(UtilitySpec.power(0.5)), 6.0,
-                                  fam, market, None, False, gains)
+    evaluate = primal._evaluation(pair, 6.0, fam, market, None, False,
+                                  gains, 2)
     theta = np.array([0.1, 2.0, 0.1])
     first = evaluate(theta)
     assert 0.0 < first.stopped_fraction < 0.1
+    second_theta = np.array([0.2, 1.9, 0.1])
     tracemalloc.start()
     try:
-        again = evaluate(theta)
+        second = evaluate(second_theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert again == first
+    assert len(gains.walks) == 2
+    assert second == primal_bound(pair, 6.0, fam, second_theta, market)
+    assert evaluate(theta) == first
     assert peak < 0.5 * (64 + 1) * 4000 * 8
+
+
+@dataclasses.dataclass(frozen=True)
+class _ListFamily:
+    """A family whose components are given: arrays ``(paths, steps)`` and
+    scalars, as :func:`primal._component_gains` reads them."""
+
+    comps: tuple
+    max_holding: float
+    floor: float = 50.0
+
+    def components(self, bundle) -> list:
+        return list(self.comps)
+
+
+def _fill_cases(bundle):
+    hedge = lsmc_hedge(logistic_claim(rate=-2.0, scale=2.0), bundle,
+                       buckets=4).strategy.holdings(bundle)
+    b = bundle.b[:, :-1, 0]
+    mix = (hedge, 1.0, b)
+    sizes = [np.abs(hedge).max(), 1.0, np.abs(b).max()]
+    theta = (0.7, 0.3, -0.4)
+    bound = sum(abs(w) * m for w, m in zip(theta, sizes))
+    skip = bound / (1.0 - 1e-9) * (1.0 + 1e-12)
+    top = float(np.abs(b).max())
+    positive = np.where(b > 0.0, b, 0.0)
+    with_nan = hedge.copy()
+    with_nan[3, 5] = math.nan
+    return {
+        # (components, theta, max_holding)
+        "clip_skipped": (mix, theta, 1e6),
+        "bound_just_below_cap": (mix, theta, skip),
+        "bound_just_above_cap": (mix, theta, bound * (1.0 - 1e-12)),
+        "binding_just_below_cap": ((b,), (1.0,), top * (1.0 - 1e-12)),
+        "bound_at_cap_skip_edge": ((b,), (1.0,),
+                                   top / (1.0 - 1e-9) * (1.0 + 1e-12)),
+        "binding": (mix, (2.0, 0.5, 1.5), 1.0),
+        "zero_scalar_weight": (mix, (0.7, 0.0, -0.4), 1e6),
+        "scalar_only": (mix, (0.0, 0.5, 0.0), 1e6),
+        "lin_only": (mix, (0.0, 0.0, -0.3), 1e6),
+        "all_zero": (mix, (0.0, 0.0, 0.0), 1e6),
+        # w C is -0.0 wherever the component is 0.0
+        "negative_zero": ((positive,), (-0.5,), 1e6),
+        "negative_zero_two": ((positive, positive), (-0.5, -0.25), 1e6),
+        "nan_component": ((with_nan, 1.0), (2.0, 0.5), 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "clip_skipped", "bound_just_below_cap", "bound_just_above_cap",
+    "binding_just_below_cap", "bound_at_cap_skip_edge", "binding",
+    "zero_scalar_weight", "scalar_only", "lin_only", "all_zero",
+    "negative_zero", "negative_zero_two", "nan_component"])
+def test_fill_is_bitwise_reference(flat_market, case):
+    # the fill writes its first term in place, adds 0.0 only when no
+    # non-zero scalar is live and skips the clip when the weighted
+    # component bound stays below the cap: the paths keep the bits, the
+    # NaNs and the sign of every zero of the reference's zeroed sum
+    comps, theta, cap = _fill_cases(flat_market)[case]
+    fam = _ListFamily(comps=comps, max_holding=cap)
+    raw, _, _ = _reference(fam, comps, theta, flat_market, -math.inf)
+    got = wealth_process(fam, theta, flat_market)
+    assert np.array_equal(got, raw, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(raw))
+    held = theta[0] * comps[0]          # the unclipped sum, no leading 0.0
+    for w, c in zip(theta[1:], comps[1:]):
+        held = held + w * c
+    if case.startswith("binding") or case == "nan_component":
+        assert np.nanmax(np.abs(held)) > cap
+    if case.startswith("negative_zero"):
+        # B_0 = 0, so every first holding is the zero sum -0.0 - 0.0, and
+        # node 1 carries the sign of dS as +0.0 * dS does
+        ds0 = np.diff(flat_market.s, axis=1)[:, 0]
+        assert np.all(held[:, 0] == 0.0) and np.all(np.signbit(held[:, 0]))
+        assert np.array_equal(np.signbit(got[:, 1]), ds0 < 0.0)
+        assert np.any(ds0 < 0.0) and np.any(ds0 > 0.0)
+    if case == "nan_component":
+        assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+@pytest.fixture(scope="module")
+def memo_case(flat_market):
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    hedge = lsmc_hedge(claim, flat_market, buckets=4)
+    fam = HedgeMixFamily(hedge=hedge.strategy, floor=4.0, max_holding=2.5,
+                         lin_bounds=(-1.0, 1.0))
+    return ConjugatePair(UtilitySpec.power(0.5)), fam
+
+
+def _counting_walks(monkeypatch) -> list:
+    """Record every walk the primal evaluations make."""
+    walks = []
+    real = primal.walk
+
+    def counted(fill, out, thr):
+        walks.append(thr)
+        return real(fill, out, thr)
+
+    monkeypatch.setattr(primal, "walk", counted)
+    return walks
+
+
+def test_memo_hit_is_fresh_walk(flat_market, memo_case, monkeypatch):
+    pair, fam = memo_case
+    gains = primal._component_gains(fam, flat_market)
+    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, False,
+                                  gains, 4)
+    walks = _counting_walks(monkeypatch)
+    theta = np.array([0.3, 1.5, -0.5])
+    first = evaluate(theta)
+    assert len(walks) == 1
+    again = evaluate(list(theta))
+    assert len(walks) == 1 and len(gains.walks) == 1
+    fresh = primal._component_gains(fam, flat_market)
+    _, xt, crossed = walk(fresh.fill_at(theta), fresh.path,
+                          -fam.floor - primal.FLOOR_SLACK)
+    (held_xt, held_stopped), = gains.walks.values()
+    assert np.array_equal(held_xt, xt) and not held_xt.flags.writeable
+    assert held_stopped == float(crossed.mean()) > 0.0
+    ref = primal_bound(pair, 4.5, fam, theta, flat_market)
+    assert first == again == ref
+
+
+def test_memo_holds_claim_free_walks_only(flat_market, memo_case,
+                                          monkeypatch):
+    pair, fam = memo_case
+    gains = primal._component_gains(fam, flat_market)
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, claim, False,
+                                  gains, 4)
+    walks = _counting_walks(monkeypatch)
+    theta = np.array([0.3, 1.5, -0.5])
+    assert evaluate(theta) == evaluate(theta)
+    assert len(walks) == 2 and not gains.walks
+
+
+def test_memo_never_shared_across_gains_or_thresholds(memo_case,
+                                                      monkeypatch):
+    pair, fam = memo_case
+    grid = TimeGrid(1.0, 16)
+    markets = [simulate_general_market(degenerate_coeffs(), 1.0, grid, 500,
+                                       RandomStream(seed))
+               for seed in (3, 4)]
+    theta = np.array([0.3, 1.5, -0.5])
+    # two gains objects of one shape: each walks its own paths
+    gains = [primal._component_gains(fam, m) for m in markets]
+    walks = _counting_walks(monkeypatch)
+    for g, m in zip(gains, markets):
+        evaluate = primal._evaluation(pair, 4.5, fam, m, None, False, g, 4)
+        assert evaluate(theta) == primal_bound(pair, 4.5, fam, theta, m)
+    assert len(walks) == 2 + 2
+    assert [len(g.walks) for g in gains] == [1, 1]
+    # two thresholds on one gains: a lower floor, and a constrained capital
+    shared = gains[0]
+    for floor, x, constrained in ((4.0, 4.5, False), (1.0, 4.5, False),
+                                  (4.0, 0.5, True)):
+        other = dataclasses.replace(fam, floor=floor)
+        evaluate = primal._evaluation(pair, x, other, markets[0], None,
+                                      constrained, shared, 4)
+        assert evaluate(theta) == primal_bound(
+            pair, x, other, theta, markets[0], constrained=constrained)
+    assert len(shared.walks) == 3
+    assert len({thr for _, thr in shared.walks}) == 3
+
+
+def test_memo_is_bounded_and_evicts_least_recently_used(flat_market,
+                                                        memo_case,
+                                                        monkeypatch):
+    pair, fam = memo_case
+    gains = primal._component_gains(fam, flat_market)
+    kept = 9
+    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, False,
+                                  gains, kept)
+    thetas = [np.array([0.3, 1.5, -0.5 + 0.01 * k]) for k in range(kept + 6)]
+    results = [evaluate(t) for t in thetas[:kept]]
+    assert len(gains.walks) == kept
+    walks = _counting_walks(monkeypatch)
+    assert evaluate(thetas[0]) == results[0]        # now the most recent
+    assert not walks
+    results += [evaluate(t) for t in thetas[kept:]]
+    assert len(walks) == 6 and len(gains.walks) == kept
+    # thetas 1-6 were evicted, theta 0 and theta 7 on were kept
+    assert evaluate(thetas[0]) == results[0] and len(walks) == 6
+    assert evaluate(thetas[7]) == results[7] and len(walks) == 6
+    assert evaluate(thetas[1]) == results[1] and len(walks) == 7
+    assert len(gains.walks) == kept
+
+
+def test_search_memo_keeps_the_search_before(flat_market, memo_case,
+                                              monkeypatch):
+    # each claim-free search trims the shared memo to two searches' calls,
+    # so every point of the search before it is still held
+    pair, fam = memo_case
+    budget = 12
+    capitals = (4.5, 4.6, 4.7, 4.5)
+    fresh = [optimize_primal(pair, c, fam, flat_market, budget=budget)
+             for c in capitals]
+    thr = -fam.floor - primal.FLOOR_SLACK
+    points = []
+    real = primal.minimize
+
+    def recorded(objective, lo, hi, budget):
+        def seen(theta):
+            points.append(np.asarray(theta, dtype=float).tobytes())
+            return objective(theta)
+        return real(seen, lo, hi, budget)
+
+    monkeypatch.setattr(primal, "minimize", recorded)
+    walks = _counting_walks(monkeypatch)
+    gains = primal._component_gains(fam, flat_market)
+    kept = 2 * search.max_calls(budget, len(fam.bounds))
+    before = set()
+    for capital, want in zip(capitals, fresh):
+        points.clear()
+        opt = primal._search(pair, capital, fam, flat_market, None, False,
+                             budget, gains)
+        assert np.array_equal(opt.theta, want.theta)
+        assert (opt.result, opt.evaluations) == (want.result,
+                                                 want.evaluations)
+        assert before <= set(gains.walks) and len(gains.walks) <= kept
+        before = {(p, thr) for p in points}
+    # searches at nearby capitals retrace each other's points
+    assert len(walks) < sum(f.evaluations for f in fresh)

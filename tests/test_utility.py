@@ -48,6 +48,50 @@ def test_exponential_utility_values():
     assert not u.is_halfline
 
 
+def _masked_power(p, x):
+    """Power utility through the domain mask: ``-inf`` outside it, the
+    formula on the gathered in-domain values, scattered back."""
+    xa = np.asarray(x, dtype=float)
+    out = np.full(xa.shape, -math.inf)
+    ok = xa >= 0 if p > 0 else xa > 0
+    with np.errstate(divide="ignore"):
+        out[ok] = np.log(xa[ok]) if p == 0.0 else np.power(xa[ok], p) / p
+    return out
+
+
+_WEALTH = {
+    "in_domain": np.random.default_rng(3).uniform(1e-6, 40.0, 1001),
+    "mixed": np.random.default_rng(4).uniform(-2.0, 3.0, 1001),
+    "exact_zero": np.array([0.0, 1.5, 2.0, 0.0, 1e-300, 7.25]),
+    "negative_zero": np.array([-0.0, 1.5, 2.0]),
+    "nan": np.array([1.0, math.nan, 2.0]),
+    "strided": np.random.default_rng(5).uniform(0.1, 9.0, 2002)[::2],
+    "scalar": 2.75,
+    "scalar_zero": 0.0,
+    "scalar_negative": -1.0,
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+@pytest.mark.parametrize("case", sorted(_WEALTH))
+def test_power_utility_is_bitwise_masked(p, case):
+    # the formula's bits on the domain, -inf at every other wealth (NaN,
+    # and -0.0 where p <= 0), and no warning for wealth outside the domain
+    x = _WEALTH[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = UtilitySpec.power(p).u(x)
+    ref = _masked_power(p, x)
+    if np.ndim(x) == 0:
+        assert isinstance(got, float)
+        ref = float(ref)
+    else:
+        assert got.shape == np.shape(x)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         UtilitySpec.power(1.0)
