@@ -103,6 +103,12 @@ def _smoothed_delta(claim: ClaimSpec, bundle) -> np.ndarray:
     Gaussian kernel per step, which keeps sharp payoffs (digitals) honest:
     their delta is the correctly scaled near-expiry bump that no low-degree
     polynomial in ``B`` can represent.
+
+    Each node's column is ``np.interp(b, xs, np.convolve(dphi, kern,
+    "same"))`` bit for bit, from less work (:func:`_interp_reached`): the
+    grid is uniform, so a driver value's bin is found by arithmetic, and
+    only the table entries between the lowest and highest bin reached are
+    smoothed.
     """
     times = bundle.times
     b = driver_levels(bundle)
@@ -121,9 +127,78 @@ def _smoothed_delta(claim: ClaimSpec, bundle) -> np.ndarray:
         half = min(int(6.0 * sd / h) + 1, xs.size // 2 - 1)
         k = np.arange(-half, half + 1) * h
         kern = np.exp(-0.5 * (k / sd) ** 2) * (h / (sd * math.sqrt(2.0 * math.pi)))
-        table = np.convolve(dphi, kern, mode="same")
-        out[:, j] = np.interp(b[:, j], xs, table)
+        col = _interp_reached(b[:, j].copy(), xs, dphi, kern)
+        if col is None:
+            col = np.interp(b[:, j], xs, np.convolve(dphi, kern, mode="same"))
+        out[:, j] = col
     return out
+
+
+def _interp_reached(x: np.ndarray, xs: np.ndarray, dphi: np.ndarray,
+                    kern: np.ndarray) -> np.ndarray | None:
+    """``np.interp(x, xs, np.convolve(dphi, kern, "same"))`` bit for bit
+    on the uniform grid ``xs``, or None where numpy's rules for non-finite
+    values decide.  ``x`` is a scratch copy.
+
+    *Bins.*  numpy's search gives each ``x`` the largest ``i`` with
+    ``xs[i] <= x``.  ``floor((x - xs[0]) / h)`` misses it by at most one
+    place unless the grid lies far from zero (rounding of ``xs`` and
+    ``h``); each pass moves every missed value one place toward it, until
+    ``xs[i] <= x < xs[i + 1]`` holds on every path, taking ``xs[n]`` as
+    ``inf``.  A value below the grid, or far above it, is clipped to the
+    end node, whose entry numpy returns for it.
+
+    *Table.*  An entry of ``"same"`` at least ``len(kern) // 2`` places
+    from either end of ``dphi`` is the full-length dot product of
+    ``"valid"`` on a window of ``dphi``, the same call on the same numbers.
+    So only the entries from the lowest bin to the highest bin plus one are
+    smoothed, unless that window reaches an end of ``dphi``; then the whole
+    ``"same"`` table is.
+
+    *Interpolation.*  numpy's formula, ``slope[i] * (x - xs[i]) + fp[i]``
+    with ``slope[i] = (fp[i+1] - fp[i]) / (xs[i+1] - xs[i])``.  On a node
+    numpy returns ``fp[i]`` itself, and so does the formula: the slope is
+    finite, ``x - xs[i]`` is 0, and numpy's dot products start from
+    ``+0.0``, so no entry is ``-0.0``.  numpy recomputes a NaN result from
+    the right node; that needs a non-finite slope, so such tables return
+    None.
+    """
+    n, half = xs.size, kern.size // 2
+    right = np.append(xs[1:], np.inf)      # each bin's right node
+    t = x - xs[0]
+    t /= xs[1] - xs[0]
+    np.floor(t, out=t)
+    tmin, tmax = t.min(), t.max()
+    if not (math.isfinite(tmin) and math.isfinite(tmax)):
+        return None
+    if tmin < 0.0 or tmax > n - 1.0:
+        np.clip(x, xs[0], xs[-1], out=x)
+        np.clip(t, 0.0, n - 1.0, out=t)
+    g = t.astype(np.intp)
+    while True:
+        x0 = xs.take(g)
+        down = x0 > x
+        up = right.take(g) <= x
+        if not (down.any() or up.any()):
+            break
+        g += up
+        g -= down
+    a, z = int(g.min()), min(int(g.max()) + 1, n - 1)
+    if a >= half and z + half < n:
+        tab = np.convolve(dphi[a - half:z + half + 1], kern, mode="valid")
+    else:
+        a, z = 0, n - 1
+        tab = np.convolve(dphi, kern, mode="same")
+    fp = np.empty(n)
+    slope = np.zeros(n)     # 0 in the last bin, where numpy returns fp[-1]
+    fp[a:z + 1] = tab
+    np.divide(np.diff(tab), np.diff(xs[a:z + 1]), out=slope[a:z])
+    if not np.isfinite(slope[a:z]).all():
+        return None
+    col = slope.take(g)
+    col *= x - x0
+    col += fp.take(g)
+    return col
 
 
 def _feature(bundle, name: str, sl: slice,
@@ -541,14 +616,19 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8,
     coef, *_ = np.linalg.lstsq(design, f, rcond=None)
     resid = f - design @ coef
     var_f = float(f.var(ddof=1)) if f.size > 1 else 0.0
-    dof = max(bundle.paths - ncols, 1)
-    gram_inv_00 = float(np.linalg.pinv(design.T @ design)[0, 0])
-    price_se = math.sqrt(max(float(resid @ resid) / dof, 0.0) * gram_inv_00)
+    dof = bundle.paths - ncols
+    if dof > 0:
+        gram_inv_00 = float(np.linalg.pinv(design.T @ design)[0, 0])
+        price_se = math.sqrt(max(float(resid @ resid) / dof, 0.0)
+                             * gram_inv_00)
+        residual_sd = float(resid.std(ddof=1))
+    else:   # the fit interpolates: no residual degree of freedom is left
+        price_se, residual_sd = math.inf, math.nan
     strategy = BucketStrategy(coeffs=coef[1:].reshape(buckets, len(feats)),
                               features=feats, claim=claim)
     object.__setattr__(strategy, "_fitted", (bundle.b, delta))
     return HedgeResult(strategy=strategy, price=float(coef[0]),
-                       residual_sd=float(resid.std(ddof=1)),
+                       residual_sd=residual_sd,
                        r_squared=1.0 - (float(resid.var(ddof=1)) / var_f
                                         if var_f > 0 else 0.0),
                        price_stderr=price_se)
@@ -566,7 +646,8 @@ def hedge_residual(hedge: BucketStrategy, price: float, bundle,
     gains = np.multiply(hedge.holdings(bundle).T, np.diff(bundle.s, axis=1).T,
                         order="C").sum(axis=0)
     f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
-    return float((price + gains - f).std(ddof=1))
+    resid = price + gains - f
+    return float(resid.std(ddof=1)) if resid.size > 1 else math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ bounded simplex search it runs."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcduality import primal, search
 from mcduality.market import (TimeGrid, simulate_general_market,
@@ -168,6 +172,28 @@ def test_lsmc_deterministic(flat_market):
     assert a.price == b.price and a.residual_sd == b.residual_sd
 
 
+@pytest.mark.parametrize("paths", [1, 30, 49, 50])
+def test_hedge_without_residual_dof_reports_no_stderr(paths):
+    # 1 + 12 buckets x 4 features = 49 design columns: up to 49 paths the
+    # fit interpolates, and its intercept SE would read near zero
+    claim = digital_claim(level=1.0, at=0.0)
+    bundle = simulate_general_market(degenerate_coeffs(), 2.0,
+                                     TimeGrid(1.0, 24), paths,
+                                     RandomStream(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hedge = lsmc_hedge(claim, bundle, buckets=12)
+        carried = hedge_residual(hedge.strategy, hedge.price, bundle, claim)
+    assert hedge.strategy.coeffs.size + 1 == 49
+    if paths <= 49:
+        assert hedge.price_stderr == math.inf
+        assert math.isnan(hedge.residual_sd)
+    else:
+        assert 0.0 < hedge.price_stderr < math.inf
+        assert hedge.residual_sd > 0.0
+    assert math.isnan(carried) if paths == 1 else carried >= 0.0
+
+
 def test_smoothed_delta_matches_digital_kernel(flat_market):
     claim = digital_claim(level=1.0, at=0.0)
     d = _smoothed_delta(claim, flat_market)
@@ -212,6 +238,142 @@ def test_smoothed_delta_never_served_across_bundles():
             bundle = simulate(seed)
             assert np.array_equal(fitted.holdings(bundle),
                                   plain.holdings(bundle))
+
+
+def _delta_nodes(claim, horizon):
+    """The uniform grid on which ``_smoothed_delta`` tabulates ``phi'``."""
+    pad = 6.0 * math.sqrt(horizon) + 1.0
+    return np.linspace(float(claim.knots[0]) - pad,
+                       float(claim.knots[-1]) + pad, primal._DELTA_GRID_N)
+
+
+def _smoothed_delta_step_loop(claim, bundle):
+    """The reference claim delta: per time node, the whole ``"same"``
+    convolution table and ``np.interp``'s binary search on it."""
+    times = bundle.times
+    b = primal.driver_levels(bundle)
+    horizon = float(times[-1])
+    xs = _delta_nodes(claim, horizon)
+    h = xs[1] - xs[0]
+    dphi = np.gradient(np.asarray(claim(xs), dtype=float), h)
+    out = np.empty((b.shape[0], times.size - 1))
+    for j in range(times.size - 1):
+        sd = math.sqrt(horizon - float(times[j]))
+        half = min(int(6.0 * sd / h) + 1, xs.size // 2 - 1)
+        k = np.arange(-half, half + 1) * h
+        kern = np.exp(-0.5 * (k / sd) ** 2) * (h / (sd * math.sqrt(2.0 * math.pi)))
+        out[:, j] = np.interp(b[:, j], xs, np.convolve(dphi, kern, mode="same"))
+    return out
+
+
+def _same_bits(a, b):
+    # every bit: the sign of a zero and a NaN's payload included
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+_DELTA_CLAIMS = {
+    "logistic": logistic_claim(rate=-2.0, scale=2.0),
+    "digital": digital_claim(level=1.0, at=0.0),
+    "constant": constant_claim(0.7),
+    "table": ClaimSpec([-1.5, -0.2, 0.4, 2.0], [0.3, 1.1, -0.4, 0.9]),
+}
+
+
+def _delta_bundle(kind, steps, paths):
+    grid = TimeGrid(1.0, steps)
+    if kind == "heston":
+        return simulate_heston_market(BASE_PARAMS, grid, paths,
+                                      RandomStream(3))
+    return simulate_general_market(degenerate_coeffs(), 2.0, grid, paths,
+                                   RandomStream(3))
+
+
+@pytest.mark.parametrize("paths, steps", [(400, 1), (400, 8), (400, 96),
+                                          (1, 8)])
+@pytest.mark.parametrize("kind", ["heston", "general"])
+@pytest.mark.parametrize("claim", list(_DELTA_CLAIMS))
+def test_smoothed_delta_is_bitwise_step_loop(claim, kind, paths, steps):
+    # a Heston bundle's b is 2-D, a general bundle's 3-D
+    bundle = _delta_bundle(kind, steps, paths)
+    assert bundle.b.ndim == (2 if kind == "heston" else 3)
+    d = _smoothed_delta(_DELTA_CLAIMS[claim], bundle)
+    assert d.flags.c_contiguous
+    assert _same_bits(d, _smoothed_delta_step_loop(_DELTA_CLAIMS[claim],
+                                                   bundle))
+
+
+@pytest.mark.parametrize("claim", list(_DELTA_CLAIMS))
+def test_smoothed_delta_is_bitwise_on_nodes_and_beyond_the_table(claim):
+    # time node 1 holds table nodes inside the table; time nodes 2-4 hold
+    # the table's end nodes and others, values one ulp either side of a
+    # table node and values beyond both ends; time nodes 5-6 also hold
+    # non-finite values
+    claim = _DELTA_CLAIMS[claim]
+    bundle = _delta_bundle("heston", 8, 300)
+    xs = _delta_nodes(claim, 1.0)
+    b = bundle.b.copy()
+    b[:8, 1] = np.tile(xs[999:1003], 2)
+    beyond = np.concatenate([
+        xs[[0, 1, 7, 1000, 1500, -2, -1]],
+        np.nextafter(xs[[3, 999, -3]], -np.inf),
+        np.nextafter(xs[[3, 999, -3]], np.inf),
+        [xs[0] - 1e-9, xs[0] - 3.0, xs[-1] + 1e-9, xs[-1] + 50.0]])
+    b[:beyond.size, 2:5] = beyond[:, None]
+    b[-3:, 5:7] = np.array([-np.inf, np.inf, np.nan])[:, None]
+    bundle = dataclasses.replace(bundle, b=b)
+    assert _same_bits(_smoothed_delta(claim, bundle),
+                      _smoothed_delta_step_loop(claim, bundle))
+
+
+def test_interp_reached_is_bitwise_numpy_on_a_grid_far_from_zero():
+    # near 1e11 the rounding of the nodes and of the spacing puts the
+    # arithmetic bin of some values two places from numpy's, and a rough
+    # table makes any value read from a wrong bin show
+    xs = np.linspace(1e11 - 7.0, 1e11 + 9.5, primal._DELTA_GRID_N)
+    rng = np.random.default_rng(4)
+    dphi = rng.standard_normal(xs.size)
+    kern = np.array([0.25, 0.5, 0.25])
+    x = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 5000)])
+    t = np.floor((x - xs[0]) / (xs[1] - xs[0]))
+    assert np.abs(t - (np.searchsorted(xs, x, side="right") - 1)).max() > 1
+    col = primal._interp_reached(x.copy(), xs, dphi, kern)
+    assert _same_bits(col, np.interp(x, xs, np.convolve(dphi, kern,
+                                                        mode="same")))
+
+
+def test_smoothed_delta_is_bitwise_on_an_overflowing_table():
+    # phi' overflows to inf at the step, so the table holds infinities, and
+    # at the edge of their run numpy recomputes a NaN from the right node
+    claim = digital_claim(level=1.5e308, at=0.0)
+    bundle = _delta_bundle("heston", 8, 2000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _smoothed_delta(claim, bundle)
+        ref = _smoothed_delta_step_loop(claim, bundle)
+    assert np.isinf(ref).any()
+    assert _same_bits(d, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=5),
+       start=st.floats(-4.0, 4.0),
+       values=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+       steps=st.sampled_from([1, 3, 12]),
+       horizon=st.sampled_from([0.1, 1.0, 4.0]),
+       spread=st.sampled_from([0.5, 1.0, 5.0]),
+       nodes=st.lists(st.integers(0, primal._DELTA_GRID_N - 1), max_size=8),
+       seed=st.integers(0, 2**16))
+def test_smoothed_delta_is_bitwise_step_loop_on_random_tables(
+        gaps, start, values, steps, horizon, spread, nodes, seed):
+    knots = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    claim = ClaimSpec(knots, values[:knots.size])
+    rng = np.random.default_rng(seed)
+    b = knots[0] + spread * math.sqrt(horizon) * rng.standard_normal(
+        (40, steps + 1))
+    b.reshape(-1)[:len(nodes)] = _delta_nodes(claim, horizon)[nodes]
+    bundle = SimpleNamespace(times=np.linspace(0.0, horizon, steps + 1), b=b)
+    assert _same_bits(_smoothed_delta(claim, bundle),
+                      _smoothed_delta_step_loop(claim, bundle))
 
 
 def _monomial_residual_sd(claim, bundle, buckets):

@@ -12,9 +12,12 @@ first from one seed to the next, and reads the run's
 ``perfbench/out/result-W-s-trace0.json``.  Each checkout gets a
 ``BENCH_<label>.json`` at the root of this repository with the environment,
 the checkout's git revision, and per workload the median, quartiles and IQR
-(over seeds) of the five end-to-end metrics, plus every run's values.  With
-two checkouts it also prints, per workload and metric, how many seeds the
-second won.  Record every file that is compared on the same machine.
+(over seeds) of the five end-to-end metrics, plus every run's values.  The
+three times are scaled to a steady host by ``perfbench/run.py``; each run
+record and summary also keeps them unscaled (``unscaled``).  With two
+checkouts it also prints, per workload and metric, how many seeds the
+second won, and the same for unscaled ``wall_s``.  Record every file that
+is compared on the same machine.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb", "se_ratio_max")
+UNSCALED = ("wall_s", "cpu_s", "setup_s")
 WORKLOADS = ("rho_sweep", "vanishing_vol", "dual_search", "bulk_paths")
 SECONDS = 28.0
 SEEDS = range(1, 11)
@@ -64,7 +68,8 @@ def run_once(checkout: Path, workload: str, seed: int,
     return {"seed": seed, "environment": data["environment"],
             "correct": res["correct"], "iterations": res["attempted"],
             "ref_dev_se_max": res["ref_dev_se_max"],
-            "metrics": {m: res["metrics"][m] for m in METRICS}}
+            "metrics": {m: res["metrics"][m] for m in METRICS},
+            "unscaled": {m: res["unscaled"][m] for m in UNSCALED}}
 
 
 def summarize(values: list[float]) -> dict:
@@ -117,6 +122,9 @@ def main(argv=None) -> int:
                 w: {"correct": all(r["correct"] for r in recs),
                     "metrics": {m: summarize([r["metrics"][m] for r in recs])
                                 for m in METRICS},
+                    "unscaled": {m: summarize([r["unscaled"][m]
+                                               for r in recs])
+                                 for m in UNSCALED},
                     "runs": [{k: v for k, v in r.items()
                               if k != "environment"} for r in recs]}
                 for w, recs in runs[label].items()},
@@ -129,13 +137,14 @@ def main(argv=None) -> int:
     if len(sides) == 2:
         (a, _), (b, _) = sides
         for w in WORKLOADS:
-            for m in METRICS:
+            for kind, m in ([("metrics", m) for m in METRICS]
+                            + [("unscaled", "wall_s")]):
                 pairs = list(zip(runs[a][w], runs[b][w]))
-                wins = sum(rb["metrics"][m] < ra["metrics"][m]
-                           for ra, rb in pairs)
-                ma = statistics.median(r["metrics"][m] for r in runs[a][w])
-                mb = statistics.median(r["metrics"][m] for r in runs[b][w])
-                print(f"{w} {m}: {a} {ma:.4g} -> {b} {mb:.4g}, "
+                wins = sum(rb[kind][m] < ra[kind][m] for ra, rb in pairs)
+                ma = statistics.median(r[kind][m] for r in runs[a][w])
+                mb = statistics.median(r[kind][m] for r in runs[b][w])
+                name = m if kind == "metrics" else f"unscaled {m}"
+                print(f"{w} {name}: {a} {ma:.4g} -> {b} {mb:.4g}, "
                       f"{b} lower in {wins}/{len(pairs)}")
     return 0
 
