@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import HestonParams, PathBundle, TimeGrid
+from .market import HestonParams, PathBundle, TimeGrid, driver_blocks
+from .rng import RandomStream
 from .search import minimize
 from .stopping import chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair, constrained_conjugate
@@ -354,26 +355,35 @@ class SubrepReport:
 
 
 def subreplication_estimate(claim: ClaimSpec, params: HestonParams,
-                            grid: TimeGrid, b: np.ndarray, t_prime: float,
-                            shifts) -> SubrepReport:
+                            grid: TimeGrid, paths: int, stream: RandomStream,
+                            t_prime: float, shifts,
+                            workers: int | None = None) -> SubrepReport:
     """Estimate ``E[phi(B_T - B_{T'} + x)]`` over a grid of shifts ``x``.
 
     These are the conditional claim prices under the measures that
     concentrate the driver's remaining motion after ``T'``; their infimum
     over ``x`` approaches the claim's infimum as ``T' -> T``, which is the
-    mechanism forcing the wealth floor.  Only the driver paths ``b``
-    (``(paths, steps+1)`` on ``grid``, e.g. from
-    :func:`~mcduality.market.simulate_driver`) are read.  Only meaningful
-    in markets with ``params.rho != 0`` (the construction needs a driver
+    mechanism forcing the wealth floor.  The driver of ``paths`` paths on
+    ``grid`` is drawn from ``stream`` one path block at a time
+    (:func:`~mcduality.market.driver_blocks`), and each block is reduced to
+    its tails ``B_T - B_{T'}``, so only that ``(paths,)`` vector is held:
+    the bits of ``b[:, -1] - b[:, k]`` on the whole
+    :func:`~mcduality.market.simulate_driver` array.  Only meaningful in
+    markets with ``params.rho != 0`` (the construction needs a driver
     direction the price does not span), and ``T'`` must be a grid node
-    strictly before the horizon.
+    strictly before the horizon; both are checked before anything is drawn.
     """
     if params.rho == 0.0:
         raise ValueError("subreplication construction requires rho != 0")
     k = grid.node_index(t_prime)
     if k == grid.steps:
         raise ValueError(f"T'={t_prime} must be a grid node before the horizon")
-    tail = b[:, -1] - b[:, k]
+    tail = np.empty(paths)
+
+    def reduce(lo, hi, b):
+        np.subtract(b[:, -1], b[:, k], out=tail[lo:hi])
+
+    driver_blocks(grid, paths, stream, reduce, workers)
     rows = []
     for x in np.asarray(shifts, dtype=float).ravel():
         rows.append((float(x), mc_estimate(np.asarray(claim(tail + x)))))

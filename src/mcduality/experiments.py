@@ -32,7 +32,7 @@ from . import __version__, affine, kw, pricing
 from .dual import subreplication_estimate
 from .estimates import mc_estimate
 from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
-                     simulate_cir_blocks, simulate_driver)
+                     simulate_cir_blocks)
 from .rng import WORKERS_ENV, RandomStream, worker_count
 from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
                       digital_claim, load_claim_table, logistic_claim)
@@ -492,7 +492,7 @@ def _run_kw(cfg, out: Path, workers):
     coeffs, nu = _kw_setup(kwc["mode"])
     rows = kw.kw_convergence_diag(nu, coeffs, kwc["n_values"],
                                   build_market(cfg)[1], cfg["paths"],
-                                  RandomStream(cfg["seed"]))
+                                  RandomStream(cfg["seed"]), workers)
     write_csv(out / "energies.csv",
               ["n", "energy_mean", "energy_se", "zero_cell_fraction"],
               [(r.n, r.energy.mean, r.energy.stderr, r.zero_fraction)
@@ -506,10 +506,9 @@ def _run_subreplication(cfg, out: Path, workers):
     params, grid = build_market(cfg)
     params = params.with_rho(sub["rho"])
     t_prime = grid.times[-2] if sub["t_prime"] is None else sub["t_prime"]
-    b = simulate_driver(grid, cfg["paths"], RandomStream(cfg["seed"]),
-                        workers)
-    rep = subreplication_estimate(claim, params, grid, b, t_prime,
-                                  sub["shifts"])
+    rep = subreplication_estimate(claim, params, grid, cfg["paths"],
+                                  RandomStream(cfg["seed"]), t_prime,
+                                  sub["shifts"], workers)
     write_csv(out / "subreplication.csv", ["shift", "mean", "se"],
               [(x, e.mean, e.stderr) for x, e in rep.rows])
     extras = {"t_prime": rep.t_prime, "min_shift": rep.min_shift,

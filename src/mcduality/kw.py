@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import GeneralMarketCoeffs, TimeGrid, simulate_driver
+from .market import (GeneralMarketCoeffs, TimeGrid, driver_blocks,
+                     simulate_driver)
 from .rng import RandomStream
 from .stopping import chunk_steps
 
@@ -62,6 +63,16 @@ def _cellwise(arr, paths, steps, d):
     return np.broadcast_to(out, (paths, steps, d))
 
 
+def _dot(a, b):
+    """``sum_j a_j b_j`` over the last axis, one component at a time in
+    order: an ``einsum`` over a short axis adds the same products in the
+    same order, so the values agree but for the sign of a zero."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
 def _coefficient(nu, sigma):
     """``(|sigma|**2, H, |sigma| == 0)`` per cell, ``H = 0`` where zero.
 
@@ -69,11 +80,12 @@ def _coefficient(nu, sigma):
     ``(steps, paths, d)``): each cell reduces over its own ``d`` axis, last,
     so its values do not depend on the order.
     """
-    sig2 = np.einsum("...d,...d->...", sigma, sigma)
-    dot = np.einsum("...d,...d->...", nu, sigma)
+    sig2 = _dot(sigma, sigma)
+    h = _dot(nu, sigma)
     zero = sig2 == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(zero, 0.0, dot / np.where(zero, 1.0, sig2))
+        h /= sig2
+    h[zero] = 0.0
     return sig2, h, zero
 
 
@@ -112,60 +124,74 @@ class KWDiagRow:
 
 
 def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
-                        grid: TimeGrid, paths: int,
-                        stream: RandomStream) -> list[KWDiagRow]:
+                        grid: TimeGrid, paths: int, stream: RandomStream,
+                        workers: int | None = None) -> list[KWDiagRow]:
     """Projection energies along a market family on common increments.
 
     ``nu_fn(t, b)`` returns integrand vectors for driver levels ``b`` of
     shape ``(paths, d)``.  Precondition: ``|nu . sigma_inf| < 1e-10`` at
     every node, checked against the limit volatility ``n = inf``; violations
-    raise ``ValueError``.  Per ``n`` only what a row reports is computed:
-    the coefficient ``H``, the energy and the zero-cell fraction, each equal
-    bit for bit to :func:`kw_decompose`'s on the same increments.  The
-    cells are laid out time-major, so that each node's ``nu`` and ``sigma``
-    are written contiguously.  ``nu`` is never held whole: the
-    orthogonality check forms it one node at a time, and per ``n`` it is
-    formed again, with ``sigma``, ``H`` and the products
-    ``H**2 |sigma|**2``, for a chunk of ``stopping.chunk_steps(paths * d)``
-    nodes at a time, the products going straight into one ``(paths,
-    steps)`` buffer whose rows are summed over steps, which keeps numpy's
-    pairwise summation of each path's energy; zero cells are counted
-    exactly.
-    """
-    d, steps = coeffs.d, grid.steps
-    b = simulate_driver(grid, paths, stream, d=d)
-    t = grid.times
+    raise ``ValueError`` before any row is returned.  Per ``n`` only what a
+    row reports is computed: the coefficient ``H``, the energy and the
+    zero-cell fraction, each equal bit for bit to :func:`kw_decompose`'s on
+    the same increments.
 
-    chunk = chunk_steps(paths * d)
-    nu = np.empty((min(chunk, steps), paths, d))
-    worst = 0.0
-    for k in range(steps):
-        nu[0] = nu_fn(t[k], b[:, k, :])
-        sig_inf = coeffs.sigma_at(math.inf, t[k], b[:, k, :])
-        worst = max(worst, float(np.abs(
-            np.einsum("pd,pd->p", nu[0], sig_inf)).max()))
+    The driver is drawn one path block at a time
+    (:func:`~mcduality.market.driver_blocks`), and each block is reduced to
+    its paths' energies before the next one is drawn, so only the block's
+    levels, a ``(block, steps)`` buffer of products and the ``(len(n_values),
+    paths)`` energies are held.  Per ``n``, ``nu`` and ``sigma`` are formed
+    on the block's rows for a chunk of ``stopping.chunk_steps(block * d)``
+    nodes at a time, laid out time-major, and the products
+    ``H**2 |sigma|**2`` go straight into their columns of the buffer, whose
+    rows are summed over steps, which keeps numpy's pairwise summation of
+    each path's energy; zero cells are counted exactly.  The orthogonality
+    check reads the first ``n``'s ``nu``.  Each block allocates its own
+    scratch, so blocks on worker threads share no buffer.
+    """
+    d, steps, t = coeffs.d, grid.steps, grid.times
+    energy = np.empty((len(n_values), paths))
+    tallies = []    # (worst |nu . sigma_inf|, zero cells per n) per block
+
+    def reduce(lo, hi, b):
+        m = hi - lo
+        chunk = min(chunk_steps(m * d), steps)
+        nu = np.empty((chunk, m, d))
+        sigma = np.empty_like(nu)
+        products = np.empty((m, steps))
+        zeros = []
+        worst = 0.0
+        for i, n in enumerate(n_values):
+            count = 0
+            for k0 in range(0, steps, chunk):
+                k1 = min(k0 + chunk, steps)
+                for k in range(k0, k1):
+                    nu[k - k0] = nu_fn(t[k], b[:, k, :])
+                    sigma[k - k0] = coeffs.sigma_at(n, t[k], b[:, k, :])
+                    if i == 0:
+                        sig_inf = coeffs.sigma_at(math.inf, t[k], b[:, k, :])
+                        worst = max(worst, float(np.abs(
+                            _dot(nu[k - k0], sig_inf)).max()))
+                sig2, h, zero = _coefficient(nu[:k1 - k0], sigma[:k1 - k0])
+                h *= h
+                h *= sig2
+                products[:, k0:k1] = h.T
+                count += int(np.count_nonzero(zero))
+            np.sum(products, axis=1, out=energy[i, lo:hi])
+            energy[i, lo:hi] *= grid.dt
+            zeros.append(count)
+        tallies.append((worst, zeros))
+
+    driver_blocks(grid, paths, stream, reduce, workers, d)
+    worst = max(w for w, _ in tallies)
     if worst >= ORTHO_TOL:
         raise ValueError(
             f"integrand is not orthogonal to the limit volatility "
             f"(max |nu . sigma_inf| = {worst:.3g} >= {ORTHO_TOL:g})")
-
-    rows = []
-    sigma = np.empty_like(nu)
-    products = np.empty((paths, steps))
-    for n in n_values:
-        zeros = 0
-        for k0 in range(0, steps, chunk):
-            k1 = min(k0 + chunk, steps)
-            for k in range(k0, k1):
-                nu[k - k0] = nu_fn(t[k], b[:, k, :])
-                sigma[k - k0] = coeffs.sigma_at(n, t[k], b[:, k, :])
-            sig2, h, zero = _coefficient(nu[:k1 - k0], sigma[:k1 - k0])
-            products[:, k0:k1] = (h**2 * sig2).T
-            zeros += int(np.count_nonzero(zero))
-        energy = products.sum(axis=1) * grid.dt
-        rows.append(KWDiagRow(n=float(n), energy=mc_estimate(energy),
-                              zero_fraction=zeros / (paths * steps)))
-    return rows
+    zeros = np.sum([z for _, z in tallies], axis=0)
+    return [KWDiagRow(n=float(n), energy=mc_estimate(energy[i]),
+                      zero_fraction=int(zeros[i]) / (paths * steps))
+            for i, n in enumerate(n_values)]
 
 
 @dataclass(frozen=True)

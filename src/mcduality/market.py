@@ -44,6 +44,7 @@ __all__ = [
     "GeneralMarketCoeffs",
     "GeneralPaths",
     "DistanceReport",
+    "driver_blocks",
     "simulate_driver",
     "simulate_cir",
     "simulate_cir_blocks",
@@ -236,30 +237,59 @@ def _increment_blocks(stream: RandomStream, grid: TimeGrid, cols: int,
         yield lo, hi, db
 
 
+def driver_blocks(grid: TimeGrid, paths: int, stream: RandomStream, visit,
+                  workers: int | None = None, d: int | None = None) -> None:
+    """Simulate the driver ``B`` one path block at a time.
+
+    A block's levels, ``(hi - lo, steps+1)`` or ``(hi - lo, steps+1, d)``
+    for a ``d``-dimensional driver whose steps are ``d`` consecutive draws
+    of a row, are summed from zero in a block buffer that the next block
+    overwrites; ``visit(lo, hi, levels)`` reads it in between.  The block's
+    normals are drawn from its generator a few rows at a time
+    (``stopping.chunk_steps`` of a row's draws), which gives the numbers of
+    one draw of the whole block, and each piece is scaled by ``sqrt(dt)``
+    and summed into its rows while it is in cache.  ``B`` is the same for
+    every market parameter and agrees bit for bit with the ``b`` of
+    :func:`simulate_heston_market` (scalar) or
+    :func:`simulate_general_market` (``d``-dimensional) from the same
+    stream.  With several workers the blocks run on threads, so ``visit``
+    may write only to rows ``lo:hi`` of what it fills.
+    """
+    sub = stream.split(0)
+    trail = () if d is None else (d,)
+    cols = grid.steps * (1 if d is None else d)
+    rows = chunk_steps(cols)
+    scale = math.sqrt(grid.dt)
+
+    def work(spans):
+        width = spans[0][2] - spans[0][1]
+        buf = np.zeros((width, grid.steps + 1) + trail)
+        draws = np.empty((min(rows, width), cols))
+        for block, lo, hi in spans:
+            levels = buf[:hi - lo]
+            rng = sub.block_rng(block)
+            for r0 in range(0, hi - lo, rows):
+                r1 = min(r0 + rows, hi - lo)
+                db = rng.standard_normal(out=draws[:r1 - r0])
+                db *= scale
+                np.cumsum(db.reshape((r1 - r0, grid.steps) + trail), axis=1,
+                          out=levels[r0:r1, 1:])
+            visit(lo, hi, levels)
+
+    map_blocks(work, paths, workers)
+
+
 def simulate_driver(grid: TimeGrid, paths: int, stream: RandomStream,
                     workers: int | None = None,
                     d: int | None = None) -> np.ndarray:
-    """The driver ``B`` alone: ``(paths, steps+1)``, or ``(paths, steps+1,
-    d)`` for a ``d``-dimensional driver, whose steps are ``d`` consecutive
-    draws of a row.
+    """The driver ``B`` of :func:`driver_blocks`, all paths at once:
+    ``(paths, steps+1)``, or ``(paths, steps+1, d)``."""
+    out = np.empty((paths, grid.steps + 1) + (() if d is None else (d,)))
 
-    Each block's increments are summed straight into its rows from a zero
-    slice.  ``B`` is the same for every market parameter and agrees bit for
-    bit with the ``b`` of :func:`simulate_heston_market` (scalar) or
-    :func:`simulate_general_market` (``d``-dimensional) from the same
-    stream.
-    """
-    stream = stream.split(0)
-    trail = () if d is None else (d,)
-    out = np.zeros((paths, grid.steps + 1) + trail)
-    cols = grid.steps * (1 if d is None else d)
+    def store(lo, hi, levels):
+        out[lo:hi] = levels
 
-    def work(spans):
-        for lo, hi, db in _increment_blocks(stream, grid, cols, spans):
-            np.cumsum(db.reshape((hi - lo, grid.steps) + trail), axis=1,
-                      out=out[lo:hi, 1:])
-
-    map_blocks(work, paths, workers)
+    driver_blocks(grid, paths, stream, store, workers, d)
     return out
 
 

@@ -5,7 +5,8 @@ Path simulation is organized in fixed blocks of path indices
 derived from the master seed and the block index, so the numbers drawn for
 block ``k`` do not depend on which worker thread happens to fill it, nor on
 how many workers there are, nor on whether the block's rows are part of a
-whole ``(paths, cols)`` array or drawn alone just before they are used.
+whole ``(paths, cols)`` array or drawn alone just before they are used, in
+one draw or a few rows at a time from the block's generator.
 Reductions downstream run per path in path-index order, which makes every
 statistic bit-stable across worker counts.
 

@@ -1,12 +1,15 @@
 """Shared fixtures and helpers: small path bundles reused across test
 modules, reference recursions and the conjugate identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mcduality import (ConjugatePair, HestonParams, RandomStream, TimeGrid,
                        UtilitySpec, simulate_heston_market)
 from mcduality import search
+from mcduality.estimates import mc_estimate
 
 BASE_PARAMS = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=0.7, v0=1.0)
 SMALL_GRID = TimeGrid(horizon=1.0, steps=64)
@@ -39,6 +42,39 @@ def cir_step_loop(params, grid, db):
             + params.sigma * np.sqrt(xp) * db[:, k]
         raw[:, k + 1] = x
     return np.maximum(raw, 0.0)
+
+
+def driver_draw_all(grid, paths, stream, d=None):
+    """The driver as first written: every normal of ``stream.split(0)``
+    drawn at once, scaled by ``sqrt(dt)`` and summed from zero."""
+    trail = () if d is None else (d,)
+    flat = stream.split(0).standard_normals(paths, grid.steps * (d or 1))
+    db = math.sqrt(grid.dt) * flat.reshape((paths, grid.steps) + trail)
+    b = np.zeros((paths, grid.steps + 1) + trail)
+    np.cumsum(db, axis=1, out=b[:, 1:])
+    return b
+
+
+def kw_rows_draw_all(nu_fn, coeffs, n_values, grid, paths, stream):
+    """The projection diagnostic as first written, ``(n, energy,
+    zero_fraction)`` per ``n``: the whole driver, ``nu`` and ``sigma``
+    arrays, and the coefficient's two reductions by ``np.einsum``."""
+    d, steps, t = coeffs.d, grid.steps, grid.times
+    b = driver_draw_all(grid, paths, stream, d)
+    nu = np.stack([np.broadcast_to(nu_fn(t[k], b[:, k, :]), (paths, d))
+                   for k in range(steps)], axis=1)
+    rows = []
+    for n in n_values:
+        sigma = np.stack([coeffs.sigma_at(n, t[k], b[:, k, :])
+                          for k in range(steps)], axis=1)
+        sig2 = np.einsum("...d,...d->...", sigma, sigma)
+        dot = np.einsum("...d,...d->...", nu, sigma)
+        zero = sig2 == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(zero, 0.0, dot / np.where(zero, 1.0, sig2))
+        energy = (h**2 * sig2).sum(axis=1) * grid.dt
+        rows.append((float(n), mc_estimate(energy), float(zero.mean())))
+    return rows
 
 
 def record_simplex_starts(monkeypatch) -> list:

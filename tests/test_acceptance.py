@@ -17,8 +17,7 @@ from mcduality.estimates import mc_estimate
 from mcduality.experiments import run_experiment
 from mcduality.kw import kw_convergence_diag, kw_decompose
 from mcduality.market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
-                              simulate_cir, simulate_driver,
-                              simulate_heston_market)
+                              simulate_cir, simulate_heston_market)
 from mcduality.pricing import degenerate_coeffs, degenerate_example, rho_sweep
 from mcduality.primal import HedgeMixFamily, lsmc_hedge, optimize_primal
 from mcduality.rng import WORKERS_ENV, RandomStream
@@ -251,10 +250,9 @@ def _gauss_logistic(rate, scale, sd, shift, n=80):
 def test_subreplication_floor():
     claim = logistic_claim(rate=-2.0, scale=2.0)
     grid = TimeGrid(1.0, 100)  # puts T - 0.01 on the node grid
-    b = simulate_driver(grid, 20000, RandomStream(20240))
     shifts = [float(s) for s in range(-5, 6)]
-    rep = subreplication_estimate(claim, BASE.with_rho(0.3), grid, b, 0.99,
-                                  shifts)
+    rep = subreplication_estimate(claim, BASE.with_rho(0.3), grid, 20000,
+                                  RandomStream(20240), 0.99, shifts)
 
     drop = rep.minimum.mean - claim.phi_min
     assert drop < 0.02

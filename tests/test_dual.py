@@ -13,7 +13,7 @@ from mcduality.dual import (DualCandidate, dual_bound_mmm,
                             perturbation_exponential, subreplication_estimate)
 from mcduality.market import (HestonParams, TimeGrid, simulate_driver,
                               simulate_heston_market)
-from mcduality.rng import RandomStream
+from mcduality.rng import BLOCK_SIZE, RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                logistic_claim)
 
@@ -415,7 +415,8 @@ def _gauss_quad_logistic(rate, scale, sd, shift, n=80):
 
 def test_subreplication_constant_claim_exact(bundle_rho03):
     rep = subreplication_estimate(constant_claim(0.3), bundle_rho03.params,
-                                  SMALL_GRID, bundle_rho03.b, t_prime=0.5,
+                                  SMALL_GRID, SMALL_PATHS,
+                                  RandomStream(SMALL_SEED), t_prime=0.5,
                                   shifts=[-2.0, 0.0, 2.0])
     for _, est in rep.rows:
         assert est.mean == pytest.approx(0.3, abs=1e-15)
@@ -425,10 +426,10 @@ def test_subreplication_constant_claim_exact(bundle_rho03):
 def test_subreplication_matches_gaussian_quadrature():
     params = BASE_PARAMS.with_rho(0.3)
     grid = TimeGrid(1.0, 100)
-    b = simulate_driver(grid, 20000, RandomStream(29))
     claim = logistic_claim(rate=1.0, scale=1.0)
     t_prime = 0.99
-    rep = subreplication_estimate(claim, params, grid, b, t_prime,
+    rep = subreplication_estimate(claim, params, grid, 20000,
+                                  RandomStream(29), t_prime,
                                   shifts=[-5.0, 0.0, 5.0])
     sd = math.sqrt(1.0 - t_prime)
     for shift, est in rep.rows:
@@ -443,11 +444,12 @@ def test_subreplication_matches_gaussian_quadrature():
 def test_subreplication_min_approaches_floor():
     params = BASE_PARAMS.with_rho(0.3)
     grid = TimeGrid(1.0, 100)
-    b = simulate_driver(grid, 8000, RandomStream(31))
     claim = logistic_claim(rate=-2.0, scale=2.0)
     shifts = np.arange(-5.0, 5.5, 1.0)
-    far = subreplication_estimate(claim, params, grid, b, 0.5, shifts)
-    near = subreplication_estimate(claim, params, grid, b, 0.99, shifts)
+    far = subreplication_estimate(claim, params, grid, 8000,
+                                  RandomStream(31), 0.5, shifts)
+    near = subreplication_estimate(claim, params, grid, 8000,
+                                   RandomStream(31), 0.99, shifts)
     # tightening the handoff toward the horizon moves the min toward phi_min
     assert near.minimum.mean <= far.minimum.mean + 3.0 * near.minimum.stderr
     assert near.minimum.mean - claim.phi_min < 0.02
@@ -455,31 +457,38 @@ def test_subreplication_min_approaches_floor():
 
 def test_subreplication_rejects_bad_inputs(bundle_rho0, bundle_rho03):
     claim = logistic_claim(rate=1.0, scale=1.0)
+    stream = RandomStream(SMALL_SEED)
     with pytest.raises(ValueError):
         subreplication_estimate(claim, bundle_rho0.params, SMALL_GRID,
-                                bundle_rho0.b, 0.5, [0.0])
+                                SMALL_PATHS, stream, 0.5, [0.0])
     with pytest.raises(ValueError):
         subreplication_estimate(claim, bundle_rho03.params, SMALL_GRID,
-                                bundle_rho03.b, 1.0, [0.0])
+                                SMALL_PATHS, stream, 1.0, [0.0])
     with pytest.raises(ValueError):
         subreplication_estimate(claim, bundle_rho03.params, SMALL_GRID,
-                                bundle_rho03.b, 0.123456, [0.0])
+                                SMALL_PATHS, stream, 0.123456, [0.0])
 
 
 def test_subreplication_driver_only_is_bitwise_bundle():
-    # the driver alone gives every bit of the estimate a full bundle gives
+    # the block-reduced tails give every bit of the estimate that a full
+    # bundle's driver gives, at any worker count; two blocks, the last of
+    # five paths
     params = BASE_PARAMS.with_rho(0.3)
     grid = TimeGrid(1.0, 40)
-    bundle = simulate_heston_market(params, grid, 5000, RandomStream(41))
-    b = simulate_driver(grid, 5000, RandomStream(41))
+    paths = BLOCK_SIZE + 5
+    bundle = simulate_heston_market(params, grid, paths, RandomStream(41))
+    b = simulate_driver(grid, paths, RandomStream(41))
     assert np.array_equal(b, bundle.b)
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    for t_prime in (0.0, 0.5, 0.975):
-        full = subreplication_estimate(claim, params, grid, bundle.b, t_prime,
-                                       [-3.0, 0.0, 2.5])
-        alone = subreplication_estimate(claim, params, grid, b, t_prime,
-                                        [-3.0, 0.0, 2.5])
-        assert [(x, e.mean, e.stderr) for x, e in full.rows] == \
-            [(x, e.mean, e.stderr) for x, e in alone.rows]
-        assert (full.min_shift, full.minimum) == (alone.min_shift,
-                                                  alone.minimum)
+    shifts = [-3.0, 0.0, 2.5]
+    for t_prime, workers in ((0.0, 1), (0.5, 2), (0.975, 1), (0.975, 2)):
+        k = grid.node_index(t_prime)
+        tail = bundle.b[:, -1] - bundle.b[:, k]
+        ref = [(x, mc_estimate(claim(tail + x))) for x in shifts]
+        rep = subreplication_estimate(claim, params, grid, paths,
+                                      RandomStream(41), t_prime, shifts,
+                                      workers)
+        assert [(x, e.mean, e.stderr) for x, e in rep.rows] == \
+            [(x, e.mean, e.stderr) for x, e in ref]
+        assert (rep.min_shift, rep.minimum) == min(
+            ref, key=lambda r: r[1].mean)

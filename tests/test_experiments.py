@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcduality.experiments import (KINDS, _fmt, build_claim, build_market,
-                                   build_utility, default_config,
-                                   merge_config, run_experiment,
-                                   validate_config, write_csv, write_gnuplot)
+from mcduality.experiments import (KINDS, _fmt, _kw_setup, build_claim,
+                                   build_market, build_utility,
+                                   default_config, merge_config,
+                                   run_experiment, validate_config,
+                                   write_csv, write_gnuplot)
 from mcduality.affine import (AffineMomentQuery, MomentExplosionError,
                               affine_exponential_moment, cir_bond_price)
 from mcduality.estimates import mc_estimate
@@ -23,7 +24,7 @@ from mcduality.pricing import degenerate_example, rho_sweep
 from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 from mcduality.utility import logistic_claim
 
-from conftest import cir_step_loop
+from conftest import cir_step_loop, driver_draw_all, kw_rows_draw_all
 
 
 def fields(cfg):
@@ -392,6 +393,62 @@ def test_oracle_check_holds_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < paths * (steps + 1) * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode, n_values", [
+    ("nondegenerate", [1.0, 3.0]), ("degenerate", [1.0, 4.0, math.inf])])
+def test_kw_blocks_are_bitwise_draw_all(tmp_path, mode, n_values, workers):
+    # three path blocks, the last of five paths, each reduced to its
+    # energies: the report of the whole-array einsum diagnostic
+    cfg = merge_config({"kind": "kw", "paths": 2 * BLOCK_SIZE + 5,
+                        "steps": 12,
+                        "kw": {"mode": mode, "n_values": n_values}})
+    run_experiment(cfg, tmp_path / "run", workers=workers)
+    coeffs, nu = _kw_setup(mode)
+    rows = kw_rows_draw_all(nu, coeffs, n_values, build_market(cfg)[1],
+                            cfg["paths"], RandomStream(cfg["seed"]))
+    write_csv(tmp_path / "ref.csv",
+              ["n", "energy_mean", "energy_se", "zero_cell_fraction"],
+              [(n, e.mean, e.stderr, z) for n, e, z in rows])
+    assert ((tmp_path / "run" / "energies.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_subreplication_blocks_are_bitwise_draw_all(tmp_path, workers):
+    # three path blocks, the last of five paths, each reduced to its tails
+    cfg = merge_config({"kind": "subreplication",
+                        "paths": 2 * BLOCK_SIZE + 5, "steps": 20,
+                        "subreplication": {"rho": 0.3, "t_prime": 0.75,
+                                           "shifts": [-2.0, 0.0, 1.5]}})
+    run_experiment(cfg, tmp_path / "run", workers=workers)
+    grid = build_market(cfg)[1]
+    b = driver_draw_all(grid, cfg["paths"], RandomStream(cfg["seed"]))
+    tail = b[:, -1] - b[:, grid.node_index(0.75)]
+    claim = build_claim(cfg)
+    write_csv(tmp_path / "ref.csv", ["shift", "mean", "se"],
+              [(x, e.mean, e.stderr) for x, e in
+               ((x, mc_estimate(claim(tail + x))) for x in (-2.0, 0.0, 1.5))])
+    assert ((tmp_path / "run" / "subreplication.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+@pytest.mark.parametrize("kind, d", [("subreplication", 1), ("kw", 2)])
+def test_driver_runs_hold_one_block(tmp_path, kind, d):
+    # the run's traced peak stays below one (paths, steps+1, d) float64
+    # array: it never holds the driver of all paths
+    paths, steps = 3 * BLOCK_SIZE + 5, 64
+    cfg = {"version": 1, "kind": kind}
+    run_experiment(cfg, tmp_path / "warm", paths=50, steps=8, workers=1)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, tmp_path / "run", paths=paths, steps=steps,
+                       workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < paths * (steps + 1) * d * 8
 
 
 def test_degenerate_run_reports(tmp_path):

@@ -11,7 +11,9 @@ from mcduality.kw import (kw_convergence_diag, kw_decompose,
                           nondegeneracy_check)
 from mcduality.market import GeneralMarketCoeffs, TimeGrid
 from mcduality.pricing import degenerate_coeffs
-from mcduality.rng import RandomStream
+from mcduality.rng import BLOCK_SIZE, RandomStream
+
+from conftest import kw_rows_draw_all
 
 
 def _db(paths=64, steps=32, d=2, seed=3):
@@ -158,6 +160,38 @@ def test_diag_orthogonality_precondition():
                             RandomStream(2))
 
 
+def test_diag_orthogonality_checks_every_node(monkeypatch):
+    # a violation on one node raises wherever the node sits: first, first
+    # of a chunk, last of the partial last chunk
+    coeffs, _ = _nondegenerate_family()
+    grid, paths = TimeGrid(1.0, 37), 50
+    monkeypatch.setattr(stopping, "_CHUNK_VALUES", 16 * paths * 2)
+    for node in (0, 16, 36):
+        def bad_nu(t, b, node=node):
+            out = np.zeros_like(b)
+            out[:, 1] = 1.0
+            if t == grid.times[node]:
+                out[:, 0] = 1e-6
+            return out
+
+        with pytest.raises(ValueError, match="not orthogonal"):
+            kw_convergence_diag(bad_nu, coeffs, [2.0, 3.0], grid, paths,
+                                RandomStream(2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_diag_blocks_are_bitwise_draw_all(workers):
+    # three path blocks, the last of five paths, on threads or not: the
+    # path-dependent energies are the draw-all einsum reference's
+    coeffs, nu_fn = _path_dependent_family()
+    grid, paths, n_values = TimeGrid(1.0, 9), 2 * BLOCK_SIZE + 5, [0.5, 3.0]
+    rows = kw_convergence_diag(nu_fn, coeffs, n_values, grid, paths,
+                               RandomStream(21), workers)
+    ref = kw_rows_draw_all(nu_fn, coeffs, n_values, grid, paths,
+                           RandomStream(21))
+    assert [(r.n, r.energy, r.zero_fraction) for r in rows] == ref
+
+
 def test_nondegeneracy_check_flags():
     coeffs, _ = _nondegenerate_family()
     grid = TimeGrid(1.0, 32)
@@ -235,5 +269,10 @@ def test_diag_is_bitwise_decompose(family, n_values, monkeypatch):
             assert row.n == n
             assert row.energy == res.energy
             assert row.zero_fraction == res.zero_fraction
+        # and those of the einsum coefficient, so the component-wise
+        # reductions are pinned to the arithmetic they replaced
+        ref = kw_rows_draw_all(nu_fn, coeffs, n_values, grid, paths,
+                               RandomStream(13))
+        assert [(r.n, r.energy, r.zero_fraction) for r in rows] == ref
         assert rows[-1].zero_fraction == (1.0 if math.isinf(n_values[-1])
                                           else 0.0)
