@@ -18,7 +18,7 @@ from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
                       logistic_claim)
 from .market import (GeneralMarketCoeffs, HestonParams, PathBundle, TimeGrid,
                      minimal_martingale_density, semimartingale_distance,
-                     simulate_cir, simulate_driver, simulate_general_market,
+                     simulate_cir, simulate_general_market,
                      simulate_heston_market)
 from .affine import (AffineMomentQuery, MomentExplosionError,
                      affine_exponential_moment, cir_bond_price, density_moment)

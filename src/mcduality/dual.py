@@ -251,13 +251,15 @@ def _conjugate_samples(pair: ConjugatePair, y: float, density_t: np.ndarray,
 
 def dual_bound_mmm(pair: ConjugatePair, y: float, bundle: PathBundle,
                    claim: ClaimSpec | None = None) -> Estimate:
-    """Dual bound from the baseline density ``Z_T``.
+    """Dual bound from the baseline density ``Z_T`` of ``bundle``.
 
     Without a claim this is the mean of ``V(y Z_T)``.  With a claim it is
     the mean of the constrained conjugate ``V_c(y Z_T, f)`` for half-line
-    utilities and of ``V(y Z_T) + y Z_T f`` for whole-line ones.  Because
-    ``Z`` depends only on ``(B, V)``, the estimate is identical across
-    ``rho`` markets simulated from a shared seed.
+    utilities and of ``V(y Z_T) + y Z_T f`` for whole-line ones.  The bound
+    reads only the bundle it is given; each row of
+    :func:`~mcduality.pricing.rho_sweep` passes its own.  Today's ``Z``
+    depends only on ``(B, V)``, so the estimate is identical across ``rho``
+    markets simulated from a shared seed.
     """
     samples = _conjugate_samples(pair, y, bundle.z, claim,
                                  _claim_values(claim, bundle))
@@ -367,8 +369,8 @@ def subreplication_estimate(claim: ClaimSpec, params: HestonParams,
     ``grid`` is drawn from ``stream`` one path block at a time
     (:func:`~mcduality.market.driver_blocks`), and each block is reduced to
     its tails ``B_T - B_{T'}``, so only that ``(paths,)`` vector is held:
-    the bits of ``b[:, -1] - b[:, k]`` on the whole
-    :func:`~mcduality.market.simulate_driver` array.  Only meaningful in
+    the bits of ``b[:, -1] - b[:, k]`` on a bundle's whole driver from the
+    same stream.  Only meaningful in
     markets with ``params.rho != 0`` (the construction needs a driver
     direction the price does not span), and ``T'`` must be a grid node
     strictly before the horizon; both are checked before anything is drawn.

@@ -154,8 +154,7 @@ _TOP = {
 #: default) maps to its builder and the builder's keyword parameters.
 _SECTIONS = {
     "market": {"mu": _Field(0.5), "kappa": _Field(2.0), "theta": _Field(1.0),
-               "sigma": _Field(0.7), "v0": _Field(1.0), "rho": _Field(0.0),
-               "horizon": _Field(1.0)},
+               "sigma": _Field(0.7), "v0": _Field(1.0), "horizon": _Field(1.0)},
     "utility": {"power": (UtilitySpec.power, {"p": _Field(0.5)}),
                 "log": (UtilitySpec.log, {}),
                 "exponential": (UtilitySpec.exponential,
@@ -253,10 +252,10 @@ def merge_config(user: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_market(cfg: dict) -> tuple[HestonParams, TimeGrid]:
-    params = HestonParams(**_coerce(cfg["market"], _SECTIONS["market"]))
-    grid = TimeGrid(horizon=params.horizon,
-                    steps=_TOP["steps"].coerce(cfg["steps"]))
-    return params, grid
+    values = _coerce(cfg["market"], _SECTIONS["market"])
+    horizon = values.pop("horizon")
+    return HestonParams(**values), TimeGrid(
+        horizon=horizon, steps=_TOP["steps"].coerce(cfg["steps"]))
 
 
 def _build_keyed(cfg: dict, name: str):
@@ -420,11 +419,11 @@ def _run_sweep(cfg, out: Path, workers):
             r.rho, unc.estimate.mean, unc.estimate.stderr, unc.violations,
             unc.stopped_fraction, con.estimate.mean, con.estimate.stderr,
             con.stopped_fraction, head.estimate.mean, head.estimate.stderr,
-            res.cap_value, res.cap_stderr, res.cap_value - head.estimate.mean,
+            r.cap_value, r.cap_stderr, r.cap_value - head.estimate.mean,
             r.price.price, r.price.stderr, r.price.iterations,
             r.price.converged, gap, gap_se))
         dat_rows.append((r.rho, r.price.price, r.price.stderr,
-                         head.estimate.mean, res.cap_value))
+                         head.estimate.mean, r.cap_value))
     write_csv(out / "sweep.csv",
               ["rho", "u_unc_mean", "u_unc_se", "u_unc_violations",
                "u_unc_stopped_fraction", "u_con_mean", "u_con_se",
@@ -432,12 +431,14 @@ def _run_sweep(cfg, out: Path, workers):
                "cap_se", "cap_minus_u", "price", "price_se",
                "price_iterations", "price_converged", "price_gap_vs_rho0",
                "price_gap_se"], rows)
+    # the rho = 0 row is always present; cap.csv and the manifest carry its cap
+    base = res.row(0.0)
     write_csv(out / "cap.csv", ["y", "mmm_mean", "mmm_se", "cap_at_y"],
               [(y, e.mean, e.stderr, e.mean + res.x * y)
-               for y, e in res.cap_table])
+               for y, e in base.cap_table])
     write_gnuplot(out / "prices.dat", "indifference prices across rho",
                   ["rho", "price", "price_se", "u_value", "cap"], dat_rows)
-    extras = {"x": res.x, "y_star": res.y_star, "cap_value": res.cap_value,
+    extras = {"x": res.x, "y_star": base.y_star, "cap_value": base.cap_value,
               "price_diagnosis": {str(r.rho): r.price.diagnosis
                                   for r in res.rows}}
     return ["sweep.csv", "cap.csv", "prices.dat"], extras

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import (GeneralMarketCoeffs, TimeGrid, driver_blocks,
-                     simulate_driver)
+from .market import GeneralMarketCoeffs, TimeGrid, driver_blocks
 from .rng import RandomStream
 from .stopping import chunk_steps
 
@@ -208,19 +207,27 @@ def nondegeneracy_check(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
                         paths: int,
                         stream: RandomStream) -> NondegeneracyReport:
     """Probe ``|sigma_n|`` over simulated nodes and flag degeneracy: a node
-    whose ``|sigma_n|`` is at most 1e-12 counts as a zero."""
-    b = simulate_driver(grid, paths, stream, d=coeffs.d)
+    whose ``|sigma_n|`` is at most 1e-12 counts as a zero.
 
-    min_norm = math.inf
-    below = 0
-    cells = 0
-    for k in range(grid.steps):
-        sig = coeffs.sigma_at(n, grid.times[k], b[:, k, :])
-        norms = np.sqrt(np.einsum("pd,pd->p", sig, sig))
-        min_norm = min(min_norm, float(norms.min()))
-        below += int((norms <= 1e-12).sum())
-        cells += norms.size
-    frac = below / cells
-    return NondegeneracyReport(n=float(n), min_norm=min_norm,
+    The driver is drawn one path block at a time
+    (:func:`~mcduality.market.driver_blocks`), and each block is reduced to
+    its smallest ``|sigma_n|`` and its count of zeros before the next one is
+    drawn, so only one block's levels are held.
+    """
+    tallies = []    # (min |sigma_n|, zero cells) per block
+
+    def reduce(_lo, _hi, b):
+        low, below = math.inf, 0
+        for k in range(grid.steps):
+            sig = coeffs.sigma_at(n, grid.times[k], b[:, k, :])
+            norms = np.sqrt(np.einsum("pd,pd->p", sig, sig))
+            low = min(low, float(norms.min()))
+            below += int((norms <= 1e-12).sum())
+        tallies.append((low, below))
+
+    driver_blocks(grid, paths, stream, reduce, d=coeffs.d)
+    frac = sum(below for _, below in tallies) / (paths * grid.steps)
+    return NondegeneracyReport(n=float(n),
+                               min_norm=min(low for low, _ in tallies),
                                zero_fraction=frac,
                                degenerate=bool(frac > 0.0))

@@ -45,7 +45,6 @@ __all__ = [
     "GeneralPaths",
     "DistanceReport",
     "driver_blocks",
-    "simulate_driver",
     "simulate_cir",
     "simulate_cir_blocks",
     "simulate_heston_market",
@@ -71,11 +70,10 @@ class HestonParams:
     sigma: float
     v0: float
     rho: float = 0.0
-    horizon: float = 1.0
 
     def __post_init__(self):
         values = (self.mu, self.kappa, self.theta, self.sigma, self.v0,
-                  self.rho, self.horizon)
+                  self.rho)
         if not all(math.isfinite(x) for x in values):
             raise ValueError("market parameters must be finite numbers")
         if self.kappa <= 0 or self.theta <= 0 or self.sigma <= 0:
@@ -84,8 +82,6 @@ class HestonParams:
             raise ValueError("v0 must be nonnegative")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"need |rho| < 1, got rho={self.rho}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if 2.0 * self.kappa * self.theta < self.sigma**2:
             raise ValueError(
                 "Feller condition violated: need 2*kappa*theta >= sigma**2 "
@@ -93,19 +89,20 @@ class HestonParams:
 
     def with_rho(self, rho: float) -> "HestonParams":
         return HestonParams(self.mu, self.kappa, self.theta, self.sigma,
-                            self.v0, rho, self.horizon)
+                            self.v0, rho)
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid with ``steps`` intervals on ``[0, horizon]``."""
+    """Uniform grid with ``steps`` intervals on ``[0, horizon]``; the
+    horizon must be finite and positive."""
 
     horizon: float
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be a finite positive number")
         if self.steps < 1:
             raise ValueError("need at least one time step")
 
@@ -277,20 +274,6 @@ def driver_blocks(grid: TimeGrid, paths: int, stream: RandomStream, visit,
             visit(lo, hi, levels)
 
     map_blocks(work, paths, workers)
-
-
-def simulate_driver(grid: TimeGrid, paths: int, stream: RandomStream,
-                    workers: int | None = None,
-                    d: int | None = None) -> np.ndarray:
-    """The driver ``B`` of :func:`driver_blocks`, all paths at once:
-    ``(paths, steps+1)``, or ``(paths, steps+1, d)``."""
-    out = np.empty((paths, grid.steps + 1) + (() if d is None else (d,)))
-
-    def store(lo, hi, levels):
-        out[lo:hi] = levels
-
-    driver_blocks(grid, paths, stream, store, workers, d)
-    return out
 
 
 def simulate_cir_blocks(params: HestonParams, grid: TimeGrid, paths: int,

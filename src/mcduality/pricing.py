@@ -13,9 +13,9 @@ the claim problem carries an endogenous wealth floor (terminal wealth cannot
 fall below minus the claim's infimum), and the primal search enforces it by
 stopping; as ``rho -> 0`` those values converge to the *constrained* limit
 value, which sits strictly below the unconstrained ``rho = 0`` value for
-non-constant claims.  The sweep reports primal bounds, the density-based
-dual cap, prices and gaps so the discontinuity is visible through bounds
-alone.
+non-constant claims.  The sweep reports primal bounds, each row's
+density-based dual cap, prices and gaps so the discontinuity is visible
+through bounds alone.
 
 The degenerate benchmark reproduces the vanishing-volatility family
 ``dS_n = (1/n) dB`` with a step claim on the terminal driver, whose limit
@@ -193,13 +193,23 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """All bounds for one correlation value."""
+    """All bounds for one correlation value.
+
+    The dual cap is the row's own: ``cap_table`` holds ``(y, estimate)`` of
+    :func:`~mcduality.dual.dual_bound_mmm` on the row's bundle for each
+    ``y`` of the grid, and ``cap_value`` is the smallest ``mean + x y``
+    (the first such ``y`` is ``y_star``), with ``cap_stderr`` its SE.
+    """
 
     rho: float
     u_unconstrained: PrimalOpt
     u_constrained: PrimalOpt
     price: PriceResult
     headline_constrained: bool
+    y_star: float
+    cap_value: float
+    cap_stderr: float
+    cap_table: list = field(repr=False)
 
     @property
     def u_headline(self) -> PrimalResult:
@@ -218,13 +228,9 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sweep output: per-rho bounds plus the shared dual cap."""
+    """Sweep output: one row of bounds, cap and price per rho."""
 
     x: float
-    y_star: float
-    cap_value: float
-    cap_stderr: float
-    cap_table: list = field(repr=False)
     rows: list = field(repr=False)
 
     def row(self, rho: float) -> SweepRow:
@@ -248,35 +254,28 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
               workers: int | None = None) -> SweepResult:
     """Bounds, cap and prices across correlation values on a shared seed.
 
-    Every rho reuses the same driver draws, so ``B``, ``W``, ``V`` and the
-    density ``Z`` agree across rows and the dual cap (computed once, from
-    the baseline density) applies verbatim to each of them.  Each row's
-    bundle is simulated when the row runs and dropped after it: the streams
-    are counter-based, so every row sees the same drivers, and only the
-    first row's bundle is also read by the cap.
+    Every row is one unit: it simulates its bundle from the shared seed,
+    computes its own dual cap (the minimum over ``y_grid`` of the bundle's
+    ``dual_bound_mmm`` plus ``x y``), fits its hedge, runs both claim
+    searches and the price, and drops the bundle on return, so rows share
+    no state.  The streams are counter-based, so every row sees the same
+    drivers; with today's density, a function of ``(B, V)`` alone, every
+    row's cap equals the ``rho = 0`` row's.  A ``rho = 0`` row is added
+    first when ``rho_values`` has none.
     """
     rho_values = [float(r) for r in rho_values]
     if 0.0 not in rho_values:
         rho_values = [0.0] + rho_values
-
+    y_values = [float(y) for y in np.asarray(y_grid, dtype=float).ravel()]
     stream = RandomStream(seed)
 
-    def bundle_at(rho: float):
-        return simulate_heston_market(params.with_rho(rho), grid, paths,
-                                      stream, workers)
-
-    # dual cap from the shared density: min over the y grid of mmm bound + x y
-    cap_table = []
-    base = bundle_at(rho_values[0])
-    for y in np.asarray(y_grid, dtype=float).ravel():
-        est = dual_bound_mmm(pair, float(y), base, claim)
-        cap_table.append((float(y), est))
-    k_star = min(range(len(cap_table)),
-                 key=lambda i: cap_table[i][1].mean + x * cap_table[i][0])
-    y_star, cap_est = cap_table[k_star]
-    cap_value = cap_est.mean + x * y_star
-
-    def row(rho: float, bundle) -> SweepRow:
+    def row(rho: float) -> SweepRow:
+        bundle = simulate_heston_market(params.with_rho(rho), grid, paths,
+                                        stream, workers)
+        cap_table = [(y, dual_bound_mmm(pair, y, bundle, claim))
+                     for y in y_values]
+        # min keeps the first of equal values
+        y_star, cap = min(cap_table, key=lambda t: t[1].mean + x * t[0])
         hedge = lsmc_hedge(claim, bundle, buckets=hedge_buckets)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=(-1.6, 0.4),
@@ -299,14 +298,11 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
             u_con if constrained_headline else u_unc, w_budget=w_budget,
             constrained_u=constrained_headline, _gains=gains)
         return SweepRow(rho=rho, u_unconstrained=u_unc, u_constrained=u_con,
-                        price=price, headline_constrained=constrained_headline)
+                        price=price, headline_constrained=constrained_headline,
+                        y_star=y_star, cap_value=cap.mean + x * y_star,
+                        cap_stderr=cap.stderr, cap_table=cap_table)
 
-    rows = [row(rho_values[0], base)]
-    del base
-    rows += [row(rho, bundle_at(rho)) for rho in rho_values[1:]]
-    return SweepResult(x=x, y_star=y_star, cap_value=cap_value,
-                       cap_stderr=cap_est.stderr, cap_table=cap_table,
-                       rows=rows)
+    return SweepResult(x=x, rows=[row(rho) for rho in rho_values])
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,8 @@ def test_validate_reports_violations(tmp_path, capsys):
     ({"market": {"kappa": math.nan}}, "market"),
     ({"market": {"mu": math.nan}}, "market"),
     ({"market": {"v0": math.inf}}, "market"),
+    ({"market": {"horizon": math.nan}}, "market"),
+    ({"market": {"horizon": math.inf}}, "market"),
     ({"kind": "oracle-check", "oracle": {"a_values": [0.0, math.inf]}},
      "oracle.a_values"),
     ({"kind": "oracle-check", "oracle": {"b_values": [-math.inf]}},
@@ -111,7 +113,8 @@ def test_validate_reports_violations(tmp_path, capsys):
         "sweep_unknown_key", "oracle_unknown_key", "t_prime_text",
         "t_prime_off_grid", "t_prime_at_horizon", "t_prime_bool",
         "version_bool", "seed_bool", "paths_bool", "steps_bool",
-        "sigma_overflow", "kappa_nan", "mu_nan", "v0_inf", "a_inf",
+        "sigma_overflow", "kappa_nan", "mu_nan", "v0_inf", "horizon_nan",
+        "horizon_inf", "a_inf",
         "b_neg_inf", "kw_n_zero", "kw_n_negative", "degenerate_n_zero",
         "degenerate_n_negative", "degenerate_n_inf",
         "degenerate_n_inf_among_finite", "utility_p_nan", "utility_p_neg_inf",
@@ -131,6 +134,18 @@ def test_validate_rejects_retired_price_tol(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["violations"] == [{"field": "sweep.price_tol",
+                                  "reason": "unknown field"}]
+
+
+@pytest.mark.parametrize("kind", ["sweep", "subreplication", "oracle-check"])
+def test_validate_rejects_retired_market_rho(tmp_path, capsys, kind):
+    # no run read market.rho: the sweep reads rho_values, subreplication its
+    # own rho, and the rest no rho at all
+    path = write_cfg(tmp_path / "c.json", {"version": 1, "kind": kind,
+                                           "market": {"rho": 0.3}})
+    assert main(["validate", "--config", path]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["violations"] == [{"field": "market.rho",
                                   "reason": "unknown field"}]
 
 

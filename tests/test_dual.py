@@ -11,14 +11,13 @@ from mcduality import dual, stopping
 from mcduality.dual import (DualCandidate, dual_bound_mmm,
                             dual_bound_perturbed, minimize_dual,
                             perturbation_exponential, subreplication_estimate)
-from mcduality.market import (HestonParams, TimeGrid, simulate_driver,
-                              simulate_heston_market)
+from mcduality.market import HestonParams, TimeGrid, simulate_heston_market
 from mcduality.rng import BLOCK_SIZE, RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                logistic_claim)
 
 from conftest import (BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED,
-                      record_simplex_starts)
+                      driver_draw_all, record_simplex_starts)
 
 
 POWER = ConjugatePair(UtilitySpec.power(0.5))
@@ -477,7 +476,7 @@ def test_subreplication_driver_only_is_bitwise_bundle():
     grid = TimeGrid(1.0, 40)
     paths = BLOCK_SIZE + 5
     bundle = simulate_heston_market(params, grid, paths, RandomStream(41))
-    b = simulate_driver(grid, paths, RandomStream(41))
+    b = driver_draw_all(grid, paths, RandomStream(41))
     assert np.array_equal(b, bundle.b)
     claim = logistic_claim(rate=-2.0, scale=2.0)
     shifts = [-3.0, 0.0, 2.5]

@@ -56,9 +56,9 @@ def test_default_config_valid_and_fresh():
 
 
 def test_merge_overlays_one_level():
-    cfg = merge_config({"paths": 5000, "market": {"rho": 0.25}})
+    cfg = merge_config({"paths": 5000, "market": {"v0": 0.25}})
     assert cfg["paths"] == 5000
-    assert cfg["market"]["rho"] == 0.25
+    assert cfg["market"]["v0"] == 0.25
     assert cfg["market"]["kappa"] == 2.0
     assert cfg["sweep"]["x"] == 0.75
 
@@ -112,6 +112,15 @@ def test_feller_violation_named():
     market = [e for e in errs if e["field"] == "market"]
     assert len(market) == 1
     assert "Feller" in market[0]["reason"]
+
+
+def test_non_finite_horizon_is_a_market_violation():
+    # the grid checks the horizon: nan fails every comparison, so a bare
+    # "<= 0" check let it through
+    for bad in (math.nan, math.inf, -math.inf):
+        errs = validate_config(merge_config({"market": {"horizon": bad}}))
+        assert errs == [{"field": "market", "reason":
+                         "horizon must be a finite positive number"}]
 
 
 def test_unknown_utility_and_claim_kinds():
@@ -485,7 +494,9 @@ def test_sweep_run_reports(tmp_path):
     # headline: unconstrained at rho = 0, constrained off it
     assert s["u_mean"][0] == s["u_unc_mean"][0]
     assert s["u_mean"][1] == s["u_con_mean"][1]
-    assert np.all(s["cap_value"] == man.extras["cap_value"])
+    # each row carries its own cap; the manifest's is the rho = 0 row's
+    assert s["cap_value"][0] == man.extras["cap_value"]
+    assert np.array_equal(s["cap_minus_u"], s["cap_value"] - s["u_mean"])
 
     c = np.genfromtxt(tmp_path / "cap.csv", delimiter=",", names=True)
     assert list(c["y"]) == [0.8, 1.2]

@@ -1,6 +1,7 @@
 """Orthogonal-projection decomposition and its convergence diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from mcduality.kw import (kw_convergence_diag, kw_decompose,
                           nondegeneracy_check)
 from mcduality.market import GeneralMarketCoeffs, TimeGrid
 from mcduality.pricing import degenerate_coeffs
-from mcduality.rng import BLOCK_SIZE, RandomStream
+from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 
-from conftest import kw_rows_draw_all
+from conftest import driver_draw_all, kw_rows_draw_all
 
 
 def _db(paths=64, steps=32, d=2, seed=3):
@@ -217,6 +218,56 @@ def test_nondegeneracy_half_time_family():
                               RandomStream(6))
     assert rep.zero_fraction == pytest.approx(0.5, abs=1e-15)
     assert rep.degenerate
+
+
+def _nondegeneracy_draw_all(coeffs, n, grid, paths, stream):
+    """``(min |sigma_n|, zero fraction)`` as the check was first written:
+    the whole driver drawn at once, then every node over all paths."""
+    b = driver_draw_all(grid, paths, stream, coeffs.d)
+    norms = np.stack([np.sqrt(np.einsum("pd,pd->p", sig, sig)) for sig in (
+        coeffs.sigma_at(n, grid.times[k], b[:, k, :])
+        for k in range(grid.steps))])
+    return float(norms.min()), int((norms <= 1e-12).sum()) / norms.size
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nondegeneracy_blocks_are_bitwise_draw_all(monkeypatch, workers):
+    # three path blocks, the last of five paths, on threads or not: the
+    # smallest norm sits on one path of one block, and member 1 has zeros
+    # wherever the second driver is above one
+    def sigma(n, _t, b):
+        out = np.zeros_like(b)
+        out[:, 0] = (1.0 + np.tanh(b[:, 0])) / n
+        if n == 1.0:
+            out[b[:, 1] > 1.0] = 0.0
+        return out
+
+    coeffs = GeneralMarketCoeffs(d=2, sigma=sigma,
+                                 lam=lambda n, t, b: np.zeros(b.shape[0]))
+    grid, paths = TimeGrid(1.0, 9), 2 * BLOCK_SIZE + 5
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
+    for n in (1.0, 2.0):
+        rep = nondegeneracy_check(coeffs, n, grid, paths, RandomStream(23))
+        low, frac = _nondegeneracy_draw_all(coeffs, n, grid, paths,
+                                            RandomStream(23))
+        assert (rep.min_norm, rep.zero_fraction) == (low, frac)
+        assert rep.degenerate == (n == 1.0)
+        assert (0.0 < frac < 1.0) == (n == 1.0)
+
+
+def test_nondegeneracy_check_holds_one_block():
+    # the traced peak stays below one (paths, steps+1, d) float64 array: the
+    # check never holds the driver of all paths
+    coeffs, _ = _nondegenerate_family()
+    grid, paths = TimeGrid(1.0, 64), 3 * BLOCK_SIZE + 5
+    nondegeneracy_check(coeffs, 5.0, TimeGrid(1.0, 8), 50, RandomStream(3))
+    tracemalloc.start()
+    try:
+        nondegeneracy_check(coeffs, 5.0, grid, paths, RandomStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < paths * (grid.steps + 1) * coeffs.d * 8
 
 
 def _path_dependent_family():

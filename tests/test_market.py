@@ -8,15 +8,15 @@ import pytest
 from mcduality.affine import AffineMomentQuery, affine_exponential_moment
 from mcduality.estimates import mc_estimate
 from mcduality.market import (GeneralMarketCoeffs, HestonParams, PathBundle,
-                              TimeGrid, minimal_martingale_density,
+                              TimeGrid, driver_blocks,
+                              minimal_martingale_density,
                               semimartingale_distance, simulate_cir,
-                              simulate_cir_blocks, simulate_driver,
-                              simulate_general_market,
+                              simulate_cir_blocks, simulate_general_market,
                               simulate_heston_market, stochastic_exponential)
 from mcduality.rng import BLOCK_SIZE, RandomStream
 
 from conftest import (BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED,
-                      cir_step_loop)
+                      cir_step_loop, driver_draw_all)
 
 
 def _se(x):
@@ -33,10 +33,7 @@ def test_params_validation():
         HestonParams(mu=0.0, kappa=1.0, theta=0.1, sigma=1.0, v0=1.0)
     with pytest.raises(ValueError):
         HestonParams(mu=0.0, kappa=1.0, theta=1.0, sigma=1.0, v0=1.0, rho=1.0)
-    with pytest.raises(ValueError):
-        HestonParams(mu=0.0, kappa=1.0, theta=1.0, sigma=1.0, v0=1.0,
-                     horizon=0.0)
-    for name in ("mu", "kappa", "theta", "sigma", "v0", "rho", "horizon"):
+    for name in ("mu", "kappa", "theta", "sigma", "v0", "rho"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 HestonParams(**{"mu": 0.5, "kappa": 2.0, "theta": 1.0,
@@ -54,6 +51,14 @@ def test_grid_properties():
         g.node_index(0.3)
     with pytest.raises(ValueError):
         TimeGrid(horizon=1.0, steps=0)
+
+
+def test_grid_rejects_a_horizon_that_is_not_finite_and_positive():
+    # nan fails every comparison, so a bare "<= 0" check let it through and
+    # the grid's times came out [nan, ...]; inf gave [nan, inf, ...]
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite positive"):
+            TimeGrid(bad, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +99,23 @@ def test_cir_matches_market_bundle(bundle_rho0):
 
 
 def test_driver_matches_market_bundle(bundle_rho0):
-    b = simulate_driver(SMALL_GRID, SMALL_PATHS, RandomStream(SMALL_SEED))
+    b = driver_draw_all(SMALL_GRID, SMALL_PATHS, RandomStream(SMALL_SEED))
     assert np.array_equal(b, bundle_rho0.b)
+
+
+def _driver_by_blocks(grid, paths, stream, workers, d=None):
+    """The driver of ``driver_blocks`` stored block by block by a visitor,
+    with the ``(lo, hi)`` spans it visited."""
+    out = np.full((paths, grid.steps + 1) + (() if d is None else (d,)),
+                  np.nan)
+    spans = []
+
+    def store(lo, hi, levels):
+        out[lo:hi] = levels
+        spans.append((lo, hi))
+
+    driver_blocks(grid, paths, stream, store, workers, d)
+    return out, sorted(spans)
 
 
 def _draw_all_increments(stream, grid, paths, label=0, d=1):
@@ -150,8 +170,10 @@ def test_driver_per_block_draws_are_bitwise_draw_all(workers):
     db = _draw_all_increments(RandomStream(8), grid, paths)
     ref = np.zeros((paths, grid.steps + 1))
     np.cumsum(db, axis=1, out=ref[:, 1:])
-    b = simulate_driver(grid, paths, RandomStream(8), workers)
+    b, spans = _driver_by_blocks(grid, paths, RandomStream(8), workers)
     assert np.array_equal(b, ref)
+    assert spans == [(0, BLOCK_SIZE), (BLOCK_SIZE, 2 * BLOCK_SIZE),
+                     (2 * BLOCK_SIZE, paths)]
 
 
 def test_cir_time_step_bias_shrinks_against_oracles():
@@ -394,9 +416,9 @@ def test_general_market_is_bitwise_whole_array_reference(n, paths, steps,
                                      RandomStream(13))
     assert np.array_equal(got.b, b)
     assert np.array_equal(got.s, s)
-    # the driver alone, as the kw diagnostic simulates it
-    assert np.array_equal(simulate_driver(grid, paths, RandomStream(13),
-                                          workers, d=2), b)
+    # the driver alone, as the kw diagnostics simulate it
+    alone, _ = _driver_by_blocks(grid, paths, RandomStream(13), workers, d=2)
+    assert np.array_equal(alone, b)
 
 
 def test_general_market_scaled_brownian():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mcduality import pricing
-from mcduality.estimates import mc_estimate
+from mcduality.estimates import Estimate, mc_estimate
 from mcduality.market import TimeGrid
 from mcduality.pricing import (degenerate_example, indifference_price,
                                rho_sweep)
@@ -84,10 +84,13 @@ def test_sweep_structure_and_determinism():
     assert res.row(0.3).u_headline is res.row(0.3).u_constrained.result
     assert res.row(0.0).u_headline is res.row(0.0).u_unconstrained.result
 
-    # the cap is the minimum of bound + x*y over the y grid
-    recomputed = min(e.mean + res.x * y for y, e in res.cap_table)
-    assert res.cap_value == recomputed
-    assert res.y_star in [y for y, _ in res.cap_table]
+    # each row's cap is the minimum of its own bound + x*y over the y grid
+    for r in res.rows:
+        assert [y for y, _ in r.cap_table] == [0.8, 1.0, 1.3]
+        recomputed = min(e.mean + res.x * y for y, e in r.cap_table)
+        assert r.cap_value == recomputed
+        assert r.y_star in [y for y, _ in r.cap_table]
+        assert r.cap_stderr == dict(r.cap_table)[r.y_star].stderr
 
     for r in res.rows:
         assert claim.phi_min <= r.price.price <= claim.phi_max
@@ -97,7 +100,8 @@ def test_sweep_structure_and_determinism():
         res.row(0.9)
 
     again = rho_sweep(**kwargs)
-    assert again.cap_value == res.cap_value
+    assert [r.cap_value for r in again.rows] == \
+        [r.cap_value for r in res.rows]
     assert [r.price.price for r in again.rows] == \
         [r.price.price for r in res.rows]
     assert [r.u_headline.estimate.mean for r in again.rows] == \
@@ -210,8 +214,8 @@ def test_shared_walks_never_reach_a_price(bundle_rho03, monkeypatch):
 
 
 def test_sweep_simulates_each_rows_bundle_when_it_runs(monkeypatch):
-    # one bundle alive at a time: the first row's bundle serves the cap and
-    # its row, and every row's bundle is dropped before the next is built
+    # one bundle alive at a time: each row's bundle serves the row's cap
+    # and searches, and is dropped before the next row's is built
     import gc
     import weakref
     built = []
@@ -259,6 +263,58 @@ def _sweep_family(bundle, claim):
                                  const_bounds=(-1.0, 3.5),
                                  lin_bounds=(-1.0, 2.5), floor=6.0,
                                  max_holding=25.0)
+
+
+def _small_sweep(**overrides):
+    kwargs = dict(pair=POWER, x=0.75,
+                  claim=logistic_claim(rate=-2.0, scale=2.0),
+                  params=BASE_PARAMS, grid=TimeGrid(1.0, 8), paths=400,
+                  seed=5, rho_values=[0.4, 0.0, 0.1], y_grid=[0.8, 1.0, 1.3],
+                  hedge_buckets=3, budget=8, w_budget=6)
+    return rho_sweep(**{**kwargs, **overrides})
+
+
+def _record_dual_bounds(monkeypatch, fake=None) -> list:
+    """Record every ``dual_bound_mmm`` call of ``pricing`` as ``(rho of the
+    bundle, y, estimate)``; with ``fake`` the estimate is ``fake(y)``."""
+    calls = []
+    real = pricing.dual_bound_mmm
+
+    def recorded(pair, y, bundle, claim=None):
+        est = real(pair, y, bundle, claim) if fake is None else fake(y)
+        calls.append((bundle.params.rho, y, est))
+        return est
+
+    monkeypatch.setattr(pricing, "dual_bound_mmm", recorded)
+    return calls
+
+
+def test_each_row_caps_its_own_bundle(monkeypatch):
+    # a row's cap comes from its own bundle, one bound per y, and is the
+    # minimum of those bounds plus x y; the rho = 0 row is not first here
+    calls = _record_dual_bounds(monkeypatch)
+    res = _small_sweep()
+    assert [r.rho for r in res.rows] == [0.4, 0.0, 0.1]
+    assert [(rho, y) for rho, y, _ in calls] == [
+        (r.rho, y) for r in res.rows for y in (0.8, 1.0, 1.3)]
+    for i, r in enumerate(res.rows):
+        table = [(y, est) for _, y, est in calls[3 * i:3 * i + 3]]
+        assert r.cap_table == table
+        k = int(np.argmin([est.mean + 0.75 * y for y, est in table]))
+        y_star, est = table[k]
+        assert (r.y_star, r.cap_value, r.cap_stderr) == (
+            y_star, est.mean + 0.75 * y_star, est.stderr)
+
+
+def test_row_cap_keeps_the_first_of_tied_minima(monkeypatch):
+    # bounds 2 - x y tie every y's cap at exactly 2: y_star is the grid's
+    # first y, in every row
+    calls = _record_dual_bounds(
+        monkeypatch, lambda y: Estimate(2.0 - 0.5 * y, 0.1 * y, 400))
+    res = _small_sweep(x=0.5, y_grid=[1.0, 0.5, 2.0])
+    assert len(calls) == 3 * len(res.rows)
+    for r in res.rows:
+        assert (r.y_star, r.cap_value, r.cap_stderr) == (1.0, 2.0, 0.1)
 
 
 def test_claim_delta_computed_once_per_row(monkeypatch):
