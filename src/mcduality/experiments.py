@@ -468,32 +468,21 @@ def _run_degenerate(cfg, out: Path, workers):
 
 
 def _kw_setup(mode: str):
+    """The kw run's family and its constant integrand vector."""
     if mode == "degenerate":
         # volatility shrinks to zero along the shared direction
-        return pricing.degenerate_coeffs(), lambda _t, b: np.ones_like(b)
-
-    def sigma(n, _t, b):
-        out = np.zeros_like(b)
-        out[:, 0] = 1.0
-        if not math.isinf(n):
-            out[:, 1] = 1.0 / n
-        return out
-
-    def nu(_t, b):
-        out = np.zeros_like(b)
-        out[:, 1] = 1.0
-        return out
-
-    return GeneralMarketCoeffs(d=2, sigma=sigma, lam=lambda n, t, b: np.zeros(
-        b.shape[0])), nu
+        return pricing.degenerate_coeffs(), np.ones(1)
+    coeffs = GeneralMarketCoeffs(
+        d=2, sigma=lambda n: (1.0, 0.0 if math.isinf(n) else 1.0 / n),
+        lam=lambda _n: 0.0)
+    return coeffs, np.array([0.0, 1.0])
 
 
-def _run_kw(cfg, out: Path, workers):
+def _run_kw(cfg, out: Path, _workers):
     kwc = cfg["kw"]
     coeffs, nu = _kw_setup(kwc["mode"])
     rows = kw.kw_convergence_diag(nu, coeffs, kwc["n_values"],
-                                  build_market(cfg)[1], cfg["paths"],
-                                  RandomStream(cfg["seed"]), workers)
+                                  build_market(cfg)[1], cfg["paths"])
     write_csv(out / "energies.csv",
               ["n", "energy_mean", "energy_se", "zero_cell_fraction"],
               [(r.n, r.energy.mean, r.energy.stderr, r.zero_fraction)

@@ -13,11 +13,13 @@ point accuracy:
     |nu|**2 = |nu - H sigma|**2 + H**2 |sigma|**2   per cell.
 
 The convergence diagnostic evaluates the projection energy
-``E[sum H**2 |sigma|**2 dt]`` along a family of markets indexed by ``n`` on
-common driver increments.  It requires the integrand to be orthogonal to the
-limit volatility at every node; families whose volatility collapses to zero
-keep constant energy (the remainder never shrinks), while families with a
-nondegenerate limit lose energy at the rate the volatility aligns.
+``E[sum H**2 |sigma|**2 dt]`` along a family of markets indexed by ``n``
+whose members have constant coefficients, for a constant integrand, so every
+cell of every path carries the same energy and no driver is drawn.  It
+requires the integrand to be orthogonal to the limit volatility; families
+whose volatility collapses to zero keep constant energy (the remainder never
+shrinks), while families with a nondegenerate limit lose energy at the rate
+the volatility aligns.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .market import GeneralMarketCoeffs, TimeGrid, driver_blocks
-from .rng import RandomStream
-from .stopping import chunk_steps
+from .market import GeneralMarketCoeffs, TimeGrid, _volatility
 
 __all__ = [
     "KWResult",
@@ -75,9 +75,9 @@ def _dot(a, b):
 def _coefficient(nu, sigma):
     """``(|sigma|**2, H, |sigma| == 0)`` per cell, ``H = 0`` where zero.
 
-    The cells may come in any order (``(paths, steps, d)`` or time-major
-    ``(steps, paths, d)``): each cell reduces over its own ``d`` axis, last,
-    so its values do not depend on the order.
+    The cells may have any leading shape (``(paths, steps, d)``, or one
+    ``(1, d)`` cell for a constant family): each cell reduces over its own
+    ``d`` axis, last, so its values do not depend on the layout.
     """
     sig2 = _dot(sigma, sigma)
     h = _dot(nu, sigma)
@@ -122,75 +122,38 @@ class KWDiagRow:
     zero_fraction: float
 
 
-def kw_convergence_diag(nu_fn, coeffs: GeneralMarketCoeffs, n_values,
-                        grid: TimeGrid, paths: int, stream: RandomStream,
-                        workers: int | None = None) -> list[KWDiagRow]:
-    """Projection energies along a market family on common increments.
+def kw_convergence_diag(nu, coeffs: GeneralMarketCoeffs, n_values,
+                        grid: TimeGrid, paths: int) -> list[KWDiagRow]:
+    """Projection energies along a market family, for a constant integrand.
 
-    ``nu_fn(t, b)`` returns integrand vectors for driver levels ``b`` of
-    shape ``(paths, d)``.  Precondition: ``|nu . sigma_inf| < 1e-10`` at
-    every node, checked against the limit volatility ``n = inf``; violations
-    raise ``ValueError`` before any row is returned.  Per ``n`` only what a
-    row reports is computed: the coefficient ``H``, the energy and the
-    zero-cell fraction, each equal bit for bit to :func:`kw_decompose`'s on
-    the same increments.
-
-    The driver is drawn one path block at a time
-    (:func:`~mcduality.market.driver_blocks`), and each block is reduced to
-    its paths' energies before the next one is drawn, so only the block's
-    levels, a ``(block, steps)`` buffer of products and the ``(len(n_values),
-    paths)`` energies are held.  Per ``n``, ``nu`` and ``sigma`` are formed
-    on the block's rows for a chunk of ``stopping.chunk_steps(block * d)``
-    nodes at a time, laid out time-major, and the products
-    ``H**2 |sigma|**2`` go straight into their columns of the buffer, whose
-    rows are summed over steps, which keeps numpy's pairwise summation of
-    each path's energy; zero cells are counted exactly.  The orthogonality
-    check reads the first ``n``'s ``nu``.  Each block allocates its own
-    scratch, so blocks on worker threads share no buffer.
+    ``nu`` is the integrand's length-``d`` vector (a scalar broadcasts,
+    another length raises ``ValueError``).  Precondition:
+    ``|nu . sigma(inf)| < 1e-10``, checked once against the limit
+    volatility; a violation raises ``ValueError`` before any row is
+    returned.  A member's coefficients are constant, so per ``n`` the
+    coefficient ``H`` and ``|sigma_n|**2`` are formed once, by the cellwise
+    rule of :func:`kw_decompose`, and every cell carries the same product
+    ``H**2 |sigma_n|**2``.  Each path's energy is the sum of its ``steps``
+    equal products times ``dt`` and a row is ``mc_estimate`` over ``paths``
+    copies of it: the bits of :func:`kw_decompose` on any driver
+    increments, so no driver is drawn.
     """
-    d, steps, t = coeffs.d, grid.steps, grid.times
-    energy = np.empty((len(n_values), paths))
-    tallies = []    # (worst |nu . sigma_inf|, zero cells per n) per block
-
-    def reduce(lo, hi, b):
-        m = hi - lo
-        chunk = min(chunk_steps(m * d), steps)
-        nu = np.empty((chunk, m, d))
-        sigma = np.empty_like(nu)
-        products = np.empty((m, steps))
-        zeros = []
-        worst = 0.0
-        for i, n in enumerate(n_values):
-            count = 0
-            for k0 in range(0, steps, chunk):
-                k1 = min(k0 + chunk, steps)
-                for k in range(k0, k1):
-                    nu[k - k0] = nu_fn(t[k], b[:, k, :])
-                    sigma[k - k0] = coeffs.sigma_at(n, t[k], b[:, k, :])
-                    if i == 0:
-                        sig_inf = coeffs.sigma_at(math.inf, t[k], b[:, k, :])
-                        worst = max(worst, float(np.abs(
-                            _dot(nu[k - k0], sig_inf)).max()))
-                sig2, h, zero = _coefficient(nu[:k1 - k0], sigma[:k1 - k0])
-                h *= h
-                h *= sig2
-                products[:, k0:k1] = h.T
-                count += int(np.count_nonzero(zero))
-            np.sum(products, axis=1, out=energy[i, lo:hi])
-            energy[i, lo:hi] *= grid.dt
-            zeros.append(count)
-        tallies.append((worst, zeros))
-
-    driver_blocks(grid, paths, stream, reduce, workers, d)
-    worst = max(w for w, _ in tallies)
+    nu = np.broadcast_to(np.asarray(nu, dtype=float), (1, coeffs.d))
+    worst = abs(float(_dot(nu, _volatility(coeffs, math.inf))[0]))
     if worst >= ORTHO_TOL:
         raise ValueError(
             f"integrand is not orthogonal to the limit volatility "
-            f"(max |nu . sigma_inf| = {worst:.3g} >= {ORTHO_TOL:g})")
-    zeros = np.sum([z for _, z in tallies], axis=0)
-    return [KWDiagRow(n=float(n), energy=mc_estimate(energy[i]),
-                      zero_fraction=int(zeros[i]) / (paths * steps))
-            for i, n in enumerate(n_values)]
+            f"(|nu . sigma_inf| = {worst:.3g} >= {ORTHO_TOL:g})")
+    rows = []
+    for n in n_values:
+        sig2, h, zero = _coefficient(nu, _volatility(coeffs, n)[None])
+        h *= h
+        h *= sig2
+        energy = np.sum(np.full(grid.steps, h[0])) * grid.dt
+        rows.append(KWDiagRow(n=float(n),
+                              energy=mc_estimate(np.full(paths, energy)),
+                              zero_fraction=float(zero[0])))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -203,31 +166,12 @@ class NondegeneracyReport:
     degenerate: bool
 
 
-def nondegeneracy_check(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
-                        paths: int,
-                        stream: RandomStream) -> NondegeneracyReport:
-    """Probe ``|sigma_n|`` over simulated nodes and flag degeneracy: a node
-    whose ``|sigma_n|`` is at most 1e-12 counts as a zero.
-
-    The driver is drawn one path block at a time
-    (:func:`~mcduality.market.driver_blocks`), and each block is reduced to
-    its smallest ``|sigma_n|`` and its count of zeros before the next one is
-    drawn, so only one block's levels are held.
-    """
-    tallies = []    # (min |sigma_n|, zero cells) per block
-
-    def reduce(_lo, _hi, b):
-        low, below = math.inf, 0
-        for k in range(grid.steps):
-            sig = coeffs.sigma_at(n, grid.times[k], b[:, k, :])
-            norms = np.sqrt(np.einsum("pd,pd->p", sig, sig))
-            low = min(low, float(norms.min()))
-            below += int((norms <= 1e-12).sum())
-        tallies.append((low, below))
-
-    driver_blocks(grid, paths, stream, reduce, d=coeffs.d)
-    frac = sum(below for _, below in tallies) / (paths * grid.steps)
-    return NondegeneracyReport(n=float(n),
-                               min_norm=min(low for low, _ in tallies),
-                               zero_fraction=frac,
-                               degenerate=bool(frac > 0.0))
+def nondegeneracy_check(coeffs: GeneralMarketCoeffs,
+                        n) -> NondegeneracyReport:
+    """Read ``|sigma_n|`` and flag degeneracy: a member whose ``|sigma_n|``
+    is at most 1e-12 is zero at every node."""
+    sig = _volatility(coeffs, n)
+    norm = math.sqrt(float(_dot(sig, sig)))
+    zero = norm <= 1e-12
+    return NondegeneracyReport(n=float(n), min_norm=norm,
+                               zero_fraction=float(zero), degenerate=zero)

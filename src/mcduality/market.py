@@ -20,8 +20,9 @@ a block's driver increments are drawn just before they are used and its
 paths are written into its own rows, so the bits do not depend on the
 worker count and no ``(paths, steps)`` array of increments exists.
 
-A light general-market family ``dS^n = lambda_n |sigma_n|^2 dt + sigma_n . dB``
-with d-dimensional ``B`` supports degenerate-limit experiments, and
+A light general-market family ``S^n = sigma_n . B + lambda_n |sigma_n|^2 t``
+with d-dimensional ``B`` and constant coefficients per member, priced
+exactly from the driver levels, supports degenerate-limit experiments, and
 ``semimartingale_distance`` estimates the gap between two price processes
 against a small fixed family of predictable +/-1 adversaries.
 """
@@ -50,6 +51,7 @@ __all__ = [
     "simulate_heston_market",
     "stochastic_exponential",
     "minimal_martingale_density",
+    "general_member",
     "simulate_general_market",
     "semimartingale_distance",
 ]
@@ -220,13 +222,11 @@ def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
     np.maximum(out, 0.0, out=out)
 
 
-def _increment_blocks(stream: RandomStream, grid: TimeGrid, cols: int,
-                      spans):
+def _increment_blocks(stream: RandomStream, grid: TimeGrid, spans):
     """Yield ``(lo, hi, db)`` for each path block ``(block, lo, hi)`` of
-    ``spans``: its ``(hi - lo, cols)`` normals of ``stream`` times
-    ``sqrt(dt)``, in one buffer that the next block overwrites.  A step of a
-    ``d``-dimensional driver is ``d`` consecutive draws of a row."""
-    buf = np.empty((spans[0][2] - spans[0][1], cols))
+    ``spans``: its ``(hi - lo, steps)`` normals of ``stream`` times
+    ``sqrt(dt)``, in one buffer that the next block overwrites."""
+    buf = np.empty((spans[0][2] - spans[0][1], grid.steps))
     scale = math.sqrt(grid.dt)
     for block, lo, hi in spans:
         db = stream.fill_normals(block, buf[:hi - lo])
@@ -241,16 +241,17 @@ def driver_blocks(grid: TimeGrid, paths: int, stream: RandomStream, visit,
     A block's levels, ``(hi - lo, steps+1)`` or ``(hi - lo, steps+1, d)``
     for a ``d``-dimensional driver whose steps are ``d`` consecutive draws
     of a row, are summed from zero in a block buffer that the next block
-    overwrites; ``visit(lo, hi, levels)`` reads it in between.  The block's
-    normals are drawn from its generator a few rows at a time
+    overwrites; ``visit(lo, hi, levels)`` reads it in between.  The
+    subreplication table reduces each block to its tails, and
+    :func:`simulate_general_market` stores the levels.  The block's normals
+    are drawn from its generator a few rows at a time
     (``stopping.chunk_steps`` of a row's draws), which gives the numbers of
     one draw of the whole block, and each piece is scaled by ``sqrt(dt)``
     and summed into its rows while it is in cache.  ``B`` is the same for
     every market parameter and agrees bit for bit with the ``b`` of
-    :func:`simulate_heston_market` (scalar) or
-    :func:`simulate_general_market` (``d``-dimensional) from the same
-    stream.  With several workers the blocks run on threads, so ``visit``
-    may write only to rows ``lo:hi`` of what it fills.
+    :func:`simulate_heston_market` from the same stream.  With several
+    workers the blocks run on threads, so ``visit`` may write only to rows
+    ``lo:hi`` of what it fills.
     """
     sub = stream.split(0)
     trail = () if d is None else (d,)
@@ -293,7 +294,7 @@ def simulate_cir_blocks(params: HestonParams, grid: TimeGrid, paths: int,
         width = spans[0][2] - spans[0][1]
         scratch = _cir_scratch(width)
         buf = np.empty((width, grid.steps + 1))
-        for lo, hi, db in _increment_blocks(sub, grid, grid.steps, spans):
+        for lo, hi, db in _increment_blocks(sub, grid, spans):
             v = buf[:hi - lo]
             _cir_block(params, grid, db, v, scratch)
             visit(lo, hi, v)
@@ -390,8 +391,8 @@ def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
         width = spans[0][2] - spans[0][1]
         scratch = _cir_scratch(width)
         density = np.empty((width, grid.steps + 1))
-        b_blocks = _increment_blocks(stream.split(0), grid, grid.steps, spans)
-        w_blocks = _increment_blocks(stream.split(1), grid, grid.steps, spans)
+        b_blocks = _increment_blocks(stream.split(0), grid, spans)
+        w_blocks = _increment_blocks(stream.split(1), grid, spans)
         for (lo, hi, db), (_, _, dw) in zip(b_blocks, w_blocks):
             _cir_block(params, grid, db, v[lo:hi], scratch)
             z[lo:hi] = minimal_martingale_density(
@@ -424,26 +425,16 @@ def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
 
 @dataclass(frozen=True)
 class GeneralMarketCoeffs:
-    """Coefficient family ``dS^n = lam_n |sigma_n|^2 dt + sigma_n . dB``.
+    """Family of markets ``S^n_t = sigma_n . B_t + lam_n |sigma_n|^2 t``.
 
-    ``sigma(n, t, b)`` maps the family index, a node time and the driver
-    levels ``b`` of shape ``(paths, d)`` to volatility vectors of the same
-    shape; ``lam(n, t, b)`` returns per-path drift multipliers.  Constant
-    coefficient families may simply broadcast.  Index ``math.inf`` selects
-    the limit market.
+    A member's coefficients are constants: ``sigma(n)`` returns member
+    ``n``'s length-``d`` volatility vector and ``lam(n)`` its drift
+    multiplier.  Index ``math.inf`` selects the limit market.
     """
 
     d: int
     sigma: "callable"
     lam: "callable"
-
-    def sigma_at(self, n, t, b) -> np.ndarray:
-        out = np.asarray(self.sigma(n, t, b), dtype=float)
-        return np.broadcast_to(out, b.shape)
-
-    def lam_at(self, n, t, b) -> np.ndarray:
-        out = np.asarray(self.lam(n, t, b), dtype=float)
-        return np.broadcast_to(out, b.shape[:1])
 
 
 @dataclass(frozen=True)
@@ -464,34 +455,54 @@ class GeneralPaths:
         return float(self.times[1] - self.times[0])
 
 
+def _volatility(coeffs: GeneralMarketCoeffs, n) -> np.ndarray:
+    """Member ``n``'s volatility as a length-``d`` vector: a scalar
+    broadcasts, a vector of another length raises ``ValueError``."""
+    return np.broadcast_to(np.asarray(coeffs.sigma(n), dtype=float),
+                           (coeffs.d,))
+
+
+def general_member(coeffs: GeneralMarketCoeffs, n, times: np.ndarray,
+                   b: np.ndarray) -> GeneralPaths:
+    """Member ``n`` of the family on the driver levels ``b``.
+
+    ``b`` has shape ``(paths, nodes, d)`` at the node ``times``.  The
+    coefficients are constant, so the price is exact, with no step sum:
+    ``S^n_t = sigma_n . B_t + (lam_n |sigma_n|^2) t``, the dot product
+    taken one component at a time in order.  The drift term is always
+    added, so a zero price is ``+0.0``.  The price is read-only; ``b`` is
+    shared, not copied.
+    """
+    sig = _volatility(coeffs, n)
+    s = sig[0] * b[..., 0]
+    for j in range(1, coeffs.d):
+        s += sig[j] * b[..., j]
+    s += (float(coeffs.lam(n)) * float(sig @ sig)) * times
+    s.flags.writeable = False
+    return GeneralPaths(times=times, b=b, s=s, n=float(n))
+
+
 def simulate_general_market(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
                             paths: int, stream: RandomStream,
                             workers: int | None = None) -> GeneralPaths:
-    """Simulate one member of the family on shared driver increments.
+    """Simulate member ``n`` of the family: the ``d``-dimensional driver of
+    :func:`driver_blocks`, stored block by block, and the member's price
+    from :func:`general_member`.
 
     Reusing the same ``stream`` across family indices gives common driver
-    paths, which is what the convergence diagnostics assume.  A path block
-    draws its increments of ``B`` (substream 0) and walks the steps of
-    ``S``, so the coefficients see one block of driver levels at a time.
+    paths, which is what comparisons along the family assume.  The
+    returned arrays are read-only.
     """
-    d, steps, t = coeffs.d, grid.steps, grid.times
-    b, s = np.zeros((paths, steps + 1, d)), np.zeros((paths, steps + 1))
+    b = np.empty((paths, grid.steps + 1, coeffs.d))
 
-    def work(spans):
-        for lo, hi, flat in _increment_blocks(stream.split(0), grid,
-                                              steps * d, spans):
-            db = flat.reshape(hi - lo, steps, d)
-            bb, sb = b[lo:hi], s[lo:hi]
-            np.cumsum(db, axis=1, out=bb[:, 1:])
-            for k in range(steps):
-                sig = coeffs.sigma_at(n, t[k], bb[:, k, :])
-                lam = coeffs.lam_at(n, t[k], bb[:, k, :])
-                dm = np.einsum("pd,pd->p", sig, db[:, k, :])
-                drift = lam * np.einsum("pd,pd->p", sig, sig) * grid.dt
-                sb[:, k + 1] = sb[:, k] + drift + dm
+    def store(lo, hi, levels):
+        b[lo:hi] = levels
 
-    map_blocks(work, paths, workers)
-    return GeneralPaths(times=t, b=b, s=s, n=float(n))
+    driver_blocks(grid, paths, stream, store, workers, coeffs.d)
+    times = grid.times
+    times.flags.writeable = False
+    b.flags.writeable = False
+    return general_member(coeffs, n, times, b)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ import numpy as np
 from .dual import dual_bound_mmm
 from .estimates import Estimate, combined_se, mc_estimate
 from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
-                     simulate_general_market, simulate_heston_market)
+                     general_member, simulate_general_market,
+                     simulate_heston_market)
 from .primal import (FLOOR_SLACK, HedgeMixFamily, PrimalOpt, PrimalResult,
                      _component_gains, _search, driver_levels, lsmc_hedge,
                      optimize_primal)
@@ -343,7 +344,7 @@ class DegenerateResult:
         ``u_n = U(x + price)`` (the claim is spanned there), the limit value
         from the flat-market Monte Carlo average.
         """
-        row = self.rows[-1]
+        row = max(self.rows, key=lambda r: r.n)
         gap = row.value_mc - self.limit_bound.mean
         se = math.hypot(row.value_mc_stderr, self.limit_bound.stderr)
         return gap, se
@@ -351,14 +352,9 @@ class DegenerateResult:
 
 def degenerate_coeffs() -> GeneralMarketCoeffs:
     """The family ``sigma_n = 1/n`` (zero in the limit), no drift."""
-    def sigma(n, _t, b):
-        val = 0.0 if math.isinf(n) else 1.0 / n
-        return np.full_like(b, val)
-
-    def lam(_n, _t, b):
-        return np.zeros(b.shape[0])
-
-    return GeneralMarketCoeffs(d=1, sigma=sigma, lam=lam)
+    return GeneralMarketCoeffs(
+        d=1, sigma=lambda n: (0.0 if math.isinf(n) else 1.0 / n,),
+        lam=lambda _n: 0.0)
 
 
 def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
@@ -375,20 +371,26 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
     shorts a least-squares hedge (scale and constant exposure fine-tuned by
     the primal search) and approaches the analytic value as the basis
     refines.
+
+    The driver is drawn once, with the first member; every later member's
+    price is formed on the same read-only levels
+    (``market.general_member``), and each member fits and searches its own
+    hedge.  The indices ``n_values`` must be finite and positive.
     """
+    n_values = list(n_values)
+    if not n_values or not all(0.0 < float(n) < math.inf for n in n_values):
+        raise ValueError("n_values must name at least one family member, "
+                         f"each finite and positive: got {n_values}")
     if grid is None:
         grid = TimeGrid(horizon=1.0, steps=96)
     pair = ConjugatePair(UtilitySpec.exponential(alpha))
     claim = digital_claim(level=1.0, at=0.0)
     coeffs = degenerate_coeffs()
-    stream = RandomStream(seed)
-
-    n_values = list(n_values)
-    if not n_values:
-        raise ValueError("n_values must name at least one family member")
-    rows = []
+    rows, gp = [], None
     for n in n_values:
-        gp = simulate_general_market(coeffs, n, grid, paths, stream, workers)
+        gp = (simulate_general_market(coeffs, n, grid, paths,
+                                      RandomStream(seed), workers)
+              if gp is None else general_member(coeffs, n, gp.times, gp.b))
         hedge = lsmc_hedge(claim, gp, buckets=buckets, degree=degree)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=(-1.4, -0.6),
@@ -406,8 +408,7 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
                                   value_mc=value_mc,
                                   value_mc_stderr=value_se))
 
-    # every member draws the same driver increments, so the limit market's
-    # B_T, and with it the limit bound, is any member's
+    # the limit market has the members' driver, so its B_T is any member's
     f = np.asarray(claim(driver_levels(gp)[:, -1]), dtype=float)
     limit_bound = mc_estimate(pair.utility.u(x + f))
     u_exact = float(pair.utility.u(x + 0.5))

@@ -55,18 +55,18 @@ def driver_draw_all(grid, paths, stream, d=None):
     return b
 
 
-def kw_rows_draw_all(nu_fn, coeffs, n_values, grid, paths, stream):
+def kw_rows_draw_all(nu, coeffs, n_values, grid, paths, stream):
     """The projection diagnostic as first written, ``(n, energy,
-    zero_fraction)`` per ``n``: the whole driver, ``nu`` and ``sigma``
-    arrays, and the coefficient's two reductions by ``np.einsum``."""
-    d, steps, t = coeffs.d, grid.steps, grid.times
-    b = driver_draw_all(grid, paths, stream, d)
-    nu = np.stack([np.broadcast_to(nu_fn(t[k], b[:, k, :]), (paths, d))
-                   for k in range(steps)], axis=1)
+    zero_fraction)`` per ``n``: the whole driver drawn, the constant ``nu``
+    and ``sigma`` broadcast over its cells, and the coefficient's two
+    reductions by ``np.einsum``."""
+    b = driver_draw_all(grid, paths, stream, coeffs.d)
+    cells = b[:, 1:].shape
+    nu = np.broadcast_to(np.asarray(nu, dtype=float), cells)
     rows = []
     for n in n_values:
-        sigma = np.stack([coeffs.sigma_at(n, t[k], b[:, k, :])
-                          for k in range(steps)], axis=1)
+        sigma = np.broadcast_to(np.asarray(coeffs.sigma(n), dtype=float),
+                                cells)
         sig2 = np.einsum("...d,...d->...", sigma, sigma)
         dot = np.einsum("...d,...d->...", nu, sigma)
         zero = sig2 == 0.0

@@ -118,10 +118,10 @@ def _driver_by_blocks(grid, paths, stream, workers, d=None):
     return out, sorted(spans)
 
 
-def _draw_all_increments(stream, grid, paths, label=0, d=1):
+def _draw_all_increments(stream, grid, paths, label=0):
     # every increment of a driver drawn at once, as simulation first did
     return math.sqrt(grid.dt) * stream.split(label).standard_normals(
-        paths, grid.steps * d)
+        paths, grid.steps)
 
 
 @pytest.mark.parametrize("paths, steps", [
@@ -373,27 +373,17 @@ def test_bundle_arrays_are_read_only(bundle_rho03):
 
 
 def _scaled_brownian_coeffs():
-    def sigma(n, _t, b):
-        val = 0.0 if math.isinf(n) else 1.0 / n
-        return np.full_like(b, val)
-
-    return GeneralMarketCoeffs(d=1, sigma=sigma,
-                               lam=lambda n, t, b: np.zeros(b.shape[0]))
+    return GeneralMarketCoeffs(
+        d=1, sigma=lambda n: (0.0 if math.isinf(n) else 1.0 / n,),
+        lam=lambda _n: 0.0)
 
 
 def _reference_general_market(coeffs, n, grid, paths, stream):
-    # every increment drawn at once and each step taken over all paths
-    db = _draw_all_increments(stream, grid, paths, d=coeffs.d).reshape(
-        paths, grid.steps, coeffs.d)
-    b = _levels(db)
-    s = np.zeros((paths, grid.steps + 1))
-    t = grid.times
-    for k in range(grid.steps):
-        sig = coeffs.sigma_at(n, t[k], b[:, k, :])
-        lam = coeffs.lam_at(n, t[k], b[:, k, :])
-        dm = np.einsum("pd,pd->p", sig, db[:, k, :])
-        drift = lam * np.einsum("pd,pd->p", sig, sig) * grid.dt
-        s[:, k + 1] = s[:, k] + drift + dm
+    # the whole driver drawn at once and the exact price over all paths
+    b = driver_draw_all(grid, paths, stream, coeffs.d)
+    sig = np.asarray(coeffs.sigma(n), dtype=float)
+    s = sig[0] * b[:, :, 0] + sig[1] * b[:, :, 1]
+    s += (coeffs.lam(n) * (sig @ sig)) * grid.times
     return b, s
 
 
@@ -402,13 +392,10 @@ def _reference_general_market(coeffs, n, grid, paths, stream):
 @pytest.mark.parametrize("n", [2.0, math.inf])
 def test_general_market_is_bitwise_whole_array_reference(n, paths, steps,
                                                          workers):
-    # two drivers and coefficients that read the driver levels, so each
-    # block must see its own rows of b
-    def sigma(n, _t, b):
-        return (0.0 if math.isinf(n) else 1.0 / n) + 0.2 * np.tanh(b)
-
+    # two drivers and a drift, so every term of the price is live
     coeffs = GeneralMarketCoeffs(
-        d=2, sigma=sigma, lam=lambda n, t, b: 0.5 + 0.1 * b[:, 0] ** 2)
+        d=2, sigma=lambda n: (0.7, 0.0 if math.isinf(n) else 1.0 / n),
+        lam=lambda n: 0.5 if math.isinf(n) else 0.5 + 1.0 / n)
     grid = TimeGrid(1.0, steps)
     got = simulate_general_market(coeffs, n, grid, paths, RandomStream(13),
                                   workers)
@@ -416,7 +403,8 @@ def test_general_market_is_bitwise_whole_array_reference(n, paths, steps,
                                      RandomStream(13))
     assert np.array_equal(got.b, b)
     assert np.array_equal(got.s, s)
-    # the driver alone, as the kw diagnostics simulate it
+    assert not (got.b.flags.writeable or got.s.flags.writeable)
+    # the driver alone, as the blocks of driver_blocks give it
     alone, _ = _driver_by_blocks(grid, paths, RandomStream(13), workers, d=2)
     assert np.array_equal(alone, b)
 
@@ -440,12 +428,12 @@ def test_general_market_limit_is_flat():
     gp = simulate_general_market(coeffs, math.inf, TimeGrid(1.0, 32), 500,
                                  RandomStream(6))
     assert np.array_equal(gp.s, np.zeros_like(gp.s))
+    assert not np.signbit(gp.s).any()
 
 
 def test_general_market_constant_coeffs_drift():
-    coeffs = GeneralMarketCoeffs(
-        d=1, sigma=lambda n, t, b: np.full_like(b, 0.5),
-        lam=lambda n, t, b: np.full(b.shape[0], 2.0))
+    coeffs = GeneralMarketCoeffs(d=1, sigma=lambda _n: (0.5,),
+                                 lam=lambda _n: 2.0)
     gp = simulate_general_market(coeffs, 1.0, TimeGrid(1.0, 64), 20_000,
                                  RandomStream(8))
     st = gp.s[:, -1]

@@ -10,7 +10,7 @@ from mcduality.estimates import Estimate, mc_estimate
 from mcduality.market import TimeGrid
 from mcduality.pricing import (degenerate_example, indifference_price,
                                rho_sweep)
-from mcduality.primal import ConstantFamily, driver_levels, optimize_primal
+from mcduality.primal import ConstantFamily, optimize_primal
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                digital_claim, logistic_claim)
 
@@ -342,28 +342,67 @@ def test_claim_delta_computed_once_per_row(monkeypatch):
 
 
 def test_degenerate_limit_bound_reads_a_finite_member(monkeypatch):
-    # every member shares the driver increments, so the limit market's B_T
-    # is a finite member's: one simulation per finite n, none for the limit
-    members = []
-    real = pricing.simulate_general_market
+    # one driver draw per call, with the first member: every member's b is
+    # that one read-only array, and so is the limit bound's B_T
+    from mcduality import market
+    draws, members = [], []
 
-    def recorded(*args, **kwargs):
-        members.append(real(*args, **kwargs))
-        return members[-1]
+    def recorder(real, into):
+        def recorded(*args, **kwargs):
+            into.append(real(*args, **kwargs))
+            return into[-1]
+        return recorded
 
-    monkeypatch.setattr(pricing, "simulate_general_market", recorded)
+    monkeypatch.setattr(market, "driver_blocks",
+                        recorder(market.driver_blocks, draws))
+    for name in ("simulate_general_market", "general_member"):
+        monkeypatch.setattr(pricing, name,
+                            recorder(getattr(pricing, name), members))
     res = degenerate_example(alpha=1.0, x=0.25, n_values=[1, 4],
                              grid=TimeGrid(1.0, 12), paths=300, seed=7,
                              buckets=3, budget=8)
+    assert len(draws) == 1
     assert [gp.n for gp in members] == [1.0, 4.0]
+    b = members[0].b
+    assert not b.flags.writeable
+    assert all(gp.b is b for gp in members)
     claim = digital_claim(level=1.0, at=0.0)
-    for gp in members:
-        f = np.asarray(claim(driver_levels(gp)[:, -1]), dtype=float)
-        ref = mc_estimate(EXP.utility.u(0.25 + f))
-        assert (res.limit_bound.mean, res.limit_bound.stderr) == (
-            ref.mean, ref.stderr)
+    f = np.asarray(claim(b[:, -1, 0]), dtype=float)
+    ref = mc_estimate(EXP.utility.u(0.25 + f))
+    assert (res.limit_bound.mean, res.limit_bound.stderr) == (
+        ref.mean, ref.stderr)
     with pytest.raises(ValueError):
         degenerate_example(paths=30_000, seed=7, n_values=[])
+
+
+@pytest.mark.parametrize("bad", [0, -2, math.nan, math.inf])
+def test_degenerate_example_rejects_bad_member_index(monkeypatch, bad):
+    # a zero, negative, NaN or infinite index is refused by name before
+    # any driver is drawn
+    from mcduality import market
+
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("driver drawn")
+
+    monkeypatch.setattr(market, "driver_blocks", no_draw)
+    with pytest.raises(ValueError, match="n_values"):
+        degenerate_example(paths=300, seed=7, n_values=[1, bad])
+
+
+def test_degenerate_gap_reads_the_largest_member():
+    # rows keep the order of n_values, and the gap is the largest n's
+    # whatever that order
+    kw = dict(grid=TimeGrid(1.0, 12), paths=300, seed=7, buckets=3,
+              budget=8)
+    up = degenerate_example(n_values=[1, 4], **kw)
+    down = degenerate_example(n_values=[4, 1], **kw)
+    assert [r.n for r in down.rows] == [4.0, 1.0]
+    assert down.rows == up.rows[::-1]
+    assert down.rows[0].value_mc != down.rows[1].value_mc
+    row = down.rows[0]
+    assert down.mc_gap == up.mc_gap == (
+        row.value_mc - down.limit_bound.mean,
+        math.hypot(row.value_mc_stderr, down.limit_bound.stderr))
 
 
 def test_degenerate_example_anchors():

@@ -37,6 +37,10 @@ CONFIGS = {
     "kw-nondegenerate": ({"version": 1, "kind": "kw"}, 600, 32),
     "kw-degenerate": ({"version": 1, "kind": "kw",
                        "kw": {"mode": "degenerate"}}, 600, 32),
+    # the zero-volatility member's row: H = 0, zero fraction 1
+    "kw-limit": ({"version": 1, "kind": "kw",
+                  "kw": {"mode": "degenerate",
+                         "n_values": [1, 4, float("inf")]}}, 600, 32),
     "subreplication": ({"version": 1, "kind": "subreplication"}, 2000, 100),
     "oracle-check": ({"version": 1, "kind": "oracle-check"}, 2000, 32),
 }
