@@ -25,7 +25,8 @@ from .affine import (AffineMomentQuery, MomentExplosionError,
 from .dual import (DualCandidate, dual_bound_mmm, dual_bound_perturbed,
                    minimize_dual, subreplication_estimate)
 from .primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
-                     lsmc_hedge, optimize_primal, primal_bound)
+                     lsmc_hedge, optimize_primal, primal_bound,
+                     with_claim_floor)
 from .kw import kw_convergence_diag, kw_decompose
 from .pricing import degenerate_example, indifference_price, rho_sweep
 from .experiments import run_experiment, validate_config

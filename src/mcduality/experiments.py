@@ -33,6 +33,7 @@ from .dual import subreplication_estimate
 from .estimates import mc_estimate
 from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
                      simulate_cir_blocks)
+from .primal import ConstantFamily, with_claim_floor
 from .rng import WORKERS_ENV, RandomStream, worker_count
 from .utility import (ClaimSpec, ConjugatePair, UtilitySpec, constant_claim,
                       digital_claim, load_claim_table, logistic_claim)
@@ -286,9 +287,9 @@ class ConfigError(ValueError):
 def validate_config(cfg: dict) -> list[dict]:
     """Return a list of violation records ``{"field":..., "reason":...}``
     on the top level and the running kind's section field by field, on
-    ``market``, ``utility`` and ``claim`` by building them, and on every
+    ``market``, ``utility`` and ``claim`` by building them, on every
     section's keys and type (a section is an object, even one the run does
-    not read)."""
+    not read), and on a sweep's ``x`` against its claim's wealth floor."""
     errs: list[dict] = []
 
     def bad(fieldname, reason):
@@ -333,6 +334,16 @@ def validate_config(cfg: dict) -> list[dict]:
         if name == running:
             check(name + ".", sec, fields, grid)
         unknown(name + ".", sec, fields)
+
+    # a sweep row floors its family by primal's rule, the same for any family
+    sweep = cfg.get("sweep")
+    x = (_number(sweep.get("x", _SECTIONS["sweep"]["x"].default))
+         if isinstance(sweep, dict) else math.nan)
+    if running == "sweep" and "claim" in built and _finite_positive(x):
+        try:
+            with_claim_floor(ConstantFamily(), x, built["claim"])
+        except ValueError as exc:
+            bad("sweep.x", exc)
     return errs
 
 

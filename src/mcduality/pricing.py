@@ -10,12 +10,13 @@ three combined standard errors) further bisection only chases noise.
 
 The correlation sweep drives the main stability exhibit.  For ``rho != 0``
 the claim problem carries an endogenous wealth floor (terminal wealth cannot
-fall below minus the claim's infimum), and the primal search enforces it by
-stopping; as ``rho -> 0`` those values converge to the *constrained* limit
-value, which sits strictly below the unconstrained ``rho = 0`` value for
-non-constant claims.  The sweep reports primal bounds, each row's
-density-based dual cap, prices and gaps so the discontinuity is visible
-through bounds alone.
+fall below minus the claim's infimum); the sweep makes it the family's floor
+(:func:`~mcduality.primal.with_claim_floor`), whose stopping rule enforces
+it, and prices with that family on both sides.  As ``rho -> 0`` those
+values converge to the *constrained* limit value, which sits strictly below
+the unconstrained ``rho = 0`` value for non-constant claims.  The sweep
+reports primal bounds, each row's density-based dual cap, prices and gaps
+so the discontinuity is visible through bounds alone.
 
 The degenerate benchmark reproduces the vanishing-volatility family
 ``dS_n = (1/n) dB`` with a step claim on the terminal driver, whose limit
@@ -24,7 +25,6 @@ values are known in closed form.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -35,9 +35,9 @@ from .estimates import Estimate, combined_se, mc_estimate
 from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
                      general_member, simulate_general_market,
                      simulate_heston_market)
-from .primal import (FLOOR_SLACK, HedgeMixFamily, PrimalOpt, PrimalResult,
+from .primal import (HedgeMixFamily, PrimalOpt, PrimalResult,
                      _component_gains, _search, driver_levels, lsmc_hedge,
-                     optimize_primal)
+                     optimize_primal, with_claim_floor)
 from .rng import RandomStream
 from .utility import ClaimSpec, ConjugatePair, UtilitySpec, digital_claim
 
@@ -98,22 +98,18 @@ def _secant_slope(evals, p: float) -> float:
 
 def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                        claim: ClaimSpec, u_opt: PrimalOpt,
-                       w_budget: int = 40, constrained_u: bool = False, *,
-                       _gains=None) -> PriceResult:
+                       w_budget: int = 40, *, _gains=None) -> PriceResult:
     """Solve ``w(x + p) = u(x)`` for ``p`` by noise-aware bisection.
 
     ``u_opt`` is the claim side's search: ``optimize_primal`` of ``family``
     with ``claim`` at ``x``.  The claim-free side searches the same family
-    on the same bundle (common random numbers).  With ``constrained_u`` the
-    claim side enforced the claim problem's endogenous wealth floor, and the
-    claim-free side's declared floor is matched to it so that pathwise
-    monotonicity in ``p`` carries over to the two estimates and the initial
-    bracket ``[phi_min, phi_max]`` is valid.  (``rho_sweep`` also passes the
-    ``_component_gains`` it built for ``family``: they do not depend on the
-    floor, the one field the claim-free family changes.)  The claim-free
-    searches differ only in capital, and on common random numbers they
-    retrace many of each other's points; they share the gains' memo of
-    claim-free walks, so a retraced point is not walked again.
+    on the same bundle (common random numbers), so both sides stop at one
+    floor and pathwise monotonicity in ``p`` makes the bracket ``[phi_min,
+    phi_max]`` valid.  (``rho_sweep`` also passes the ``_component_gains``
+    it built.)  The claim-free searches differ only in capital, and on
+    common random numbers they retrace many of each other's points; they
+    share the gains' memo of claim-free walks, so a retraced point is not
+    walked again.
     """
     u_est = u_opt.result.estimate
     if not math.isfinite(u_est.mean):
@@ -121,19 +117,12 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                            stderr=math.nan, iterations=0, converged=False,
                            diagnosis="claim-side estimate is -inf")
 
-    w_family = family
-    if constrained_u:
-        # match the claim-free floor to the enforced one so that the
-        # bracket endpoints compare pathwise against the claim side
-        w_family = dataclasses.replace(
-            family, floor=x + claim.phi_min - FLOOR_SLACK)
-
     # the claim-free searches differ only in capital: one hedge evaluation
-    gains = _component_gains(w_family, bundle) if _gains is None else _gains
+    gains = _component_gains(family, bundle) if _gains is None else _gains
 
     def w_value(capital: float) -> Estimate:
-        return _search(pair, capital, w_family, bundle, None, False,
-                       w_budget, gains).result.estimate
+        return _search(pair, capital, family, bundle, None, w_budget,
+                       gains).result.estimate
 
     lo, hi = claim.phi_min, claim.phi_max
     atol = 1e-12 * max(1.0, abs(u_est.mean))
@@ -258,10 +247,12 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
     Every row is one unit: it simulates its bundle from the shared seed,
     computes its own dual cap (the minimum over ``y_grid`` of the bundle's
     ``dual_bound_mmm`` plus ``x y``), fits its hedge, runs both claim
-    searches and the price, and drops the bundle on return, so rows share
-    no state.  The streams are counter-based, so every row sees the same
-    drivers; with today's density, a function of ``(B, V)`` alone, every
-    row's cap equals the ``rho = 0`` row's.  A ``rho = 0`` row is added
+    searches (the constrained one on the family that
+    :func:`~mcduality.primal.with_claim_floor` floors) and the price on the
+    headline search's family, and drops the bundle on return, so rows
+    share no state.  The streams are counter-based, so every row sees the
+    same drivers; with today's density, a function of ``(B, V)`` alone,
+    every row's cap equals the ``rho = 0`` row's.  A ``rho = 0`` row is added
     first when ``rho_values`` has none.
     """
     rho_values = [float(r) for r in rho_values]
@@ -283,21 +274,22 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
                                 const_bounds=(-1.0, 3.5),
                                 lin_bounds=(-1.0, 2.5), floor=6.0,
                                 max_holding=25.0)
+        floored = with_claim_floor(family, x, claim)
         # both claim searches run on one evaluation of the hedge, and the
         # price bisection's claim-free searches share its memo of walks
         gains = _component_gains(family, bundle)
-        u_unc = _search(pair, x, family, bundle, claim, False, budget, gains)
-        u_con = _search(pair, x, family, bundle, claim, True, budget, gains)
+        u_unc = _search(pair, x, family, bundle, claim, budget, gains)
+        u_con = _search(pair, x, floored, bundle, claim, budget, gains)
         # the endogenous floor comes from half-line admissibility and from
         # subreplicating a claim with genuine spread; a constant claim is
         # replicable everywhere, and a real-line utility admits wealth below
         # any floor, so those problems stay unconstrained at every rho
         constrained_headline = (rho != 0.0 and claim.spread > 0.0
                                 and pair.utility.is_halfline)
-        price = indifference_price(
-            pair, x, family, bundle, claim,
-            u_con if constrained_headline else u_unc, w_budget=w_budget,
-            constrained_u=constrained_headline, _gains=gains)
+        head_family, u_head = ((floored, u_con) if constrained_headline
+                               else (family, u_unc))
+        price = indifference_price(pair, x, head_family, bundle, claim,
+                                   u_head, w_budget=w_budget, _gains=gains)
         return SweepRow(rho=rho, u_unconstrained=u_unc, u_constrained=u_con,
                         price=price, headline_constrained=constrained_headline,
                         y_star=y_star, cap_value=cap.mean + x * y_star,
@@ -397,7 +389,7 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
                                 const_bounds=(-0.3, 0.3), floor=50.0,
                                 max_holding=40.0 * float(n))
         opt = optimize_primal(pair, x, family, gp, claim=claim,
-                              constrained=False, budget=budget)
+                              budget=budget)
         value_mc = float(pair.utility.u(x + hedge.price))
         value_se = abs(float(pair.utility.marginal(x + hedge.price))) \
             * hedge.price_stderr

@@ -8,16 +8,15 @@ family is linear in ``theta``, so the components are computed once per
 bundle and search.  The raw gains process is the Euler sum
 ``X = sum H dS``.  Before any utility is averaged, wealth is stopped at the
 first node that lands below the family's declared floor
-``-K - FLOOR_SLACK``.
+``-K - FLOOR_SLACK``, the one floor rule: the claim problem's floor
+``x + X >= -phi_min`` is a family's too (:func:`with_claim_floor`).
 The stop is a genuine stopping rule -- holdings are zeroed from the
 crossing node onward, so the decision at each step uses only information
 already revealed.  The frozen value retains any overshoot below the floor;
 every node before the stop respects the floor by definition of a first
 crossing.  (Freezing one node earlier would peek at the increment being
 suppressed, and that one-step look-ahead acts as free insurance: it
-demonstrably inflates optimized values past valid dual caps.)  In
-constrained mode the wealth floor ``x + X >= -phi_min`` of the claim problem
-is enforced the same way.
+demonstrably inflates optimized values past valid dual caps.)
 
 Expected utility of terminal wealth is then a genuine lower bound for the
 value of the corresponding problem, reported with a standard error.  For
@@ -42,6 +41,7 @@ on any other bundle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -62,6 +62,7 @@ __all__ = [
     "PrimalOpt",
     "ConstantFamily",
     "HedgeMixFamily",
+    "with_claim_floor",
     "wealth_process",
     "enforce_admissibility",
     "primal_bound",
@@ -316,6 +317,20 @@ def _check_floor_rule(family) -> None:
         raise ValueError("max_holding must be > 0")
 
 
+def with_claim_floor(family, x: float, claim: ClaimSpec):
+    """``family`` that also keeps the claim problem's wealth floor ``x + X
+    >= -phi_min``: its floor is ``min(K, x + phi_min - FLOOR_SLACK)``.
+    Raises ``ValueError`` when ``x + phi_min < FLOOR_SLACK`` (a negative
+    floor)."""
+    floor = x + claim.phi_min - FLOOR_SLACK
+    if not floor >= 0.0:
+        raise ValueError(
+            f"effective wealth floor {-x - claim.phi_min:.6g} is not "
+            f"{FLOOR_SLACK:g} below the starting wealth 0; need x + phi_min "
+            f">= {FLOOR_SLACK:g}")
+    return dataclasses.replace(family, floor=min(family.floor, floor))
+
+
 @dataclass(frozen=True)
 class ConstantFamily:
     """One-parameter family of constant holdings."""
@@ -454,18 +469,6 @@ def wealth_process(family, theta, bundle) -> np.ndarray:
     return gains.path.T.copy()
 
 
-def _threshold(family, x: float, constrained: bool, phi_min: float) -> float:
-    """Effective floor on ``X`` of a family's floor rule."""
-    thr = -family.floor - FLOOR_SLACK
-    if constrained:
-        thr = max(thr, -x - phi_min)
-    if thr >= 0.0:
-        raise ValueError(
-            f"effective wealth floor {thr:.6g} is not below the starting "
-            "wealth 0; need x + phi_min > 0 in constrained mode")
-    return thr
-
-
 @dataclass(frozen=True)
 class EnforcedWealth:
     """Stopped wealth paths with stopping diagnostics."""
@@ -475,22 +478,18 @@ class EnforcedWealth:
     threshold: float            # the effective floor on X
 
 
-def enforce_admissibility(family, theta, bundle, x: float = 0.0,
-                          constrained: bool = False,
-                          phi_min: float = 0.0) -> EnforcedWealth:
+def enforce_admissibility(family, theta, bundle) -> EnforcedWealth:
     """Stop the family's gains process at ``theta`` at its declared floor.
 
-    The effective threshold on ``X`` is ``-K - FLOOR_SLACK``; in constrained
-    mode the claim-problem floor ``x + X >= -phi_min`` is enforced as well,
-    so the threshold is the larger of the two.  A path is frozen at the
-    first node whose value falls below the threshold: holdings vanish from
-    that node on, so the rule is predictable, and the frozen value keeps
-    whatever overshoot the crossing step produced.  All nodes strictly
-    before the stop satisfy the floor exactly (first-crossing definition);
-    the overshoot is a loss the strategy genuinely suffered and is never
-    repaired.
+    The effective threshold on ``X`` is ``-K - FLOOR_SLACK``.  A path is
+    frozen at the first node whose value falls below the threshold:
+    holdings vanish from that node on, so the rule is predictable, and the
+    frozen value keeps whatever overshoot the crossing step produced.  All
+    nodes strictly before the stop satisfy the floor exactly
+    (first-crossing definition); the overshoot is a loss the strategy
+    genuinely suffered and is never repaired.
     """
-    thr = _threshold(family, x, constrained, phi_min)
+    thr = -family.floor - FLOOR_SLACK
     gains = _component_gains(family, bundle)
     stop_at, _, crossed = walk(gains.fill_at(theta), gains.path, thr)
     raw = gains.path.T
@@ -511,20 +510,17 @@ class PrimalResult:
 
 
 def _evaluation(pair: ConjugatePair, x: float, family, bundle,
-                claim: ClaimSpec | None, constrained: bool, gains: _Gains,
-                kept: int):
-    """``theta -> primal_bound(pair, x, family, theta, bundle, claim,
-    constrained)`` on the family's ``_component_gains``.
+                claim: ClaimSpec | None, gains: _Gains, kept: int):
+    """``theta -> primal_bound(pair, x, family, theta, bundle, claim)`` on
+    the family's ``_component_gains``.
 
     Without a claim, a walk is looked up in the gains' memo before it is
     done, and the memo is then trimmed to the ``kept`` most recently used
     walks.
     """
-    if claim is None:
-        thr, f = _threshold(family, x, constrained, 0.0), None
-    else:
-        thr = _threshold(family, x, constrained, claim.phi_min)
-        f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
+    thr = -family.floor - FLOOR_SLACK
+    f = None if claim is None else np.asarray(
+        claim(driver_levels(bundle)[:, -1]), dtype=float)
     walks = gains.walks
 
     def evaluate(theta) -> PrimalResult:
@@ -550,19 +546,19 @@ def _evaluation(pair: ConjugatePair, x: float, family, bundle,
 
 
 def primal_bound(pair: ConjugatePair, x: float, family, theta, bundle,
-                 claim: ClaimSpec | None = None,
-                 constrained: bool = False) -> PrimalResult:
+                 claim: ClaimSpec | None = None) -> PrimalResult:
     """Expected utility of enforced terminal wealth ``x + X_T (+ f)``.
 
     Any path outside the utility's domain contributes ``-inf`` and the whole
-    estimate is reported as ``-inf`` with the count of offending paths.  In
-    constrained mode the stopping floor keeps ``x + X + phi_min >= 0`` at
-    every pre-stop node; a crossing step can overshoot the floor, so a
-    violation is still possible when the payoff sits near its minimum on the
-    overshooting path.  Such estimates come back ``-inf`` and the optimizer
-    treats the strategy as infeasible rather than silently repairing it.
+    estimate is reported as ``-inf`` with the count of offending paths.  A
+    family floored by :func:`with_claim_floor` keeps ``x + X + phi_min >=
+    0`` at every pre-stop node; a crossing step can overshoot the floor, so
+    a violation is still possible when the payoff sits near its minimum on
+    the overshooting path.  Such estimates come back ``-inf`` and the
+    optimizer treats the strategy as infeasible rather than silently
+    repairing it.
     """
-    return _evaluation(pair, x, family, bundle, claim, constrained,
+    return _evaluation(pair, x, family, bundle, claim,
                        _component_gains(family, bundle), 0)(theta)
 
 
@@ -664,8 +660,7 @@ class PrimalOpt:
 
 
 def _search(pair: ConjugatePair, x: float, family, bundle,
-            claim: ClaimSpec | None, constrained: bool, budget: int,
-            gains) -> PrimalOpt:
+            claim: ClaimSpec | None, budget: int, gains) -> PrimalOpt:
     """``optimize_primal`` on the family's ``_component_gains``, which a
     caller running several searches on one bundle builds once.  The gains'
     memo keeps as many claim-free walks as two searches of ``budget`` make:
@@ -673,7 +668,7 @@ def _search(pair: ConjugatePair, x: float, family, bundle,
     search before them."""
     lo = np.array([b[0] for b in family.bounds])
     hi = np.array([b[1] for b in family.bounds])
-    evaluate = _evaluation(pair, x, family, bundle, claim, constrained, gains,
+    evaluate = _evaluation(pair, x, family, bundle, claim, gains,
                            2 * max_calls(budget, lo.size))
     theta, evals = minimize(lambda t: -evaluate(t).estimate.mean, lo, hi,
                             budget)
@@ -681,7 +676,7 @@ def _search(pair: ConjugatePair, x: float, family, bundle,
 
 
 def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
-                    claim: ClaimSpec | None = None, constrained: bool = False,
+                    claim: ClaimSpec | None = None,
                     budget: int = 120) -> PrimalOpt:
     """Search the family for the best primal bound with Nelder-Mead.
 
@@ -692,5 +687,5 @@ def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
     the family's bounds, so an infeasible ``theta`` (a ``-inf`` mean) scores
     as its one penalty.
     """
-    return _search(pair, x, family, bundle, claim, constrained, budget,
+    return _search(pair, x, family, bundle, claim, budget,
                    _component_gains(family, bundle))

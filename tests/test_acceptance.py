@@ -19,7 +19,8 @@ from mcduality.kw import kw_convergence_diag, kw_decompose
 from mcduality.market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
                               simulate_cir, simulate_heston_market)
 from mcduality.pricing import degenerate_coeffs, degenerate_example, rho_sweep
-from mcduality.primal import HedgeMixFamily, lsmc_hedge, optimize_primal
+from mcduality.primal import (HedgeMixFamily, lsmc_hedge, optimize_primal,
+                              with_claim_floor)
 from mcduality.rng import WORKERS_ENV, RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                constrained_conjugate, logistic_claim)
@@ -199,8 +200,9 @@ def test_weak_duality_grid():
         duals = {y: minimize_dual(pair, y, bundle, claim=claim, budget=40)
                  for y in (0.6, 1.0, 1.6)}
         for x in (0.5, 0.75, 1.25):
-            prim = optimize_primal(pair, x, family, bundle, claim=claim,
-                                   constrained=True, budget=60)
+            prim = optimize_primal(pair, x,
+                                   with_claim_floor(family, x, claim),
+                                   bundle, claim=claim, budget=60)
             pe = prim.result.estimate
             for y, dopt in duals.items():
                 de = dopt.estimate

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import mcduality
 from mcduality import experiments
 from mcduality.cli import main
+from mcduality.primal import ConstantFamily, with_claim_floor
 from mcduality.rng import WORKERS_ENV
-from mcduality.utility import logistic_claim
+from mcduality.utility import constant_claim, logistic_claim
 
 TINY_KW = {"version": 1, "kind": "kw", "paths": 300, "steps": 8,
            "kw": {"mode": "nondegenerate", "n_values": [1, 4]}}
@@ -188,6 +189,30 @@ def test_run_malformed_integer_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert [v["field"] for v in err["violations"]] == ["sweep.hedge_buckets"]
+
+
+@pytest.mark.parametrize("x, c", [(0.75, -1.0), (0.5, -0.5), (0.75, -0.75)])
+def test_run_sweep_below_claim_floor_exit_2(tmp_path, capsys, x, c):
+    # x + phi_min leaves the claim problem's wealth floor no room below the
+    # start: a violation of sweep.x, with the floor rule's own reason,
+    # before the output directory is made
+    cfg = write_cfg(tmp_path / "c.json",
+                    {"version": 1, "kind": "sweep", "paths": 200, "steps": 8,
+                     "claim": {"kind": "constant", "c": c},
+                     "sweep": {"x": x}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    with pytest.raises(ValueError) as rule:
+        with_claim_floor(ConstantFamily(), x, constant_claim(c))
+    assert err["violations"] == [{"field": "sweep.x",
+                                  "reason": str(rule.value)}]
+    assert not out.exists()
+    # a claim with room below the start validates
+    ok = write_cfg(tmp_path / "ok.json",
+                   {"version": 1, "kind": "sweep",
+                    "claim": {"kind": "constant", "c": c}, "sweep": {"x": 1.5}})
+    assert main(["validate", "--config", ok]) == 0
 
 
 @pytest.mark.parametrize("cfg, override, field", [

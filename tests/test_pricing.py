@@ -10,7 +10,8 @@ from mcduality.estimates import Estimate, mc_estimate
 from mcduality.market import TimeGrid
 from mcduality.pricing import (degenerate_example, indifference_price,
                                rho_sweep)
-from mcduality.primal import ConstantFamily, optimize_primal
+from mcduality.primal import (ConstantFamily, optimize_primal,
+                              with_claim_floor)
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                digital_claim, logistic_claim)
 
@@ -61,11 +62,12 @@ def test_price_stays_in_bracket_with_finite_se(bundle_rho0):
 
 def test_price_constrained_mode_runs(bundle_rho03):
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    fam = ConstantFamily(lo=-1.0, hi=2.0, floor=6.0)
+    fam = with_claim_floor(ConstantFamily(lo=-1.0, hi=2.0, floor=6.0), 0.75,
+                           claim)
     u_opt = optimize_primal(POWER, 0.75, fam, bundle_rho03, claim=claim,
-                            constrained=True, budget=24)
+                            budget=24)
     res = indifference_price(POWER, 0.75, fam, bundle_rho03, claim, u_opt,
-                             w_budget=12, constrained_u=True)
+                             w_budget=12)
     assert claim.phi_min <= res.price <= claim.phi_max
     assert res.converged
 
@@ -158,11 +160,10 @@ def _recorded_searches(monkeypatch, fresh_gains: bool) -> list:
     searches = []
     real = primal._search
 
-    def recorded(pair, x, family, bundle, claim, constrained, budget,
-                 gains):
+    def recorded(pair, x, family, bundle, claim, budget, gains):
         if fresh_gains:
             gains = pricing._component_gains(family, bundle)
-        opt = real(pair, x, family, bundle, claim, constrained, budget, gains)
+        opt = real(pair, x, family, bundle, claim, budget, gains)
         searches.append((x, claim is not None, opt.theta.tobytes(),
                          opt.result, opt.evaluations))
         return opt
@@ -178,11 +179,11 @@ def test_shared_walks_never_reach_a_price(bundle_rho03, monkeypatch):
     from mcduality import primal
     claim = logistic_claim(rate=-2.0, scale=2.0)
     hedge = primal.lsmc_hedge(claim, bundle_rho03, buckets=4)
-    fam = primal.HedgeMixFamily(hedge=hedge.strategy,
-                                scale_bounds=(-1.6, 0.4),
-                                const_bounds=(-1.0, 3.5),
-                                lin_bounds=(-1.0, 2.5), floor=6.0,
-                                max_holding=25.0)
+    fam = with_claim_floor(
+        primal.HedgeMixFamily(hedge=hedge.strategy, scale_bounds=(-1.6, 0.4),
+                              const_bounds=(-1.0, 3.5),
+                              lin_bounds=(-1.0, 2.5), floor=6.0,
+                              max_holding=25.0), 0.75, claim)
     walks = []
     real_walk = primal.walk
 
@@ -196,11 +197,10 @@ def test_shared_walks_never_reach_a_price(bundle_rho03, monkeypatch):
         walks.clear()
         searches = _recorded_searches(monkeypatch, fresh)
         gains = primal._component_gains(fam, bundle_rho03)
-        u_opt = pricing._search(POWER, 0.75, fam, bundle_rho03, claim, True,
-                                24, gains)
+        u_opt = pricing._search(POWER, 0.75, fam, bundle_rho03, claim, 24,
+                                gains)
         price = indifference_price(POWER, 0.75, fam, bundle_rho03, claim,
-                                   u_opt, w_budget=24, constrained_u=True,
-                                   _gains=gains)
+                                   u_opt, w_budget=24, _gains=gains)
         runs.append((price, searches, len(walks)))
     (shared, shared_searches, shared_walks), (fresh, fresh_searches,
                                               fresh_walks) = runs
@@ -211,6 +211,43 @@ def test_shared_walks_never_reach_a_price(bundle_rho03, monkeypatch):
         == shared.iterations
     # the shared memo saved walks, not calls
     assert shared_walks < fresh_walks
+
+
+@pytest.mark.parametrize("x", [0.75, 7.0])
+def test_price_sides_stop_at_the_claim_sides_floor(monkeypatch, x):
+    # each row's claim-free searches walk at the threshold of the claim
+    # search the price is made from: at rho = 0 the family's -6 - 1e-9, at
+    # rho = 0.3 the claim problem's -x - phi_min, or the family's floor when
+    # that is lower (x = 7)
+    from mcduality import primal
+    walked, searches = [], []
+    real_walk, real_search = primal.walk, pricing._search
+
+    def walk(fill, out, thr):
+        walked.append(thr)
+        return real_walk(fill, out, thr)
+
+    def search(pair, x, family, bundle, claim, budget, gains):
+        start = len(walked)
+        opt = real_search(pair, x, family, bundle, claim, budget, gains)
+        searches.append((claim is not None, set(walked[start:])))
+        return opt
+
+    monkeypatch.setattr(primal, "walk", walk)
+    monkeypatch.setattr(pricing, "_search", search)
+    res = _small_sweep(x=x, paths=200, rho_values=[0.3])
+    rows = []       # per row: (claim searches' thresholds, claim-free ones)
+    for with_claim, thresholds in searches:
+        if with_claim and (not rows or rows[-1][1]):
+            rows.append(([], []))
+        rows[-1][0 if with_claim else 1].append(thresholds)
+    assert [r.headline_constrained for r in res.rows] == [False, True]
+    family_thr = -6.0 - primal.FLOOR_SLACK
+    assert [claim_side for claim_side, _ in rows] == [
+        [{family_thr}, {max(family_thr, -x)}]] * 2
+    for r, ((unc, con), free) in zip(res.rows, rows):
+        head = con if r.headline_constrained else unc
+        assert set().union(*free) == head
 
 
 def test_sweep_simulates_each_rows_bundle_when_it_runs(monkeypatch):
@@ -245,10 +282,11 @@ def test_sweep_simulates_each_rows_bundle_when_it_runs(monkeypatch):
     for r in res.rows:
         bundle = real(BASE_PARAMS.with_rho(r.rho), TimeGrid(1.0, 12), 600,
                       stream)
-        u_opt = optimize_primal(
-            POWER, 0.75, _sweep_family(bundle, kwargs["claim"]), bundle,
-            claim=kwargs["claim"], constrained=r.headline_constrained,
-            budget=8)
+        fam = _sweep_family(bundle, kwargs["claim"])
+        if r.headline_constrained:
+            fam = with_claim_floor(fam, 0.75, kwargs["claim"])
+        u_opt = optimize_primal(POWER, 0.75, fam, bundle,
+                                claim=kwargs["claim"], budget=8)
         head = r.u_constrained if r.headline_constrained \
             else r.u_unconstrained
         assert np.array_equal(u_opt.theta, head.theta)

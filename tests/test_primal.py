@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcduality import primal, search
@@ -21,7 +21,7 @@ from mcduality.primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
                               PrimalResult, enforce_admissibility,
                               features_for, hedge_residual, lsmc_hedge,
                               optimize_primal, primal_bound, wealth_process,
-                              _smoothed_delta)
+                              with_claim_floor, _smoothed_delta)
 from mcduality.rng import RandomStream
 from mcduality.stopping import walk
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
@@ -115,18 +115,56 @@ def test_enforcement_stops_at_first_crossing(flat_market):
                           running_min[stopped, -1])
 
 
-def test_enforcement_rejects_nonnegative_threshold(flat_market):
+def test_enforcement_rejects_nonnegative_threshold():
+    # the claim floor needs x + phi_min >= FLOOR_SLACK: at 0 it would sit at
+    # the starting wealth, and in the sliver (0, FLOOR_SLACK) the family's
+    # floor would be negative
     fam = ConstantFamily(floor=1.0)
-    with pytest.raises(ValueError):
-        enforce_admissibility(fam, [1.0], flat_market, x=0.0,
-                              constrained=True, phi_min=0.0)
+    for x, c in ((0.0, 0.0), (1.0, -1.0), (0.5e-9, 0.0), (0.75, -1.0)):
+        with pytest.raises(ValueError, match="need x \\+ phi_min >= 1e-09"):
+            with_claim_floor(fam, x, constant_claim(c))
+    edge = with_claim_floor(fam, primal.FLOOR_SLACK, constant_claim(0.0))
+    assert edge.floor == 0.0
+    assert -edge.floor - primal.FLOOR_SLACK == -primal.FLOOR_SLACK
+
+
+#: ``x + phi_min`` in ``[2**-29 + FLOOR_SLACK, 2**-28)``: there ``f + 1e-9``
+#: lands halfway between two doubles for every double ``f`` near ``a -
+#: 1e-9``, so a value of ``a`` with an odd last bit is no ``f + 1e-9``
+_UNREPRESENTABLE = (2.0**-29 + 1e-9, 2.0**-28)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.floats(0.0, 1e6), phi_min=st.floats(-1e6, 1e6),
+       k=st.floats(0.0, 1e6))
+@example(x=3.53294712e-09, phi_min=0.0, k=6.0)
+@example(x=7.0, phi_min=0.0, k=6.0)
+def test_claim_floor_threshold_is_the_larger_floor(x, phi_min, k):
+    # the claimed family's one floor rule, -floor - FLOOR_SLACK, is the
+    # larger of the family's floor and the claim problem's -x - phi_min
+    fam, claim = ConstantFamily(floor=k), constant_claim(phi_min)
+    a = x + phi_min
+    if not a >= primal.FLOOR_SLACK:
+        with pytest.raises(ValueError):
+            with_claim_floor(fam, x, claim)
+        return
+    floor = with_claim_floor(fam, x, claim).floor
+    thr = -floor - primal.FLOOR_SLACK
+    want = max(-k - primal.FLOOR_SLACK, -x - phi_min)
+    lo, hi = _UNREPRESENTABLE
+    if thr != want:
+        # the one counterexample: one unit in the last place, and no
+        # neighbour of the floor gives -a either
+        assert lo <= a < hi and abs(thr - want) == math.ulp(a)
+        for f in (np.nextafter(floor, -1.0), np.nextafter(floor, 1.0)):
+            assert -f - primal.FLOOR_SLACK != -a
 
 
 def test_constrained_floor_tighter(flat_market):
     fam = ConstantFamily(floor=8.0)
     unc = enforce_admissibility(fam, [5.0], flat_market)
-    con = enforce_admissibility(fam, [5.0], flat_market, x=1.5,
-                                constrained=True, phi_min=0.0)
+    con = enforce_admissibility(
+        with_claim_floor(fam, 1.5, constant_claim(0.0)), [5.0], flat_market)
     assert con.threshold == -1.5
     assert con.stopped_fraction >= unc.stopped_fraction
     # pre-stop nodes respect the tighter floor; only crossing nodes dip below
@@ -680,6 +718,8 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     thr = -fam.floor - primal.FLOOR_SLACK
     if constrained:
         thr = max(thr, -x - phi_min)
+        fam = with_claim_floor(fam, x, claim if with_claim
+                               else constant_claim(0.0))
     gains = primal._component_gains(fam, flat_market)
 
     def reference_bound(theta):
@@ -701,14 +741,11 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
         _, xt, kernel_crossed = walk(gains.fill_at(theta), gains.path, thr)
         assert np.array_equal(xt, stopped[:, -1])
         assert np.array_equal(kernel_crossed, crossed)
-        enforced = enforce_admissibility(fam, theta, flat_market, x=x,
-                                         constrained=constrained,
-                                         phi_min=phi_min)
+        enforced = enforce_admissibility(fam, theta, flat_market)
         assert enforced.threshold == thr
         assert np.array_equal(enforced.wealth, stopped)
         assert enforced.stopped_fraction == float(crossed.mean())
-        bound = primal_bound(pair, x, fam, theta, flat_market, claim=c,
-                             constrained=constrained)
+        bound = primal_bound(pair, x, fam, theta, flat_market, claim=c)
         assert bound == reference_bound(theta)
         stopped_any |= bool(crossed.any())
         violated_any |= bound.violations > 0
@@ -716,8 +753,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     assert stopped_any
     assert violated_any or constrained
     # the search reports the reference bound at the point it chose
-    opt = optimize_primal(pair, x, fam, flat_market, claim=c,
-                          constrained=constrained, budget=12)
+    opt = optimize_primal(pair, x, fam, flat_market, claim=c, budget=12)
     assert opt.result == reference_bound(opt.theta)
 
 
@@ -735,8 +771,7 @@ def test_evaluation_allocates_no_gains_array():
                          lin_bounds=(-1.0, 1.0))
     pair = ConjugatePair(UtilitySpec.power(0.5))
     gains = primal._component_gains(fam, market)
-    evaluate = primal._evaluation(pair, 6.0, fam, market, None, False,
-                                  gains, 2)
+    evaluate = primal._evaluation(pair, 6.0, fam, market, None, gains, 2)
     theta = np.array([0.1, 2.0, 0.1])
     first = evaluate(theta)
     assert 0.0 < first.stopped_fraction < 0.1
@@ -856,8 +891,8 @@ def _counting_walks(monkeypatch) -> list:
 def test_memo_hit_is_fresh_walk(flat_market, memo_case, monkeypatch):
     pair, fam = memo_case
     gains = primal._component_gains(fam, flat_market)
-    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, False,
-                                  gains, 4)
+    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, gains,
+                                  4)
     walks = _counting_walks(monkeypatch)
     theta = np.array([0.3, 1.5, -0.5])
     first = evaluate(theta)
@@ -879,8 +914,8 @@ def test_memo_holds_claim_free_walks_only(flat_market, memo_case,
     pair, fam = memo_case
     gains = primal._component_gains(fam, flat_market)
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, claim, False,
-                                  gains, 4)
+    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, claim, gains,
+                                  4)
     walks = _counting_walks(monkeypatch)
     theta = np.array([0.3, 1.5, -0.5])
     assert evaluate(theta) == evaluate(theta)
@@ -899,19 +934,18 @@ def test_memo_never_shared_across_gains_or_thresholds(memo_case,
     gains = [primal._component_gains(fam, m) for m in markets]
     walks = _counting_walks(monkeypatch)
     for g, m in zip(gains, markets):
-        evaluate = primal._evaluation(pair, 4.5, fam, m, None, False, g, 4)
+        evaluate = primal._evaluation(pair, 4.5, fam, m, None, g, 4)
         assert evaluate(theta) == primal_bound(pair, 4.5, fam, theta, m)
     assert len(walks) == 2 + 2
     assert [len(g.walks) for g in gains] == [1, 1]
-    # two thresholds on one gains: a lower floor, and a constrained capital
+    # two thresholds on one gains: a lower floor, and a claim floor
     shared = gains[0]
-    for floor, x, constrained in ((4.0, 4.5, False), (1.0, 4.5, False),
-                                  (4.0, 0.5, True)):
-        other = dataclasses.replace(fam, floor=floor)
+    for other, x in ((fam, 4.5), (dataclasses.replace(fam, floor=1.0), 4.5),
+                     (with_claim_floor(fam, 0.5, constant_claim(0.0)), 0.5)):
         evaluate = primal._evaluation(pair, x, other, markets[0], None,
-                                      constrained, shared, 4)
-        assert evaluate(theta) == primal_bound(
-            pair, x, other, theta, markets[0], constrained=constrained)
+                                      shared, 4)
+        assert evaluate(theta) == primal_bound(pair, x, other, theta,
+                                               markets[0])
     assert len(shared.walks) == 3
     assert len({thr for _, thr in shared.walks}) == 3
 
@@ -922,8 +956,8 @@ def test_memo_is_bounded_and_evicts_least_recently_used(flat_market,
     pair, fam = memo_case
     gains = primal._component_gains(fam, flat_market)
     kept = 9
-    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, False,
-                                  gains, kept)
+    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, gains,
+                                  kept)
     thetas = [np.array([0.3, 1.5, -0.5 + 0.01 * k]) for k in range(kept + 6)]
     results = [evaluate(t) for t in thetas[:kept]]
     assert len(gains.walks) == kept
@@ -965,8 +999,8 @@ def test_search_memo_keeps_the_search_before(flat_market, memo_case,
     before = set()
     for capital, want in zip(capitals, fresh):
         points.clear()
-        opt = primal._search(pair, capital, fam, flat_market, None, False,
-                             budget, gains)
+        opt = primal._search(pair, capital, fam, flat_market, None, budget,
+                             gains)
         assert np.array_equal(opt.theta, want.theta)
         assert (opt.result, opt.evaluations) == (want.result,
                                                  want.evaluations)

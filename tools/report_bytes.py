@@ -33,6 +33,10 @@ CONFIGS = {
                          "sweep": {"rho_values": [0.4, 0.0, 0.1]}}, 400, 12),
     "sweep-exponential": ({"version": 1, "kind": "sweep",
                            "utility": {"kind": "exponential"}}, 400, 12),
+    # the claim floor x + phi_min = 0.25 with phi_min != 0
+    "sweep-constant-claim": ({"version": 1, "kind": "sweep",
+                              "claim": {"kind": "constant", "c": -0.5}},
+                             400, 12),
     "degenerate": ({"version": 1, "kind": "degenerate"}, 400, 16),
     "kw-nondegenerate": ({"version": 1, "kind": "kw"}, 600, 32),
     "kw-degenerate": ({"version": 1, "kind": "kw",
