@@ -35,8 +35,9 @@ from .estimates import Estimate, combined_se, mc_estimate
 from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
                      general_member, simulate_general_market,
                      simulate_heston_market)
-from .primal import (HedgeMixFamily, PrimalOpt, PrimalResult,
-                     _component_gains, _search, driver_levels, lsmc_hedge,
+from .primal import (ConstantFamily, HedgeMixFamily, PrimalOpt,
+                     PrimalResult, _component_gains, _search,
+                     _smoothed_delta, driver_levels, lsmc_hedge,
                      optimize_primal, with_claim_floor)
 from .rng import RandomStream
 from .utility import ClaimSpec, ConjugatePair, UtilitySpec, digital_claim
@@ -253,8 +254,12 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
     share no state.  The streams are counter-based, so every row sees the
     same drivers; with today's density, a function of ``(B, V)`` alone,
     every row's cap equals the ``rho = 0`` row's.  A ``rho = 0`` row is added
-    first when ``rho_values`` has none.
+    first when ``rho_values`` has none.  ``x + phi_min < FLOOR_SLACK`` raises
+    ``with_claim_floor``'s ``ValueError`` before any row runs.
     """
+    # the claim floor's rule reads x and the claim alone, so a negative
+    # floor is refused before any row simulates
+    with_claim_floor(ConstantFamily(), x, claim)
     rho_values = [float(r) for r in rho_values]
     if 0.0 not in rho_values:
         rho_values = [0.0] + rho_values
@@ -366,8 +371,10 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
 
     The driver is drawn once, with the first member; every later member's
     price is formed on the same read-only levels
-    (``market.general_member``), and each member fits and searches its own
-    hedge.  The indices ``n_values`` must be finite and positive.
+    (``market.general_member``).  The claim's delta is a function of those
+    levels and the grid alone, so it is computed once and every member fits
+    and searches its own hedge on it.  The indices ``n_values`` must be
+    finite and positive.
     """
     n_values = list(n_values)
     if not n_values or not all(0.0 < float(n) < math.inf for n in n_values):
@@ -378,12 +385,16 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
     pair = ConjugatePair(UtilitySpec.exponential(alpha))
     claim = digital_claim(level=1.0, at=0.0)
     coeffs = degenerate_coeffs()
-    rows, gp = [], None
+    rows, gp, delta = [], None, None
     for n in n_values:
-        gp = (simulate_general_market(coeffs, n, grid, paths,
-                                      RandomStream(seed), workers)
-              if gp is None else general_member(coeffs, n, gp.times, gp.b))
-        hedge = lsmc_hedge(claim, gp, buckets=buckets, degree=degree)
+        if gp is None:
+            gp = simulate_general_market(coeffs, n, grid, paths,
+                                         RandomStream(seed), workers)
+            delta = _smoothed_delta(claim, gp)
+        else:
+            gp = general_member(coeffs, n, gp.times, gp.b)
+        hedge = lsmc_hedge(claim, gp, buckets=buckets, degree=degree,
+                           delta=delta)
         family = HedgeMixFamily(hedge=hedge.strategy,
                                 scale_bounds=(-1.4, -0.6),
                                 const_bounds=(-0.3, 0.3), floor=50.0,

@@ -23,12 +23,19 @@ value of the corresponding problem, reported with a standard error.  For
 half-line utilities any path ending outside the domain makes the estimate
 ``-inf``; the number of such paths is reported as the violation count.
 ``primal_bound`` and every evaluation of ``optimize_primal`` are one
-function: the family forms its gains increments a chunk of steps at a time,
-and :func:`~mcduality.stopping.walk`, which the dual shares, sums them into
-one buffer per search and stops them at the floor; an evaluation reads
-terminal values only.  ``optimize_primal`` hands the negated mean and the
-family's bounds to :func:`~mcduality.search.minimize`, the bounded
-Nelder-Mead search that the dual uses too.
+function, which reads terminal values only.  Once per family and bundle,
+each component's gains ``G_k = cumsum(C_k dS)`` are summed and kept as the
+``(paths, K)`` terminal gains ``G_k(T)`` and their per-path ranges.  Where
+the cap cannot bind, ``X_t = sum_k theta_k G_k(t)``, and a per-path screen
+on the ranges can prove that no path reaches the floor; such an evaluation
+reads ``X_T = sum_k theta_k G_k(T)``, with nothing stopped.  Every other
+evaluation (the cap may bind, or some path may reach the floor) walks: the
+family forms its gains increments a chunk of steps at a time, and
+:func:`~mcduality.stopping.walk`, which the dual shares, sums them into one
+buffer per search and stops them at the floor.  ``optimize_primal`` hands
+the negated mean and the family's bounds to
+:func:`~mcduality.search.minimize`, the bounded Nelder-Mead search that the
+dual uses too.
 
 The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
@@ -400,13 +407,19 @@ class _Gains:
 
     fill_at: object             # theta -> the walk's fill
     path: np.ndarray            # (steps+1, paths) buffer from X_0 = 0
+    terminal_at: object         # (theta, threshold) -> X_T, or None: walk
     # (theta bytes, threshold) -> (read-only X_T at the stop, stopped
-    # fraction) of the most recently used claim-free walks
+    # fraction) of the most recently used claim-free evaluations
     walks: OrderedDict = field(default_factory=OrderedDict)
 
 
+#: the unit roundoff ``u`` and the smallest subnormal ``eta`` of float64, in
+#: the terminal-gains screen's margin (see :func:`_component_gains`)
+_U, _ETA = 2.0 ** -53, 2.0 ** -1074
+
+
 def _component_gains(family, bundle) -> _Gains:
-    """The family's gains walk on ``bundle``.
+    """The family's gains walk on ``bundle``, and its terminal gains.
 
     ``path`` is the ``(steps+1, paths)`` buffer, from ``X_0 = 0``, that
     :func:`~mcduality.stopping.walk` sums the gains into; ``fill_at(theta)``
@@ -416,11 +429,40 @@ def _component_gains(family, bundle) -> _Gains:
     are added in component order; ``0.0`` is added once when no non-zero
     scalar term is live, which turns a sum of ``-0.0`` terms into ``+0.0``
     exactly as summing from a zeroed row does.  The clip is skipped when
-    ``sum_k |theta_k| max|C_k|`` lies below ``max_holding (1 - 1e-9)``: no
-    entry can then reach the cap, and a NaN bound keeps the clip.  The
-    component holdings are computed once and kept time-major with their
-    largest magnitudes, and the buffer and a chunk of scratch are allocated
-    once, so an evaluation allocates nothing of size ``paths x steps``.
+    the bound ``b = sum_k |theta_k| max|C_k|`` lies below ``max_holding (1
+    - 1e-9)``: no entry can then reach the cap, and a NaN bound keeps the
+    clip.  The component holdings are computed once and kept time-major
+    with their largest magnitudes, and the buffer and a chunk of scratch
+    are allocated once, so an evaluation allocates nothing of size ``paths
+    x steps``.
+
+    *Terminal gains.*  Below the cap the gains are linear in ``theta``:
+    ``X_t = sum_k theta_k G_k(t)`` with ``G_k = cumsum(C_k dS)`` from
+    ``G_k(0) = 0``.  Each component's ``G_k`` is summed once, in ``path``
+    (which the walks overwrite), and kept as three per-path vectors: its
+    terminal value ``G_k(T)`` and its range ``[min_t G_k, max_t G_k]``.
+    ``terminal_at(theta, thr)`` returns ``X_T = sum_k theta_k G_k(T)``,
+    summed from zero in component order, when ``b`` is below the cap and
+    every path's lower bound ``L = sum_k min(theta_k min G_k, theta_k max
+    G_k) <= min_t X_t`` satisfies ``L - margin >= thr``; otherwise None, and
+    the caller walks.
+
+    *The margin.*  Take ``n`` steps, ``K`` components, ``S = max_paths
+    sum_t |dS_t|`` and ``w = sum_k |theta_k|``; every path has ``sum_t
+    sum_k |theta_k C_k dS_t| <= b S``.  Each term on either route is rounded at
+    most ``r = n + K + 1`` times: the walk rounds ``K`` products and sums
+    into the holding, one product with ``dS`` and the sums down the path;
+    the terminal gains round one product with ``dS``, the sums down the
+    path, one product with ``theta_k`` and ``K`` sums.  So each route's
+    ``X_t``, and ``L``, is within ``g b S`` of its exact value, ``g = r u /
+    (1 - r u)``.  A product that underflows adds at most ``eta / 2``
+    instead; the two routes together hold fewer than ``r (1 + S) (1 + w)``
+    such errors per path.  Both together are ``e``, and ``L - e >= thr``
+    proves that the walk crosses at no node; the routes' ``X_T`` differ by
+    at most ``e`` too.  The margin is ``4 r (u b S + eta (1 + S) (1 + w))``,
+    at least twice ``e`` while ``r u`` is small, which also covers the
+    rounding of ``b``, ``S``, the margin itself and the subtraction.  A NaN
+    anywhere fails the test and walks.
 
     ``walks`` is the memo of :func:`_evaluation`'s claim-free walks on these
     gains, least recently used evicted first.  It belongs to this object
@@ -432,16 +474,46 @@ def _component_gains(family, bundle) -> _Gains:
     ds = np.diff(bundle.s, axis=1).T.copy()
     steps, paths = ds.shape
     path = np.zeros((steps + 1, paths))
+    after = path[1:]
+    np.abs(ds, out=after)
+    variation = float(path.sum(axis=0).max())
+    ends = []                   # per component: G_k(T), min G_k, max G_k
+    for c in comps:
+        np.multiply(c, ds, out=after)
+        np.cumsum(after, axis=0, out=after)
+        ends.append((path[-1].copy(), path.min(axis=0), path.max(axis=0)))
+    rounds = steps + len(comps) + 1
     term = np.empty((min(chunk_steps(paths), steps), paths))
     cap = family.max_holding
+    unclipped = cap * (1.0 - 1e-9)     # a bound below it never reaches cap
+
+    def bound_at(theta) -> float:
+        return sum(abs(w) * m for w, m in zip(theta, sizes) if w != 0.0)
+
+    def terminal_at(theta, thr):
+        bound = bound_at(theta)
+        if not bound < unclipped:
+            return None
+        live = [(w, e) for w, e in zip(theta, ends) if w != 0.0]
+        low = np.zeros(paths)
+        for w, (_, lo, hi) in live:
+            low += w * (lo if w > 0.0 else hi)
+        weight = sum(abs(w) for w, _ in live)
+        margin = 4.0 * rounds * (_U * bound * variation + (1.0 + variation)
+                                 * (1.0 + weight) * _ETA)
+        if not low.min() - margin >= thr:
+            return None
+        xt = np.zeros(paths)
+        for w, (end, _, _) in live:
+            xt += w * end
+        return xt
 
     def fill_at(theta):
         live = [(w, c) for w, c in zip(theta, comps) if w != 0.0]
         # an all-zero theta fills zeros
         (w0, c0), *rest = live or [(0.0, np.zeros(()))]
         signed_zero = not any(c.ndim == 0 and w * c != 0.0 for w, c in live)
-        bound = sum(abs(w) * m for w, m in zip(theta, sizes) if w != 0.0)
-        clip = not bound < cap * (1.0 - 1e-9)
+        clip = not bound_at(theta) < unclipped
 
         def fill(k0, k1, rows):
             if c0.ndim:
@@ -459,7 +531,7 @@ def _component_gains(family, bundle) -> _Gains:
 
         return fill
 
-    return _Gains(fill_at, path)
+    return _Gains(fill_at, path, terminal_at)
 
 
 def wealth_process(family, theta, bundle) -> np.ndarray:
@@ -514,9 +586,10 @@ def _evaluation(pair: ConjugatePair, x: float, family, bundle,
     """``theta -> primal_bound(pair, x, family, theta, bundle, claim)`` on
     the family's ``_component_gains``.
 
-    Without a claim, a walk is looked up in the gains' memo before it is
-    done, and the memo is then trimmed to the ``kept`` most recently used
-    walks.
+    ``X_T`` comes from the terminal gains when the screen proves that no
+    path reaches the floor (nothing is then stopped), else from a walk.
+    Without a claim, ``X_T`` is looked up in the gains' memo before either,
+    and the memo is then trimmed to the ``kept`` most recently used values.
     """
     thr = -family.floor - FLOOR_SLACK
     f = None if claim is None else np.asarray(
@@ -529,8 +602,10 @@ def _evaluation(pair: ConjugatePair, x: float, family, bundle,
             walks.move_to_end(key)
             xt, stopped = walks[key]
         else:
-            _, xt, crossed = walk(gains.fill_at(theta), gains.path, thr)
-            stopped = float(crossed.mean())
+            xt, stopped = gains.terminal_at(theta, thr), 0.0
+            if xt is None:
+                _, xt, crossed = walk(gains.fill_at(theta), gains.path, thr)
+                stopped = float(crossed.mean())
             if f is None:
                 xt.flags.writeable = False
                 walks[key] = xt, stopped
@@ -578,7 +653,8 @@ class HedgeResult:
 
 
 def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8,
-               degree: int = 2) -> HedgeResult:
+               degree: int = 2, *, delta: np.ndarray | None = None
+               ) -> HedgeResult:
     """Least-squares hedge of ``f = phi(B_T)`` by bucketed basis strategies.
 
     Regresses the terminal claim on the gains of every (bucket, feature)
@@ -587,7 +663,10 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8,
     the intercept is the implied price.  Deterministic given the bundle.
     The basis holds the claim's smoothed delta (:func:`features_for`), which
     is what lets sharp payoffs replicate to their discretization floor; the
-    strategy carries that delta for its holdings on this bundle.
+    strategy carries that delta for its holdings on this bundle.  A caller
+    fitting several hedges of ``claim`` on one driver array and time grid
+    passes the delta it computed for them as ``delta``; otherwise it is
+    computed here.
     """
     feats = features_for(degree, variance_levels(bundle) is not None)
     steps = bundle.times.size - 1
@@ -596,7 +675,8 @@ def lsmc_hedge(claim: ClaimSpec, bundle, buckets: int = 8,
     edges = np.linspace(0, steps, buckets + 1).astype(int)
     ds = np.diff(bundle.s, axis=1)
     f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
-    delta = _smoothed_delta(claim, bundle)
+    if delta is None:
+        delta = _smoothed_delta(claim, bundle)
 
     ncols = 1 + buckets * len(feats)
     design = np.empty((bundle.paths, ncols))

@@ -1,5 +1,6 @@
 """Indifference prices, the correlation sweep and the shrinking-market family."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -215,17 +216,23 @@ def test_shared_walks_never_reach_a_price(bundle_rho03, monkeypatch):
 
 @pytest.mark.parametrize("x", [0.75, 7.0])
 def test_price_sides_stop_at_the_claim_sides_floor(monkeypatch, x):
-    # each row's claim-free searches walk at the threshold of the claim
+    # each row's claim-free searches evaluate at the threshold of the claim
     # search the price is made from: at rho = 0 the family's -6 - 1e-9, at
     # rho = 0.3 the claim problem's -x - phi_min, or the family's floor when
-    # that is lower (x = 7)
+    # that is lower (x = 7).  Every evaluation that is not a memo hit asks
+    # the row's gains for X_T at its threshold before it walks
     from mcduality import primal
     walked, searches = [], []
-    real_walk, real_search = primal.walk, pricing._search
+    real_gains, real_search = pricing._component_gains, pricing._search
 
-    def walk(fill, out, thr):
-        walked.append(thr)
-        return real_walk(fill, out, thr)
+    def component_gains(family, bundle):
+        gains = real_gains(family, bundle)
+
+        def terminal_at(theta, thr):
+            walked.append(thr)
+            return gains.terminal_at(theta, thr)
+
+        return dataclasses.replace(gains, terminal_at=terminal_at)
 
     def search(pair, x, family, bundle, claim, budget, gains):
         start = len(walked)
@@ -233,7 +240,7 @@ def test_price_sides_stop_at_the_claim_sides_floor(monkeypatch, x):
         searches.append((claim is not None, set(walked[start:])))
         return opt
 
-    monkeypatch.setattr(primal, "walk", walk)
+    monkeypatch.setattr(pricing, "_component_gains", component_gains)
     monkeypatch.setattr(pricing, "_search", search)
     res = _small_sweep(x=x, paths=200, rho_values=[0.3])
     rows = []       # per row: (claim searches' thresholds, claim-free ones)
@@ -248,6 +255,25 @@ def test_price_sides_stop_at_the_claim_sides_floor(monkeypatch, x):
     for r, ((unc, con), free) in zip(res.rows, rows):
         head = con if r.headline_constrained else unc
         assert set().union(*free) == head
+
+
+@pytest.mark.parametrize("x, c", [(0.75, -1.0), (0.5, -0.5),
+                                  (0.75, -0.75 + 5e-10)])
+def test_sweep_refuses_a_negative_claim_floor_before_any_row(monkeypatch,
+                                                             x, c):
+    # x + phi_min below 1e-9 is refused with with_claim_floor's message
+    # before any row simulates its bundle
+    simulated = []
+    real = pricing.simulate_heston_market
+
+    def recorded(*args, **kwargs):
+        simulated.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "simulate_heston_market", recorded)
+    with pytest.raises(ValueError, match="effective wealth floor"):
+        _small_sweep(x=x, claim=constant_claim(c))
+    assert simulated == []
 
 
 def test_sweep_simulates_each_rows_bundle_when_it_runs(monkeypatch):
@@ -357,7 +383,9 @@ def test_row_cap_keeps_the_first_of_tied_minima(monkeypatch):
 
 def test_claim_delta_computed_once_per_row(monkeypatch):
     # each row's hedge fit computes the claim's delta and its strategy
-    # carries it to every search and bisection on the row's bundle
+    # carries it to every search and bisection on the row's bundle; the
+    # shrinking-volatility members share one driver array and grid, so one
+    # delta serves every member's fit
     from mcduality import primal
     calls = []
     real = primal._smoothed_delta
@@ -367,6 +395,7 @@ def test_claim_delta_computed_once_per_row(monkeypatch):
         return real(claim, bundle)
 
     monkeypatch.setattr(primal, "_smoothed_delta", counted)
+    monkeypatch.setattr(pricing, "_smoothed_delta", counted)
     res = rho_sweep(pair=POWER, x=0.75, claim=logistic_claim(rate=-2.0,
                                                              scale=2.0),
                     params=BASE_PARAMS, grid=TimeGrid(1.0, 12), paths=600,
@@ -376,7 +405,7 @@ def test_claim_delta_computed_once_per_row(monkeypatch):
     calls.clear()
     res = degenerate_example(n_values=[1, 4], grid=TimeGrid(1.0, 12),
                              paths=300, seed=7, buckets=3, budget=8)
-    assert len(res.rows) == 2 and len(calls) == 2
+    assert len(res.rows) == 2 and len(calls) == 1
 
 
 def test_degenerate_limit_bound_reads_a_finite_member(monkeypatch):

@@ -693,6 +693,39 @@ def _reference(fam, comps, theta, bundle, thr):
     return raw, stopped, crossed
 
 
+def _screen(comps, theta, bundle):
+    """From first principles: the holding bound ``b = sum_k |theta_k|
+    max|C_k|``, the documented margin ``4 r (u b S + eta (1 + S) (1 + w))``
+    with ``r = n + K + 1``, ``S = max_paths sum_t |dS_t|`` and ``w =
+    sum_k |theta_k|``, each path's lower bound ``L`` on ``min_t X_t`` from
+    the ranges of ``G_k = np.cumsum(C_k dS)`` with ``G_k(0) = 0``, and
+    ``sum_k theta_k G_k(T)``, summed from zero in component order."""
+    ds = np.diff(bundle.s, axis=1)
+    bound = sum(abs(w) * np.abs(c).max() for w, c in zip(theta, comps)
+                if w != 0.0)
+    s = float(np.abs(ds).sum(axis=1).max())
+    margin = 4.0 * (ds.shape[1] + len(comps) + 1) * (
+        2.0 ** -53 * bound * s
+        + (1.0 + s) * (1.0 + float(np.abs(theta).sum())) * 2.0 ** -1074)
+    low, xt = np.zeros(bundle.paths), np.zeros(bundle.paths)
+    for w, c in zip(theta, comps):
+        if w != 0.0:
+            g = np.cumsum(c * ds, axis=1)
+            low += np.minimum(w * np.minimum(g.min(axis=1), 0.0),
+                              w * np.maximum(g.max(axis=1), 0.0))
+            xt += w * g[:, -1]
+    return bound, margin, low, xt
+
+
+def _linear_terminal(fam, comps, theta, bundle, thr):
+    """``sum_k theta_k G_k(T)`` when the cap cannot bind and every path
+    clears the screen of :func:`primal._component_gains`, else None."""
+    bound, margin, low, xt = _screen(comps, theta, bundle)
+    if bound < fam.max_holding * (1.0 - 1e-9) and low.min() - margin >= thr:
+        return xt
+    return None
+
+
 @pytest.mark.parametrize("kind", ["constant", "hedge", "hedge_lin"])
 @pytest.mark.parametrize("constrained", [False, True])
 @pytest.mark.parametrize("with_claim", [False, True])
@@ -723,9 +756,14 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     gains = primal._component_gains(fam, flat_market)
 
     def reference_bound(theta):
+        # the terminal gains' sum where no path can reach the floor, else
+        # the walk's stopped value
         raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
                                            thr)
-        w = x + stopped[:, -1] if f is None else (x + f) + stopped[:, -1]
+        xt = _linear_terminal(fam, comps, theta, flat_market, thr)
+        if xt is None:
+            xt = stopped[:, -1]
+        w = x + xt if f is None else (x + f) + xt
         samples = np.asarray(pair.utility.u(w), dtype=float)
         return PrimalResult(estimate=mc_estimate(samples),
                             violations=int(np.sum(w < 0.0)),
@@ -755,6 +793,71 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
     # the search reports the reference bound at the point it chose
     opt = optimize_primal(pair, x, fam, flat_market, claim=c, budget=12)
     assert opt.result == reference_bound(opt.theta)
+
+
+@pytest.fixture(scope="module")
+def screen_families(flat_market):
+    """kind -> (family with floor 0 and cap 100, its components as
+    ``(paths, steps)`` arrays)."""
+    hedge = lsmc_hedge(logistic_claim(rate=-2.0, scale=2.0), flat_market,
+                       buckets=4).strategy
+    ones = np.ones((flat_market.paths, flat_market.times.size - 1))
+    held = hedge.holdings(flat_market)
+    rule = {"floor": 0.0, "max_holding": 100.0}
+    return {
+        "constant": (ConstantFamily(lo=-5.0, hi=5.0, **rule), [ones]),
+        "hedge": (HedgeMixFamily(hedge=hedge, **rule), [held, ones]),
+        "hedge_lin": (HedgeMixFamily(hedge=hedge, lin_bounds=(-1.0, 1.0),
+                                     **rule),
+                      [held, ones, flat_market.b[:, :-1, 0]]),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["constant", "hedge",
+                                             "hedge_lin"]),
+       anchor=st.sampled_from(["screen", "walk"]),
+       shift=st.floats(-4.0, 4.0),
+       cap_factor=st.none() | st.floats(0.25, 1.0))
+def test_terminal_gains_only_where_no_path_stops(flat_market,
+                                                 screen_families, data,
+                                                 kind, anchor, shift,
+                                                 cap_factor):
+    # the floor sits within a few margins of the screen's lower bound L or
+    # of the lowest node the walk reaches, so both routes and the edge
+    # between them are drawn; a cap at or below the holding bound may bind
+    fam, comps = screen_families[kind]
+    theta = np.array([data.draw(st.floats(lo, hi), label=f"theta_{k}")
+                      for k, (lo, hi) in enumerate(fam.bounds)])
+    bound, margin, low, xt_ref = _screen(comps, theta, flat_market)
+    if cap_factor is not None and bound > 0.0:
+        fam = dataclasses.replace(fam, max_holding=bound * cap_factor)
+    gains = primal._component_gains(fam, flat_market)
+    walk(gains.fill_at(theta), gains.path, -math.inf)
+    near = low.min() if anchor == "screen" else float(gains.path.min())
+    fam = dataclasses.replace(
+        fam, floor=max(0.0, -(near + shift * margin) - primal.FLOOR_SLACK))
+    thr = -fam.floor - primal.FLOOR_SLACK
+    xt = gains.terminal_at(theta, thr)
+    _, walked, crossed = walk(gains.fill_at(theta), gains.path, thr)
+    capped = not bound < fam.max_holding * (1.0 - 1e-9)
+    if xt is not None:
+        # the walk crosses nowhere, and X_T agrees within the margin
+        assert not crossed.any()
+        assert np.all(np.abs(xt - walked) <= margin)
+        assert np.array_equal(xt, xt_ref)
+    elif not capped:
+        # the screen passes every floor a margin below its own bound
+        assert low.min() - 2.0 * margin < thr
+    if capped:
+        pair = ConjugatePair(UtilitySpec.exponential(1.0))
+        got = primal._evaluation(pair, 1.0, fam, flat_market, None, gains,
+                                 0)(theta)
+        samples = np.asarray(pair.utility.u(1.0 + walked), dtype=float)
+        assert xt is None
+        assert got == PrimalResult(estimate=mc_estimate(samples),
+                                   violations=0,
+                                   stopped_fraction=float(crossed.mean()))
 
 
 def test_evaluation_allocates_no_gains_array():

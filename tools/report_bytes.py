@@ -14,12 +14,20 @@ script prints one line per report file, ``same`` or ``DIFF`` and each
 checkout's sha256, and exits 1 if any file differs or is missing on one
 side, else 0.  A run that raises is recorded as its exception's name and
 counts as a difference.
+
+Under a ``DIFF`` table (``.csv``, or ``.dat`` with its column names on the
+last ``#`` line) of the same shape on both sides, one line per changed
+column gives the largest absolute change and the largest change relative
+to ``max(|a|, |b|)`` over its rows, or says that a text column changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,32 +57,39 @@ CONFIGS = {
     "oracle-check": ({"version": 1, "kind": "oracle-check"}, 2000, 32),
 }
 
+#: report files whose columns a ``DIFF`` line breaks down
+_TABLES = (".csv", ".dat")
+
 #: what the fresh interpreter runs: argv[1] is a JSON object of configs,
-#: and it prints a JSON object ``"name/file" -> sha256``
+#: and it prints a JSON object ``"name/file" -> [sha256, text of a table
+#: or None]``
 _CHILD = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
 from mcduality.experiments import run_experiment
 
-hashes = {}
+reports = {}
 with tempfile.TemporaryDirectory() as tmp:
     for name, (cfg, paths, steps) in json.loads(sys.argv[1]).items():
         out = Path(tmp) / name
         try:
             man = run_experiment(cfg, out, paths=paths, steps=steps)
         except Exception as exc:
-            hashes[name + "/*"] = "raised " + type(exc).__name__
+            reports[name + "/*"] = ["raised " + type(exc).__name__, None]
             continue
         for rec in man.outputs:
-            hashes[name + "/" + rec["file"]] = hashlib.sha256(
-                (out / rec["file"]).read_bytes()).hexdigest()
-print(json.dumps(hashes))
-"""
+            data = (out / rec["file"]).read_bytes()
+            reports[name + "/" + rec["file"]] = [
+                hashlib.sha256(data).hexdigest(),
+                data.decode() if rec["file"].endswith(%r) else None]
+print(json.dumps(reports))
+""" % (_TABLES,)
 
 
 def report_hashes(checkout: Path, configs: dict) -> dict:
-    """``"name/file" -> sha256`` of every report of ``configs`` run with the
-    package of ``checkout``."""
+    """``"name/file" -> (sha256, text or None)`` of every report of
+    ``configs`` run with the package of ``checkout``; the text is kept for
+    tables only."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as cwd:
@@ -83,7 +98,54 @@ def report_hashes(checkout: Path, configs: dict) -> dict:
                               capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: runs failed\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    return {key: tuple(rec) for key, rec in json.loads(proc.stdout).items()}
+
+
+def _table(key: str, text: str) -> list:
+    """A report table as its columns: ``[(name, cells), ...]``."""
+    if key.endswith(".csv"):
+        header, *rows = list(csv.reader(io.StringIO(text)))
+    else:
+        comments = [ln for ln in text.splitlines() if ln.startswith("#")]
+        header = comments[-1].lstrip("#").split()
+        rows = [ln.split() for ln in text.splitlines()
+                if ln.strip() and not ln.startswith("#")]
+    return [(name, [row[i] for row in rows])
+            for i, name in enumerate(header)]
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def column_changes(key: str, ref: str, new: str) -> list[str]:
+    """One line per column that differs between the two texts of table
+    ``key``: its largest absolute and relative change when every cell is a
+    number on both sides, else that its text changed."""
+    a, b = _table(key, ref), _table(key, new)
+    if [(n, len(c)) for n, c in a] != [(n, len(c)) for n, c in b]:
+        return ["     columns or row counts differ"]
+    lines = []
+    for (name, xs), (_, ys) in zip(a, b):
+        if xs == ys:
+            continue
+        pairs = [(_number(x), _number(y)) for x, y in zip(xs, ys)]
+        if any(x is None or y is None for x, y in pairs):
+            lines.append(f"     {name}: text changed")
+            continue
+        diff = [(abs(x - y), max(abs(x), abs(y))) for x, y in pairs
+                if not (x == y or (math.isnan(x) and math.isnan(y)))]
+        if not diff:
+            lines.append(f"     {name}: same numbers, other text")
+            continue
+        worst = max(d for d, _ in diff)
+        rel = max(d / m if m > 0 else math.inf for d, m in diff)
+        lines.append(f"     {name}: largest change {worst:.3g} absolute, "
+                     f"{rel:.3g} relative ({len(diff)} of {len(xs)} rows)")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -103,10 +165,14 @@ def main(argv=None) -> int:
     print(f"{'':4} {ref_label:64} {new_label:64} report")
     differ = 0
     for key in sorted(set(ref) | set(new)):
-        a, b = ref.get(key, "missing"), new.get(key, "missing")
+        (a, text_a), (b, text_b) = (ref.get(key, ("missing", None)),
+                                    new.get(key, ("missing", None)))
         same = a == b and not a.startswith(("missing", "raised"))
         differ += not same
         print(f"{'same' if same else 'DIFF'} {a:64} {b:64} {key}")
+        if not same and text_a is not None and text_b is not None:
+            for line in column_changes(key, text_a, text_b):
+                print(line)
     print(f"{len(ref | new) - differ} same, {differ} differ")
     return 1 if differ else 0
 
