@@ -19,13 +19,14 @@ at every node.  That is the first crossing of the negated sum below
 
 A candidate's capped exponential at the horizon depends on the bundle and
 the candidate alone, not on ``y`` or the claim, so it is shared per bundle:
-the bundle memoises the last ``steps + 1`` candidates' terminal values
-(:func:`_terminal_exponentials`), and the searches of a ``y`` grid, with
-and without a claim, walk each candidate they share once.  What a
-candidate does not choose -- ``dW_perp`` and the left-endpoint ``V`` and
-``B``, each a contiguous time-major copy, the log buffer and a few rows of
-scratch -- is built per search, at its first candidate not in the memo,
-and dropped with it.  A walk forms only the log increments: a chunk of
+the bundle memoises the last ``steps + 1`` candidates' terminal values,
+and the searches of a ``y`` grid, with and without a claim, walk each
+candidate they share once.  What a candidate does not choose --
+``dW_perp`` and the left-endpoint ``V`` and ``B``, each a contiguous
+time-major copy, the log buffer and a chunk of scratch rows -- is built per
+bundle, not per search: at the bundle's first perturbed evaluation, beside
+the memo, in one :class:`_BundleWalks` that lives as long as the bundle.
+A walk forms only the log increments: a chunk of
 steps at a time it forms ``nu`` in the scratch rows and writes the
 increments into their rows of the log buffer, and
 :func:`~mcduality.stopping.walk`, which the primal shares, sums and stops
@@ -84,7 +85,7 @@ class DualCandidate:
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 2 or c.shape[1] != 3:
             raise ValueError("coeffs must have shape (buckets, 3)")
-        if self.cap < 1.0:
+        if not self.cap >= 1.0:
             raise ValueError("cap must be >= 1 (the exponential starts at 1)")
         object.__setattr__(self, "coeffs", c)
 
@@ -110,27 +111,65 @@ class DualCandidate:
         return out
 
 
-def _perturbed_logs(bundle: PathBundle):
-    """``candidate ->`` (negated log of its capped exponential, read nodes).
+class _BundleWalks:
+    """The perturbed walks of one bundle: their inputs, buffers and memo.
 
-    The negated log is the running sum laid out ``(steps + 1, paths)`` from a
-    zero first row, in a buffer that the next call overwrites; each path is
-    read at the node before its first crossing, else at the last.  The
-    increments are the walk's fill (:func:`~mcduality.stopping.walk`), a
-    chunk of steps at a time, with the operations of a whole-array
-    evaluation in its order, so the bits do not depend on the chunking.
+    Built at the bundle's first perturbed evaluation and kept in
+    ``PathBundle._walks``, it holds what a candidate does not choose:
+    ``dW_perp`` and the left-endpoint ``V`` and ``B``, each laid out
+    time-major ``(steps, paths)``, and ``dt``; the ``(steps + 1, paths)``
+    log buffer and one chunk of scratch rows; and the memo, the terminal
+    capped exponentials of the ``steps + 1`` candidates walked most
+    recently, each a row of one ``(steps + 1, paths)`` slab, keyed by the
+    candidate's coefficients, bit for bit, and cap.  A new candidate takes
+    the next unused row, else the least recently used candidate's row.
+    Two threads must not walk one bundle at once.
     """
-    rho = bundle.params.rho
-    mix = math.sqrt(1.0 - rho**2)
-    dwp = np.ascontiguousarray(
-        (mix * bundle.increments("w") - rho * bundle.increments("b")).T)
-    v = np.ascontiguousarray(bundle.v[:, :-1].T)
-    b = np.ascontiguousarray(bundle.b[:, :-1].T)
-    steps, dt = dwp.shape[0], bundle.dt
-    scratch = np.empty((min(chunk_steps(dwp.shape[1]), steps), dwp.shape[1]))
-    logs = np.zeros((steps + 1, dwp.shape[1]))
 
-    def negated_logs(candidate: DualCandidate):
+    def __init__(self, bundle: PathBundle):
+        steps, paths, rho = bundle.steps, bundle.paths, bundle.params.rho
+        self.logs = np.zeros((steps + 1, paths))
+        # mix * diff(w) - rho * diff(b), an elementwise operation at a time,
+        # time-major from the levels; rho * diff(b) is formed in the log
+        # rows, which every walk overwrites
+        w, b = bundle.w.T, bundle.b.T
+        self.dwp = np.subtract(w[1:], w[:-1], order="C")
+        self.dwp *= math.sqrt(1.0 - rho**2)
+        db = np.subtract(b[1:], b[:-1], out=self.logs[1:])
+        db *= rho
+        self.dwp -= db
+        self.v = np.ascontiguousarray(bundle.v[:, :-1].T)
+        self.b = np.ascontiguousarray(bundle.b[:, :-1].T)
+        self.dt = bundle.dt
+        self.scratch = np.empty((min(chunk_steps(paths), steps), paths))
+        self.slab = np.empty((steps + 1, paths))
+        self.rows: OrderedDict = OrderedDict()      # key -> row index
+
+    @classmethod
+    def of(cls, bundle: PathBundle) -> "_BundleWalks":
+        """The bundle's walks, built at the first call."""
+        if bundle._walks is None:
+            object.__setattr__(bundle, "_walks", cls(bundle))
+        return bundle._walks
+
+    @staticmethod
+    def key(candidate: DualCandidate):
+        c = candidate.coeffs
+        return c.shape, c.tobytes(), candidate.cap
+
+    def negated_logs(self, candidate: DualCandidate):
+        """(Negated log of the candidate's capped exponential, read nodes).
+
+        The negated log is the running sum laid out ``(steps + 1, paths)``
+        from a zero first row, in the log buffer, which the next walk
+        overwrites; each path is read at the node before its first
+        crossing, else at the last.  The increments are the walk's fill
+        (:func:`~mcduality.stopping.walk`), a chunk of steps at a time, with
+        the operations of a whole-array evaluation in its order, so the
+        bits do not depend on the chunking.
+        """
+        v, b, dwp, scratch = self.v, self.b, self.dwp, self.scratch
+        dt, steps = self.dt, dwp.shape[0]
         edges = np.linspace(0, steps, candidate.coeffs.shape[0] + 1
                             ).astype(int).tolist()
 
@@ -144,76 +183,30 @@ def _perturbed_logs(bundle: PathBundle):
             np.multiply(nu, dwp[k0:k1], out=nu)
             inc -= nu           # exactly -(nu dW_perp - 0.5 nu**2 dt)
 
-        stop, _, crossed = walk(fill, logs, -math.log(candidate.cap))
-        return logs, stop - crossed
+        stop, _, crossed = walk(fill, self.logs, -math.log(candidate.cap))
+        return self.logs, stop - crossed
 
-    return negated_logs
+    def terminal(self, candidate: DualCandidate) -> np.ndarray:
+        """The candidate's capped exponential at the horizon, read-only.
 
-
-class _WalkMemo:
-    """Terminal capped exponentials of the ``steps + 1`` candidates walked
-    most recently on one bundle, each a row of one ``(steps + 1, paths)``
-    slab (one path array of floats), keyed by the candidate's coefficients,
-    bit for bit, and cap.  A new candidate takes the next unused row, else
-    the least recently used candidate's row."""
-
-    def __init__(self, steps: int, paths: int):
-        self.slab = np.empty((steps + 1, paths))
-        self.rows: OrderedDict = OrderedDict()      # key -> row index
-
-    @staticmethod
-    def key(candidate: DualCandidate):
-        c = candidate.coeffs
-        return c.shape, c.tobytes(), candidate.cap
-
-    def get(self, key):
-        """Row index of ``key``, now the most recently used, or ``None``."""
+        A candidate in the memo is now its most recently used; one that is
+        not is walked and its values are written to a row, so every search
+        on the bundle shares them whatever its ``y`` or claim, and an
+        evicted candidate is walked again to the same bits.  The row holds
+        the candidate's values until the memo gives it to another.
+        """
+        key = self.key(candidate)
         i = self.rows.get(key)
-        if i is not None:
-            self.rows.move_to_end(key)
-        return i
-
-    def put(self, key) -> int:
-        """Row index for the values of ``key``, which is not held."""
-        if len(self.rows) < self.slab.shape[0]:
-            i = len(self.rows)
-        else:
-            i = self.rows.popitem(last=False)[1]
-        self.rows[key] = i
-        return i
-
-
-def _terminal_exponentials(bundle: PathBundle):
-    """``candidate ->`` its capped exponential at the horizon.
-
-    The values are memoised on the bundle (``PathBundle._walks``, a
-    :class:`_WalkMemo`), so every search on the bundle shares them whatever
-    its ``y`` or claim, and an evicted candidate is walked again to the same
-    bits.  The returned read-only row holds the candidate's values until the
-    memo gives the row to another candidate.  The walk's inputs are built
-    at the first candidate that is not in the memo.
-    """
-    memo = bundle._walks
-    if memo is None:
-        memo = _WalkMemo(bundle.steps, bundle.paths)
-        object.__setattr__(bundle, "_walks", memo)
-    negated_logs = None
-
-    def terminal(candidate: DualCandidate) -> np.ndarray:
-        nonlocal negated_logs
-        key = memo.key(candidate)
-        i = memo.get(key)
         if i is None:
-            if negated_logs is None:
-                negated_logs = _perturbed_logs(bundle)
-            logs, node = negated_logs(candidate)
-            i = memo.put(key)
-            np.exp(-logs[node, np.arange(node.size)], out=memo.slab[i])
-        row = memo.slab[i]
+            logs, node = self.negated_logs(candidate)
+            full = len(self.rows) == self.slab.shape[0]
+            i = self.rows.popitem(last=False)[1] if full else len(self.rows)
+            self.rows[key] = i
+            np.exp(-logs[node, np.arange(node.size)], out=self.slab[i])
+        self.rows.move_to_end(key)
+        row = self.slab[i]
         row.flags.writeable = False
         return row
-
-    return terminal
 
 
 def perturbation_exponential(candidate: DualCandidate,
@@ -225,7 +218,7 @@ def perturbation_exponential(candidate: DualCandidate,
     exceed the cap is frozen from that step on (the offending increment is
     suppressed, so the stopped value is the last compliant one).
     """
-    logs, node = _perturbed_logs(bundle)(candidate)
+    logs, node = _BundleWalks.of(bundle).negated_logs(candidate)
     idx = np.minimum(np.arange(logs.shape[0])[:, None], node)
     return np.exp(-np.take_along_axis(logs, idx, axis=0)).T
 
@@ -238,8 +231,8 @@ def _claim_values(claim: ClaimSpec | None, bundle: PathBundle):
 def _conjugate_samples(pair: ConjugatePair, y: float, density_t: np.ndarray,
                        claim: ClaimSpec | None,
                        f: np.ndarray | None) -> np.ndarray:
-    if y <= 0:
-        raise ValueError("dual bounds require y > 0")
+    if not 0.0 < y < math.inf:
+        raise ValueError("dual bounds require a finite y > 0")
     yz = y * density_t
     if claim is None:
         return np.asarray(pair.v(yz), dtype=float)
@@ -270,7 +263,7 @@ def _perturbed_bound(pair: ConjugatePair, y: float, bundle: PathBundle,
                      claim: ClaimSpec | None):
     """``candidate -> dual_bound_perturbed(pair, y, bundle, candidate,
     claim)`` with the claim values formed once."""
-    terminal = _terminal_exponentials(bundle)
+    terminal = _BundleWalks.of(bundle).terminal
     f = _claim_values(claim, bundle)
 
     def bound(candidate: DualCandidate) -> Estimate:
@@ -315,10 +308,13 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     this search or an earlier one, is read from the bundle's memo, so the
     reported evaluation of the best candidate walks nothing.
     ``evaluations`` counts the search's calls and the reported evaluation,
-    not walks.
+    not walks.  ``buckets`` must lie between 1 and the bundle's step count,
+    which is checked before any work.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if not 1 <= buckets <= bundle.steps:
+        raise ValueError("buckets must lie between 1 and the step count")
     lo = np.full(3 * buckets, -_BOX)
     hi = np.full(3 * buckets, _BOX)
 
@@ -331,7 +327,6 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     bound = _perturbed_bound(pair, y, bundle, claim)
     best_theta, evals = minimize(lambda t: bound(make(t)).mean, lo, hi,
                                  budget)
-    del bound   # free the search's walk inputs: the best was walked
     best_cand = make(best_theta, "nm")
     best_est = dual_bound_perturbed(pair, y, bundle, best_cand, claim)
     table.append(("nm", best_est))

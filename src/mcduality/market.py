@@ -135,8 +135,10 @@ class PathBundle:
     ``(paths,)``, strictly positive.  :func:`simulate_heston_market` marks
     every array read-only.
 
-    ``_walks`` is the dual side's memo of terminal capped exponentials of
-    the candidates walked on this bundle, at most ``steps + 1`` of them;
+    ``_walks`` is the dual side's walk state on this bundle, built at its
+    first perturbed evaluation and kept as long as the bundle: the walks'
+    time-major inputs and buffers, and the memo of terminal capped
+    exponentials of the candidates walked, at most ``steps + 1`` of them;
     only :mod:`mcduality.dual` sets and fills it.
     """
 
@@ -161,9 +163,6 @@ class PathBundle:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def increments(self, name: str) -> np.ndarray:
-        return np.diff(getattr(self, name), axis=1)
 
 
 # ---------------------------------------------------------------------------

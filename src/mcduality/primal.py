@@ -318,9 +318,9 @@ FLOOR_SLACK = 1e-9
 
 
 def _check_floor_rule(family) -> None:
-    if family.floor < 0:
+    if not family.floor >= 0:
         raise ValueError("floor K must be >= 0")
-    if family.max_holding <= 0:
+    if not family.max_holding > 0:
         raise ValueError("max_holding must be > 0")
 
 

@@ -27,10 +27,15 @@ EXP = ConjugatePair(UtilitySpec.exponential(1.0))
 def test_candidate_validation():
     with pytest.raises(ValueError):
         DualCandidate(np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        DualCandidate(np.zeros((1, 3)), cap=0.5)
     c = DualCandidate([0.1, 0.0, -0.2])
     assert c.coeffs.shape == (1, 3)
+
+
+@pytest.mark.parametrize("cap", [0.5, math.nan])
+def test_candidate_rejects_cap_below_one(cap):
+    # a NaN cap would pass `cap < 1` and then cap nothing
+    with pytest.raises(ValueError, match="cap"):
+        DualCandidate(np.zeros((1, 3)), cap=cap)
 
 
 def test_perturbation_cap_exact(bundle_rho03):
@@ -55,7 +60,7 @@ def _reference_exponential(candidate, bundle):
         nu[:, sl] = c0 + cv * bundle.v[:, sl] + cb * bundle.b[:, sl]
     rho = bundle.params.rho
     mix = math.sqrt(1.0 - rho**2)
-    dwp = mix * bundle.increments("w") - rho * bundle.increments("b")
+    dwp = mix * np.diff(bundle.w, axis=1) - rho * np.diff(bundle.b, axis=1)
     loginc = nu * dwp - 0.5 * nu**2 * bundle.dt
     logcap = math.log(candidate.cap)
     out = np.empty((bundle.paths, steps + 1))
@@ -83,7 +88,7 @@ def _stopped_fractions_bitwise(bundle, cap, buckets):
     """Check the kernel against the step loop on four random candidates;
     return the fraction of paths each one stops."""
     rng = np.random.default_rng(buckets)
-    negated_logs = dual._perturbed_logs(bundle)
+    negated_logs = dual._BundleWalks.of(bundle).negated_logs
     stopped = []
     for coeffs in rng.uniform(-1.0, 1.0, size=(4, buckets, 3)):
         cand = DualCandidate(coeffs, cap=cap)
@@ -106,8 +111,10 @@ def test_kernel_is_bitwise_step_loop(ten_step_bundles, rho, cap, buckets):
     assert max(stopped) > 0.3 if cap == 1.5 else max(stopped) == 0.0
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def chunked_bundle():
+    # a fresh bundle per test, so its walk state is built under the test's
+    # chunk budget
     return simulate_heston_market(BASE_PARAMS.with_rho(0.3), TimeGrid(1.0, 37),
                                   300, RandomStream(23))
 
@@ -123,6 +130,7 @@ def test_kernel_is_bitwise_step_loop_across_chunks(chunked_bundle, cap,
     steps, chunk = chunked_bundle.steps, stopping.chunk_steps(
         chunked_bundle.paths)
     assert steps > 2 * chunk and steps % chunk != 0
+    assert chunked_bundle._walks is None
     stopped = _stopped_fractions_bitwise(chunked_bundle, cap, buckets)
     assert max(stopped) > 0.3 if cap == 1.5 else max(stopped) == 0.0
 
@@ -150,7 +158,9 @@ def _memo_bundle(seed=17):
 
 
 def _fresh_terminal(bundle, cand):
-    logs, node = dual._perturbed_logs(bundle)(cand)
+    """The terminal exponential walked on walk state of its own, apart from
+    the bundle's."""
+    logs, node = dual._BundleWalks(bundle).negated_logs(cand)
     return np.exp(-logs[node, np.arange(bundle.paths)])
 
 
@@ -176,13 +186,13 @@ def test_memo_hit_is_fresh_walk(buckets, cap, with_claim, monkeypatch):
     misses = [dual._perturbed_bound(POWER, 0.8, bundle, claim)(c)
               for c in cands]
     held = _held(bundle)
-    assert list(held) == [dual._WalkMemo.key(c) for c in cands]
+    assert list(held) == [dual._BundleWalks.key(c) for c in cands]
     fresh = [_fresh_terminal(bundle, c) for c in cands]
 
-    def no_walk(_bundle):
+    def no_walk(_walks, _candidate):
         raise AssertionError("a memo hit walked")
 
-    monkeypatch.setattr(dual, "_perturbed_logs", no_walk)
+    monkeypatch.setattr(dual._BundleWalks, "negated_logs", no_walk)
     bound = dual._perturbed_bound(POWER, 0.8, bundle, claim)
     f = dual._claim_values(claim, bundle)
     for cand, miss, elt, ref in zip(cands, misses, held.values(), fresh):
@@ -216,11 +226,11 @@ def test_memo_is_bounded_and_evicts_least_recently_used():
     bundle = _memo_bundle()
     limit = bundle.steps + 1
     cands = _candidates(limit + 4, 2)
-    terminal = dual._terminal_exponentials(bundle)
+    terminal = dual._BundleWalks.of(bundle).terminal
     memo = bundle._walks
     assert memo.slab.shape == (limit, bundle.paths)
     first = terminal(cands[0]).copy()
-    kept = dual._WalkMemo.key(cands[1])
+    kept = dual._BundleWalks.key(cands[1])
     sizes = []
     for cand in cands[1:]:
         terminal(cand)
@@ -228,7 +238,7 @@ def test_memo_is_bounded_and_evicts_least_recently_used():
         sizes.append(len(memo.rows))
         assert kept in memo.rows
     assert max(sizes) == limit
-    assert dual._WalkMemo.key(cands[0]) not in memo.rows
+    assert dual._BundleWalks.key(cands[0]) not in memo.rows
     again = terminal(cands[0])      # evicted long ago: walked again
     assert np.array_equal(again, first)
     assert np.array_equal(again, _fresh_terminal(bundle, cands[0]))
@@ -266,6 +276,49 @@ def test_minimize_dual_memo_never_reaches_a_result(monkeypatch):
             assert got.table == want.table
     # the searches on the shared bundle walk what they have in common once
     assert shared_walks < fresh_walks
+
+
+def test_walk_state_is_built_once_per_bundle(monkeypatch):
+    # six searches share one build of the walk inputs and buffers, and a
+    # perturbation_exponential call between searches leaves the memo alone
+    builds = 0
+    real = dual._BundleWalks.__init__
+
+    def counting(self, bundle):
+        nonlocal builds
+        builds += 1
+        real(self, bundle)
+
+    monkeypatch.setattr(dual._BundleWalks, "__init__", counting)
+    bundle = _memo_bundle()
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    state = None
+    between = iter(_candidates(6, 2, seed=1))
+    for y in (0.5, 1.0, 2.0):
+        for c in (claim, None):
+            minimize_dual(POWER, y, bundle, c, buckets=2, budget=20)
+            if state is None:
+                state = bundle._walks
+                inputs = (state.dwp, state.v, state.b, state.logs,
+                          state.slab)
+            assert bundle._walks is state
+            assert all(a is b for a, b in zip(
+                (state.dwp, state.v, state.b, state.logs, state.slab),
+                inputs))
+            held = _held(bundle)
+            perturbation_exponential(next(between), bundle)
+            after = _held(bundle)
+            assert list(after) == list(held)
+            assert all(np.array_equal(after[k], held[k]) for k in held)
+    assert builds == 1
+    # the inputs are the definitions, time-major and C-contiguous
+    rho = bundle.params.rho
+    dwp = (math.sqrt(1.0 - rho**2) * np.diff(bundle.w, axis=1)
+           - rho * np.diff(bundle.b, axis=1))
+    for got, want in ((state.dwp, dwp), (state.v, bundle.v[:, :-1]),
+                      (state.b, bundle.b[:, :-1])):
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want.T)
 
 
 def test_perturbation_zero_integrand_is_one(bundle_rho0):
@@ -306,6 +359,16 @@ def test_mmm_matches_affine_oracle(bundle_rho0):
 def test_mmm_requires_positive_y(bundle_rho0):
     with pytest.raises(ValueError):
         dual_bound_mmm(POWER, 0.0, bundle_rho0)
+
+
+@pytest.mark.parametrize("y", [-1.0, math.nan, math.inf])
+def test_bounds_require_finite_positive_y(bundle_rho0, y):
+    # an infinite y would give 0 +/- 0 for power utility
+    cand = DualCandidate(np.zeros((1, 3)))
+    for bound in (lambda: dual_bound_mmm(POWER, y, bundle_rho0),
+                  lambda: dual_bound_perturbed(POWER, y, bundle_rho0, cand)):
+        with pytest.raises(ValueError, match="finite y > 0"):
+            bound()
 
 
 def test_constant_claim_linearity_whole_line(bundle_rho0):
@@ -392,6 +455,25 @@ def test_minimize_dual_runs_from_distinct_starts(monkeypatch, bundle_rho03):
 def test_minimize_dual_rejects_zero_budget(bundle_rho0):
     with pytest.raises(ValueError):
         minimize_dual(POWER, 1.0, bundle_rho0, budget=0)
+
+
+@pytest.mark.parametrize("buckets", [0, -1, 11])
+def test_minimize_dual_rejects_buckets_outside_steps(buckets, monkeypatch):
+    bundle = _memo_bundle()
+
+    def no_work(*_args):
+        raise AssertionError("a bad bucket count reached the bound")
+
+    monkeypatch.setattr(dual, "dual_bound_mmm", no_work)
+    with pytest.raises(ValueError, match="buckets"):
+        minimize_dual(POWER, 1.0, bundle, buckets=buckets, budget=5)
+    assert bundle._walks is None
+
+
+def test_minimize_dual_accepts_one_bucket_per_step():
+    bundle = _memo_bundle()
+    opt = minimize_dual(POWER, 1.0, bundle, buckets=bundle.steps, budget=3)
+    assert opt.best.coeffs.shape == (bundle.steps, 3)
 
 
 def test_dual_convexity_in_y(bundle_rho0):

@@ -128,6 +128,26 @@ def test_enforcement_rejects_nonnegative_threshold():
     assert -edge.floor - primal.FLOOR_SLACK == -primal.FLOOR_SLACK
 
 
+@pytest.mark.parametrize("family", [ConstantFamily, HedgeMixFamily])
+@pytest.mark.parametrize("name, value", [("floor", math.nan),
+                                         ("floor", -1.0),
+                                         ("max_holding", math.nan),
+                                         ("max_holding", 0.0)])
+def test_family_rejects_bad_floor_rule(family, name, value):
+    # NaN fails every comparison, so it must fail the check too: a NaN
+    # floor would stop no path, and a NaN cap would make every wealth NaN
+    with pytest.raises(ValueError, match=name):
+        family(**{name: value})
+
+
+def test_claim_floor_rejects_nan():
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    with pytest.raises(ValueError, match="floor"):
+        with_claim_floor(ConstantFamily(floor=math.nan), 0.75, claim)
+    with pytest.raises(ValueError, match="need x \\+ phi_min"):
+        with_claim_floor(ConstantFamily(floor=1.0), math.nan, claim)
+
+
 #: ``x + phi_min`` in ``[2**-29 + FLOOR_SLACK, 2**-28)``: there ``f + 1e-9``
 #: lands halfway between two doubles for every double ``f`` near ``a -
 #: 1e-9``, so a value of ``a`` with an odd last bit is no ``f + 1e-9``
@@ -823,14 +843,32 @@ def test_terminal_gains_only_where_no_path_stops(flat_market,
                                                  screen_families, data,
                                                  kind, anchor, shift,
                                                  cap_factor):
+    fam, _ = screen_families[kind]
+    theta = np.array([data.draw(st.floats(lo, hi), label=f"theta_{k}")
+                      for k, (lo, hi) in enumerate(fam.bounds)])
+    _check_terminal_gains(flat_market, screen_families, kind, theta, anchor,
+                          shift, cap_factor)
+
+
+@pytest.mark.parametrize("anchor", ["screen", "walk"])
+@pytest.mark.parametrize("shift", [-1.0, 0.0, 1.0])
+def test_terminal_gains_with_a_cap_that_rounds_to_zero(flat_market,
+                                                       screen_families,
+                                                       anchor, shift):
+    # the smallest subnormal theta: the holding bound is positive, but half
+    # of it rounds to 0.0, which is no cap
+    _check_terminal_gains(flat_market, screen_families, "constant",
+                          np.array([5e-324]), anchor, shift, 0.5)
+
+
+def _check_terminal_gains(flat_market, screen_families, kind, theta, anchor,
+                          shift, cap_factor):
     # the floor sits within a few margins of the screen's lower bound L or
     # of the lowest node the walk reaches, so both routes and the edge
     # between them are drawn; a cap at or below the holding bound may bind
     fam, comps = screen_families[kind]
-    theta = np.array([data.draw(st.floats(lo, hi), label=f"theta_{k}")
-                      for k, (lo, hi) in enumerate(fam.bounds)])
     bound, margin, low, xt_ref = _screen(comps, theta, flat_market)
-    if cap_factor is not None and bound > 0.0:
+    if cap_factor is not None and bound * cap_factor > 0.0:
         fam = dataclasses.replace(fam, max_holding=bound * cap_factor)
     gains = primal._component_gains(fam, flat_market)
     walk(gains.fill_at(theta), gains.path, -math.inf)

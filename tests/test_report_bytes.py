@@ -26,6 +26,26 @@ def test_same_checkout_reports_same_bytes():
     assert lines[-1] == "1 same, 0 differ"
 
 
+def test_dual_entry_hashes_the_dual_search():
+    # no run kind reaches minimize_dual, so its entry writes its own CSV:
+    # a header and one row per y and claim, each with six coefficients
+    proc = subprocess.run(
+        [sys.executable, "tools/report_bytes.py", "--only", "dual", "a=.",
+         "b=."], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].startswith("same ") and lines[1].endswith(" dual/dual.csv")
+    assert lines[-1] == "1 same, 0 differ"
+    hashes = _report_bytes().report_hashes(ROOT, {"dual": ("minimize_dual",
+                                                           200, 4)})
+    _, text = hashes["dual/dual.csv"]
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    assert header[-1] == "coeffs" and len(rows) == 4
+    assert [(r[0], r[1]) for r in rows] == [("0.5", "claim"), ("0.5", "free"),
+                                            ("2", "claim"), ("2", "free")]
+    assert all(len(r[-1].split()) == 6 for r in rows)
+
+
 def _report_bytes():
     spec = importlib.util.spec_from_file_location(
         "report_bytes", ROOT / "tools" / "report_bytes.py")

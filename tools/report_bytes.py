@@ -9,7 +9,9 @@ directory); the first is the reference::
 For each checkout one fresh interpreter, with ``PYTHONPATH=DIR/src``, runs
 every config of ``CONFIGS`` (or those named by ``--only``) through
 ``run_experiment`` in a temporary directory and hashes each report file
-the run lists (the manifest, which carries timing, is not a report).  The
+the run lists (the manifest, which carries timing, is not a report).  No
+run kind reaches the dual search, so the ``dual`` entry calls
+``minimize_dual`` itself and hashes a CSV of its results.  The
 script prints one line per report file, ``same`` or ``DIFF`` and each
 checkout's sha256, and exits 1 if any file differs or is missing on one
 side, else 0.  A run that raises is recorded as its exception's name and
@@ -55,6 +57,9 @@ CONFIGS = {
                          "n_values": [1, 4, float("inf")]}}, 600, 32),
     "subreplication": ({"version": 1, "kind": "subreplication"}, 2000, 100),
     "oracle-check": ({"version": 1, "kind": "oracle-check"}, 2000, 32),
+    # not a config: minimize_dual at y in {0.5, 2}, with and without the
+    # default claim, buckets 2 and budget 30, on one rho = 0.3 bundle
+    "dual": ("minimize_dual", 600, 12),
 }
 
 #: report files whose columns a ``DIFF`` line breaks down
@@ -66,18 +71,47 @@ _TABLES = (".csv", ".dat")
 _CHILD = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
+from mcduality import RandomStream, minimize_dual, simulate_heston_market
+from mcduality import experiments as ex
 from mcduality.experiments import run_experiment
+
+
+def dual_search(out, paths, steps):
+    cfg = ex.merge_config({"paths": paths, "steps": steps})
+    params, grid = ex.build_market(cfg)
+    pair, claim = ex.build_utility(cfg), ex.build_claim(cfg)
+    bundle = simulate_heston_market(params.with_rho(0.3), grid, paths,
+                                    RandomStream(cfg["seed"]))
+    lines = ["y,claim,mmm_mean,mmm_se,best_mean,best_se,label,evaluations,"
+             "coeffs"]
+    for y in (0.5, 2.0):
+        for tag, c in (("claim", claim), ("free", None)):
+            opt = minimize_dual(pair, y, bundle, c, buckets=2, budget=30)
+            base, best = opt.table[0][1], opt.estimate
+            coeffs = " ".join(f"{v:.17g}" for v in opt.best.coeffs.ravel())
+            lines.append(f"{y:.17g},{tag},{base.mean:.17g},"
+                         f"{base.stderr:.17g},{best.mean:.17g},"
+                         f"{best.stderr:.17g},{opt.best.label},"
+                         f"{opt.evaluations},{coeffs}")
+    out.mkdir(parents=True)
+    (out / "dual.csv").write_text("\\n".join(lines) + "\\n")
+    return [{"file": "dual.csv"}]
+
 
 reports = {}
 with tempfile.TemporaryDirectory() as tmp:
     for name, (cfg, paths, steps) in json.loads(sys.argv[1]).items():
         out = Path(tmp) / name
         try:
-            man = run_experiment(cfg, out, paths=paths, steps=steps)
+            if cfg == "minimize_dual":
+                outputs = dual_search(out, paths, steps)
+            else:
+                outputs = run_experiment(cfg, out, paths=paths,
+                                         steps=steps).outputs
         except Exception as exc:
             reports[name + "/*"] = ["raised " + type(exc).__name__, None]
             continue
-        for rec in man.outputs:
+        for rec in outputs:
             data = (out / rec["file"]).read_bytes()
             reports[name + "/" + rec["file"]] = [
                 hashlib.sha256(data).hexdigest(),
