@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .estimates import Estimate, mc_estimate
-from .rng import RandomStream, map_blocks
-from .stopping import chunk_steps
+from .rng import RandomStream, _check_paths, map_blocks
+from .stopping import _time_major, chunk_steps
 
 __all__ = [
     "HestonParams",
@@ -97,7 +98,8 @@ class HestonParams:
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid with ``steps`` intervals on ``[0, horizon]``; the
-    horizon must be finite and positive."""
+    horizon must be finite and positive, the step count an integer (not a
+    bool) of at least one."""
 
     horizon: float
     steps: int
@@ -105,7 +107,10 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be a finite positive number")
-        if self.steps < 1:
+        steps = self.steps
+        if isinstance(steps, bool) or not isinstance(steps, Integral):
+            raise ValueError("the step count must be an integer")
+        if steps < 1:
             raise ValueError("need at least one time step")
 
     @property
@@ -185,7 +190,10 @@ def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
     ``(x + (kappa (theta - x+)) dt) + (sigma sqrt(x+)) dB``, and the stored
     path is the clipped ``max(x, 0)``.  The steps are walked in chunks of
     time-major rows, ``stopping.chunk_steps`` of the block width, so that a
-    chunk's increments and states stay in cache; every step runs in place
+    chunk's increments and states stay in cache.  A chunk's increments are
+    copied time-major by ``stopping._time_major``, a tile of paths at a
+    time sized by the row stride of ``db``, not by the chunk: a full
+    block's rows span 16 tiles at 256 steps.  Every step runs in place
     in ``scratch``, in the order above, so the values depend neither on the
     chunking nor on how the paths are split into blocks.
     """
@@ -202,7 +210,7 @@ def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
     for k0 in range(0, steps, c):
         k1 = min(k0 + c, steps)
         n = k1 - k0
-        dbt[:n] = db[:, k0:k1].T
+        _time_major(db[:, k0:k1], dbt[:n])
         prev = x
         for j in range(n):
             cur = xt[j]
@@ -309,6 +317,7 @@ def simulate_cir(params: HestonParams, grid: TimeGrid, paths: int,
     :func:`simulate_heston_market` uses, so the variance paths agree bit for
     bit with a full market simulation from the same stream.
     """
+    _check_paths(paths)
     v = np.empty((paths, grid.steps + 1))
 
     def store(lo, hi, block):
@@ -381,6 +390,7 @@ def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
     ``minimal_martingale_density(...)[:, -1]``.  The returned arrays are
     read-only, so nothing memoised on the bundle can go stale.
     """
+    _check_paths(paths)
     b, w, v, s = (np.zeros((paths, grid.steps + 1)) for _ in range(4))
     z = np.empty(paths)
     mu, rho, dt = params.mu, params.rho, grid.dt
@@ -492,6 +502,7 @@ def simulate_general_market(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
     paths, which is what comparisons along the family assume.  The
     returned arrays are read-only.
     """
+    _check_paths(paths)
     b = np.empty((paths, grid.steps + 1, coeffs.d))
 
     def store(lo, hi, levels):

@@ -57,7 +57,7 @@ import numpy as np
 
 from .estimates import Estimate, mc_estimate
 from .search import max_calls, minimize
-from .stopping import chunk_steps, walk
+from .stopping import _time_major, chunk_steps, walk
 from .utility import ClaimSpec, ConjugatePair
 
 __all__ = [
@@ -432,7 +432,9 @@ def _component_gains(family, bundle) -> _Gains:
     the bound ``b = sum_k |theta_k| max|C_k|`` lies below ``max_holding (1
     - 1e-9)``: no entry can then reach the cap, and a NaN bound keeps the
     clip.  The component holdings are computed once and kept time-major
-    with their largest magnitudes, and the buffer and a chunk of scratch
+    (copied a tile of paths at a time, ``stopping._time_major``) with their
+    largest magnitudes, ``dS`` is subtracted time-major from the
+    transposed price levels, and the buffer and a chunk of scratch
     are allocated once, so an evaluation allocates nothing of size ``paths
     x steps``.
 
@@ -469,9 +471,11 @@ def _component_gains(family, bundle) -> _Gains:
     alone: a sweep row builds one and every claim-free search of its price
     bisection shares it.
     """
-    comps = [np.transpose(c).copy() for c in family.components(bundle)]
+    comps = [_time_major(c) if np.ndim(c) else np.array(c)
+             for c in family.components(bundle)]
     sizes = [float(np.maximum(c.max(), -c.min())) for c in comps]
-    ds = np.diff(bundle.s, axis=1).T.copy()
+    s = bundle.s.T
+    ds = np.subtract(s[1:], s[:-1], order="C")
     steps, paths = ds.shape
     path = np.zeros((steps + 1, paths))
     after = path[1:]
@@ -715,12 +719,14 @@ def hedge_residual(hedge: BucketStrategy, price: float, bundle,
     """Replication residual sd of a hedge's holdings in a given market.
 
     Computes ``sd(price + X_T - f)`` with the raw (unstopped, untruncated)
-    gains of the hedge's holdings on the bundle's price paths.  Lets a hedge
+    gains of the hedge's holdings on the bundle's price paths, each path's
+    products summed in time order down time-major rows.  Lets a hedge
     fitted in one market be scored in another sharing the same drivers, with
     that market's own claim delta.
     """
-    gains = np.multiply(hedge.holdings(bundle).T, np.diff(bundle.s, axis=1).T,
-                        order="C").sum(axis=0)
+    gains = hedge.holdings(bundle)
+    gains *= np.diff(bundle.s, axis=1)
+    gains = _time_major(gains).sum(axis=0)
     f = np.asarray(claim(driver_levels(bundle)[:, -1]), dtype=float)
     resid = price + gains - f
     return float(resid.std(ddof=1)) if resid.size > 1 else math.nan

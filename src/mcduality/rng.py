@@ -37,6 +37,12 @@ def worker_count(workers: int | None = None) -> int:
     return workers
 
 
+def _check_paths(paths: int) -> None:
+    """Refuse a path count below one, before anything is allocated."""
+    if paths < 1:
+        raise ValueError("need paths >= 1")
+
+
 def blocks(paths: int) -> list[tuple[int, int, int]]:
     """The path blocks ``(block, lo, hi)`` covering ``paths`` path indices:
     ``BLOCK_SIZE`` paths each, the last one possibly shorter."""
@@ -54,8 +60,7 @@ def map_blocks(work, paths: int, workers: int | None = None) -> None:
     results do not depend on the worker count.  The first span of every
     call is its widest.
     """
-    if paths < 1:
-        raise ValueError("need paths >= 1")
+    _check_paths(paths)
     spans = blocks(paths)
     nworkers = min(worker_count(workers), len(spans))
     if nworkers == 1:

@@ -9,6 +9,11 @@ side only forms its increments; :func:`walk` sums them a chunk of steps at a
 time, while the chunk's rows are in cache, and finds the stop.
 :func:`chunk_steps` is the one rule for the length of a chunk of time-major
 rows, also used by the variance recursion and the projection diagnostic.
+It also sizes the tiles of :func:`_time_major`, which writes path-major
+rows time-major a tile of paths at a time, so that a tile's source rows
+span at most :data:`_CHUNK_VALUES` values: the variance recursion's input
+copy, the primal's component holdings and the hedge residual's gains go
+through it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,29 @@ _CHUNK_VALUES = 2**16
 
 def chunk_steps(width: int) -> int:
     """Steps per chunk of time-major rows ``width`` values wide: as many as
-    fit :data:`_CHUNK_VALUES`, and at least one."""
+    fit :data:`_CHUNK_VALUES`, and at least one.  Also the paths per tile
+    of :func:`_time_major`, whose source rows lie ``width`` values apart."""
     return max(1, _CHUNK_VALUES // width)
+
+
+def _time_major(src: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """Write the path-major ``(paths, n)`` ``src`` into time-major rows:
+    ``out``, shaped ``(n, paths)``, or a new array; returns them.
+
+    The copy runs a tile of paths at a time, :func:`chunk_steps` of the
+    source's row stride in values, so a tile's source rows span at most
+    :data:`_CHUNK_VALUES` values.  A copy of all paths at once reads one
+    value of every path's row for each row it writes; with long rows that
+    is a page for every path or two, more pages than the TLB holds.  A pure
+    copy: the bits are those of ``np.ascontiguousarray(src.T)``.
+    """
+    if out is None:
+        out = np.empty(src.shape[::-1], src.dtype)
+    tile = chunk_steps(src.strides[0] // src.itemsize)
+    for p0 in range(0, src.shape[0], tile):
+        out[:, p0:p0 + tile] = src[p0:p0 + tile].T
+    return out
 
 
 def walk(fill, out: np.ndarray, thr: float):

@@ -53,6 +53,18 @@ def test_grid_properties():
         TimeGrid(horizon=1.0, steps=0)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, np.float64(4.0), "4"])
+def test_grid_rejects_a_step_count_that_is_not_an_integer(steps):
+    # 2.5 gave dt 0.4 and then a TypeError from .times; True was one step
+    with pytest.raises(ValueError, match="must be an integer"):
+        TimeGrid(1.0, steps)
+
+
+def test_grid_accepts_numpy_integer_steps():
+    assert np.array_equal(TimeGrid(1.0, np.int64(4)).times,
+                          TimeGrid(1.0, 4).times)
+
+
 def test_grid_rejects_a_horizon_that_is_not_finite_and_positive():
     # nan fails every comparison, so a bare "<= 0" check let it through and
     # the grid's times came out [nan, ...]; inf gave [nan, inf, ...]
@@ -126,10 +138,12 @@ def _draw_all_increments(stream, grid, paths, label=0):
 
 @pytest.mark.parametrize("paths, steps", [
     (BLOCK_SIZE + 3, 37), (5, 3), (BLOCK_SIZE, 16), (2 * BLOCK_SIZE + 1, 33),
+    (BLOCK_SIZE + 3, 256),
 ])
 def test_cir_blocked_recursion_is_bitwise_step_loop(paths, steps):
     # a partial last block of paths and a partial last chunk of steps; a
-    # large sigma makes the truncation bind on some paths
+    # large sigma makes the truncation bind on some paths.  At 256 steps a
+    # full block's input copy runs in 16 tiles of paths
     p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3)
     grid = TimeGrid(1.0, steps)
     v = simulate_cir(p, grid, paths, RandomStream(4))
@@ -138,6 +152,22 @@ def test_cir_blocked_recursion_is_bitwise_step_loop(paths, steps):
     assert np.array_equal(v, ref)
     if paths > BLOCK_SIZE:
         assert (ref == 0.0).any()   # the truncation binds on some paths
+
+
+@pytest.mark.parametrize("paths", [0, -3])
+@pytest.mark.parametrize("simulate", ["cir", "heston", "general"])
+def test_simulators_refuse_a_path_count_below_one(simulate, paths):
+    # -3 used to reach numpy's "negative dimensions are not allowed" from
+    # the output allocation, before the block runner's own check
+    grid, stream = TimeGrid(1.0, 4), RandomStream(1)
+    run = {"cir": lambda: simulate_cir(BASE_PARAMS, grid, paths, stream),
+           "heston": lambda: simulate_heston_market(BASE_PARAMS, grid, paths,
+                                                    stream),
+           "general": lambda: simulate_general_market(
+               GeneralMarketCoeffs(2, lambda n: 1.0, lambda n: 0.0), 1.0,
+               grid, paths, stream)}[simulate]
+    with pytest.raises(ValueError, match="need paths >= 1"):
+        run()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -23,7 +23,7 @@ from mcduality.primal import (BucketStrategy, ConstantFamily, HedgeMixFamily,
                               optimize_primal, primal_bound, wealth_process,
                               with_claim_floor, _smoothed_delta)
 from mcduality.rng import RandomStream
-from mcduality.stopping import walk
+from mcduality.stopping import chunk_steps, walk
 from mcduality.utility import (ClaimSpec, ConjugatePair, UtilitySpec,
                                constant_claim, digital_claim, logistic_claim)
 
@@ -1005,6 +1005,31 @@ def test_fill_is_bitwise_reference(flat_market, case):
         assert np.any(ds0 < 0.0) and np.any(ds0 > 0.0)
     if case == "nan_component":
         assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+def test_copies_across_tiles_are_bitwise_reference():
+    # 700 paths of 256 steps are three tiles of the time-major copies (256
+    # paths each), the last one partial: the walk's wealth and the hedge
+    # residual keep the bits of the untiled references
+    bundle = simulate_general_market(degenerate_coeffs(), 1.0,
+                                     TimeGrid(1.0, 256), 700, RandomStream(5))
+    assert 2 * chunk_steps(256) < bundle.paths < 3 * chunk_steps(256)
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    hedge = lsmc_hedge(claim, bundle, buckets=4)
+    held = hedge.strategy.holdings(bundle)
+    comps = (held, 1.0, bundle.b[:, :-1, 0])
+    fam = _ListFamily(comps=comps, max_holding=1e6)
+    theta = (0.7, 0.3, -0.4)
+    raw, _, _ = _reference(fam, comps, theta, bundle, -math.inf)
+    assert np.array_equal(wealth_process(fam, theta, bundle), raw)
+    # the gains summed down time-major rows, one step at a time
+    ds = np.diff(bundle.s, axis=1)
+    gains = held[:, 0] * ds[:, 0]
+    for k in range(1, ds.shape[1]):
+        gains = gains + held[:, k] * ds[:, k]
+    resid = hedge.price + gains - np.asarray(claim(bundle.b[:, -1, 0]))
+    assert (hedge_residual(hedge.strategy, hedge.price, bundle, claim)
+            == float(resid.std(ddof=1)))
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,16 @@
 """The running-sum walk against ``np.cumsum`` and an unscreened ``argmax``:
 the walk's screened stop on the buffer it leaves, and its bits from the
-increments."""
+increments; the tiled time-major copy against a transposed copy."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcduality import stopping
-from mcduality.stopping import walk
+from mcduality.stopping import _time_major, walk
 
 
 def _unscreened(values, thr):
@@ -164,3 +168,47 @@ def test_walk_is_first_crossing_of_cumsum(monkeypatch, chunk, case):
         assert np.all(stop[1::2] == 5) and not crossed[::2].any()
     if case == "none":
         assert not crossed.any() and np.all(stop == steps)
+
+
+# ---------------------------------------------------------------------------
+# the tiled time-major copy against np.ascontiguousarray(src.T)
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(paths=st.integers(1, 40), width=st.integers(1, 24),
+       lo=st.integers(0, 23), cols=st.integers(1, 24),
+       tile=st.integers(1, 45), slack=st.integers(0, 23),
+       into=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(paths=1, width=9, lo=2, cols=4, tile=3, slack=0, into=True, seed=0)
+@example(paths=17, width=1, lo=0, cols=1, tile=4, slack=0, into=False,
+         seed=1)
+@example(paths=11, width=24, lo=5, cols=16, tile=3, slack=7, into=True,
+         seed=2)
+@example(paths=12, width=6, lo=0, cols=6, tile=4, slack=5, into=False,
+         seed=3)
+def test_time_major_is_transposed_copy(paths, width, lo, cols, tile, slack,
+                                       into, seed):
+    # a contiguous source (lo = 0, all columns) or a strided column slab of
+    # a wider array, as db[:, k0:k1]; the budget gives tiles of ``tile``
+    # paths of that row stride, not of the slab's width
+    lo, slack = lo % width, slack % width
+    cols = 1 + (cols - 1) % (width - lo)
+    rng = np.random.default_rng(seed)
+    levels = rng.normal(size=(paths, width))
+    levels[rng.random(size=levels.shape) < 0.1] = -0.0
+    levels[rng.random(size=levels.shape) < 0.05] = np.nan
+    src = levels[:, lo:lo + cols]
+    expected = np.ascontiguousarray(src.T)
+    # ``out`` as rows of a wider scratch buffer, as in the CIR block kernel
+    buf = np.full((cols + 2, paths + 3), 7.0)
+    out = buf[:cols, :paths] if into else None
+    with mock.patch.object(stopping, "_CHUNK_VALUES", tile * width + slack):
+        assert stopping.chunk_steps(src.strides[0] // src.itemsize) == tile
+        got = _time_major(src, out)
+    assert got.shape == (cols, paths)
+    assert np.array_equal(_bits(got), _bits(expected))
+    if into:
+        assert got is out
+        assert np.all(buf[cols:] == 7.0) and np.all(buf[:, paths:] == 7.0)
+    else:
+        assert got.flags.c_contiguous
