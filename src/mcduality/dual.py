@@ -311,8 +311,6 @@ def minimize_dual(pair: ConjugatePair, y: float, bundle: PathBundle,
     not walks.  ``buckets`` must lie between 1 and the bundle's step count,
     which is checked before any work.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
     if not 1 <= buckets <= bundle.steps:
         raise ValueError("buckets must lie between 1 and the step count")
     lo = np.full(3 * buckets, -_BOX)

@@ -232,12 +232,17 @@ def _cir_block(params: HestonParams, grid: TimeGrid, db: np.ndarray,
 def _increment_blocks(stream: RandomStream, grid: TimeGrid, spans):
     """Yield ``(lo, hi, db)`` for each path block ``(block, lo, hi)`` of
     ``spans``: its ``(hi - lo, steps)`` normals of ``stream`` times
-    ``sqrt(dt)``, in one buffer that the next block overwrites."""
+    ``sqrt(dt)``, in one buffer that the next block overwrites, drawn and
+    scaled ``chunk_steps`` rows at a time as :func:`driver_blocks` does."""
     buf = np.empty((spans[0][2] - spans[0][1], grid.steps))
+    rows = chunk_steps(grid.steps)
     scale = math.sqrt(grid.dt)
     for block, lo, hi in spans:
-        db = stream.fill_normals(block, buf[:hi - lo])
-        db *= scale
+        rng = stream.block_rng(block)
+        db = buf[:hi - lo]
+        for r0 in range(0, hi - lo, rows):
+            piece = rng.standard_normal(out=db[r0:r0 + rows])
+            piece *= scale
         yield lo, hi, db
 
 

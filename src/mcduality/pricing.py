@@ -36,9 +36,8 @@ from .market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
                      general_member, simulate_general_market,
                      simulate_heston_market)
 from .primal import (ConstantFamily, HedgeMixFamily, PrimalOpt,
-                     PrimalResult, _component_gains, _search,
-                     _smoothed_delta, driver_levels, lsmc_hedge,
-                     optimize_primal, with_claim_floor)
+                     PrimalResult, _Gains, _smoothed_delta, driver_levels,
+                     lsmc_hedge, optimize_primal, with_claim_floor)
 from .rng import RandomStream
 from .utility import ClaimSpec, ConjugatePair, UtilitySpec, digital_claim
 
@@ -106,11 +105,11 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
     with ``claim`` at ``x``.  The claim-free side searches the same family
     on the same bundle (common random numbers), so both sides stop at one
     floor and pathwise monotonicity in ``p`` makes the bracket ``[phi_min,
-    phi_max]`` valid.  (``rho_sweep`` also passes the ``_component_gains``
-    it built.)  The claim-free searches differ only in capital, and on
-    common random numbers they retrace many of each other's points; they
-    share the gains' memo of claim-free walks, so a retraced point is not
-    walked again.
+    phi_max]`` valid.  (``rho_sweep`` also passes the row's gains,
+    ``primal._Gains``, as ``_gains``.)  The claim-free searches differ only
+    in capital, and on common random numbers they retrace many of each
+    other's points; they share the gains' memo of claim-free walks, so a
+    retraced point is not walked again.
     """
     u_est = u_opt.result.estimate
     if not math.isfinite(u_est.mean):
@@ -119,11 +118,11 @@ def indifference_price(pair: ConjugatePair, x: float, family, bundle,
                            diagnosis="claim-side estimate is -inf")
 
     # the claim-free searches differ only in capital: one hedge evaluation
-    gains = _component_gains(family, bundle) if _gains is None else _gains
+    gains = _Gains(family, bundle) if _gains is None else _gains
 
     def w_value(capital: float) -> Estimate:
-        return _search(pair, capital, family, bundle, None, w_budget,
-                       gains).result.estimate
+        return gains.search(pair, capital, family, None,
+                            w_budget).result.estimate
 
     lo, hi = claim.phi_min, claim.phi_max
     atol = 1e-12 * max(1.0, abs(u_est.mean))
@@ -282,9 +281,9 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
         floored = with_claim_floor(family, x, claim)
         # both claim searches run on one evaluation of the hedge, and the
         # price bisection's claim-free searches share its memo of walks
-        gains = _component_gains(family, bundle)
-        u_unc = _search(pair, x, family, bundle, claim, budget, gains)
-        u_con = _search(pair, x, floored, bundle, claim, budget, gains)
+        gains = _Gains(family, bundle)
+        u_unc = gains.search(pair, x, family, claim, budget)
+        u_con = gains.search(pair, x, floored, claim, budget)
         # the endogenous floor comes from half-line admissibility and from
         # subreplicating a claim with genuine spread; a constant claim is
         # replicable everywhere, and a real-line utility admits wealth below
@@ -369,8 +368,8 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
     the primal search) and approaches the analytic value as the basis
     refines.
 
-    The driver is drawn once, with the first member; every later member's
-    price is formed on the same read-only levels
+    The driver is drawn once, as the limit market's, before any member;
+    every member's price is formed on its read-only levels
     (``market.general_member``).  The claim's delta is a function of those
     levels and the grid alone, so it is computed once and every member fits
     and searches its own hedge on it.  The indices ``n_values`` must be
@@ -385,14 +384,12 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
     pair = ConjugatePair(UtilitySpec.exponential(alpha))
     claim = digital_claim(level=1.0, at=0.0)
     coeffs = degenerate_coeffs()
-    rows, gp, delta = [], None, None
+    gp = simulate_general_market(coeffs, math.inf, grid, paths,
+                                 RandomStream(seed), workers)
+    delta = _smoothed_delta(claim, gp)
+    rows = []
     for n in n_values:
-        if gp is None:
-            gp = simulate_general_market(coeffs, n, grid, paths,
-                                         RandomStream(seed), workers)
-            delta = _smoothed_delta(claim, gp)
-        else:
-            gp = general_member(coeffs, n, gp.times, gp.b)
+        gp = general_member(coeffs, n, gp.times, gp.b)
         hedge = lsmc_hedge(claim, gp, buckets=buckets, degree=degree,
                            delta=delta)
         family = HedgeMixFamily(hedge=hedge.strategy,

@@ -22,20 +22,14 @@ Expected utility of terminal wealth is then a genuine lower bound for the
 value of the corresponding problem, reported with a standard error.  For
 half-line utilities any path ending outside the domain makes the estimate
 ``-inf``; the number of such paths is reported as the violation count.
-``primal_bound`` and every evaluation of ``optimize_primal`` are one
-function, which reads terminal values only.  Once per family and bundle,
-each component's gains ``G_k = cumsum(C_k dS)`` are summed and kept as the
-``(paths, K)`` terminal gains ``G_k(T)`` and their per-path ranges.  Where
-the cap cannot bind, ``X_t = sum_k theta_k G_k(t)``, and a per-path screen
-on the ranges can prove that no path reaches the floor; such an evaluation
-reads ``X_T = sum_k theta_k G_k(T)``, with nothing stopped.  Every other
-evaluation (the cap may bind, or some path may reach the floor) walks: the
-family forms its gains increments a chunk of steps at a time, and
-:func:`~mcduality.stopping.walk`, which the dual shares, sums them into one
-buffer per search and stops them at the floor.  ``optimize_primal`` hands
-the negated mean and the family's bounds to
-:func:`~mcduality.search.minimize`, the bounded Nelder-Mead search that the
-dual uses too.
+
+Everything a bound needs of one family on one bundle is one object,
+:class:`_Gains`: the gains walk that :func:`~mcduality.stopping.walk`, the
+dual's too, sums and stops, the terminal gains that stand in for a walk
+where no path can reach the floor, and a memo of claim-free terminal
+values.  ``primal_bound`` is its ``result`` and ``optimize_primal`` its
+``search``, :func:`~mcduality.search.minimize` of the negated mean over
+the family's bounds; a price bisection's searches share one object.
 
 The hedging helper fits a variance-optimal holdings rule by least squares:
 terminal claim values are regressed on gains of bucketed basis strategies,
@@ -401,53 +395,37 @@ class HedgeMixFamily:
 # wealth and admissibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Gains:
-    """A family's gains walk on one bundle (see :func:`_component_gains`)."""
-
-    fill_at: object             # theta -> the walk's fill
-    path: np.ndarray            # (steps+1, paths) buffer from X_0 = 0
-    terminal_at: object         # (theta, threshold) -> X_T, or None: walk
-    # (theta bytes, threshold) -> (read-only X_T at the stop, stopped
-    # fraction) of the most recently used claim-free evaluations
-    walks: OrderedDict = field(default_factory=OrderedDict)
-
-
 #: the unit roundoff ``u`` and the smallest subnormal ``eta`` of float64, in
-#: the terminal-gains screen's margin (see :func:`_component_gains`)
+#: the terminal-gains screen's margin (see :class:`_Gains`)
 _U, _ETA = 2.0 ** -53, 2.0 ** -1074
 
 
-def _component_gains(family, bundle) -> _Gains:
-    """The family's gains walk on ``bundle``, and its terminal gains.
+class _Gains:
+    """One family's gains on one bundle, and the bounds and searches read
+    off them; a family that differs from the built one only in its floor
+    may be evaluated on it.
 
-    ``path`` is the ``(steps+1, paths)`` buffer, from ``X_0 = 0``, that
-    :func:`~mcduality.stopping.walk` sums the gains into; ``fill_at(theta)``
-    is the walk's fill, writing a chunk of the increments
-    ``clip(sum_k theta_k C_k) dS`` with zero weights skipped.  The first
-    weighted component is written straight into the rows and the others
-    are added in component order; ``0.0`` is added once when no non-zero
-    scalar term is live, which turns a sum of ``-0.0`` terms into ``+0.0``
-    exactly as summing from a zeroed row does.  The clip is skipped when
-    the bound ``b = sum_k |theta_k| max|C_k|`` lies below ``max_holding (1
-    - 1e-9)``: no entry can then reach the cap, and a NaN bound keeps the
-    clip.  The component holdings are computed once and kept time-major
-    (copied a tile of paths at a time, ``stopping._time_major``) with their
-    largest magnitudes, ``dS`` is subtracted time-major from the
-    transposed price levels, and the buffer and a chunk of scratch
-    are allocated once, so an evaluation allocates nothing of size ``paths
-    x steps``.
+    The component holdings are kept time-major (``stopping._time_major``)
+    with their largest magnitudes, beside ``dS``, the ``(steps+1, paths)``
+    buffer ``path`` that :func:`~mcduality.stopping.walk` sums the gains
+    into from ``X_0 = 0`` and a chunk of scratch, so an evaluation
+    allocates nothing of size ``paths x steps``.  ``fill(theta)`` is the
+    walk's fill, a chunk of ``clip(sum_k theta_k C_k) dS`` with zero weights
+    skipped: the first weighted component is written into the rows and the
+    others are added in order, and ``0.0`` is added once when no non-zero
+    scalar is live, so a sum of ``-0.0`` terms is ``+0.0`` as from a zeroed
+    row.  The clip is skipped when ``b = sum_k |theta_k| max|C_k|`` lies
+    below ``max_holding (1 - 1e-9)``, where no entry can reach the cap; a
+    NaN ``b`` clips.
 
-    *Terminal gains.*  Below the cap the gains are linear in ``theta``:
-    ``X_t = sum_k theta_k G_k(t)`` with ``G_k = cumsum(C_k dS)`` from
-    ``G_k(0) = 0``.  Each component's ``G_k`` is summed once, in ``path``
-    (which the walks overwrite), and kept as three per-path vectors: its
-    terminal value ``G_k(T)`` and its range ``[min_t G_k, max_t G_k]``.
-    ``terminal_at(theta, thr)`` returns ``X_T = sum_k theta_k G_k(T)``,
-    summed from zero in component order, when ``b`` is below the cap and
-    every path's lower bound ``L = sum_k min(theta_k min G_k, theta_k max
-    G_k) <= min_t X_t`` satisfies ``L - margin >= thr``; otherwise None, and
-    the caller walks.
+    *Terminal gains.*  Below the cap ``X_t = sum_k theta_k G_k(t)`` with
+    ``G_k = cumsum(C_k dS)`` from ``G_k(0) = 0``.  Each ``G_k`` is summed
+    once, in ``path``, and kept as its terminal value ``G_k(T)`` and its
+    per-path range ``[min_t G_k, max_t G_k]``.  ``terminal(theta, thr)`` is
+    ``X_T = sum_k theta_k G_k(T)``, summed from zero in component order,
+    when ``b`` is below the cap and every path's lower bound ``L = sum_k
+    min(theta_k min G_k, theta_k max G_k) <= min_t X_t`` has ``L - margin
+    >= thr``; otherwise None, and the caller walks.
 
     *The margin.*  Take ``n`` steps, ``K`` components, ``S = max_paths
     sum_t |dS_t|`` and ``w = sum_k |theta_k|``; every path has ``sum_t
@@ -466,58 +444,71 @@ def _component_gains(family, bundle) -> _Gains:
     rounding of ``b``, ``S``, the margin itself and the subtraction.  A NaN
     anywhere fails the test and walks.
 
-    ``walks`` is the memo of :func:`_evaluation`'s claim-free walks on these
-    gains, least recently used evicted first.  It belongs to this object
-    alone: a sweep row builds one and every claim-free search of its price
-    bisection shares it.
+    *The memo.*  ``walks`` maps ``(theta bytes, threshold)`` to the
+    read-only ``X_T`` and stopped fraction of the ``kept`` claim-free
+    evaluations used most recently.  ``kept`` is 0 until a claim-free
+    :meth:`search` sets it to two searches' calls: a price bisection's
+    searches on common random numbers retrace the search before them.
     """
-    comps = [_time_major(c) if np.ndim(c) else np.array(c)
-             for c in family.components(bundle)]
-    sizes = [float(np.maximum(c.max(), -c.min())) for c in comps]
-    s = bundle.s.T
-    ds = np.subtract(s[1:], s[:-1], order="C")
-    steps, paths = ds.shape
-    path = np.zeros((steps + 1, paths))
-    after = path[1:]
-    np.abs(ds, out=after)
-    variation = float(path.sum(axis=0).max())
-    ends = []                   # per component: G_k(T), min G_k, max G_k
-    for c in comps:
-        np.multiply(c, ds, out=after)
-        np.cumsum(after, axis=0, out=after)
-        ends.append((path[-1].copy(), path.min(axis=0), path.max(axis=0)))
-    rounds = steps + len(comps) + 1
-    term = np.empty((min(chunk_steps(paths), steps), paths))
-    cap = family.max_holding
-    unclipped = cap * (1.0 - 1e-9)     # a bound below it never reaches cap
 
-    def bound_at(theta) -> float:
-        return sum(abs(w) * m for w, m in zip(theta, sizes) if w != 0.0)
+    def __init__(self, family, bundle):
+        comps = [_time_major(c) if np.ndim(c) else np.array(c)
+                 for c in family.components(bundle)]
+        self._comps, self._cap = comps, family.max_holding
+        self._sizes = [float(np.maximum(c.max(), -c.min())) for c in comps]
+        s = bundle.s.T
+        self._ds = ds = np.subtract(s[1:], s[:-1], order="C")
+        steps, paths = ds.shape
+        self.path = path = np.zeros((steps + 1, paths))
+        after = path[1:]
+        np.abs(ds, out=after)
+        self._variation = float(path.sum(axis=0).max())
+        self._ends = []         # per component: G_k(T), min G_k, max G_k
+        for c in comps:
+            np.multiply(c, ds, out=after)
+            np.cumsum(after, axis=0, out=after)
+            self._ends.append((path[-1].copy(), path.min(axis=0),
+                               path.max(axis=0)))
+        self._rounds = steps + len(comps) + 1
+        self._term = np.empty((min(chunk_steps(paths), steps), paths))
+        self._unclipped = self._cap * (1.0 - 1e-9)    # never reaches cap
+        self._driver_t = driver_levels(bundle)[:, -1]
+        self.walks: OrderedDict = OrderedDict()
+        self.kept = 0
 
-    def terminal_at(theta, thr):
-        bound = bound_at(theta)
-        if not bound < unclipped:
+    def _bound(self, theta) -> float:
+        return sum(abs(w) * m for w, m in zip(theta, self._sizes)
+                   if w != 0.0)
+
+    def terminal(self, theta, thr):
+        """``X_T`` from the terminal gains, or None where the screen
+        cannot prove that no path reaches ``thr``."""
+        bound = self._bound(theta)
+        if not bound < self._unclipped:
             return None
-        live = [(w, e) for w, e in zip(theta, ends) if w != 0.0]
-        low = np.zeros(paths)
+        live = [(w, e) for w, e in zip(theta, self._ends) if w != 0.0]
+        low = np.zeros(self.path.shape[1])
         for w, (_, lo, hi) in live:
             low += w * (lo if w > 0.0 else hi)
         weight = sum(abs(w) for w, _ in live)
-        margin = 4.0 * rounds * (_U * bound * variation + (1.0 + variation)
-                                 * (1.0 + weight) * _ETA)
+        margin = 4.0 * self._rounds * (
+            _U * bound * self._variation
+            + (1.0 + self._variation) * (1.0 + weight) * _ETA)
         if not low.min() - margin >= thr:
             return None
-        xt = np.zeros(paths)
+        xt = np.zeros(self.path.shape[1])
         for w, (end, _, _) in live:
             xt += w * end
         return xt
 
-    def fill_at(theta):
-        live = [(w, c) for w, c in zip(theta, comps) if w != 0.0]
+    def fill(self, theta):
+        """The walk's fill at ``theta``."""
+        live = [(w, c) for w, c in zip(theta, self._comps) if w != 0.0]
         # an all-zero theta fills zeros
         (w0, c0), *rest = live or [(0.0, np.zeros(()))]
         signed_zero = not any(c.ndim == 0 and w * c != 0.0 for w, c in live)
-        clip = not bound_at(theta) < unclipped
+        clip = not self._bound(theta) < self._unclipped
+        cap, ds, term = self._cap, self._ds, self._term
 
         def fill(k0, k1, rows):
             if c0.ndim:
@@ -535,13 +526,70 @@ def _component_gains(family, bundle) -> _Gains:
 
         return fill
 
-    return _Gains(fill_at, path, terminal_at)
+    def wealth(self, theta, thr, kept: int):
+        """``(X_T, stopped fraction)`` of ``theta`` stopped at ``thr``: from
+        the memo when ``kept`` is above 0, which then holds the ``kept`` most
+        recently used, else from the terminal gains or a walk."""
+        key = (np.asarray(theta, dtype=float).tobytes(), thr)
+        if kept and key in self.walks:
+            self.walks.move_to_end(key)
+            return self.walks[key]
+        xt, stopped = self.terminal(theta, thr), 0.0
+        if xt is None:
+            _, xt, crossed = walk(self.fill(theta), self.path, thr)
+            stopped = float(crossed.mean())
+        if kept:
+            xt.flags.writeable = False
+            self.walks[key] = xt, stopped
+            if len(self.walks) > kept:
+                self.walks.popitem(last=False)
+        return xt, stopped
+
+    def _utilities(self, pair, x, family, f, theta):
+        """Utility samples of ``x + X_T (+ f)`` at ``theta`` and the
+        stopped fraction; the memo is used without a claim."""
+        xt, stopped = self.wealth(theta, -family.floor - FLOOR_SLACK,
+                                  self.kept if f is None else 0)
+        w = x + xt if f is None else (x + f) + xt
+        return np.asarray(pair.utility.u(w), dtype=float), stopped
+
+    def _payoff(self, claim):
+        return None if claim is None else np.asarray(
+            claim(self._driver_t), dtype=float)
+
+    def result(self, pair, x, family, claim, theta) -> PrimalResult:
+        """``primal_bound(pair, x, family, theta, bundle, claim)``."""
+        samples, stopped = self._utilities(pair, x, family,
+                                           self._payoff(claim), theta)
+        return PrimalResult(estimate=mc_estimate(samples),
+                            violations=int(np.sum(np.isneginf(samples))),
+                            stopped_fraction=stopped)
+
+    def search(self, pair, x, family, claim, budget) -> PrimalOpt:
+        """``optimize_primal``: a point scores its negated mean utility, the
+        bits of ``mc_estimate``'s mean, or ``mc_estimate``'s own where the
+        mean is not finite (a NaN or ``+inf`` sample raises)."""
+        lo, hi = np.array(family.bounds, dtype=float).T
+        if claim is None:
+            self.kept = 2 * max_calls(budget, lo.size)
+        f = self._payoff(claim)
+
+        def score(theta) -> float:
+            samples, _ = self._utilities(pair, x, family, f, theta)
+            mean = float(samples.mean())
+            return -(mean if math.isfinite(mean)
+                     else mc_estimate(samples).mean)
+
+        theta, evals = minimize(score, lo, hi, budget)
+        return PrimalOpt(theta=theta,
+                         result=self.result(pair, x, family, claim, theta),
+                         evaluations=evals)
 
 
 def wealth_process(family, theta, bundle) -> np.ndarray:
     """Raw gains paths ``(paths, steps+1)`` of the family at ``theta``."""
-    gains = _component_gains(family, bundle)
-    walk(gains.fill_at(theta), gains.path, -math.inf)
+    gains = _Gains(family, bundle)
+    walk(gains.fill(theta), gains.path, -math.inf)
     return gains.path.T.copy()
 
 
@@ -566,8 +614,8 @@ def enforce_admissibility(family, theta, bundle) -> EnforcedWealth:
     genuinely suffered and is never repaired.
     """
     thr = -family.floor - FLOOR_SLACK
-    gains = _component_gains(family, bundle)
-    stop_at, _, crossed = walk(gains.fill_at(theta), gains.path, thr)
+    gains = _Gains(family, bundle)
+    stop_at, _, crossed = walk(gains.fill(theta), gains.path, thr)
     raw = gains.path.T
     idx = np.minimum(np.arange(raw.shape[1])[None, :], stop_at[:, None])
     stopped = np.take_along_axis(raw, idx, axis=1)
@@ -585,45 +633,6 @@ class PrimalResult:
     stopped_fraction: float
 
 
-def _evaluation(pair: ConjugatePair, x: float, family, bundle,
-                claim: ClaimSpec | None, gains: _Gains, kept: int):
-    """``theta -> primal_bound(pair, x, family, theta, bundle, claim)`` on
-    the family's ``_component_gains``.
-
-    ``X_T`` comes from the terminal gains when the screen proves that no
-    path reaches the floor (nothing is then stopped), else from a walk.
-    Without a claim, ``X_T`` is looked up in the gains' memo before either,
-    and the memo is then trimmed to the ``kept`` most recently used values.
-    """
-    thr = -family.floor - FLOOR_SLACK
-    f = None if claim is None else np.asarray(
-        claim(driver_levels(bundle)[:, -1]), dtype=float)
-    walks = gains.walks
-
-    def evaluate(theta) -> PrimalResult:
-        key = (np.asarray(theta, dtype=float).tobytes(), thr)
-        if f is None and key in walks:
-            walks.move_to_end(key)
-            xt, stopped = walks[key]
-        else:
-            xt, stopped = gains.terminal_at(theta, thr), 0.0
-            if xt is None:
-                _, xt, crossed = walk(gains.fill_at(theta), gains.path, thr)
-                stopped = float(crossed.mean())
-            if f is None:
-                xt.flags.writeable = False
-                walks[key] = xt, stopped
-                if len(walks) > kept:
-                    walks.popitem(last=False)
-        w = x + xt if f is None else (x + f) + xt
-        samples = np.asarray(pair.utility.u(w), dtype=float)
-        return PrimalResult(estimate=mc_estimate(samples),
-                            violations=int(np.sum(np.isneginf(samples))),
-                            stopped_fraction=stopped)
-
-    return evaluate
-
-
 def primal_bound(pair: ConjugatePair, x: float, family, theta, bundle,
                  claim: ClaimSpec | None = None) -> PrimalResult:
     """Expected utility of enforced terminal wealth ``x + X_T (+ f)``.
@@ -637,8 +646,7 @@ def primal_bound(pair: ConjugatePair, x: float, family, theta, bundle,
     optimizer treats the strategy as infeasible rather than silently
     repairing it.
     """
-    return _evaluation(pair, x, family, bundle, claim,
-                       _component_gains(family, bundle), 0)(theta)
+    return _Gains(family, bundle).result(pair, x, family, claim, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -745,22 +753,6 @@ class PrimalOpt:
     evaluations: int
 
 
-def _search(pair: ConjugatePair, x: float, family, bundle,
-            claim: ClaimSpec | None, budget: int, gains) -> PrimalOpt:
-    """``optimize_primal`` on the family's ``_component_gains``, which a
-    caller running several searches on one bundle builds once.  The gains'
-    memo keeps as many claim-free walks as two searches of ``budget`` make:
-    a price bisection's searches on common random numbers retrace the
-    search before them."""
-    lo = np.array([b[0] for b in family.bounds])
-    hi = np.array([b[1] for b in family.bounds])
-    evaluate = _evaluation(pair, x, family, bundle, claim, gains,
-                           2 * max_calls(budget, lo.size))
-    theta, evals = minimize(lambda t: -evaluate(t).estimate.mean, lo, hi,
-                            budget)
-    return PrimalOpt(theta=theta, result=evaluate(theta), evaluations=evals)
-
-
 def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
                     claim: ClaimSpec | None = None,
                     budget: int = 120) -> PrimalOpt:
@@ -773,5 +765,4 @@ def optimize_primal(pair: ConjugatePair, x: float, family, bundle,
     the family's bounds, so an infeasible ``theta`` (a ``-inf`` mean) scores
     as its one penalty.
     """
-    return _search(pair, x, family, bundle, claim, budget,
-                   _component_gains(family, bundle))
+    return _Gains(family, bundle).search(pair, x, family, claim, budget)

@@ -125,8 +125,11 @@ def minimize(objective, lo: np.ndarray, hi: np.ndarray,
     lower and upper quarter points, and share ``budget`` calls (at least
     ``dim + 2`` each).  A non-finite objective value scores ``1e30``.  End
     points are clipped to the box, and ties in the objective go to the
-    lexicographically smallest end point rounded to 12 decimals.
+    lexicographically smallest end point rounded to 12 decimals.  A
+    ``budget`` below 1 raises ``ValueError`` before any call.
     """
+    if budget < 1:
+        raise ValueError("budget must be positive")
     calls = 0
 
     def counted(theta):

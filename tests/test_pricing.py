@@ -1,6 +1,5 @@
 """Indifference prices, the correlation sweep and the shrinking-market family."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -136,13 +135,13 @@ def test_sweep_builds_each_rows_gains_once(monkeypatch):
     # input of the gains
     from mcduality import pricing
     built = []
-    real = pricing._component_gains
 
-    def counted(family, bundle):
-        built.append(family.floor)
-        return real(family, bundle)
+    class Counted(pricing._Gains):
+        def __init__(self, family, bundle):
+            built.append(family.floor)
+            super().__init__(family, bundle)
 
-    monkeypatch.setattr(pricing, "_component_gains", counted)
+    monkeypatch.setattr(pricing, "_Gains", Counted)
     res = rho_sweep(pair=POWER, x=0.75, claim=logistic_claim(rate=-2.0,
                                                              scale=2.0),
                     params=BASE_PARAMS, grid=TimeGrid(1.0, 12), paths=600,
@@ -153,23 +152,23 @@ def test_sweep_builds_each_rows_gains_once(monkeypatch):
     assert all(math.isfinite(r.price.price) for r in res.rows)
 
 
-def _recorded_searches(monkeypatch, fresh_gains: bool) -> list:
-    """Record every primal search of ``pricing`` as ``(capital, claim
+def _recorded_searches(monkeypatch, bundle, fresh_gains: bool) -> list:
+    """Record every primal search on ``bundle`` as ``(capital, claim
     given, theta, result, evaluations)``; with ``fresh_gains`` each search
     gets gains of its own, so no walk is shared."""
     from mcduality import primal
     searches = []
-    real = primal._search
+    real = primal._Gains.search
 
-    def recorded(pair, x, family, bundle, claim, budget, gains):
+    def recorded(gains, pair, x, family, claim, budget):
         if fresh_gains:
-            gains = pricing._component_gains(family, bundle)
-        opt = real(pair, x, family, bundle, claim, budget, gains)
+            gains = primal._Gains(family, bundle)
+        opt = real(gains, pair, x, family, claim, budget)
         searches.append((x, claim is not None, opt.theta.tobytes(),
                          opt.result, opt.evaluations))
         return opt
 
-    monkeypatch.setattr(pricing, "_search", recorded)
+    monkeypatch.setattr(primal._Gains, "search", recorded)
     return searches
 
 
@@ -196,12 +195,13 @@ def test_shared_walks_never_reach_a_price(bundle_rho03, monkeypatch):
     runs = []
     for fresh in (False, True):
         walks.clear()
-        searches = _recorded_searches(monkeypatch, fresh)
-        gains = primal._component_gains(fam, bundle_rho03)
-        u_opt = pricing._search(POWER, 0.75, fam, bundle_rho03, claim, 24,
-                                gains)
-        price = indifference_price(POWER, 0.75, fam, bundle_rho03, claim,
-                                   u_opt, w_budget=24, _gains=gains)
+        with monkeypatch.context() as patch:
+            searches = _recorded_searches(patch, bundle_rho03, fresh)
+            gains = primal._Gains(fam, bundle_rho03)
+            u_opt = gains.search(POWER, 0.75, fam, claim, 24)
+            price = indifference_price(POWER, 0.75, fam, bundle_rho03,
+                                       claim, u_opt, w_budget=24,
+                                       _gains=gains)
         runs.append((price, searches, len(walks)))
     (shared, shared_searches, shared_walks), (fresh, fresh_searches,
                                               fresh_walks) = runs
@@ -223,25 +223,20 @@ def test_price_sides_stop_at_the_claim_sides_floor(monkeypatch, x):
     # the row's gains for X_T at its threshold before it walks
     from mcduality import primal
     walked, searches = [], []
-    real_gains, real_search = pricing._component_gains, pricing._search
+    real_terminal, real_search = primal._Gains.terminal, primal._Gains.search
 
-    def component_gains(family, bundle):
-        gains = real_gains(family, bundle)
+    def terminal(gains, theta, thr):
+        walked.append(thr)
+        return real_terminal(gains, theta, thr)
 
-        def terminal_at(theta, thr):
-            walked.append(thr)
-            return gains.terminal_at(theta, thr)
-
-        return dataclasses.replace(gains, terminal_at=terminal_at)
-
-    def search(pair, x, family, bundle, claim, budget, gains):
+    def search(gains, pair, x, family, claim, budget):
         start = len(walked)
-        opt = real_search(pair, x, family, bundle, claim, budget, gains)
+        opt = real_search(gains, pair, x, family, claim, budget)
         searches.append((claim is not None, set(walked[start:])))
         return opt
 
-    monkeypatch.setattr(pricing, "_component_gains", component_gains)
-    monkeypatch.setattr(pricing, "_search", search)
+    monkeypatch.setattr(primal._Gains, "terminal", terminal)
+    monkeypatch.setattr(primal._Gains, "search", search)
     res = _small_sweep(x=x, paths=200, rho_values=[0.3])
     rows = []       # per row: (claim searches' thresholds, claim-free ones)
     for with_claim, thresholds in searches:
@@ -409,10 +404,11 @@ def test_claim_delta_computed_once_per_row(monkeypatch):
 
 
 def test_degenerate_limit_bound_reads_a_finite_member(monkeypatch):
-    # one driver draw per call, with the first member: every member's b is
-    # that one read-only array, and so is the limit bound's B_T
+    # one driver draw per call, the limit market's, before any member:
+    # every member's b is that one read-only array, and so is the limit
+    # bound's B_T
     from mcduality import market
-    draws, members = [], []
+    draws, limits, members = [], [], []
 
     def recorder(real, into):
         def recorded(*args, **kwargs):
@@ -422,17 +418,19 @@ def test_degenerate_limit_bound_reads_a_finite_member(monkeypatch):
 
     monkeypatch.setattr(market, "driver_blocks",
                         recorder(market.driver_blocks, draws))
-    for name in ("simulate_general_market", "general_member"):
+    for name, into in (("simulate_general_market", limits),
+                       ("general_member", members)):
         monkeypatch.setattr(pricing, name,
-                            recorder(getattr(pricing, name), members))
+                            recorder(getattr(pricing, name), into))
     res = degenerate_example(alpha=1.0, x=0.25, n_values=[1, 4],
                              grid=TimeGrid(1.0, 12), paths=300, seed=7,
                              buckets=3, budget=8)
     assert len(draws) == 1
+    assert [gp.n for gp in limits] == [math.inf]
     assert [gp.n for gp in members] == [1.0, 4.0]
     b = members[0].b
     assert not b.flags.writeable
-    assert all(gp.b is b for gp in members)
+    assert all(gp.b is b for gp in members + limits)
     claim = digital_claim(level=1.0, at=0.0)
     f = np.asarray(claim(b[:, -1, 0]), dtype=float)
     ref = mc_estimate(EXP.utility.u(0.25 + f))
@@ -499,3 +497,22 @@ def test_degenerate_example_anchors():
     assert se > 0.0
     assert gap == res.rows[-1].value_mc - lim.mean
     assert gap > 0.0
+
+
+def test_price_refuses_a_claim_free_budget_below_one(bundle_rho0):
+    # the search's budget rule reaches the claim-free side of a price
+    fam = ConstantFamily(lo=-1.0, hi=2.0, floor=30.0)
+    claim = logistic_claim(rate=-2.0, scale=2.0)
+    u_opt = optimize_primal(EXP, 0.5, fam, bundle_rho0, claim=claim,
+                            budget=12)
+    assert math.isfinite(u_opt.result.estimate.mean)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        indifference_price(EXP, 0.5, fam, bundle_rho0, claim, u_opt,
+                           w_budget=0)
+
+
+def test_degenerate_example_refuses_a_budget_below_one():
+    # and every member's search of the shrinking-volatility family
+    with pytest.raises(ValueError, match="budget must be positive"):
+        degenerate_example(n_values=[1, 4], grid=TimeGrid(1.0, 12),
+                           paths=300, seed=7, buckets=3, budget=0)

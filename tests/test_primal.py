@@ -739,7 +739,7 @@ def _screen(comps, theta, bundle):
 
 def _linear_terminal(fam, comps, theta, bundle, thr):
     """``sum_k theta_k G_k(T)`` when the cap cannot bind and every path
-    clears the screen of :func:`primal._component_gains`, else None."""
+    clears the screen of :class:`primal._Gains`, else None."""
     bound, margin, low, xt = _screen(comps, theta, bundle)
     if bound < fam.max_holding * (1.0 - 1e-9) and low.min() - margin >= thr:
         return xt
@@ -773,7 +773,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
         thr = max(thr, -x - phi_min)
         fam = with_claim_floor(fam, x, claim if with_claim
                                else constant_claim(0.0))
-    gains = primal._component_gains(fam, flat_market)
+    gains = primal._Gains(fam, flat_market)
 
     def reference_bound(theta):
         # the terminal gains' sum where no path can reach the floor, else
@@ -796,7 +796,7 @@ def test_component_kernel_is_bitwise_enforced_wealth(flat_market, kind,
         raw, stopped, crossed = _reference(fam, comps, theta, flat_market,
                                            thr)
         assert np.array_equal(wealth_process(fam, theta, flat_market), raw)
-        _, xt, kernel_crossed = walk(gains.fill_at(theta), gains.path, thr)
+        _, xt, kernel_crossed = walk(gains.fill(theta), gains.path, thr)
         assert np.array_equal(xt, stopped[:, -1])
         assert np.array_equal(kernel_crossed, crossed)
         enforced = enforce_admissibility(fam, theta, flat_market)
@@ -870,14 +870,14 @@ def _check_terminal_gains(flat_market, screen_families, kind, theta, anchor,
     bound, margin, low, xt_ref = _screen(comps, theta, flat_market)
     if cap_factor is not None and bound * cap_factor > 0.0:
         fam = dataclasses.replace(fam, max_holding=bound * cap_factor)
-    gains = primal._component_gains(fam, flat_market)
-    walk(gains.fill_at(theta), gains.path, -math.inf)
+    gains = primal._Gains(fam, flat_market)
+    walk(gains.fill(theta), gains.path, -math.inf)
     near = low.min() if anchor == "screen" else float(gains.path.min())
     fam = dataclasses.replace(
         fam, floor=max(0.0, -(near + shift * margin) - primal.FLOOR_SLACK))
     thr = -fam.floor - primal.FLOOR_SLACK
-    xt = gains.terminal_at(theta, thr)
-    _, walked, crossed = walk(gains.fill_at(theta), gains.path, thr)
+    xt = gains.terminal(theta, thr)
+    _, walked, crossed = walk(gains.fill(theta), gains.path, thr)
     capped = not bound < fam.max_holding * (1.0 - 1e-9)
     if xt is not None:
         # the walk crosses nowhere, and X_T agrees within the margin
@@ -889,8 +889,7 @@ def _check_terminal_gains(flat_market, screen_families, kind, theta, anchor,
         assert low.min() - 2.0 * margin < thr
     if capped:
         pair = ConjugatePair(UtilitySpec.exponential(1.0))
-        got = primal._evaluation(pair, 1.0, fam, flat_market, None, gains,
-                                 0)(theta)
+        got = gains.result(pair, 1.0, fam, None, theta)
         samples = np.asarray(pair.utility.u(1.0 + walked), dtype=float)
         assert xt is None
         assert got == PrimalResult(estimate=mc_estimate(samples),
@@ -911,8 +910,12 @@ def test_evaluation_allocates_no_gains_array():
     fam = HedgeMixFamily(hedge=hedge.strategy, floor=4.0, max_holding=2.5,
                          lin_bounds=(-1.0, 1.0))
     pair = ConjugatePair(UtilitySpec.power(0.5))
-    gains = primal._component_gains(fam, market)
-    evaluate = primal._evaluation(pair, 6.0, fam, market, None, gains, 2)
+    gains = primal._Gains(fam, market)
+    gains.kept = 2
+
+    def evaluate(theta):
+        return gains.result(pair, 6.0, fam, None, theta)
+
     theta = np.array([0.1, 2.0, 0.1])
     first = evaluate(theta)
     assert 0.0 < first.stopped_fraction < 0.1
@@ -932,7 +935,7 @@ def test_evaluation_allocates_no_gains_array():
 @dataclasses.dataclass(frozen=True)
 class _ListFamily:
     """A family whose components are given: arrays ``(paths, steps)`` and
-    scalars, as :func:`primal._component_gains` reads them."""
+    scalars, as :class:`primal._Gains` reads them."""
 
     comps: tuple
     max_holding: float
@@ -1056,17 +1059,20 @@ def _counting_walks(monkeypatch) -> list:
 
 def test_memo_hit_is_fresh_walk(flat_market, memo_case, monkeypatch):
     pair, fam = memo_case
-    gains = primal._component_gains(fam, flat_market)
-    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, gains,
-                                  4)
+    gains = primal._Gains(fam, flat_market)
+    gains.kept = 4
+
+    def evaluate(theta):
+        return gains.result(pair, 4.5, fam, None, theta)
+
     walks = _counting_walks(monkeypatch)
     theta = np.array([0.3, 1.5, -0.5])
     first = evaluate(theta)
     assert len(walks) == 1
     again = evaluate(list(theta))
     assert len(walks) == 1 and len(gains.walks) == 1
-    fresh = primal._component_gains(fam, flat_market)
-    _, xt, crossed = walk(fresh.fill_at(theta), fresh.path,
+    fresh = primal._Gains(fam, flat_market)
+    _, xt, crossed = walk(fresh.fill(theta), fresh.path,
                           -fam.floor - primal.FLOOR_SLACK)
     (held_xt, held_stopped), = gains.walks.values()
     assert np.array_equal(held_xt, xt) and not held_xt.flags.writeable
@@ -1078,10 +1084,13 @@ def test_memo_hit_is_fresh_walk(flat_market, memo_case, monkeypatch):
 def test_memo_holds_claim_free_walks_only(flat_market, memo_case,
                                           monkeypatch):
     pair, fam = memo_case
-    gains = primal._component_gains(fam, flat_market)
+    gains = primal._Gains(fam, flat_market)
     claim = logistic_claim(rate=-2.0, scale=2.0)
-    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, claim, gains,
-                                  4)
+    gains.kept = 4
+
+    def evaluate(theta):
+        return gains.result(pair, 4.5, fam, claim, theta)
+
     walks = _counting_walks(monkeypatch)
     theta = np.array([0.3, 1.5, -0.5])
     assert evaluate(theta) == evaluate(theta)
@@ -1097,21 +1106,20 @@ def test_memo_never_shared_across_gains_or_thresholds(memo_case,
                for seed in (3, 4)]
     theta = np.array([0.3, 1.5, -0.5])
     # two gains objects of one shape: each walks its own paths
-    gains = [primal._component_gains(fam, m) for m in markets]
+    gains = [primal._Gains(fam, m) for m in markets]
     walks = _counting_walks(monkeypatch)
     for g, m in zip(gains, markets):
-        evaluate = primal._evaluation(pair, 4.5, fam, m, None, g, 4)
-        assert evaluate(theta) == primal_bound(pair, 4.5, fam, theta, m)
+        g.kept = 4
+        assert (g.result(pair, 4.5, fam, None, theta)
+                == primal_bound(pair, 4.5, fam, theta, m))
     assert len(walks) == 2 + 2
     assert [len(g.walks) for g in gains] == [1, 1]
     # two thresholds on one gains: a lower floor, and a claim floor
     shared = gains[0]
     for other, x in ((fam, 4.5), (dataclasses.replace(fam, floor=1.0), 4.5),
                      (with_claim_floor(fam, 0.5, constant_claim(0.0)), 0.5)):
-        evaluate = primal._evaluation(pair, x, other, markets[0], None,
-                                      shared, 4)
-        assert evaluate(theta) == primal_bound(pair, x, other, theta,
-                                               markets[0])
+        assert shared.result(pair, x, other, None, theta) == primal_bound(
+            pair, x, other, theta, markets[0])
     assert len(shared.walks) == 3
     assert len({thr for _, thr in shared.walks}) == 3
 
@@ -1120,10 +1128,12 @@ def test_memo_is_bounded_and_evicts_least_recently_used(flat_market,
                                                         memo_case,
                                                         monkeypatch):
     pair, fam = memo_case
-    gains = primal._component_gains(fam, flat_market)
-    kept = 9
-    evaluate = primal._evaluation(pair, 4.5, fam, flat_market, None, gains,
-                                  kept)
+    gains = primal._Gains(fam, flat_market)
+    kept = gains.kept = 9
+
+    def evaluate(theta):
+        return gains.result(pair, 4.5, fam, None, theta)
+
     thetas = [np.array([0.3, 1.5, -0.5 + 0.01 * k]) for k in range(kept + 6)]
     results = [evaluate(t) for t in thetas[:kept]]
     assert len(gains.walks) == kept
@@ -1160,13 +1170,12 @@ def test_search_memo_keeps_the_search_before(flat_market, memo_case,
 
     monkeypatch.setattr(primal, "minimize", recorded)
     walks = _counting_walks(monkeypatch)
-    gains = primal._component_gains(fam, flat_market)
+    gains = primal._Gains(fam, flat_market)
     kept = 2 * search.max_calls(budget, len(fam.bounds))
     before = set()
     for capital, want in zip(capitals, fresh):
         points.clear()
-        opt = primal._search(pair, capital, fam, flat_market, None, budget,
-                             gains)
+        opt = gains.search(pair, capital, fam, None, budget)
         assert np.array_equal(opt.theta, want.theta)
         assert (opt.result, opt.evaluations) == (want.result,
                                                  want.evaluations)
@@ -1174,3 +1183,73 @@ def test_search_memo_keeps_the_search_before(flat_market, memo_case,
         before = {(p, thr) for p in points}
     # searches at nearby capitals retrace each other's points
     assert len(walks) < sum(f.evaluations for f in fresh)
+
+
+@pytest.mark.parametrize("with_claim", [False, True])
+def test_search_scores_each_point_as_its_primal_bound(flat_market,
+                                                      monkeypatch,
+                                                      with_claim):
+    # a point's score is its negated mean utility, bit for bit the mean of
+    # primal_bound at that theta, whether the terminal gains screened it,
+    # a walk stopped it or a path left the domain; the one result built is
+    # primal_bound's at the returned theta
+    pair = ConjugatePair(UtilitySpec.power(0.5))
+    fam = ConstantFamily(lo=-1.0, hi=3.0, floor=2.0, max_holding=100.0)
+    claim = logistic_claim(rate=-2.0, scale=2.0) if with_claim else None
+    scored, screened = [], {}
+    real_minimize, real_terminal = primal.minimize, primal._Gains.terminal
+
+    def recorded(objective, lo, hi, budget):
+        def seen(theta):
+            scored.append((np.array(theta), objective(theta)))
+            return scored[-1][1]
+        return real_minimize(seen, lo, hi, budget)
+
+    def terminal(gains, theta, thr):
+        xt = real_terminal(gains, theta, thr)
+        screened[np.asarray(theta, dtype=float).tobytes()] = xt is not None
+        return xt
+
+    monkeypatch.setattr(primal, "minimize", recorded)
+    monkeypatch.setattr(primal._Gains, "terminal", terminal)
+    opt = optimize_primal(pair, 1.0, fam, flat_market, claim=claim,
+                          budget=24)
+    monkeypatch.undo()
+    assert len(scored) == opt.evaluations == 24
+    for theta, score in scored:
+        bound = primal_bound(pair, 1.0, fam, theta, flat_market, claim)
+        assert score == -bound.estimate.mean
+    kinds = [screened[theta.tobytes()] for theta, _ in scored]
+    assert any(kinds) and not all(kinds)
+    assert any(score == math.inf for _, score in scored)
+    assert opt.result == primal_bound(pair, 1.0, fam, opt.theta, flat_market,
+                                      claim)
+
+
+@pytest.mark.parametrize("with_claim", [False, True])
+def test_search_refuses_a_price_holding_nan(flat_market, with_claim):
+    # a NaN utility sample raises mc_estimate's ValueError in the search's
+    # scores as in primal_bound
+    s = np.array(flat_market.s)
+    s[3, 5] = math.nan
+    bundle = dataclasses.replace(flat_market, s=s)
+    pair = ConjugatePair(UtilitySpec.exponential(1.0))
+    fam = ConstantFamily(lo=-0.5, hi=0.5, floor=30.0)
+    claim = logistic_claim(rate=-2.0, scale=2.0) if with_claim else None
+    with pytest.raises(ValueError, match="nan"):
+        primal_bound(pair, 5.0, fam, [0.25], bundle, claim)
+    with pytest.raises(ValueError, match="nan"):
+        optimize_primal(pair, 5.0, fam, bundle, claim=claim, budget=12)
+
+
+@pytest.mark.parametrize("budget", [0, -7])
+def test_searches_refuse_a_budget_below_one(flat_market, budget):
+    def never(_theta):
+        raise AssertionError("objective called")
+
+    with pytest.raises(ValueError, match="budget must be positive"):
+        search.minimize(never, np.zeros(2), np.ones(2), budget)
+    pair = ConjugatePair(UtilitySpec.power(0.5))
+    with pytest.raises(ValueError, match="budget must be positive"):
+        optimize_primal(pair, 1.0, ConstantFamily(), flat_market,
+                        budget=budget)

@@ -48,6 +48,9 @@ CONFIGS = {
                               "claim": {"kind": "constant", "c": -0.5}},
                              400, 12),
     "degenerate": ({"version": 1, "kind": "degenerate"}, 400, 16),
+    # the other hedge basis a config may select
+    "degenerate-degree1": ({"version": 1, "kind": "degenerate",
+                            "degenerate": {"degree": 1}}, 400, 16),
     "kw-nondegenerate": ({"version": 1, "kind": "kw"}, 600, 32),
     "kw-degenerate": ({"version": 1, "kind": "kw",
                        "kw": {"mode": "degenerate"}}, 600, 32),
