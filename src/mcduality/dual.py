@@ -351,8 +351,7 @@ class SubrepReport:
 
 def subreplication_estimate(claim: ClaimSpec, params: HestonParams,
                             grid: TimeGrid, paths: int, stream: RandomStream,
-                            t_prime: float, shifts,
-                            workers: int | None = None) -> SubrepReport:
+                            t_prime: float, shifts) -> SubrepReport:
     """Estimate ``E[phi(B_T - B_{T'} + x)]`` over a grid of shifts ``x``.
 
     These are the conditional claim prices under the measures that
@@ -378,7 +377,7 @@ def subreplication_estimate(claim: ClaimSpec, params: HestonParams,
     def reduce(lo, hi, b):
         np.subtract(b[:, -1], b[:, k], out=tail[lo:hi])
 
-    driver_blocks(grid, paths, stream, reduce, workers)
+    driver_blocks(grid, paths, stream, reduce)
     rows = []
     for x in np.asarray(shifts, dtype=float).ravel():
         rows.append((float(x), mc_estimate(np.asarray(claim(tail + x)))))

@@ -347,12 +347,12 @@ def validate_config(cfg: dict) -> list[dict]:
     return errs
 
 
-def check_config(cfg: dict, workers: int | None = None) -> int:
+def check_config(cfg: dict) -> int:
     """Raise :class:`ConfigError` unless ``cfg`` is valid and the worker
-    count (``workers`` or ``MCDUALITY_WORKERS``) resolves; return it."""
+    count (``MCDUALITY_WORKERS``) resolves; return it."""
     errs = validate_config(cfg)
     try:
-        nworkers = worker_count(workers)
+        nworkers = worker_count()
     except ValueError as exc:
         errs.append({"field": WORKERS_ENV, "reason": str(exc)})
     if errs:
@@ -416,11 +416,11 @@ class RunManifest:
 # of a valid config as the field table coerces them
 # ---------------------------------------------------------------------------
 
-def _run_sweep(cfg, out: Path, workers):
+def _run_sweep(cfg, out: Path):
     params, grid = build_market(cfg)
     res = pricing.rho_sweep(build_utility(cfg), claim=build_claim(cfg),
                             params=params, grid=grid, paths=cfg["paths"],
-                            seed=cfg["seed"], workers=workers, **cfg["sweep"])
+                            seed=cfg["seed"], **cfg["sweep"])
     rows, dat_rows = [], []
     for r in res.rows:
         gap, gap_se = (res.price_gap(r.rho) if r.rho != 0.0 else (0.0, 0.0))
@@ -455,10 +455,10 @@ def _run_sweep(cfg, out: Path, workers):
     return ["sweep.csv", "cap.csv", "prices.dat"], extras
 
 
-def _run_degenerate(cfg, out: Path, workers):
+def _run_degenerate(cfg, out: Path):
     res = pricing.degenerate_example(grid=build_market(cfg)[1],
                                      paths=cfg["paths"], seed=cfg["seed"],
-                                     workers=workers, **cfg["degenerate"])
+                                     **cfg["degenerate"])
     write_csv(out / "bounds.csv",
               ["n", "hedge_price", "hedge_price_se", "hedge_residual_sd",
                "bound_mean", "bound_se", "violations", "stopped_fraction",
@@ -489,7 +489,7 @@ def _kw_setup(mode: str):
     return coeffs, np.array([0.0, 1.0])
 
 
-def _run_kw(cfg, out: Path, _workers):
+def _run_kw(cfg, out: Path):
     kwc = cfg["kw"]
     coeffs, nu = _kw_setup(kwc["mode"])
     rows = kw.kw_convergence_diag(nu, coeffs, kwc["n_values"],
@@ -501,7 +501,7 @@ def _run_kw(cfg, out: Path, _workers):
     return ["energies.csv"], {"mode": kwc["mode"]}
 
 
-def _run_subreplication(cfg, out: Path, workers):
+def _run_subreplication(cfg, out: Path):
     sub = cfg["subreplication"]
     claim = build_claim(cfg)
     params, grid = build_market(cfg)
@@ -509,7 +509,7 @@ def _run_subreplication(cfg, out: Path, workers):
     t_prime = grid.times[-2] if sub["t_prime"] is None else sub["t_prime"]
     rep = subreplication_estimate(claim, params, grid, cfg["paths"],
                                   RandomStream(cfg["seed"]), t_prime,
-                                  sub["shifts"], workers)
+                                  sub["shifts"])
     write_csv(out / "subreplication.csv", ["shift", "mean", "se"],
               [(x, e.mean, e.stderr) for x, e in rep.rows])
     extras = {"t_prime": rep.t_prime, "min_shift": rep.min_shift,
@@ -517,7 +517,7 @@ def _run_subreplication(cfg, out: Path, workers):
     return ["subreplication.csv"], extras
 
 
-def _run_oracle_check(cfg, out: Path, workers):
+def _run_oracle_check(cfg, out: Path):
     params, grid = build_market(cfg)
     oc = cfg["oracle"]
     paths = cfg["paths"]
@@ -530,7 +530,7 @@ def _run_oracle_check(cfg, out: Path, workers):
         np.sum(v[:, :-1], axis=1, out=int_v[lo:hi])
 
     simulate_cir_blocks(params, grid, paths, RandomStream(cfg["seed"]),
-                        reduce, workers)
+                        reduce)
     int_v *= grid.dt
     rows = []
     for a in oc["a_values"]:
@@ -558,12 +558,12 @@ _RUNNERS = {"sweep": _run_sweep, "degenerate": _run_degenerate,
 
 
 def run_experiment(user_cfg: dict, out_dir, seed: int | None = None,
-                   paths: int | None = None, steps: int | None = None,
-                   workers: int | None = None) -> RunManifest:
+                   paths: int | None = None,
+                   steps: int | None = None) -> RunManifest:
     """Validate, run and report one experiment; returns the manifest.
 
     ``seed``, ``paths`` and ``steps`` override the config when given.  The
-    worker count (``workers`` argument or ``MCDUALITY_WORKERS``) controls
+    worker count (``MCDUALITY_WORKERS``, recorded in the manifest) controls
     scheduling only; reported numbers and CSV bytes do not depend on it.
     Invalid input raises :class:`ConfigError` before ``out_dir`` is made.
     """
@@ -571,7 +571,7 @@ def run_experiment(user_cfg: dict, out_dir, seed: int | None = None,
     for key, val in (("seed", seed), ("paths", paths), ("steps", steps)):
         if val is not None:
             cfg[key] = int(val)
-    nworkers = check_config(cfg, workers)
+    nworkers = check_config(cfg)
     section = _SECTION.get(cfg["kind"], cfg["kind"])
     typed = {**cfg, **_coerce(cfg, _TOP),
              section: _coerce(cfg[section], _SECTIONS[section])}
@@ -579,7 +579,7 @@ def run_experiment(user_cfg: dict, out_dir, seed: int | None = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    files, extras = _RUNNERS[cfg["kind"]](typed, out, workers)
+    files, extras = _RUNNERS[cfg["kind"]](typed, out)
     wall = time.perf_counter() - t0
 
     outputs = [{"file": f,

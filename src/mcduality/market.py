@@ -15,7 +15,8 @@ The density process ``Z = StochExp(-mu * sqrt(V) . B)`` is a function of
 ``(B, V)`` alone and is therefore shared by every ``rho`` market simulated
 from the same seed; a bundle keeps its terminal value ``Z_T`` only.
 
-Every simulator works one path block at a time (:func:`rng.map_blocks`):
+Every simulator works one path block at a time (:func:`rng.map_blocks`,
+on the ``MCDUALITY_WORKERS`` threads that :func:`rng.worker_count` reads):
 a block's driver increments are drawn just before they are used and its
 paths are written into its own rows, so the bits do not depend on the
 worker count and no ``(paths, steps)`` array of increments exists.
@@ -247,7 +248,7 @@ def _increment_blocks(stream: RandomStream, grid: TimeGrid, spans):
 
 
 def driver_blocks(grid: TimeGrid, paths: int, stream: RandomStream, visit,
-                  workers: int | None = None, d: int | None = None) -> None:
+                  d: int | None = None) -> None:
     """Simulate the driver ``B`` one path block at a time.
 
     A block's levels, ``(hi - lo, steps+1)`` or ``(hi - lo, steps+1, d)``
@@ -261,9 +262,9 @@ def driver_blocks(grid: TimeGrid, paths: int, stream: RandomStream, visit,
     one draw of the whole block, and each piece is scaled by ``sqrt(dt)``
     and summed into its rows while it is in cache.  ``B`` is the same for
     every market parameter and agrees bit for bit with the ``b`` of
-    :func:`simulate_heston_market` from the same stream.  With several
-    workers the blocks run on threads, so ``visit`` may write only to rows
-    ``lo:hi`` of what it fills.
+    :func:`simulate_heston_market` from the same stream.  The blocks run
+    on the threads of :func:`rng.map_blocks` (``MCDUALITY_WORKERS``), so
+    ``visit`` may write only to rows ``lo:hi`` of what it fills.
     """
     sub = stream.split(0)
     trail = () if d is None else (d,)
@@ -286,19 +287,19 @@ def driver_blocks(grid: TimeGrid, paths: int, stream: RandomStream, visit,
                           out=levels[r0:r1, 1:])
             visit(lo, hi, levels)
 
-    map_blocks(work, paths, workers)
+    map_blocks(work, paths)
 
 
 def simulate_cir_blocks(params: HestonParams, grid: TimeGrid, paths: int,
-                        stream: RandomStream, visit,
-                        workers: int | None = None) -> None:
+                        stream: RandomStream, visit) -> None:
     """Simulate variance paths one path block at a time.
 
     The paths are those of :func:`simulate_cir`, bit for bit.  A block's
     ``(hi - lo, steps+1)`` variance is written to a block buffer that the
-    next block overwrites; ``visit(lo, hi, v)`` reads it in between.  With
-    several workers the blocks run on threads, so ``visit`` may write only
-    to rows ``lo:hi`` of what it fills.
+    next block overwrites; ``visit(lo, hi, v)`` reads it in between.  The
+    blocks run on the threads of :func:`rng.map_blocks`
+    (``MCDUALITY_WORKERS``), so ``visit`` may write only to rows ``lo:hi``
+    of what it fills.
     """
     sub = stream.split(0)
 
@@ -311,11 +312,11 @@ def simulate_cir_blocks(params: HestonParams, grid: TimeGrid, paths: int,
             _cir_block(params, grid, db, v, scratch)
             visit(lo, hi, v)
 
-    map_blocks(work, paths, workers)
+    map_blocks(work, paths)
 
 
 def simulate_cir(params: HestonParams, grid: TimeGrid, paths: int,
-                 stream: RandomStream, workers: int | None = None) -> np.ndarray:
+                 stream: RandomStream) -> np.ndarray:
     """Simulate variance paths alone; returns a ``(paths, steps+1)`` array.
 
     Draws the increments of ``B`` from the substream that
@@ -328,7 +329,7 @@ def simulate_cir(params: HestonParams, grid: TimeGrid, paths: int,
     def store(lo, hi, block):
         v[lo:hi] = block
 
-    simulate_cir_blocks(params, grid, paths, stream, store, workers)
+    simulate_cir_blocks(params, grid, paths, stream, store)
     return v
 
 
@@ -382,8 +383,7 @@ def minimal_martingale_density(mu: float, v: np.ndarray, db: np.ndarray,
 
 
 def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
-                           stream: RandomStream,
-                           workers: int | None = None) -> PathBundle:
+                           stream: RandomStream) -> PathBundle:
     """Simulate a path bundle ``(B, W, V, S)`` and the density ``Z_T``.
 
     With a shared stream, ``B``, ``W``, ``V`` and ``Z_T`` are identical
@@ -426,7 +426,7 @@ def simulate_heston_market(params: HestonParams, grid: TimeGrid, paths: int,
             db += dw
             np.cumsum(db, axis=1, out=s[lo:hi, 1:])
 
-    map_blocks(work, paths, workers)
+    map_blocks(work, paths)
     times = grid.times
     for a in (times, b, w, v, s, z):
         a.flags.writeable = False
@@ -497,8 +497,7 @@ def general_member(coeffs: GeneralMarketCoeffs, n, times: np.ndarray,
 
 
 def simulate_general_market(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
-                            paths: int, stream: RandomStream,
-                            workers: int | None = None) -> GeneralPaths:
+                            paths: int, stream: RandomStream) -> GeneralPaths:
     """Simulate member ``n`` of the family: the ``d``-dimensional driver of
     :func:`driver_blocks`, stored block by block, and the member's price
     from :func:`general_member`.
@@ -513,7 +512,7 @@ def simulate_general_market(coeffs: GeneralMarketCoeffs, n, grid: TimeGrid,
     def store(lo, hi, levels):
         b[lo:hi] = levels
 
-    driver_blocks(grid, paths, stream, store, workers, coeffs.d)
+    driver_blocks(grid, paths, stream, store, coeffs.d)
     times = grid.times
     times.flags.writeable = False
     b.flags.writeable = False

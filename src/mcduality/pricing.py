@@ -240,8 +240,7 @@ class SweepResult:
 def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
               params: HestonParams, grid: TimeGrid, paths: int, seed: int,
               rho_values, y_grid, hedge_buckets: int = 8,
-              budget: int = 120, w_budget: int = 40,
-              workers: int | None = None) -> SweepResult:
+              budget: int = 120, w_budget: int = 40) -> SweepResult:
     """Bounds, cap and prices across correlation values on a shared seed.
 
     Every row is one unit: it simulates its bundle from the shared seed,
@@ -267,7 +266,7 @@ def rho_sweep(pair: ConjugatePair, x: float, claim: ClaimSpec,
 
     def row(rho: float) -> SweepRow:
         bundle = simulate_heston_market(params.with_rho(rho), grid, paths,
-                                        stream, workers)
+                                        stream)
         cap_table = [(y, dual_bound_mmm(pair, y, bundle, claim))
                      for y in y_values]
         # min keeps the first of equal values
@@ -357,8 +356,7 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
                        x: float = 0.0, n_values=(1, 2, 4, 8),
                        grid: TimeGrid | None = None,
                        buckets: int = 12, degree: int = 2,
-                       budget: int = 60,
-                       workers: int | None = None) -> DegenerateResult:
+                       budget: int = 60) -> DegenerateResult:
     """Short-hedge bounds for the step claim ``1{B_T >= 0}`` along the family.
 
     In every finite-n market the claim is replicable, so the optimal value is
@@ -385,7 +383,7 @@ def degenerate_example(paths: int, seed: int, alpha: float = 1.0,
     claim = digital_claim(level=1.0, at=0.0)
     coeffs = degenerate_coeffs()
     gp = simulate_general_market(coeffs, math.inf, grid, paths,
-                                 RandomStream(seed), workers)
+                                 RandomStream(seed))
     delta = _smoothed_delta(claim, gp)
     rows = []
     for n in n_values:

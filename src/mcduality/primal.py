@@ -416,7 +416,8 @@ class _Gains:
     scalar is live, so a sum of ``-0.0`` terms is ``+0.0`` as from a zeroed
     row.  The clip is skipped when ``b = sum_k |theta_k| max|C_k|`` lies
     below ``max_holding (1 - 1e-9)``, where no entry can reach the cap; a
-    NaN ``b`` clips.
+    NaN ``b`` clips.  A price with a NaN or infinite increment raises
+    ``ValueError``: a half-line utility would score NaN wealth ``-inf``.
 
     *Terminal gains.*  Below the cap ``X_t = sum_k theta_k G_k(t)`` with
     ``G_k = cumsum(C_k dS)`` from ``G_k(0) = 0``.  Each ``G_k`` is summed
@@ -463,6 +464,8 @@ class _Gains:
         after = path[1:]
         np.abs(ds, out=after)
         self._variation = float(path.sum(axis=0).max())
+        if not math.isfinite(self._variation):
+            raise ValueError("price increments hold nan or inf")
         self._ends = []         # per component: G_k(T), min G_k, max G_k
         for c in comps:
             np.multiply(c, ds, out=after)

@@ -10,8 +10,9 @@ one draw or a few rows at a time from the block's generator.
 Reductions downstream run per path in path-index order, which makes every
 statistic bit-stable across worker counts.
 
-The worker count defaults to 1 and can be overridden with the
-``MCDUALITY_WORKERS`` environment variable.
+:func:`map_blocks` is the one scheduler of path blocks, and the worker
+count has one source: the ``MCDUALITY_WORKERS`` environment variable
+(default 1), read by :func:`worker_count` each time blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -24,17 +25,19 @@ import numpy as np
 #: number of path indices per RNG block
 BLOCK_SIZE = 4096
 
-#: environment variable consulted for the default worker count
+#: environment variable that sets the worker count
 WORKERS_ENV = "MCDUALITY_WORKERS"
 
 
-def worker_count(workers: int | None = None) -> int:
-    """Resolve the effective worker count (argument beats environment)."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+def worker_count() -> int:
+    """The worker count: ``MCDUALITY_WORKERS``, 1 when it is unset."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
 
 
 def _check_paths(paths: int) -> None:
@@ -50,8 +53,9 @@ def blocks(paths: int) -> list[tuple[int, int, int]]:
             for block, lo in enumerate(range(0, paths, BLOCK_SIZE))]
 
 
-def map_blocks(work, paths: int, workers: int | None = None) -> None:
-    """Run ``work(spans)`` over the path blocks of ``paths``.
+def map_blocks(work, paths: int) -> None:
+    """Run ``work(spans)`` over the path blocks of ``paths`` on
+    :func:`worker_count` threads.
 
     With one worker ``work`` gets every block, in order.  With ``w``
     workers, thread ``j`` gets every ``w``-th block from block ``j``, so
@@ -62,7 +66,7 @@ def map_blocks(work, paths: int, workers: int | None = None) -> None:
     """
     _check_paths(paths)
     spans = blocks(paths)
-    nworkers = min(worker_count(workers), len(spans))
+    nworkers = min(worker_count(), len(spans))
     if nworkers == 1:
         work(spans)
         return
@@ -97,14 +101,9 @@ class RandomStream:
                                     spawn_key=self.key + (int(block),))
         return np.random.Generator(np.random.Philox(ss))
 
-    def fill_normals(self, block: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` (C-contiguous float64 rows of path block ``block``,
-        one row per path) with the block's standard normals, in place."""
-        return self.block_rng(block).standard_normal(out=out)
-
-    def standard_normals(self, paths: int, cols: int,
-                         workers: int | None = None) -> np.ndarray:
-        """Draw a ``(paths, cols)`` array of iid standard normals.
+    def standard_normals(self, paths: int, cols: int) -> np.ndarray:
+        """Draw a ``(paths, cols)`` array of iid standard normals, each
+        block's rows filled in place from its generator.
 
         The array content depends only on ``(seed, key, paths, cols)``; the
         worker count affects scheduling, never values.
@@ -115,9 +114,9 @@ class RandomStream:
 
         def work(spans):
             for block, lo, hi in spans:
-                self.fill_normals(block, out[lo:hi])
+                self.block_rng(block).standard_normal(out=out[lo:hi])
 
-        map_blocks(work, paths, workers)
+        map_blocks(work, paths)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover

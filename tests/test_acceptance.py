@@ -21,7 +21,7 @@ from mcduality.market import (GeneralMarketCoeffs, HestonParams, TimeGrid,
 from mcduality.pricing import degenerate_coeffs, degenerate_example, rho_sweep
 from mcduality.primal import (HedgeMixFamily, lsmc_hedge, optimize_primal,
                               with_claim_floor)
-from mcduality.rng import WORKERS_ENV, RandomStream
+from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                constrained_conjugate, logistic_claim)
 
@@ -369,27 +369,34 @@ def test_orthogonal_projection_diagnostics():
 # ---------------------------------------------------------------------------
 
 def test_reproducible_reports(tmp_path, monkeypatch):
+    # every config that draws a driver runs three path blocks, so three
+    # and four workers run threads; kw draws none
+    blocks3 = 2 * BLOCK_SIZE + 1
     configs = [
-        {"version": 1, "kind": "sweep", "paths": 800, "steps": 16, "seed": 5,
+        {"version": 1, "kind": "sweep", "paths": blocks3, "steps": 16,
+         "seed": 5,
          "sweep": {"x": 0.75, "rho_values": [0.3], "y_grid": [0.8, 1.2],
                    "hedge_buckets": 2, "budget": 10, "w_budget": 8}},
-        {"version": 1, "kind": "degenerate", "paths": 600, "steps": 12,
+        {"version": 1, "kind": "degenerate", "paths": blocks3, "steps": 12,
          "degenerate": {"alpha": 1.0, "x": 0.0, "n_values": [1.0],
                         "buckets": 4, "degree": 2, "budget": 8}},
         {"version": 1, "kind": "kw", "paths": 400, "steps": 16,
          "kw": {"mode": "nondegenerate", "n_values": [1, 4]}},
-        {"version": 1, "kind": "subreplication", "paths": 1200, "steps": 16,
+        {"version": 1, "kind": "subreplication", "paths": blocks3,
+         "steps": 16,
          "subreplication": {"rho": 0.3, "shifts": [-3.0, 0.0, 3.0]}},
     ]
     checked = 0
     for i, cfg in enumerate(configs):
-        m1 = run_experiment(cfg, tmp_path / f"a{i}", workers=1)
-        m2 = run_experiment(cfg, tmp_path / f"b{i}", workers=1)
-        m3 = run_experiment(cfg, tmp_path / f"c{i}", workers=4)
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        m1 = run_experiment(cfg, tmp_path / f"a{i}")
+        m2 = run_experiment(cfg, tmp_path / f"b{i}")
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        m3 = run_experiment(cfg, tmp_path / f"c{i}")
         monkeypatch.setenv(WORKERS_ENV, "3")
         m4 = run_experiment(cfg, tmp_path / f"d{i}")
         monkeypatch.delenv(WORKERS_ENV)
-        assert m3.workers == 4 and m4.workers == 3
+        assert [m.workers for m in (m1, m2, m3, m4)] == [1, 1, 4, 3]
         assert m1.outputs == m2.outputs == m3.outputs == m4.outputs
         for rec in m1.outputs:
             raw = (tmp_path / f"a{i}" / rec["file"]).read_bytes()

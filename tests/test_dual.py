@@ -12,7 +12,7 @@ from mcduality.dual import (DualCandidate, dual_bound_mmm,
                             dual_bound_perturbed, minimize_dual,
                             perturbation_exponential, subreplication_estimate)
 from mcduality.market import HestonParams, TimeGrid, simulate_heston_market
-from mcduality.rng import BLOCK_SIZE, RandomStream
+from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 from mcduality.utility import (ConjugatePair, UtilitySpec, constant_claim,
                                logistic_claim)
 
@@ -550,7 +550,7 @@ def test_subreplication_rejects_bad_inputs(bundle_rho0, bundle_rho03):
                                 SMALL_PATHS, stream, 0.123456, [0.0])
 
 
-def test_subreplication_driver_only_is_bitwise_bundle():
+def test_subreplication_driver_only_is_bitwise_bundle(monkeypatch):
     # the block-reduced tails give every bit of the estimate that a full
     # bundle's driver gives, at any worker count; two blocks, the last of
     # five paths
@@ -566,9 +566,9 @@ def test_subreplication_driver_only_is_bitwise_bundle():
         k = grid.node_index(t_prime)
         tail = bundle.b[:, -1] - bundle.b[:, k]
         ref = [(x, mc_estimate(claim(tail + x))) for x in shifts]
+        monkeypatch.setenv(WORKERS_ENV, str(workers))
         rep = subreplication_estimate(claim, params, grid, paths,
-                                      RandomStream(41), t_prime, shifts,
-                                      workers)
+                                      RandomStream(41), t_prime, shifts)
         assert [(x, e.mean, e.stderr) for x, e in rep.rows] == \
             [(x, e.mean, e.stderr) for x, e in ref]
         assert (rep.min_shift, rep.minimum) == min(

@@ -301,11 +301,15 @@ def test_env_worker_default(monkeypatch, tmp_path):
     assert man.workers == 2
 
 
-def test_subreplication_bytes_stable_across_workers(tmp_path):
-    cfg = {"version": 1, "kind": "subreplication", "paths": 1500, "steps": 16,
+def test_subreplication_bytes_stable_across_workers(tmp_path, monkeypatch):
+    # three path blocks, so three workers run three threads
+    cfg = {"version": 1, "kind": "subreplication",
+           "paths": 2 * BLOCK_SIZE + 1, "steps": 16,
            "subreplication": {"rho": 0.3, "shifts": [-5.0, 0.0, 5.0]}}
-    m1 = run_experiment(cfg, tmp_path / "a", workers=1)
-    m2 = run_experiment(cfg, tmp_path / "b", workers=3)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    m1 = run_experiment(cfg, tmp_path / "a")
+    monkeypatch.setenv(WORKERS_ENV, "3")
+    m2 = run_experiment(cfg, tmp_path / "b")
     assert m1.workers == 1 and m2.workers == 3
     assert ((tmp_path / "a" / "subreplication.csv").read_bytes()
             == (tmp_path / "b" / "subreplication.csv").read_bytes())
@@ -374,13 +378,15 @@ def _oracle_rows_draw_all(cfg):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_oracle_check_blocks_are_bitwise_draw_all(tmp_path, workers):
+def test_oracle_check_blocks_are_bitwise_draw_all(tmp_path, workers,
+                                                  monkeypatch):
     # three path blocks, the last of five paths, reduced one at a time
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     cfg = merge_config({"kind": "oracle-check", "paths": 2 * BLOCK_SIZE + 5,
                         "steps": 37,
                         "oracle": {"a_values": [-0.5, 0.0, 12.0],
                                    "b_values": [-0.4, 0.0, 0.3]}})
-    run_experiment(cfg, tmp_path / "run", workers=workers)
+    run_experiment(cfg, tmp_path / "run")
     write_csv(tmp_path / "ref.csv",
               ["a", "b", "riccati", "closed_form", "mc_mean", "mc_se",
                "z_score"], _oracle_rows_draw_all(cfg))
@@ -388,16 +394,16 @@ def test_oracle_check_blocks_are_bitwise_draw_all(tmp_path, workers):
             == (tmp_path / "ref.csv").read_bytes())
 
 
-def test_oracle_check_holds_one_block(tmp_path):
+def test_oracle_check_holds_one_block(tmp_path, monkeypatch):
     # the run's traced peak stays below one (paths, steps+1) float64 array,
     # so it never holds the variance of all paths (nor all their normals)
+    monkeypatch.setenv(WORKERS_ENV, "1")
     paths, steps = 3 * BLOCK_SIZE + 5, 64
     cfg = {"version": 1, "kind": "oracle-check"}
-    run_experiment(cfg, tmp_path / "warm", paths=50, steps=8, workers=1)
+    run_experiment(cfg, tmp_path / "warm", paths=50, steps=8)
     tracemalloc.start()
     try:
-        run_experiment(cfg, tmp_path / "run", paths=paths, steps=steps,
-                       workers=1)
+        run_experiment(cfg, tmp_path / "run", paths=paths, steps=steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -407,13 +413,15 @@ def test_oracle_check_holds_one_block(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("mode, n_values", [
     ("nondegenerate", [1.0, 3.0]), ("degenerate", [1.0, 4.0, math.inf])])
-def test_kw_blocks_are_bitwise_draw_all(tmp_path, mode, n_values, workers):
+def test_kw_blocks_are_bitwise_draw_all(tmp_path, mode, n_values, workers,
+                                       monkeypatch):
     # three path blocks, the last of five paths, each reduced to its
     # energies: the report of the whole-array einsum diagnostic
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     cfg = merge_config({"kind": "kw", "paths": 2 * BLOCK_SIZE + 5,
                         "steps": 12,
                         "kw": {"mode": mode, "n_values": n_values}})
-    run_experiment(cfg, tmp_path / "run", workers=workers)
+    run_experiment(cfg, tmp_path / "run")
     coeffs, nu = _kw_setup(mode)
     rows = kw_rows_draw_all(nu, coeffs, n_values, build_market(cfg)[1],
                             cfg["paths"], RandomStream(cfg["seed"]))
@@ -425,13 +433,15 @@ def test_kw_blocks_are_bitwise_draw_all(tmp_path, mode, n_values, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_subreplication_blocks_are_bitwise_draw_all(tmp_path, workers):
+def test_subreplication_blocks_are_bitwise_draw_all(tmp_path, workers,
+                                                    monkeypatch):
     # three path blocks, the last of five paths, each reduced to its tails
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     cfg = merge_config({"kind": "subreplication",
                         "paths": 2 * BLOCK_SIZE + 5, "steps": 20,
                         "subreplication": {"rho": 0.3, "t_prime": 0.75,
                                            "shifts": [-2.0, 0.0, 1.5]}})
-    run_experiment(cfg, tmp_path / "run", workers=workers)
+    run_experiment(cfg, tmp_path / "run")
     grid = build_market(cfg)[1]
     b = driver_draw_all(grid, cfg["paths"], RandomStream(cfg["seed"]))
     tail = b[:, -1] - b[:, grid.node_index(0.75)]
@@ -444,16 +454,16 @@ def test_subreplication_blocks_are_bitwise_draw_all(tmp_path, workers):
 
 
 @pytest.mark.parametrize("kind, d", [("subreplication", 1), ("kw", 2)])
-def test_driver_runs_hold_one_block(tmp_path, kind, d):
+def test_driver_runs_hold_one_block(tmp_path, kind, d, monkeypatch):
     # the run's traced peak stays below one (paths, steps+1, d) float64
     # array: it never holds the driver of all paths
+    monkeypatch.setenv(WORKERS_ENV, "1")
     paths, steps = 3 * BLOCK_SIZE + 5, 64
     cfg = {"version": 1, "kind": kind}
-    run_experiment(cfg, tmp_path / "warm", paths=50, steps=8, workers=1)
+    run_experiment(cfg, tmp_path / "warm", paths=50, steps=8)
     tracemalloc.start()
     try:
-        run_experiment(cfg, tmp_path / "run", paths=paths, steps=steps,
-                       workers=1)
+        run_experiment(cfg, tmp_path / "run", paths=paths, steps=steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

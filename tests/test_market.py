@@ -13,7 +13,7 @@ from mcduality.market import (GeneralMarketCoeffs, HestonParams, PathBundle,
                               semimartingale_distance, simulate_cir,
                               simulate_cir_blocks, simulate_general_market,
                               simulate_heston_market, stochastic_exponential)
-from mcduality.rng import BLOCK_SIZE, RandomStream
+from mcduality.rng import BLOCK_SIZE, WORKERS_ENV, RandomStream
 
 from conftest import (BASE_PARAMS, SMALL_GRID, SMALL_PATHS, SMALL_SEED,
                       cir_step_loop, driver_draw_all)
@@ -115,7 +115,7 @@ def test_driver_matches_market_bundle(bundle_rho0):
     assert np.array_equal(b, bundle_rho0.b)
 
 
-def _driver_by_blocks(grid, paths, stream, workers, d=None):
+def _driver_by_blocks(grid, paths, stream, d=None):
     """The driver of ``driver_blocks`` stored block by block by a visitor,
     with the ``(lo, hi)`` spans it visited."""
     out = np.full((paths, grid.steps + 1) + (() if d is None else (d,)),
@@ -126,7 +126,7 @@ def _driver_by_blocks(grid, paths, stream, workers, d=None):
         out[lo:hi] = levels
         spans.append((lo, hi))
 
-    driver_blocks(grid, paths, stream, store, workers, d)
+    driver_blocks(grid, paths, stream, store, d)
     return out, sorted(spans)
 
 
@@ -170,16 +170,25 @@ def test_simulators_refuse_a_path_count_below_one(simulate, paths):
         run()
 
 
+def test_malformed_worker_count_names_the_variable(monkeypatch):
+    # a direct library call reads the worker count too, and says which
+    # variable is malformed instead of quoting int()'s message
+    monkeypatch.setenv(WORKERS_ENV, "abc")
+    with pytest.raises(ValueError, match=WORKERS_ENV):
+        simulate_cir(BASE_PARAMS, TimeGrid(1.0, 4), 10, RandomStream(1))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cir_per_block_draws_are_bitwise_draw_all(workers):
+def test_cir_per_block_draws_are_bitwise_draw_all(workers, monkeypatch):
     # drawing each path block's normals just before its recursion gives the
     # paths of drawing all normals first, whether the blocks are stored into
     # simulate_cir's result or visited one at a time in a block buffer
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3)
     grid, paths = TimeGrid(1.0, 37), 2 * BLOCK_SIZE + 3
     ref = cir_step_loop(p, grid,
                         _draw_all_increments(RandomStream(8), grid, paths))
-    v = simulate_cir(p, grid, paths, RandomStream(8), workers=workers)
+    v = simulate_cir(p, grid, paths, RandomStream(8))
     assert np.array_equal(v, ref)
     seen = np.full_like(ref, np.nan)
     spans = []
@@ -188,19 +197,20 @@ def test_cir_per_block_draws_are_bitwise_draw_all(workers):
         seen[lo:hi] = block
         spans.append((lo, hi))
 
-    simulate_cir_blocks(p, grid, paths, RandomStream(8), visit, workers)
+    simulate_cir_blocks(p, grid, paths, RandomStream(8), visit)
     assert np.array_equal(seen, ref)
     assert sorted(spans) == [(0, BLOCK_SIZE), (BLOCK_SIZE, 2 * BLOCK_SIZE),
                              (2 * BLOCK_SIZE, paths)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_driver_per_block_draws_are_bitwise_draw_all(workers):
+def test_driver_per_block_draws_are_bitwise_draw_all(workers, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     grid, paths = TimeGrid(1.0, 37), 2 * BLOCK_SIZE + 3
     db = _draw_all_increments(RandomStream(8), grid, paths)
     ref = np.zeros((paths, grid.steps + 1))
     np.cumsum(db, axis=1, out=ref[:, 1:])
-    b, spans = _driver_by_blocks(grid, paths, RandomStream(8), workers)
+    b, spans = _driver_by_blocks(grid, paths, RandomStream(8))
     assert np.array_equal(b, ref)
     assert spans == [(0, BLOCK_SIZE), (BLOCK_SIZE, 2 * BLOCK_SIZE),
                      (2 * BLOCK_SIZE, paths)]
@@ -343,24 +353,26 @@ def _reference_heston_market(params, grid, paths, stream):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("paths, steps", [(2 * BLOCK_SIZE + 3, 37), (5, 3)])
-def test_bundle_is_bitwise_whole_array_reference(paths, steps, workers):
+def test_bundle_is_bitwise_whole_array_reference(paths, steps, workers,
+                                                 monkeypatch):
     # three path blocks, the last of three paths, and a one-block bundle;
     # the large sigma makes the truncation bind on some of the long paths
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     p = HestonParams(mu=0.5, kappa=2.0, theta=1.0, sigma=1.4, v0=0.3,
                      rho=0.3)
     grid = TimeGrid(1.0, steps)
-    got = simulate_heston_market(p, grid, paths, RandomStream(12), workers)
+    got = simulate_heston_market(p, grid, paths, RandomStream(12))
     ref = _reference_heston_market(p, grid, paths, RandomStream(12))
     for f in ("b", "w", "v", "s", "z"):
         assert np.array_equal(getattr(got, f), ref[f]), f
 
 
-def test_worker_count_bit_invariance():
+def test_worker_count_bit_invariance(monkeypatch):
     grid = TimeGrid(1.0, 16)
-    a = simulate_heston_market(BASE_PARAMS, grid, 9000, RandomStream(2),
-                               workers=1)
-    b = simulate_heston_market(BASE_PARAMS, grid, 9000, RandomStream(2),
-                               workers=4)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    a = simulate_heston_market(BASE_PARAMS, grid, 9000, RandomStream(2))
+    monkeypatch.setenv(WORKERS_ENV, "4")
+    b = simulate_heston_market(BASE_PARAMS, grid, 9000, RandomStream(2))
     for f in ("b", "w", "v", "s", "z"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
@@ -375,12 +387,13 @@ def test_bundle_initial_nodes(bundle_rho03):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_bundle_density_is_terminal_of_density_paths(workers):
+def test_bundle_density_is_terminal_of_density_paths(workers, monkeypatch):
     # two path blocks: the bundle keeps the last node of the density paths
     # that minimal_martingale_density writes from the same increments
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     paths, grid = BLOCK_SIZE + 5, TimeGrid(1.0, 7)
     bundle = simulate_heston_market(BASE_PARAMS, grid, paths,
-                                    RandomStream(3), workers)
+                                    RandomStream(3))
     db = _draw_all_increments(RandomStream(3), grid, paths)
     full = minimal_martingale_density(BASE_PARAMS.mu, bundle.v, db, grid.dt,
                                       np.empty_like(bundle.v))
@@ -421,21 +434,22 @@ def _reference_general_market(coeffs, n, grid, paths, stream):
 @pytest.mark.parametrize("paths, steps", [(2 * BLOCK_SIZE + 3, 37), (5, 3)])
 @pytest.mark.parametrize("n", [2.0, math.inf])
 def test_general_market_is_bitwise_whole_array_reference(n, paths, steps,
-                                                         workers):
+                                                         workers,
+                                                         monkeypatch):
     # two drivers and a drift, so every term of the price is live
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     coeffs = GeneralMarketCoeffs(
         d=2, sigma=lambda n: (0.7, 0.0 if math.isinf(n) else 1.0 / n),
         lam=lambda n: 0.5 if math.isinf(n) else 0.5 + 1.0 / n)
     grid = TimeGrid(1.0, steps)
-    got = simulate_general_market(coeffs, n, grid, paths, RandomStream(13),
-                                  workers)
+    got = simulate_general_market(coeffs, n, grid, paths, RandomStream(13))
     b, s = _reference_general_market(coeffs, n, grid, paths,
                                      RandomStream(13))
     assert np.array_equal(got.b, b)
     assert np.array_equal(got.s, s)
     assert not (got.b.flags.writeable or got.s.flags.writeable)
     # the driver alone, as the blocks of driver_blocks give it
-    alone, _ = _driver_by_blocks(grid, paths, RandomStream(13), workers, d=2)
+    alone, _ = _driver_by_blocks(grid, paths, RandomStream(13), d=2)
     assert np.array_equal(alone, b)
 
 

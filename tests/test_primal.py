@@ -1228,18 +1228,21 @@ def test_search_scores_each_point_as_its_primal_bound(flat_market,
 
 @pytest.mark.parametrize("with_claim", [False, True])
 def test_search_refuses_a_price_holding_nan(flat_market, with_claim):
-    # a NaN utility sample raises mc_estimate's ValueError in the search's
-    # scores as in primal_bound
+    # a NaN price raises a ValueError in the search's scores as in
+    # primal_bound, for every utility: a half-line utility reads NaN wealth
+    # as -inf, so the price itself is refused, not its utility samples
     s = np.array(flat_market.s)
     s[3, 5] = math.nan
     bundle = dataclasses.replace(flat_market, s=s)
-    pair = ConjugatePair(UtilitySpec.exponential(1.0))
     fam = ConstantFamily(lo=-0.5, hi=0.5, floor=30.0)
     claim = logistic_claim(rate=-2.0, scale=2.0) if with_claim else None
-    with pytest.raises(ValueError, match="nan"):
-        primal_bound(pair, 5.0, fam, [0.25], bundle, claim)
-    with pytest.raises(ValueError, match="nan"):
-        optimize_primal(pair, 5.0, fam, bundle, claim=claim, budget=12)
+    for utility in (UtilitySpec.exponential(1.0), UtilitySpec.power(0.5),
+                    UtilitySpec.log()):
+        pair = ConjugatePair(utility)
+        with pytest.raises(ValueError, match="nan"):
+            primal_bound(pair, 5.0, fam, [0.25], bundle, claim)
+        with pytest.raises(ValueError, match="nan"):
+            optimize_primal(pair, 5.0, fam, bundle, claim=claim, budget=12)
 
 
 @pytest.mark.parametrize("budget", [0, -7])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mcduality.rng import (BLOCK_SIZE, RandomStream, blocks, map_blocks,
-                           worker_count)
+from mcduality.rng import (BLOCK_SIZE, WORKERS_ENV, RandomStream, blocks,
+                           map_blocks, worker_count)
 
 
 def test_same_seed_same_draws():
@@ -35,32 +35,37 @@ def test_nested_split_keys_do_not_collide():
     assert not np.array_equal(a, b)
 
 
-def test_worker_count_does_not_change_values():
+def test_worker_count_does_not_change_values(monkeypatch):
     s = RandomStream(99)
     paths = 3 * BLOCK_SIZE + 17  # forces several blocks
-    one = s.standard_normals(paths, 2, workers=1)
-    four = s.standard_normals(paths, 2, workers=4)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    one = s.standard_normals(paths, 2)
+    monkeypatch.setenv(WORKERS_ENV, "4")
+    four = s.standard_normals(paths, 2)
     assert np.array_equal(one, four)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_normals_fill_in_place_is_bitwise_temp_and_copy(workers):
+def test_normals_fill_in_place_is_bitwise_temp_and_copy(workers,
+                                                       monkeypatch):
     # each block's draws written straight into the result equal the block
     # drawn into a temporary array and copied, as the fill first did
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     s = RandomStream(12)
     paths, cols = 2 * BLOCK_SIZE + 5, 3
     ref = np.empty((paths, cols))
     for block, lo in enumerate(range(0, paths, BLOCK_SIZE)):
         hi = min(lo + BLOCK_SIZE, paths)
         ref[lo:hi] = s.block_rng(block).standard_normal((hi - lo, cols))
-    assert np.array_equal(s.standard_normals(paths, cols, workers), ref)
+    assert np.array_equal(s.standard_normals(paths, cols), ref)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
-def test_map_blocks_runs_every_block_once(workers):
+def test_map_blocks_runs_every_block_once(workers, monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, str(workers))
     paths = 3 * BLOCK_SIZE + 17
     calls = []
-    map_blocks(calls.append, paths, workers)
+    map_blocks(calls.append, paths)
     assert len(calls) == min(workers, 4)
     assert sorted(span for spans in calls for span in spans) == blocks(paths)
     for spans in calls:  # each call's first span is its widest
@@ -87,14 +92,13 @@ def test_seed_validation():
 
 
 def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("MCDUALITY_WORKERS", raising=False)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
     assert worker_count() == 1
-    assert worker_count(3) == 3
-    monkeypatch.setenv("MCDUALITY_WORKERS", "5")
+    monkeypatch.setenv(WORKERS_ENV, "5")
     assert worker_count() == 5
-    assert worker_count(2) == 2  # explicit argument wins
-    with pytest.raises(ValueError):
-        worker_count(0)
+    monkeypatch.setenv(WORKERS_ENV, "0")
+    with pytest.raises(ValueError, match=WORKERS_ENV):
+        worker_count()
 
 
 def test_draw_shape_validation():

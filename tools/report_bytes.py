@@ -17,6 +17,12 @@ checkout's sha256, and exits 1 if any file differs or is missing on one
 side, else 0.  A run that raises is recorded as its exception's name and
 counts as a difference.
 
+Both child interpreters inherit the environment, ``MCDUALITY_WORKERS``
+included, so ``MCDUALITY_WORKERS=2 python3 tools/report_bytes.py ...``
+compares the threaded schedule.  The ``-blocks`` entries run three path
+blocks (``rng.BLOCK_SIZE`` is 4096), so they are the ones a worker count
+above 1 runs on threads.
+
 Under a ``DIFF`` table (``.csv``, or ``.dat`` with its column names on the
 last ``#`` line) of the same shape on both sides, one line per changed
 column gives the largest absolute change and the largest change relative
@@ -60,6 +66,14 @@ CONFIGS = {
                          "n_values": [1, 4, float("inf")]}}, 600, 32),
     "subreplication": ({"version": 1, "kind": "subreplication"}, 2000, 100),
     "oracle-check": ({"version": 1, "kind": "oracle-check"}, 2000, 32),
+    # three path blocks each, so a worker count above 1 runs threads
+    "sweep-blocks": ({"version": 1, "kind": "sweep",
+                      "sweep": {"rho_values": [0.4]}}, 9000, 8),
+    "degenerate-blocks": ({"version": 1, "kind": "degenerate",
+                           "degenerate": {"n_values": [2]}}, 9000, 16),
+    "oracle-check-blocks": ({"version": 1, "kind": "oracle-check"}, 9000, 8),
+    "subreplication-blocks": ({"version": 1, "kind": "subreplication"},
+                              9000, 100),
     # not a config: minimize_dual at y in {0.5, 2}, with and without the
     # default claim, buckets 2 and budget 30, on one rho = 0.3 bundle
     "dual": ("minimize_dual", 600, 12),
